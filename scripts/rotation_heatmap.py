@@ -10,7 +10,9 @@ import argparse
 import colorsys
 import math
 
-from boltzmann_billiard import BilliardError, derive_params, rotation_number
+import numpy as np
+
+from boltzmann_billiard import rotation_grid
 
 
 def cell_color(alpha: float) -> str:
@@ -34,22 +36,17 @@ def main() -> None:
     n = args.n
     cell = 4  # pixels per cell
 
+    # cell centres
+    Ds = Dmin + (Dmax - Dmin) * (np.arange(n) + 0.5) / n
+    Es = Emin + (Emax - Emin) * (np.arange(n) + 0.5) / n
+    classes, alphas = rotation_grid(Ds[:, None], Es)
     rows = ["D,E,class,alpha"]
     rects = []
     computed = 0
-    for i in range(n):
-        D = Dmin + (Dmax - Dmin) * (i + 0.5) / n
-        for j in range(n):
-            E = Emin + (Emax - Emin) * (j + 0.5) / n
-            params = derive_params(D, E)
-            alpha = math.nan
-            if params.nondegenerate:
-                try:
-                    alpha = rotation_number(params).alpha
-                    computed += 1
-                except BilliardError:
-                    pass
-            rows.append(f"{D:.10g},{E:.10g},{params.cls.value},"
+    for i, (D, cls_row, alpha_row) in enumerate(zip(Ds.tolist(), classes, alphas.tolist())):
+        for j, (E, cls, alpha) in enumerate(zip(Es.tolist(), cls_row, alpha_row)):
+            computed += not math.isnan(alpha)
+            rows.append(f"{D:.10g},{E:.10g},{cls.value},"
                         f"{'' if math.isnan(alpha) else format(alpha, '.10g')}")
             fill = "#cccccc" if math.isnan(alpha) else cell_color(alpha)
             # SVG y axis points down; flip so E grows upward

@@ -32,6 +32,7 @@ from .errors import (
     OrbitAbort,
     PoleError,
 )
+from .grid import rotation_grid
 from .kepler import (
     ConservedSet,
     PhaseState,
@@ -134,6 +135,7 @@ __all__ = [
     "predict_period",
     "project_onto_level_set",
     "reflect_at_wall",
+    "rotation_grid",
     "rotation_number",
     "sample_level_set",
     "smallest_period",

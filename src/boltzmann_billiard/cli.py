@@ -11,6 +11,7 @@ numeric error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import logging
@@ -18,8 +19,11 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .errors import BilliardError, OrbitAbort
-from .levelset import RealLocusClass, derive_params, implied_invariants
+from .grid import rotation_grid
+from .levelset import derive_params, implied_invariants
 from .periods import find_periodic_locus, period3_residual, empirical_rotation
 from .poincare import iterate_orbit, sample_level_set
 from .svgplot import level_set_figure, orbit_figure
@@ -29,6 +33,7 @@ from .uniformize import rotation_number
 log = logging.getLogger("boltzmann_billiard")
 
 _F = "%.17g"
+_GRID_BLOCK = 4096  # cells per rotation_grid call, so grid memory does not grow with n^2
 
 
 def _fnum(v: float) -> str:
@@ -37,12 +42,15 @@ def _fnum(v: float) -> str:
     return _F % v
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _open_out(out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out_path, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _open_out(out_path) as fh:
+        fh.write(text)
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -79,8 +87,7 @@ def _classify_report(D: float, E: float) -> dict:
         "k2": params.k2,
         "s0": params.s0,
         "C2": params.C2,
-        "nonempty": params.cls in (RealLocusClass.I, RealLocusClass.II_PLUS,
-                                   RealLocusClass.II_MINUS),
+        "nonempty": params.nondegenerate,
     }
     if params.nondegenerate:
         rot = rotation_number(params)
@@ -131,6 +138,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(spec: str):
+    """D and E axes of a Dmin:Dmax:Emin:Emax:n window, endpoints included."""
     parts = spec.split(":")
     if len(parts) != 5:
         raise ValueError("grid must be Dmin:Dmax:Emin:Emax:n")
@@ -138,28 +146,35 @@ def _parse_grid(spec: str):
     n = int(parts[4])
     if n < 2:
         raise ValueError("grid needs n >= 2")
-    return Dmin, Dmax, Emin, Emax, n
+    steps = np.arange(n, dtype=float)
+    Ds = Dmin + (Dmax - Dmin) * steps / (n - 1)
+    Es = Emin + (Emax - Emin) * steps / (n - 1)
+    if not (np.isfinite(Ds).all() and np.isfinite(Es).all()):
+        raise ValueError("grid bounds must give finite D and E")
+    return Ds, Es
+
+
+def _write_grid(fh, Ds, Es) -> None:
+    """CSV rows D,E,class,alpha, computed and written a block of D rows at a time."""
+    fh.write("D,E,class,alpha\n")
+    e_cols = [_F % E for E in Es.tolist()]
+    per_block = max(1, _GRID_BLOCK // len(Es))
+    for lo in range(0, len(Ds), per_block):
+        block = Ds[lo:lo + per_block]
+        classes, alpha = rotation_grid(block[:, None], Es)
+        lines = []
+        for D, cls_row, alpha_row in zip(block.tolist(), classes, alpha.tolist()):
+            d = _F % D
+            lines.extend(f"{d},{e},{cls.value},{_fnum(a)}\n"
+                         for e, cls, a in zip(e_cols, cls_row, alpha_row))
+        fh.write("".join(lines))
 
 
 def cmd_rotation(args: argparse.Namespace) -> int:
     if args.grid:
-        Dmin, Dmax, Emin, Emax, n = _parse_grid(args.grid)
-        rows = []
-        for i in range(n):
-            D = Dmin + (Dmax - Dmin) * i / (n - 1)
-            for j in range(n):
-                E = Emin + (Emax - Emin) * j / (n - 1)
-                params = derive_params(D, E)
-                if params.nondegenerate:
-                    try:
-                        alpha = rotation_number(params).alpha
-                    except BilliardError:
-                        alpha = math.nan
-                else:
-                    alpha = math.nan
-                rows.append([D, E, params.cls.value, alpha])
-        text = _csv(rows, ["D", "E", "class", "alpha"])
-        _emit(text, args.out)
+        Ds, Es = _parse_grid(args.grid)
+        with _open_out(args.out) as fh:
+            _write_grid(fh, Ds, Es)
         return 0
     params = derive_params(args.D, args.E)
     rot = rotation_number(params)

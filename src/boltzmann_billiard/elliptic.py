@@ -16,12 +16,14 @@ Everything here is a pure function of its arguments and thread-safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, EndpointSingularityError, PoleError
 
-_AGM_RTOL = 1e-16       # relative gap at which the AGM iteration stops
+_AGM_RTOL = sys.float_info.epsilon  # relative gap at which the AGM iteration stops
+_AGM_MAX_STEPS = 64     # safety cap; at this tolerance the AGM stops within 7 steps for m <= 1 - 1e-9
 _RF_RTOL = 1e-16        # target relative error of Carlson R_F
 _MODULUS_FLOOR = 1e-12  # refuse to evaluate closer than this to a log singularity
 _JACOBI_CA = 1e-9       # AGM descent cutoff; final accuracy is of order CA**2
@@ -52,7 +54,7 @@ def _k2(m) -> float:
 
 
 def _agm(a: float, b: float) -> float:
-    for _ in range(64):
+    for _ in range(_AGM_MAX_STEPS):
         if abs(a - b) <= _AGM_RTOL * a:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -172,14 +174,11 @@ def seg_case_i(x: float, m) -> float:
         raise EndpointSingularityError(f"seg_case_i argument x={x!r} beyond the branch point 1")
     x = max(-1.0, min(1.0, x))
     kap2 = 1.0 / (1.0 - m)
-    kap = math.sqrt(kap2)
-    Kk = _complete_K(kap2)
-
-    def g(sig: float) -> float:
-        # integral from 0 to sig >= 0; equals kap*(K - F(asin(sqrt(1-sig^2))))
-        return kap * (Kk - legendre_F(math.sqrt(max(0.0, 1.0 - sig * sig)), kap2))
-
-    return kap * Kk + (g(x) if x >= 0.0 else -g(-x))
+    ell2 = -m
+    # the half path from 0 to x in Carlson form, odd in x; the Legendre form
+    # kap*(K - F(sqrt(1-x^2))) cancels catastrophically near x = 0
+    half = x * carlson_rf(ell2 * (1.0 - x * x), ell2 + x * x, ell2)
+    return math.sqrt(kap2) * _complete_K(kap2) + half
 
 
 def seg_case_ii_plus(x: float, m) -> float:

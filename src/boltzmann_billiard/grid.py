@@ -1,0 +1,150 @@
+"""Rotation numbers over whole arrays of (D, E) parameter points.
+
+rotation_grid gives every cell the class and the rotation number that
+derive_params followed by rotation_number gives it, bit for bit.  It
+repeats the scalar code's floating-point operations one for one over
+arrays: only +, -, *, /, sqrt, abs, comparisons and mod occur, and numpy
+rounds each of them exactly as math and Python floats do.  The AGM and
+Carlson R_F loops freeze each converged cell, so every cell stops at the
+step where the scalar loop stops.  Cells where the scalar path has no
+rotation number get NaN: degenerate classes, the near-degenerate guards
+of rotation_number, and every domain error the scalar path would raise.
+
+The scalar functions stay the reference for single points; this module
+serves the ensemble callers (the CLI grid, the heatmap script and the
+sign scan of find_periodic_locus).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .elliptic import _AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL
+from .errors import DomainError
+from .levelset import BOUNDARY_TOL, NONDEGENERATE, RealLocusClass
+from .uniformize import _ALPHA_SIGN, _ENDPOINT_GUARD
+
+_CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
+_CODE = {cls: code for code, cls in enumerate(RealLocusClass)}
+_NONDEGENERATE = [_CODE[cls] for cls in NONDEGENERATE]
+_RF_Q = (3.0 * _RF_RTOL) ** (-1.0 / 6.0)  # the factor carlson_rf computes per call
+
+
+def _agm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """elliptic._agm per element."""
+    for _ in range(_AGM_MAX_STEPS):
+        go = ~(np.abs(a - b) <= _AGM_RTOL * a)
+        if not go.any():
+            break
+        a, b = np.where(go, 0.5 * (a + b), a), np.where(go, np.sqrt(a * b), b)
+    return 0.5 * (a + b)
+
+
+def _complete_K(m: np.ndarray) -> np.ndarray:
+    """elliptic._complete_K per element."""
+    return np.pi / (2.0 * _agm(np.ones_like(m), np.sqrt(1.0 - m)))
+
+
+def _carlson_rf(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """elliptic.carlson_rf per element, for arguments inside its domain."""
+    A0 = (x + y + z) / 3.0
+    A = A0
+    Q = _RF_Q * np.maximum(np.maximum(np.abs(A0 - x), np.abs(A0 - y)), np.abs(A0 - z))
+    f = 1.0  # the same power of 1/4 in every cell still iterating
+    go = f * Q > np.abs(A)
+    while go.any():
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x = np.where(go, 0.25 * (x + lam), x)
+        y = np.where(go, 0.25 * (y + lam), y)
+        z = np.where(go, 0.25 * (z + lam), z)
+        A = np.where(go, 0.25 * (A + lam), A)
+        f *= 0.25
+        go &= f * Q > np.abs(A)
+    X = (A - x) / A
+    Y = (A - y) / A
+    Z = -X - Y
+    E2 = X * Y - Z * Z
+    E3 = X * Y * Z
+    s = 1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0
+    return s / np.sqrt(A)
+
+
+def _classify(D, E):
+    """Class codes in derive_params' order of tests, and the curve data R, den."""
+    s = D + 2.0 * E
+    R2 = 1.0 + 2.0 * D * E + 4.0 * E * E
+    R = np.sqrt(R2)
+    den = D + 4.0 * E + 2.0 * R
+    band = BOUNDARY_TOL
+    code = np.select(
+        [np.abs(s) < band, s < 0.0, np.abs(R2) < band, R2 < 0.0,
+         np.abs(np.abs(D) - 2.0) < band, np.abs(den) < band, den < 0.0,
+         np.abs(D) < 2.0, D > 2.0],
+        [_CODE[c] for c in (
+            RealLocusClass.DEGENERATE_TANGENT, RealLocusClass.NEGATIVE_SIDE,
+            RealLocusClass.NODAL_R, RealLocusClass.EMPTY, RealLocusClass.NODAL_D,
+            RealLocusClass.NODAL_D, RealLocusClass.EMPTY, RealLocusClass.I,
+            RealLocusClass.II_PLUS)],
+        _CODE[RealLocusClass.II_MINUS])
+    return code, s, R, den
+
+
+def _alpha(D, E, s, R, den):
+    """Rotation numbers of nondegenerate cells, NaN where the scalar path raises."""
+    k2 = (D + 4.0 * E - 2.0 * R) / den
+    s0_inv = (s - R) / (s + R)
+    one = np.abs(D) < 2.0  # class I; the rest is class II
+    k = np.sqrt(k2)
+    s0a = np.abs(np.where(s0_inv == 0.0, np.inf, 1.0 / s0_inv))
+    # domain checks of complete_K, complete_Kpp / complete_Kp, and the guards of rotation_number
+    ok = (k2 < 1.0 - _MODULUS_FLOOR) & np.where(
+        one,
+        (k2 < 0.0) & ~(np.sqrt(-k2) < _MODULUS_FLOOR)
+        & ~(1.0 - np.abs(s0_inv) < _ENDPOINT_GUARD),
+        ~(k2 < 0.0) & ~(k2 < _MODULUS_FLOOR) & (k2 < 1.0)
+        & ~(s0a - 1.0 < _ENDPOINT_GUARD) & ~(1.0 / k - s0a < _ENDPOINT_GUARD))
+    alpha = np.full(D.shape, np.nan)
+    one, D, k2, x, s0a = one[ok], D[ok], k2[ok], s0_inv[ok], s0a[ok]
+    # past the guards the clamps and range checks of seg_case_i and
+    # seg_case_ii_plus never act, so they are left out
+    kap2 = 1.0 / (1.0 - k2)
+    ell2 = -k2
+    mc = 1.0 - k2
+    # seg_case_ii_plus(s0a): legendre_F(t, mc) with t = min(1, sn)
+    t = np.minimum(1.0, np.sqrt(np.maximum(0.0, (s0a * s0a - 1.0) / (mc * s0a * s0a))))
+    s2 = t * t
+    K = _complete_K(np.where(one, kap2, mc))  # K(kappa^2) for class I, K' for class II
+    rf = _carlson_rf(np.where(one, ell2 * (1.0 - x * x), 1.0 - s2),
+                     np.where(one, ell2 + x * x, 1.0 - mc * s2),
+                     np.where(one, ell2, 1.0))
+    Kpp = np.sqrt(kap2) * K
+    seg = np.where(one, Kpp + x * rf, t * rf)
+    period = np.where(one, 4.0 * Kpp, 2.0 * K)
+    sign = np.where(one, _ALPHA_SIGN[RealLocusClass.I],
+                    np.where(D > 2.0, _ALPHA_SIGN[RealLocusClass.II_PLUS],
+                             _ALPHA_SIGN[RealLocusClass.II_MINUS]))
+    alpha[ok] = np.mod(sign * seg / period, 1.0)
+    return alpha
+
+
+def rotation_grid(D, E) -> tuple[np.ndarray, np.ndarray]:
+    """Classes and rotation numbers of the parameter points (D, E).
+
+    D and E are array-likes broadcast against each other.  Returns an
+    object array of RealLocusClass members and a float array of rotation
+    numbers in [0, 1), NaN where the cell has none; each cell equals the
+    scalar derive_params / rotation_number result bit for bit.  Raises
+    DomainError if any D or E is not finite.
+    """
+    D, E = np.broadcast_arrays(np.asarray(D, dtype=float), np.asarray(E, dtype=float))
+    if not (np.isfinite(D).all() and np.isfinite(E).all()):
+        raise DomainError("D and E must be finite")
+    shape = D.shape
+    D, E = D.ravel(), E.ravel()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        code, s, R, den = _classify(D, E)
+        alpha = np.full(D.shape, np.nan)
+        nd = np.flatnonzero(np.isin(code, _NONDEGENERATE))
+        alpha[nd] = _alpha(D[nd], E[nd], s[nd], R[nd], den[nd])
+    return _CLASSES[code].reshape(shape), alpha.reshape(shape)

@@ -13,7 +13,10 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import BilliardError, NearDegenerateError
+import numpy as np
+
+from .errors import BilliardError
+from .grid import rotation_grid
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
 from .poincare import map_t, sample_level_set
 from .uniformize import angle_of, rotation_number
@@ -142,8 +145,9 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
                         tol: float = 1e-10, n_grid: int = 400) -> list:
     """Roots of p * alpha(D, E) = 0 mod 1 in D over D_range, for fixed E.
 
-    Scans a grid for sign changes of the recentred defect, bisects, then
-    polishes with a few Newton steps on a finite-difference derivative.
+    Scans a grid for sign changes of the recentred defect (all grid points
+    in one rotation_grid call), bisects, then polishes with a few Newton
+    steps on a finite-difference derivative.
     Period 1 occurs only on the excluded tangent boundary D = -2E and is
     reported (logged) rather than returned.
     """
@@ -161,14 +165,19 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
             return None
         try:
             a = rotation_number(params).alpha
-        except (NearDegenerateError, BilliardError):
+        except BilliardError:
             return None
         v = p * a
         return (v + 0.5) % 1.0 - 0.5
 
     lo, hi = D_range
-    grid = [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
-    vals = [defect(D) for D in grid]
+    Ds = lo + (hi - lo) * np.arange(n_grid + 1, dtype=float) / n_grid
+    classes, alpha = rotation_grid(Ds, E)
+    if p % 2 == 1:
+        alpha[classes == RealLocusClass.II_PLUS] = math.nan
+    grid = Ds.tolist()
+    # defect() at every grid point, None where it has no value
+    vals = [None if f != f else f for f in ((p * alpha + 0.5) % 1.0 - 0.5).tolist()]
     roots = []
     for (D0, f0), (D1, f1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
         if f0 is None or f1 is None or f0 == 0.0 and f1 == 0.0:

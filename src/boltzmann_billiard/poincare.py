@@ -83,7 +83,7 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     Renormalization, off by default, projects each new point back onto the
     level set by one Gauss-Newton step.
     """
-    if params.cls not in {RealLocusClass.I, RealLocusClass.II_PLUS, RealLocusClass.II_MINUS}:
+    if not params.nondegenerate:
         raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
     pts = [c0]
     res = [level_set_residual(c0, params)]

@@ -10,7 +10,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .elliptic import complete_K, complete_Kp, jacobi_sn_cn_dn, legendre_F_phi
+from .errors import BilliardError
+from .grid import rotation_grid
 from .kepler import conserved_quantities, phase_from_config, reflect_at_wall
 from .levelset import ConfigPoint, RealLocusClass, derive_params, level_set_residual
 from .periods import empirical_rotation, period3_residual, predict_period
@@ -134,6 +138,25 @@ def check_uniformize_roundtrip() -> CheckResult:
     return _check("uniformize", worst, 1e-9)
 
 
+def check_grid_matches_scalar(n: int = 12) -> CheckResult:
+    """rotation_grid gives each cell the scalar class and alpha, bit for bit."""
+    Ds = [-3.0 + 6.0 * i / (n - 1) for i in range(n)]
+    Es = [-0.6 + 2.1 * j / (n - 1) for j in range(n)]
+    classes, alphas = rotation_grid(np.array(Ds)[:, None], np.array(Es))
+    bad = 0
+    for D, cls_row, alpha_row in zip(Ds, classes, alphas.tolist()):
+        for E, cls, alpha in zip(Es, cls_row, alpha_row):
+            params = derive_params(D, E)
+            want = math.nan
+            if params.nondegenerate:
+                try:
+                    want = rotation_number(params).alpha
+                except BilliardError:
+                    pass
+            bad += cls is not params.cls or repr(alpha) != repr(want)
+    return CheckResult("grid-matches-scalar", bad == 0, f"{bad} of {n * n} cells differ")
+
+
 ALL_CHECKS = (
     check_special_functions,
     check_classification,
@@ -142,6 +165,7 @@ ALL_CHECKS = (
     check_uniformize_roundtrip,
     check_rotation_conjugacy,
     check_period3,
+    check_grid_matches_scalar,
 )
 
 

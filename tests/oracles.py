@@ -144,6 +144,14 @@ def mp_F_phi(phi: float, m: float) -> float:
         return float(mpmath.ellipf(phi, m).real)
 
 
+def mp_seg_case_i(x: float, m: float) -> float:
+    """seg_case_i by 30-digit tanh-sinh quadrature, split at s = 0."""
+    with mpmath.workdps(30):
+        ell2 = -mpmath.mpf(m)
+        return float(mpmath.quad(lambda s: 1 / mpmath.sqrt((1 - s * s) * (ell2 + s * s)),
+                                 [-1, 0, mpmath.mpf(x)]))
+
+
 def carlson_rf_ref(x: float, y: float, z: float) -> float:
     return float(special.elliprf(x, y, z))
 
@@ -166,3 +174,37 @@ def sample_m_grid(n: int = 40, lo: float = -10.0, hi: float = 0.99) -> np.ndarra
     neg = -np.geomspace(1e-3, -lo, n // 2)
     pos = np.linspace(1e-3, hi, n - n // 2)
     return np.concatenate([neg, pos])
+
+
+# ---------------------------------------------------------------------------
+# scalar reference for the batched rotation grid
+# ---------------------------------------------------------------------------
+
+def scalar_rotation_cell(D: float, E: float):
+    """(class, alpha) of one cell by the scalar path, alpha NaN where it has none.
+
+    The class is None where derive_params itself raises.
+    """
+    from boltzmann_billiard import BilliardError, derive_params, rotation_number
+
+    try:
+        params = derive_params(D, E)
+    except BilliardError:
+        return None, math.nan
+    alpha = math.nan
+    if params.nondegenerate:
+        try:
+            alpha = rotation_number(params).alpha
+        except BilliardError:
+            pass
+    return params.cls, alpha
+
+
+def scalar_rotation_grid(D, E):
+    """rotation_grid's contract, one scalar cell at a time."""
+    D, E = np.broadcast_arrays(np.asarray(D, dtype=float), np.asarray(E, dtype=float))
+    classes = np.empty(D.shape, dtype=object)
+    alpha = np.empty(D.shape)
+    for idx in np.ndindex(D.shape):
+        classes[idx], alpha[idx] = scalar_rotation_cell(float(D[idx]), float(E[idx]))
+    return classes, alpha

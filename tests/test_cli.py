@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import oracles
+from boltzmann_billiard import cli
 from boltzmann_billiard.cli import main
 
 
@@ -172,6 +174,36 @@ class TestRotation:
                 # degenerate cells carry an empty alpha field
                 assert row[3] == ""
         assert "I" in by_class and "IIplus" in by_class
+
+    @pytest.mark.parametrize("block", [cli._GRID_BLOCK, 130])
+    def test_grid_matches_scalar_loop(self, capsys, monkeypatch, block):
+        # one rotation_grid call per block of D rows; 130 cells is two rows of 60
+        monkeypatch.setattr(cli, "_GRID_BLOCK", block)
+        code, out = run_cli(capsys, "rotation", "--grid", "0.5:3.5:-0.4:-0.1:60")
+        assert code == 0
+        lines = ["D,E,class,alpha"]
+        for i in range(60):
+            D = 0.5 + (3.5 - 0.5) * i / 59
+            for j in range(60):
+                E = -0.4 + (-0.1 + 0.4) * j / 59
+                cls, alpha = oracles.scalar_rotation_cell(D, E)
+                shown = "" if alpha != alpha else "%.17g" % alpha
+                lines.append(f"{D:.17g},{E:.17g},{cls.value},{shown}")
+        assert out == "\n".join(lines) + "\n"
+
+    def test_grid_blank_where_curve_data_fails(self, capsys):
+        # at D = 2 + 2e-9, E = 20 the squared modulus falls below the floor
+        # of complete_Kp; the cell is written blank instead of failing the grid
+        code, out = run_cli(capsys, "rotation", "--grid", "2.000000002:2.5:20:21:2")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][2:] == ["IIplus", ""]
+        assert all(row[3] for row in rows[2:])
+
+    def test_grid_non_finite_exit_2(self, capsys):
+        code, out = run_cli(capsys, "rotation", "--grid", "0:inf:0:1:3")
+        assert code == 2
+        assert out == ""
 
     def test_missing_args_exit_2(self, capsys):
         code, _ = run_cli(capsys, "rotation", "--D", "1.5")

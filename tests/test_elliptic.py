@@ -19,6 +19,7 @@ from boltzmann_billiard import (
     legendre_F,
     legendre_F_phi,
 )
+from boltzmann_billiard import elliptic
 from boltzmann_billiard.elliptic import (
     Modulus,
     seg_case_i,
@@ -41,6 +42,24 @@ class TestCompleteIntegrals:
             ref = oracles.K_quad(float(m))
             worst = max(worst, abs(complete_K(float(m)) - ref) / ref)
         assert worst < 1e-12
+
+    def test_agm_converges_before_cap(self, monkeypatch):
+        # each AGM step takes one square root; count them per call
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def sqrt(self, v):
+                self.steps += 1
+                return math.sqrt(v)
+
+        counting = CountingMath()
+        monkeypatch.setattr(elliptic, "math", counting)
+        for m in [*oracles.sample_m_grid(40).tolist(), -1e3, -1e-6, 1.0 - 1e-9]:
+            b = math.sqrt(1.0 - m)
+            counting.steps = 0
+            elliptic._agm(1.0, b)
+            assert counting.steps < elliptic._AGM_MAX_STEPS, m
 
     def test_K_special_values(self):
         assert complete_K(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
@@ -159,6 +178,13 @@ class TestSegmentIntegrals:
                 ref = oracles.seg_case_i_quad(float(x), m)
                 worst = max(worst, abs(seg_case_i(float(x), m) - ref))
         assert worst < 1e-11
+
+    @pytest.mark.parametrize("m", [-0.05, -1.0, -20.0])
+    @pytest.mark.parametrize("x", [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    def test_case_i_near_zero_matches_mpmath(self, x, m):
+        # the one-component path crosses s = 0 where s0_inv changes sign
+        ref = oracles.mp_seg_case_i(x, m)
+        assert abs(seg_case_i(x, m) - ref) <= 1e-14 * ref
 
     def test_case_i_endpoints(self):
         for m in (-0.5, -3.0):

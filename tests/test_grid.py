@@ -1,0 +1,119 @@
+"""The batched rotation grid against the scalar derive_params / rotation_number path."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from boltzmann_billiard import BOUNDARY_TOL, DomainError, RealLocusClass, rotation_grid
+from boltzmann_billiard.levelset import NONDEGENERATE
+
+
+def assert_matches_scalar(D, E):
+    """Same class and the same %.17g alpha in every cell."""
+    classes, alpha = rotation_grid(D, E)
+    want_cls, want_alpha = oracles.scalar_rotation_grid(D, E)
+    assert classes.shape == alpha.shape == want_alpha.shape
+    for idx in np.ndindex(alpha.shape):
+        if want_cls[idx] is None:
+            # derive_params raised (for the cell or its mirror): the batched
+            # path keeps the class and blanks alpha
+            assert classes[idx] in NONDEGENERATE | {RealLocusClass.NEGATIVE_SIDE}
+        else:
+            assert classes[idx] is want_cls[idx], (idx, D, E)
+        assert "%.17g" % alpha[idx] == "%.17g" % want_alpha[idx], (idx, D, E)
+
+
+windows = st.tuples(
+    st.floats(-6.0, 6.0), st.floats(1e-3, 8.0),   # Dmin, D width
+    st.floats(-3.0, 3.0), st.floats(1e-3, 5.0),   # Emin, E height
+    st.integers(2, 9),
+)
+
+
+@given(windows)
+def test_random_windows(window):
+    Dmin, dw, Emin, eh, n = window
+    steps = np.arange(n, dtype=float)
+    Ds = Dmin + dw * steps / (n - 1)
+    Es = Emin + eh * steps / (n - 1)
+    assert_matches_scalar(Ds[:, None], Es)
+
+
+offsets = st.floats(1e-11, 1e-8).flatmap(lambda t: st.sampled_from([t, -t]))
+
+
+@given(st.floats(-4.0, 4.0), offsets)
+def test_tangent_band(D, t):
+    # |D + 2E| about t, on both sides of BOUNDARY_TOL
+    assert_matches_scalar(D, (t - D) / 2.0)
+
+
+@given(st.sampled_from([-1.0, 1.0]), offsets, st.floats(-1.5, 2.5))
+def test_nodal_D_band(sign, t, E):
+    # ||D| - 2| about t
+    assert_matches_scalar(sign * (2.0 + t), E)
+
+
+@given(st.floats(2.0, 5.0), st.sampled_from([-1.0, 1.0]), offsets, st.booleans())
+def test_radius_band(Dabs, sign, t, far_root):
+    # R^2 = 1 + 2DE + 4E^2 about t: roots of 4E^2 + 2DE + 1 - t = 0
+    D = sign * Dabs
+    disc = D * D - 4.0 * (1.0 - t)
+    if disc < 0.0:
+        return
+    root = math.sqrt(disc)
+    E = (-D - root) / 4.0 if far_root else (-D + root) / 4.0
+    assert_matches_scalar(D, E)
+
+
+@given(st.floats(0.0, 1e-6), st.sampled_from([-1.0, 1.0]), offsets)
+def test_den_band(delta, sign, t):
+    # den = D + 4E + 2R about t; with u = D + 4E, den = u + sqrt(4 - D^2 + u^2)
+    D = sign * (2.0 - delta)
+    u = (t * t - 4.0 + D * D) / (2.0 * t)
+    assert_matches_scalar(D, (u - D) / 4.0)
+
+
+@given(st.floats(1e6, 1e7), st.floats(1e-11, 1e-9))
+def test_branch_point_band(D, q):
+    # class II with 1 - |s0_inv| = 2R/(s+R) about q: R^2 = T with T = (q D / 2)^2,
+    # E the small root of 4E^2 + 2DE + 1 - T = 0.  Here s0 and 1/k coalesce,
+    # so the branch-point guards blank these cells in both paths (class I
+    # cannot come this close to |s0_inv| = 1 outside the boundary bands)
+    T = (0.5 * q * D) ** 2
+    E = -2.0 * (1.0 - T) / (2.0 * D + math.sqrt(4.0 * D * D - 16.0 * (1.0 - T)))
+    assert_matches_scalar(D, E)
+
+
+def test_fixture_points():
+    D = np.array([1.5, 2.5, -2.5, 1.0, 2.0, 1.5, 0.0, 2.0 + 0.5 * BOUNDARY_TOL])
+    E = np.array([-0.2, -0.1, 1.5, -0.5, -0.3, -2.0, 10.0, -0.5])
+    classes, alpha = rotation_grid(D, E)
+    assert {c.value for c in classes} >= {"I", "IIplus", "IIminus", "DegenerateTangent",
+                                          "NodalD", "NegativeAngularMomentumSide"}
+    assert_matches_scalar(D, E)
+
+
+def test_blank_where_derive_params_raises():
+    # k2 ~ 3e-13 is inside the floor of complete_Kp: derive_params raises there
+    classes, alpha = rotation_grid(2.0 + 2e-9, 20.0)
+    assert classes[()] is RealLocusClass.II_PLUS
+    assert math.isnan(alpha)
+    assert oracles.scalar_rotation_cell(2.0 + 2e-9, 20.0)[0] is None
+
+
+def test_broadcast_shapes():
+    classes, alpha = rotation_grid(np.linspace(-3, 3, 4)[:, None], np.linspace(-0.5, 1.5, 5))
+    assert classes.shape == alpha.shape == (4, 5)
+    classes, alpha = rotation_grid(1.5, -0.2)
+    assert classes.shape == alpha.shape == ()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_raises(bad):
+    with pytest.raises(DomainError):
+        rotation_grid([1.0, bad], 0.1)

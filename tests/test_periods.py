@@ -7,6 +7,7 @@ import pytest
 
 from boltzmann_billiard import (
     derive_params,
+    map_t,
     detect_period_direct,
     empirical_rotation,
     find_periodic_locus,
@@ -17,6 +18,8 @@ from boltzmann_billiard import (
     sample_level_set,
     smallest_period,
 )
+
+from boltzmann_billiard import periods
 
 import oracles
 
@@ -143,6 +146,28 @@ class TestPeriod3Locus:
         for D in roots:
             alpha = rotation_number(derive_params(D, -0.2)).alpha
             assert abs(5.0 * alpha - round(5.0 * alpha)) < 1e-7
+
+
+class TestLocusScan:
+    @pytest.mark.parametrize("E", [-0.3, -0.2, -0.1, 0.05])
+    def test_period4_roots_close(self, E):
+        # period 4 sits at s0_inv = 0, where the rotation path crosses s = 0
+        roots = find_periodic_locus(E, 4)
+        assert roots
+        for D in roots:
+            params = derive_params(D, E)
+            for c0 in sample_level_set(params, 20, seed=0):
+                c = c0
+                for _ in range(4):
+                    c = map_t(c, params)
+                assert periods.config_distance(c, c0) <= 1e-9
+
+    def test_batched_scan_finds_the_scalar_roots(self, monkeypatch):
+        cases = [(E, p) for E in (-0.31, -5.0 / 24.0, -0.12, 0.02, 0.3) for p in range(2, 9)]
+        batched = [find_periodic_locus(E, p) for E, p in cases]
+        assert sum(map(len, batched)) >= 20
+        monkeypatch.setattr(periods, "rotation_grid", oracles.scalar_rotation_grid)
+        assert [find_periodic_locus(E, p) for E, p in cases] == batched
 
 
 class TestEmpiricalRotation:
