@@ -99,6 +99,9 @@ def complete_Kpp(m) -> float:
     if ell < _MODULUS_FLOOR:
         raise DomainError(f"complete_Kpp diverges as ell -> 0 (got ell={ell!r})")
     kap2 = 1.0 / (1.0 - m)
+    if not kap2 < 1.0:
+        # ell is below half an ulp of 1: the AGM would start from b = 0 and never converge
+        raise DomainError(f"complete_Kpp: 1/(1 - k2) rounds to 1 (got k2={m!r})")
     return math.sqrt(kap2) * _complete_K(kap2)
 
 

@@ -1,28 +1,41 @@
-"""Rotation numbers over whole arrays of (D, E) parameter points.
+"""Batched kernels: whole arrays of parameter points or of orbit points.
 
-rotation_grid gives every cell the class and the rotation number that
-derive_params followed by rotation_number gives it, bit for bit.  It
-repeats the scalar code's floating-point operations one for one over
-arrays: only +, -, *, /, sqrt, abs, comparisons and mod occur, and numpy
-rounds each of them exactly as math and Python floats do.  The AGM and
-Carlson R_F loops freeze each converged cell, so every cell stops at the
-step where the scalar loop stops.  Cells where the scalar path has no
-rotation number get NaN: degenerate classes, the near-degenerate guards
-of rotation_number, and every domain error the scalar path would raise.
+Each kernel gives every element bit for bit what the scalar function
+gives it, by repeating the scalar code's floating-point operations one for
+one over arrays: +, -, *, /, sqrt, abs, comparisons and mod, which numpy
+rounds exactly as math and Python floats do.  Transcendental functions
+whose numpy versions may differ from math in the last bit (atan2, hypot,
+sin) are math's own, mapped over the elements.  Loops freeze each
+converged element, so every element stops at the step where the scalar
+loop stops.
+
+rotation_grid gives every (D, E) cell the class and the rotation number
+of derive_params followed by rotation_number.  Cells where the scalar
+path has no rotation number get NaN: degenerate classes, the
+near-degenerate guards of rotation_number, and every domain error the
+scalar path would raise.
+
+map_t_array, config_distance_array and theta_array act on arrays of points
+(x, A1, A2) of one level set, as map_t, config_distance and angle_of do on
+a single point.  They raise the exception the scalar function raises at
+the first element where it raises.
 
 The scalar functions stay the reference for single points; this module
-serves the ensemble callers (the CLI grid, the heatmap script and the
-sign scan of find_periodic_locus).
+serves the ensemble callers (the CLI grid, the heatmap script, the sign
+scan of find_periodic_locus, poncelet_check and empirical_rotation).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .elliptic import _AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL
-from .errors import DomainError
-from .levelset import BOUNDARY_TOL, NONDEGENERATE, RealLocusClass
-from .uniformize import _ALPHA_SIGN, _ENDPOINT_GUARD
+from .elliptic import _AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, complete_K
+from .errors import DomainError, EndpointSingularityError, PoleError
+from .levelset import BOUNDARY_TOL, NONDEGENERATE, LevelSetParams, RealLocusClass
+from .poincare import _reflect
+from .uniformize import _ALPHA_SIGN, _ENDPOINT_GUARD, _require_nondegenerate
 
 _CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
 _CODE = {cls: code for code, cls in enumerate(RealLocusClass)}
@@ -100,7 +113,7 @@ def _alpha(D, E, s, R, den):
     # domain checks of complete_K, complete_Kpp / complete_Kp, and the guards of rotation_number
     ok = (k2 < 1.0 - _MODULUS_FLOOR) & np.where(
         one,
-        (k2 < 0.0) & ~(np.sqrt(-k2) < _MODULUS_FLOOR)
+        (k2 < 0.0) & ~(np.sqrt(-k2) < _MODULUS_FLOOR) & (1.0 / (1.0 - k2) < 1.0)
         & ~(1.0 - np.abs(s0_inv) < _ENDPOINT_GUARD),
         ~(k2 < 0.0) & ~(k2 < _MODULUS_FLOOR) & (k2 < 1.0)
         & ~(s0a - 1.0 < _ENDPOINT_GUARD) & ~(1.0 / k - s0a < _ENDPOINT_GUARD))
@@ -148,3 +161,111 @@ def rotation_grid(D, E) -> tuple[np.ndarray, np.ndarray]:
         nd = np.flatnonzero(np.isin(code, _NONDEGENERATE))
         alpha[nd] = _alpha(D[nd], E[nd], s[nd], R[nd], den[nd])
     return _CLASSES[code].reshape(shape), alpha.reshape(shape)
+
+
+def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                params: LevelSetParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """map_t at every point (x, A1, A2) of the level set of params.
+
+    other_wall_root's two branches, then the reflection of involution_j.
+    Raises PoleError if any point has its second wall intersection at
+    infinity.
+    """
+    with np.errstate(all="ignore"):
+        w = A2 + params.D
+        den = 1.0 - A1 * A1
+        ssum = -2.0 * w * A1 / den
+        # den == 0 makes ssum non-finite, so one test covers both of the scalar checks
+        if not np.isfinite(ssum).all():
+            raise PoleError("second wall intersection at infinity (A1^2 = 1)")
+        far = (x != 0.0) & (np.abs(x) > 0.5 * np.abs(ssum))
+        x = np.where(far, (1.0 - w * w) / den / x, ssum - x)
+        return (x, *_reflect(x, A1, A2, params.E))
+
+
+def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
+    """periods.config_distance between the points (x, A1, A2) and (x0, A10, A20).
+
+    The maximum takes the first of equal values and skips a NaN after the
+    first argument, as Python's max does.
+    """
+    with np.errstate(all="ignore"):
+        m = np.abs(x / (1.0 + np.abs(x)) - x0 / (1.0 + np.abs(x0)))
+        for v in (np.abs(A1 - A10), np.abs(A2 - A20)):
+            m = np.where(v > m, v, m)
+    return m
+
+
+def _each(fn, *arrays) -> np.ndarray:
+    """A math function per element, so it rounds exactly as in the scalar code."""
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _raise_first(checks) -> None:
+    """Raise at the first element failing a check, the first check it fails.
+
+    checks: (mask, exception factory taking the element index) in the order
+    the scalar code tests them.
+    """
+    bad = np.zeros(checks[0][0].shape, dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise next(make(i) for mask, make in checks if mask[i])
+
+
+def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                params: LevelSetParams) -> np.ndarray:
+    """angle_of(ConfigPoint(x, A1, A2), params).theta at every point.
+
+    Raises what angle_of raises at the first point where it raises.
+    """
+    _require_nondegenerate(params)
+    R, E, C = params.R, params.E, params.C
+    with np.errstate(all="ignore"):
+        z = (1.0 - A1 * A1) * x + A1 * (A2 + params.D)
+        c2 = (A2 - 2.0 * E + R) / (2.0 * R)  # dn^2 in class I, cn^2 in classes II
+        if params.cls is RealLocusClass.I:
+            m = 1.0 / (1.0 - params.k2)
+            kap = math.sqrt(m)
+            K = complete_K(m)
+            period = 4.0 * K
+            d = np.sqrt(np.maximum(c2, 0.0))
+            s = -A1 / (2.0 * R * kap * d)
+            co = z / C
+            h = _each(math.hypot, s, co)
+            phi = _each(math.atan2, s / h, co / h)
+            checks = [
+                (d <= 0.0, lambda i: DomainError("point is off the real locus (dn = 0)")),
+                (h == 0.0, lambda i: DomainError("degenerate angle inversion")),
+            ]
+        else:
+            m = 1.0 - params.k2
+            K = complete_K(m)
+            period = 2.0 * K
+            sgn = np.where(z > 0.0, -1.0, 1.0)
+            sc = A1 / (sgn * 2.0 * R)
+            phi = 0.5 * _each(math.atan2, 2.0 * sc, 2.0 * c2 - 1.0)
+            checks = []
+        # legendre_F_phi(phi, m) % period
+        n = np.rint(phi / math.pi)  # half to even, as round() does
+        r = phi - n * math.pi
+        sn = _each(math.sin, r)
+        ax = np.abs(sn)
+        too_far = ax > 1.0 + 1e-12
+        ax = np.minimum(ax, 1.0)
+        s2 = ax * ax
+        rx, ry = 1.0 - s2, 1.0 - m * s2
+        checks += [
+            (np.isnan(phi), lambda i: ValueError("cannot convert float NaN to integer")),
+            (too_far, lambda i: EndpointSingularityError(
+                f"legendre_F argument |x|={float(np.abs(sn[i]))!r} beyond the branch point 1")),
+            ((np.minimum(rx, ry) < 0.0) | ((rx == 0.0) & (ry == 0.0)),
+             lambda i: DomainError("carlson_rf needs non-negative arguments, at most one zero")),
+        ]
+        _raise_first(checks)
+        v = ax * _carlson_rf(rx, ry, 1.0)
+        val = np.where(sn < 0.0, -v, v)
+        val = np.where(n != 0.0, val + 2.0 * n * K, val)
+        return np.mod(val, period) / period

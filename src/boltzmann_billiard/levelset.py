@@ -87,8 +87,7 @@ class ConfigPoint:
 class LevelSetParams:
     """Derived data of a level set X(D, E).
 
-    Degenerate classes carry NaN in fields that are not defined for them;
-    the mirror field holds the sign-mapped parameters when D + 2E < 0.
+    Degenerate classes carry NaN in fields that are not defined for them.
     """
 
     D: float
@@ -101,7 +100,17 @@ class LevelSetParams:
     C2: float
     C: float
     lattice: LatticeData | None = None
-    mirror: "LevelSetParams | None" = None
+
+    @property
+    def mirror(self) -> "LevelSetParams | None":
+        """Parameters of the sign-mapped point (-D, -E) when D + 2E < 0, else None.
+
+        Derived on access, so a point whose mirror cannot be derived still
+        classifies.
+        """
+        if self.cls is RealLocusClass.NEGATIVE_SIDE:
+            return derive_params(-self.D, -self.E)
+        return None
 
     @property
     def nondegenerate(self) -> bool:
@@ -120,7 +129,7 @@ def derive_params(D: float, E: float) -> LevelSetParams:
     Boundary bands of width BOUNDARY_TOL (absolute, on D+2E, R^2, |D|-2 and
     D+4E+2R) classify as the corresponding degenerate class.  For
     D + 2E < 0 the sign symmetry (D, E, A) -> (-D, -E, -A) applies; the
-    mapped parameters are recorded in mirror.
+    mapped parameters are the mirror property.
     """
     D = float(D)
     E = float(E)
@@ -133,8 +142,7 @@ def derive_params(D: float, E: float) -> LevelSetParams:
                               nan, nan, nan, nan, nan, nan)
     if s < 0.0:
         return LevelSetParams(D, E, RealLocusClass.NEGATIVE_SIDE,
-                              nan, nan, nan, nan, nan, nan,
-                              mirror=derive_params(-D, -E))
+                              nan, nan, nan, nan, nan, nan)
     R2 = 1.0 + 2.0 * D * E + 4.0 * E * E
     if abs(R2) < BOUNDARY_TOL:
         return LevelSetParams(D, E, RealLocusClass.NODAL_R,

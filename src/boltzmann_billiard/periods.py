@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BilliardError
-from .grid import rotation_grid
+from .errors import BilliardError, PoleError
+from .grid import config_distance_array, map_t_array, rotation_grid, theta_array
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
 from .poincare import map_t, sample_level_set
-from .uniformize import angle_of, rotation_number
+from .uniformize import rotation_number
 
 log = logging.getLogger(__name__)
 
@@ -75,28 +75,47 @@ def detect_period_direct(c0: ConfigPoint, params: LevelSetParams,
     return None
 
 
+def _first_returns(pts: list, params: LevelSetParams, p_max: int, tol: float):
+    """detect_period_direct for all starts at once, with the distance at the return.
+
+    Only the starts still searching take a step, so each start takes the
+    steps its scalar search takes, and PoleError comes exactly where one of
+    those would raise.  Returns per start the period (None if not found)
+    and config_distance(t^p(c), c) at that period.
+    """
+    x0, A10, A20 = np.array([(c.x, c.A1, c.A2) for c in pts], dtype=float).reshape(-1, 3).T
+    found: list = [None] * len(pts)
+    dist = [math.nan] * len(pts)
+    idx = np.arange(len(pts))
+    x, A1, A2 = x0, A10, A20
+    for p in range(1, p_max + 1):
+        if not idx.size:
+            break
+        x, A1, A2 = map_t_array(x, A1, A2, params)
+        d = config_distance_array(x, A1, A2, x0[idx], A10[idx], A20[idx])
+        hit = d < tol
+        for i, di in zip(idx[hit].tolist(), d[hit].tolist()):
+            found[i], dist[i] = p, di
+        idx, x, A1, A2 = idx[~hit], x[~hit], A1[~hit], A2[~hit]
+    return found, dist
+
+
 def poncelet_check(params: LevelSetParams, n_samples: int = 100,
                    p_max: int = 60, tol: float = 1e-8, seed: int = 0) -> PeriodReport:
     """All-or-nothing periodicity over seeded starting points.
 
     Detects the direct period from n_samples starts, requires unanimity,
     and compares with the analytic prediction.  Disagreement is reported
-    in the result, not raised.
+    in the result, not raised.  The starts are iterated together as arrays,
+    with the result of detect_period_direct on each.
     """
     rot = rotation_number(params)
     predicted = smallest_period(rot.alpha, rot.flips_component, p_max)
-    pts = sample_level_set(params, n_samples, seed)
-    detected = {detect_period_direct(c, params, p_max, tol) for c in pts}
+    found, dist = _first_returns(sample_level_set(params, n_samples, seed), params, p_max, tol)
+    detected = set(found)
     unanimous = detected.pop() if len(detected) == 1 else None
-    residual = math.nan
-    if unanimous is not None:
-        worst = 0.0
-        for c in pts:
-            cp = c
-            for _ in range(unanimous):
-                cp = map_t(cp, params)
-            worst = max(worst, config_distance(cp, c))
-        residual = worst
+    # with a unanimous period, t^p(c) is the point each start returned at
+    residual = max([0.0, *dist]) if unanimous is not None else math.nan
     return PeriodReport(predicted, unanimous, rot.alpha,
                         predicted == unanimous, residual)
 
@@ -107,26 +126,33 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
 
     The map is conjugate to the rotation by alpha, so each step advances
     theta by alpha mod 1; steps are unwrapped around the first increment
-    and averaged to suppress inversion noise.
+    and averaged to suppress inversion noise.  The orbit is iterated point
+    by point, and its angles are computed in one batched call; errors are
+    raised in the order a point-by-point evaluation would meet them.
     """
     if c0 is None:
         c0 = sample_level_set(params, 1, seed)[0]
-    th_prev = angle_of(c0, params).theta
+    xs, A1s, A2s = [c0.x], [c0.A1], [c0.A2]
+    pole = None
     c = c0
-    d0 = None
+    try:
+        for _ in range(n_steps):
+            c = map_t(c, params)
+            xs.append(c.x)
+            A1s.append(c.A1)
+            A2s.append(c.A2)
+    except PoleError as exc:
+        pole = exc
+    # the angles of the points before the pole come first in the scalar order
+    theta = theta_array(np.array(xs), np.array(A1s), np.array(A2s), params)
+    if pole is not None:
+        raise pole
+    d = np.mod(np.diff(theta), 1.0)
+    d0 = d[:1]
+    d = np.where(d - d0 > 0.5, d - 1.0, np.where(d0 - d > 0.5, d + 1.0, d))
     total = 0.0
-    for _ in range(n_steps):
-        c = map_t(c, params)
-        th = angle_of(c, params).theta
-        d = (th - th_prev) % 1.0
-        if d0 is None:
-            d0 = d
-        elif d - d0 > 0.5:
-            d -= 1.0
-        elif d0 - d > 0.5:
-            d += 1.0
-        total += d
-        th_prev = th
+    for v in d.tolist():  # summed left to right, as the increments arise
+        total += v
     return (total / n_steps) % 1.0
 
 
@@ -190,6 +216,8 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
         a, b, fa = D0, D1, f0
         for _ in range(60):
             mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break  # adjacent doubles: further halving leaves the bracket as it is
             fm = defect(mid)
             if fm is None:
                 break

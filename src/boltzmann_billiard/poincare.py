@@ -43,24 +43,31 @@ def i_fixed_point(c: ConfigPoint, params: LevelSetParams, tol: float = 1e-12) ->
     return abs(disc) <= tol * max(1.0, w * w)
 
 
+def _reflect(x, A1, A2, E):
+    """(A1, A2) of the conic reflected at wall abscissa x.
+
+    Plain arithmetic only, so it serves floats and numpy arrays alike.
+    """
+    q = x * x + 1.0
+    co = (x * x - 1.0) / q
+    si = 2.0 * x / q
+    e4 = 4.0 * E * x / q
+    return co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
+
+
 def involution_j(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     """Reflected conic at the same wall point.
 
     Acts on (A1, A2) as a Euclidean reflection of the eccentricity circle;
     equivalently, the conic of the bounced particle.
     """
-    q = c.x * c.x + 1.0
-    co = (c.x * c.x - 1.0) / q
-    si = 2.0 * c.x / q
-    e4 = 4.0 * params.E * c.x / q
-    A1p = co * c.A1 - si * c.A2 + e4
-    A2p = -si * c.A1 - co * c.A2 + e4 * c.x
-    return ConfigPoint(c.x, A1p, A2p)
+    return ConfigPoint(c.x, *_reflect(c.x, c.A1, c.A2, params.E))
 
 
 def map_t(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     """One collision step: exchange wall intersections, then reflect the conic."""
-    return involution_j(involution_i(c, params), params)
+    x = other_wall_root(c.x, c.A1, c.A2, params.D)
+    return ConfigPoint(x, *_reflect(x, c.A1, c.A2, params.E))
 
 
 @dataclass(frozen=True)

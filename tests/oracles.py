@@ -13,6 +13,8 @@ import math
 
 import mpmath
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
 
@@ -208,3 +210,87 @@ def scalar_rotation_grid(D, E):
     for idx in np.ndindex(D.shape):
         classes[idx], alpha[idx] = scalar_rotation_cell(float(D[idx]), float(E[idx]))
     return classes, alpha
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the batched Poncelet checks
+# ---------------------------------------------------------------------------
+
+def _class_boxes():
+    """(D, E) boxes where most points fall in each nondegenerate class."""
+    from boltzmann_billiard import RealLocusClass
+
+    return {
+        RealLocusClass.I: ((-1.95, 1.95), (-0.45, 1.5)),
+        RealLocusClass.II_PLUS: ((2.05, 4.0), (-0.45, 0.5)),
+        RealLocusClass.II_MINUS: ((-4.0, -2.05), (1.05, 3.0)),
+    }
+
+
+@st.composite
+def level_sets(draw):
+    """Nondegenerate level sets of every class that have a rotation number."""
+    from boltzmann_billiard import BilliardError, derive_params, rotation_number
+
+    boxes = _class_boxes()
+    cls = draw(st.sampled_from(list(boxes)))
+    (dlo, dhi), (elo, ehi) = boxes[cls]
+    params = derive_params(draw(st.floats(dlo, dhi)), draw(st.floats(elo, ehi)))
+    assume(params.cls is cls)
+    try:
+        rotation_number(params)
+    except BilliardError:
+        assume(False)
+    return params
+
+
+def scalar_empirical_rotation(params, n_steps: int = 10_000, seed: int = 0, c0=None) -> float:
+    """empirical_rotation point by point: one map_t and one angle_of per step."""
+    from boltzmann_billiard import angle_of, map_t, sample_level_set
+
+    if c0 is None:
+        c0 = sample_level_set(params, 1, seed)[0]
+    th_prev = angle_of(c0, params).theta
+    c = c0
+    d0 = None
+    total = 0.0
+    for _ in range(n_steps):
+        c = map_t(c, params)
+        th = angle_of(c, params).theta
+        d = (th - th_prev) % 1.0
+        if d0 is None:
+            d0 = d
+        elif d - d0 > 0.5:
+            d -= 1.0
+        elif d0 - d > 0.5:
+            d += 1.0
+        total += d
+        th_prev = th
+    return (total / n_steps) % 1.0
+
+
+def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60,
+                          tol: float = 1e-8, seed: int = 0):
+    """poncelet_check one start at a time, with a separate residual pass.
+
+    The starts come from periods.sample_level_set, so a test that replaces
+    it there gives both paths the same starts.
+    """
+    from boltzmann_billiard import map_t, periods
+
+    rot = periods.rotation_number(params)
+    predicted = periods.smallest_period(rot.alpha, rot.flips_component, p_max)
+    pts = periods.sample_level_set(params, n_samples, seed)
+    detected = {periods.detect_period_direct(c, params, p_max, tol) for c in pts}
+    unanimous = detected.pop() if len(detected) == 1 else None
+    residual = math.nan
+    if unanimous is not None:
+        worst = 0.0
+        for c in pts:
+            cp = c
+            for _ in range(unanimous):
+                cp = map_t(cp, params)
+            worst = max(worst, periods.config_distance(cp, c))
+        residual = worst
+    return periods.PeriodReport(predicted, unanimous, rot.alpha,
+                                predicted == unanimous, residual)

@@ -57,6 +57,16 @@ class TestClassify:
         assert code == 0
         assert "class = I" in out
 
+    def test_negative_side_with_failing_mirror(self, capsys):
+        # the mirror (-D, -E) cannot be derived (complete_Kpp raises there),
+        # but the point itself classifies
+        code, out = run_cli(capsys, "classify", "--D", "-1.999999095130935",
+                            "--E", "-45242.943014490746", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["class"] == "NegativeAngularMomentumSide"
+        assert doc["alpha"] is None
+
     def test_invalid_numerics_exit_2(self, capsys):
         code, _ = run_cli(capsys, "classify", "--D", "nan", "--E", "-0.2")
         assert code == 2
@@ -158,6 +168,15 @@ class TestRotation:
         assert doc["alpha_analytic"] == pytest.approx(0.339505868735, abs=1e-9)
         assert doc["difference"] < 1e-6
         assert doc["flips_component"] is True
+
+    @pytest.mark.parametrize("D,E", [("1.5", "-0.2"), ("2.5", "-0.1"), ("-2.5", "1.5"),
+                                     ("1.75", "-0.20833333333333334")])
+    def test_single_point_matches_scalar_winding(self, capsys, monkeypatch, D, E):
+        argv = ("rotation", "--D", D, "--E", E, "--steps", "700", "--seed", "3")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "empirical_rotation", oracles.scalar_empirical_rotation)
+        assert run_cli(capsys, *argv) == (0, out)
 
     def test_grid_csv(self, capsys):
         code, out = run_cli(capsys, "rotation", "--grid", "0.5:3.5:-0.4:-0.1:5")

@@ -97,6 +97,9 @@ class TestCompleteIntegrals:
             complete_Kpp(0.2)
         with pytest.raises(DomainError):
             complete_Kpp(0.0)
+        # above the ell floor, but 1/(1 - k2) rounds to 1: the AGM would start from b = 0
+        with pytest.raises(DomainError):
+            complete_Kpp(-1e-17)
 
     def test_modulus_wrapper_accepted(self):
         assert complete_K(Modulus(0.3)) == complete_K(0.3)

@@ -8,8 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from boltzmann_billiard import BOUNDARY_TOL, DomainError, RealLocusClass, rotation_grid
+from boltzmann_billiard import (
+    BOUNDARY_TOL,
+    ConfigPoint,
+    DomainError,
+    RealLocusClass,
+    angle_of,
+    map_t,
+    rotation_grid,
+    sample_level_set,
+)
+from boltzmann_billiard.grid import config_distance_array, map_t_array, theta_array
 from boltzmann_billiard.levelset import NONDEGENERATE
+from boltzmann_billiard.periods import config_distance
 
 
 def assert_matches_scalar(D, E):
@@ -106,6 +117,14 @@ def test_blank_where_derive_params_raises():
     assert oracles.scalar_rotation_cell(2.0 + 2e-9, 20.0)[0] is None
 
 
+def test_blank_where_kappa_rounds_to_one():
+    # class I with k2 ~ -9.3e-17: kappa^2 = 1/(1 - k2) rounds to 1 and complete_Kpp raises
+    classes, alpha = rotation_grid(-1.8, 1e7)
+    assert classes[()] is RealLocusClass.I
+    assert math.isnan(alpha)
+    assert oracles.scalar_rotation_cell(-1.8, 1e7)[0] is None
+
+
 def test_broadcast_shapes():
     classes, alpha = rotation_grid(np.linspace(-3, 3, 4)[:, None], np.linspace(-0.5, 1.5, 5))
     assert classes.shape == alpha.shape == (4, 5)
@@ -117,3 +136,39 @@ def test_broadcast_shapes():
 def test_non_finite_raises(bad):
     with pytest.raises(DomainError):
         rotation_grid([1.0, bad], 0.1)
+
+
+def as_arrays(pts):
+    return tuple(np.array(v) for v in zip(*((c.x, c.A1, c.A2) for c in pts)))
+
+
+def orbit_points(params, seed, n):
+    """Points of the level set: seeded samples and the orbit of the first one."""
+    pts = sample_level_set(params, n, seed)
+    for _ in range(n):
+        pts.append(map_t(pts[-1], params))
+    return pts
+
+
+@given(oracles.level_sets(), st.integers(0, 2**16))
+def test_point_kernels_match_scalar(params, seed):
+    pts = orbit_points(params, seed, 40)
+    x, A1, A2 = as_arrays(pts)
+    theta = theta_array(x, A1, A2, params)
+    assert theta.tolist() == [angle_of(c, params).theta for c in pts]
+    stepped = map_t_array(x, A1, A2, params)
+    assert list(zip(*(v.tolist() for v in stepped))) == [
+        (c.x, c.A1, c.A2) for c in (map_t(c, params) for c in pts)]
+    dist = config_distance_array(*stepped, x, A1, A2)
+    assert dist.tolist() == [config_distance(map_t(c, params), c) for c in pts]
+
+
+def test_distance_takes_max_as_python_does():
+    # Python's max keeps a later number over an earlier NaN only when it is
+    # compared against a number: max(nan, 1, 2) is nan, max(1, nan, 2) is 2
+    a = ConfigPoint(0.0, 0.0, 0.0)
+    pts = [ConfigPoint(math.nan, 1.0, 2.0), ConfigPoint(1.0, math.nan, 2.0),
+           ConfigPoint(1.0, 2.0, math.nan), ConfigPoint(math.inf, 0.5, -0.5)]
+    want = [config_distance(c, a) for c in pts]
+    got = config_distance_array(*as_arrays(pts), *as_arrays([a] * len(pts)))
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]

@@ -4,8 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boltzmann_billiard import (
+    ConfigPoint,
+    PoleError,
+    RealLocusClass,
     derive_params,
     map_t,
     detect_period_direct,
@@ -184,3 +189,68 @@ class TestEmpiricalRotation:
             vals.append(empirical_rotation(params_i, n_steps=3000, c0=c0))
         spread = max(oracles.wrapped_diff(a, vals[0]) for a in vals)
         assert spread < 1e-8
+
+
+def outcome(fn, *args, **kwargs):
+    """(type, message) of the exception fn raises, or its float result in hex."""
+    try:
+        return float.hex(fn(*args, **kwargs))
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestBatchedMatchesScalar:
+    """poncelet_check and empirical_rotation against their point-by-point references."""
+
+    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(1, 400))
+    def test_empirical_rotation_bits(self, params, seed, n_steps):
+        got = empirical_rotation(params, n_steps=n_steps, seed=seed)
+        assert got.hex() == oracles.scalar_empirical_rotation(params, n_steps, seed).hex()
+
+    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(1, 200))
+    def test_empirical_rotation_explicit_start(self, params, seed, n_steps):
+        c0 = sample_level_set(params, 3, seed)[2]
+        got = empirical_rotation(params, n_steps=n_steps, c0=c0)
+        assert got.hex() == oracles.scalar_empirical_rotation(params, n_steps, c0=c0).hex()
+
+    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 40), st.integers(1, 60))
+    def test_poncelet_check_repr(self, params, seed, n_samples, p_max):
+        got = poncelet_check(params, n_samples=n_samples, p_max=p_max, seed=seed)
+        assert repr(got) == repr(oracles.scalar_poncelet_check(params, n_samples, p_max, seed=seed))
+
+    @pytest.mark.parametrize("fixture,detected", [("params_i", None), ("params_period3", 3),
+                                                  ("params_ii_plus", None)])
+    def test_poncelet_check_fixtures(self, request, fixture, detected):
+        # params_i is generic: every start runs all 60 steps without returning
+        params = request.getfixturevalue(fixture)
+        got = poncelet_check(params, seed=2)
+        assert got.detected == detected
+        assert repr(got) == repr(oracles.scalar_poncelet_check(params, seed=2))
+
+    def test_poncelet_check_pole_start(self, monkeypatch, params_period3):
+        # a start with A1^2 = 1 has its second wall intersection at infinity
+        starts = sample_level_set(params_period3, 5, seed=1)
+        starts[3] = ConfigPoint(0.4, 1.0, 0.2)
+        monkeypatch.setattr(periods, "sample_level_set", lambda *args: list(starts))
+        with pytest.raises(PoleError):
+            oracles.scalar_poncelet_check(params_period3)
+        with pytest.raises(PoleError):
+            poncelet_check(params_period3)
+
+    @pytest.mark.parametrize("fixture", ["params_i", "params_ii_plus", "params_ii_minus"])
+    @pytest.mark.parametrize("start", ["pole", "nan_x", "dn_zero", "no_angle"])
+    def test_empirical_rotation_bad_start(self, request, fixture, start):
+        # the first error met along the orbit, whether in map_t or in angle_of;
+        # the dn and cn checks exist in class I only, so class II orbits may run on
+        params = request.getfixturevalue(fixture)
+        c = sample_level_set(params, 1, seed=0)[0]
+        c0 = {
+            "pole": ConfigPoint(c.x, 1.0, c.A2),            # map_t raises PoleError
+            "nan_x": ConfigPoint(math.nan, c.A1, c.A2),     # theta is NaN at c0 or c1
+            "dn_zero": ConfigPoint(c.x, c.A1, 2.0 * params.E - params.R),
+            "no_angle": ConfigPoint(0.0, 0.0, c.A2),        # s = cn = 0 in class I
+        }[start]
+        want = outcome(oracles.scalar_empirical_rotation, params, 50, c0=c0)
+        assert outcome(empirical_rotation, params, 50, c0=c0) == want
+        if params.cls is RealLocusClass.I or start in ("pole", "nan_x"):
+            assert isinstance(want, tuple)
