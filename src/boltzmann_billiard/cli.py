@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import logging
 import math
@@ -22,8 +21,8 @@ import sys
 import numpy as np
 
 from .errors import BilliardError, OrbitAbort
-from .grid import rotation_grid
-from .levelset import derive_params, implied_invariants
+from .grid import orbit_drift_columns, rotation_grid
+from .levelset import derive_params
 from .periods import find_periodic_locus, period3_residual, empirical_rotation
 from .poincare import iterate_orbit, sample_level_set
 from .svgplot import level_set_figure, orbit_figure
@@ -34,6 +33,8 @@ log = logging.getLogger("boltzmann_billiard")
 
 _F = "%.17g"
 _GRID_BLOCK = 4096  # cells per rotation_grid call, so grid memory does not grow with n^2
+_ORBIT_BLOCK = 4096  # orbit CSV rows formatted per write
+_ORBIT_ROW = "%d" + ",%.17g" * 6 + "\n"  # an orbit CSV row without NaN
 
 
 def _fnum(v: float) -> str:
@@ -53,13 +54,12 @@ def _emit(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
+def _csv_row(row) -> str:
+    return ",".join(_fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
 def _csv(rows: list[list], header: list[str]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fnum(v) if isinstance(v, float) else str(v) for v in row))
-        buf.write("\n")
-    return buf.getvalue()
+    return ",".join(header) + "\n" + "".join(map(_csv_row, rows))
 
 
 def _sanitize(obj):
@@ -108,6 +108,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_orbit(fh, cols) -> None:
+    """CSV rows step,x,A1,A2,L,D_resid,E_check of the column arrays, a block at a time.
+
+    A NaN is written as an empty field, as _csv writes it.
+    """
+    fh.write("step,x,A1,A2,L,D_resid,E_check\n")
+    for lo in range(0, len(cols[0]), _ORBIT_BLOCK):
+        block = [c[lo:lo + _ORBIT_BLOCK] for c in cols]
+        has_nan = np.isnan(block).any(axis=0).tolist()
+        rows = zip(range(lo, lo + len(has_nan)), *(c.tolist() for c in block))
+        fh.write("".join([_csv_row(row) if nan else _ORBIT_ROW % row
+                          for row, nan in zip(rows, has_nan)]))
+
+
 def cmd_orbit(args: argparse.Namespace) -> int:
     params = derive_params(args.D, args.E)
     code = 0
@@ -120,20 +134,18 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         log.error("orbit aborted at step %s: %s", exc.step, exc)
         orbit = exc.orbit
         code = 1
-        if orbit is None:
-            return code
     if args.format == "svg":
         _emit(orbit_figure(orbit.points, params), args.out)
         return code
-    rows = []
-    for step, c in enumerate(orbit.points):
-        D_impl, E_impl = implied_invariants(c, params)
-        rows.append([step, c.x, c.A1, c.A2, c.L(params), D_impl - args.D, E_impl])
+    L, D_impl, E_impl = orbit_drift_columns(orbit.x, orbit.A1, orbit.A2, params)
+    cols = (orbit.x, orbit.A1, orbit.A2, L, D_impl - args.D, E_impl)
     if args.format == "json":
+        rows = list(zip(range(len(L)), *(c.tolist() for c in cols)))
         _emit(_json({"D": args.D, "E": args.E, "class": params.cls.value,
                      "rows": rows}), args.out)
     else:
-        _emit(_csv(rows, ["step", "x", "A1", "A2", "L", "D_resid", "E_check"]), args.out)
+        with _open_out(args.out) as fh:
+            _write_orbit(fh, cols)
     return code
 
 

@@ -15,14 +15,17 @@ path has no rotation number get NaN: degenerate classes, the
 near-degenerate guards of rotation_number, and every domain error the
 scalar path would raise.
 
-map_t_array, config_distance_array and theta_array act on arrays of points
-(x, A1, A2) of one level set, as map_t, config_distance and angle_of do on
-a single point.  They raise the exception the scalar function raises at
-the first element where it raises.
+map_t_array, config_distance_array, theta_array, level_set_residual_array
+and orbit_drift_columns act on arrays of points (x, A1, A2) of one level
+set, as map_t, config_distance, angle_of, level_set_residual and the
+ConfigPoint.L / implied_invariants pair do on a single point.  They raise
+the exception the scalar function raises at the first element where it
+raises.
 
 The scalar functions stay the reference for single points; this module
 serves the ensemble callers (the CLI grid, the heatmap script, the sign
-scan of find_periodic_locus, poncelet_check and empirical_rotation).
+scan of find_periodic_locus, poncelet_check, empirical_rotation, the
+checks of iterate_orbit and the CSV columns of the orbit command).
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ import numpy as np
 
 from .elliptic import _AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, complete_K
 from .errors import DomainError, EndpointSingularityError, PoleError
-from .levelset import BOUNDARY_TOL, NONDEGENERATE, LevelSetParams, RealLocusClass
-from .poincare import _reflect
+from .levelset import BOUNDARY_TOL, NONDEGENERATE, LevelSetParams, RealLocusClass, _reflect
 from .uniformize import _ALPHA_SIGN, _ENDPOINT_GUARD, _require_nondegenerate
 
 _CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
@@ -183,17 +185,54 @@ def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
         return (x, *_reflect(x, A1, A2, params.E))
 
 
-def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
-    """periods.config_distance between the points (x, A1, A2) and (x0, A10, A20).
-
-    The maximum takes the first of equal values and skips a NaN after the
-    first argument, as Python's max does.
-    """
-    with np.errstate(all="ignore"):
-        m = np.abs(x / (1.0 + np.abs(x)) - x0 / (1.0 + np.abs(x0)))
-        for v in (np.abs(A1 - A10), np.abs(A2 - A20)):
-            m = np.where(v > m, v, m)
+def _max(first, *rest):
+    """Python's max per element: the first of equal values wins, and a NaN
+    after the first argument is skipped."""
+    m = first
+    for v in rest:
+        m = np.where(v > m, v, m)
     return m
+
+
+def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
+    """periods.config_distance between the points (x, A1, A2) and (x0, A10, A20)."""
+    with np.errstate(all="ignore"):
+        return _max(np.abs(x / (1.0 + np.abs(x)) - x0 / (1.0 + np.abs(x0))),
+                    np.abs(A1 - A10), np.abs(A2 - A20))
+
+
+def level_set_residual_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                             params: LevelSetParams) -> np.ndarray:
+    """level_set_residual(ConfigPoint(x, A1, A2), params) at every point."""
+    D, E = params.D, params.E
+    with np.errstate(all="ignore"):
+        circle = np.abs(A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E)
+        w = A2 + D - A1 * x
+        q = x * x + 1.0
+        wall = np.abs(q - w * w) / _max(1.0, q, w * w)
+        return _max(circle, wall)
+
+
+def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                        params: LevelSetParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ConfigPoint.L and implied_invariants at every point (x, A1, A2).
+
+    Returns the arrays L, D_impl and E_impl; E_impl is NaN where
+    |D + 2 A2| < 1e-15, as in the scalar function.  Raises DomainError
+    where ConfigPoint.L does (D + 2E <= 0).
+    """
+    D, E = params.D, params.E
+    s = D + 2.0 * E
+    if s <= 0.0:
+        raise DomainError("L accessor needs D + 2E > 0")
+    with np.errstate(all="ignore"):
+        L = ((1.0 - A1 * A1) * x + A1 * (A2 + D)) / math.sqrt(s)
+        r = _each(math.hypot, x, np.ones_like(x))
+        D_impl = np.copysign(r, A2 + D - A1 * x) + A1 * x - A2
+        L2 = D + 2.0 * A2
+        E_impl = np.where(np.abs(L2) < 1e-15, np.nan,
+                          (A1 * A1 + A2 * A2 - 1.0) / (2.0 * L2))
+    return L, D_impl, E_impl
 
 
 def _each(fn, *arrays) -> np.ndarray:

@@ -248,6 +248,19 @@ def other_wall_root(x: float, A1: float, A2: float, D: float) -> float:
     return ssum - x
 
 
+def _reflect(x, A1, A2, E):
+    """(A1, A2) of the conic reflected at wall abscissa x.
+
+    This is the involution j of the collision map.  Plain arithmetic only,
+    so it serves floats and numpy arrays alike.
+    """
+    q = x * x + 1.0
+    co = (x * x - 1.0) / q
+    si = 2.0 * x / q
+    e4 = 4.0 * E * x / q
+    return co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
+
+
 def wall_abscissa_from_z(z: float, A1: float, A2: float, D: float) -> float:
     """Invert the linear relation z = (1 - A1^2) x + A1 (A2 + D) for x."""
     den = 1.0 - A1 * A1

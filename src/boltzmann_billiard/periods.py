@@ -129,7 +129,10 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
     and averaged to suppress inversion noise.  The orbit is iterated point
     by point, and its angles are computed in one batched call; errors are
     raised in the order a point-by-point evaluation would meet them.
+    Raises ValueError if n_steps < 1.
     """
+    if n_steps < 1:
+        raise ValueError(f"empirical rotation needs n_steps >= 1 (got {n_steps})")
     if c0 is None:
         c0 = sample_level_set(params, 1, seed)[0]
     xs, A1s, A2s = [c0.x], [c0.A1], [c0.A2]

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, EmptyLocusError, OrbitAbort, PoleError
+from .grid import level_set_residual_array
 from .levelset import (
     ConfigPoint,
     LevelSetParams,
     RealLocusClass,
+    _reflect,
     level_set_residual,
     other_wall_root,
     project_onto_level_set,
@@ -43,18 +46,6 @@ def i_fixed_point(c: ConfigPoint, params: LevelSetParams, tol: float = 1e-12) ->
     return abs(disc) <= tol * max(1.0, w * w)
 
 
-def _reflect(x, A1, A2, E):
-    """(A1, A2) of the conic reflected at wall abscissa x.
-
-    Plain arithmetic only, so it serves floats and numpy arrays alike.
-    """
-    q = x * x + 1.0
-    co = (x * x - 1.0) / q
-    si = 2.0 * x / q
-    e4 = 4.0 * E * x / q
-    return co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
-
-
 def involution_j(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     """Reflected conic at the same wall point.
 
@@ -70,13 +61,26 @@ def map_t(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     return ConfigPoint(x, *_reflect(x, c.A1, c.A2, params.E))
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """A finite orbit with per-point level-set residuals."""
+_CHECK_BLOCK = 4096  # map steps between the array checks of iterate_orbit
 
-    points: tuple
+
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """A finite orbit with per-point level-set residuals.
+
+    x, A1, A2 and residuals are float arrays over the visited points;
+    points gives them as a tuple of ConfigPoint, built on first access.
+    """
+
+    x: np.ndarray
+    A1: np.ndarray
+    A2: np.ndarray
+    residuals: np.ndarray
     params: LevelSetParams
-    residuals: tuple
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(map(ConfigPoint, self.x.tolist(), self.A1.tolist(), self.A2.tolist()))
 
 
 def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
@@ -89,27 +93,63 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     the level set beyond residual_ceiling, or |x| exceeds abort_abscissa.
     Renormalization, off by default, projects each new point back onto the
     level set by one Gauss-Newton step.
+
+    The map runs on plain floats.  Every _CHECK_BLOCK steps, and at the
+    end or at a pole, the new points are checked together, and the abort
+    names the first failing step, as a check after every step would.
     """
     if not params.nondegenerate:
         raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
-    pts = [c0]
-    res = [level_set_residual(c0, params)]
-    for step in range(1, n + 1):
-        try:
-            c = map_t(pts[-1], params)
-        except PoleError as exc:
-            raise OrbitAbort(f"step {step}: {exc}", Orbit(tuple(pts), params, tuple(res)), step) from exc
-        if renormalize:
-            c = project_onto_level_set(c, params, max_steps=1)
-        ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
-        r = level_set_residual(c, params) if ok else math.inf
-        if not ok or r > residual_ceiling:
-            raise OrbitAbort(
-                f"step {step}: orbit left the level set (residual {r:.3e})",
-                Orbit(tuple(pts), params, tuple(res)), step)
-        pts.append(c)
-        res.append(r)
-    return Orbit(tuple(pts), params, tuple(res))
+    if n < 0:
+        raise ValueError(f"orbit iteration needs n >= 0 steps (got {n})")
+    D, E = params.D, params.E
+    xyz = np.empty((3, n + 1))  # x, A1, A2 of the points checked so far
+    res = np.empty(n + 1)
+    x, A1, A2 = c0.x, c0.A1, c0.A2
+    xs, A1s, A2s = [x], [A1], [A2]  # the points not yet checked, from index lo on
+    lo = step = 0
+
+    def prefix(k: int) -> Orbit:
+        return Orbit(xyz[0, :k], xyz[1, :k], xyz[2, :k], res[:k], params)
+
+    def check() -> None:
+        """Store the pending points; OrbitAbort at the first that fails a check."""
+        nonlocal lo
+        hi = lo + len(xs)
+        block = xyz[:, lo:hi]
+        block[:] = xs, A1s, A2s
+        del xs[:], A1s[:], A2s[:]
+        r = res[lo:hi] = level_set_residual_array(*block, params)
+        with np.errstate(invalid="ignore"):
+            ok = np.isfinite(block).all(axis=0) & (np.abs(block[0]) <= abort_abscissa)
+        r = np.where(ok, r, math.inf)  # a non-finite or far point reports residual inf
+        bad = ~ok | (r > residual_ceiling)
+        bad[:1] &= lo > 0  # the start point is not checked
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise OrbitAbort(f"step {lo + i}: orbit left the level set (residual {r[i]:.3e})",
+                             prefix(lo + i), lo + i)
+        lo = hi
+
+    pole = None
+    try:
+        for step in range(1, n + 1):
+            x = other_wall_root(x, A1, A2, D)
+            A1, A2 = _reflect(x, A1, A2, E)
+            if renormalize:
+                c = project_onto_level_set(ConfigPoint(x, A1, A2), params, max_steps=1)
+                x, A1, A2 = c.x, c.A1, c.A2
+            xs.append(x)
+            A1s.append(A1)
+            A2s.append(A2)
+            if step % _CHECK_BLOCK == 0:
+                check()
+    except PoleError as exc:
+        pole = exc
+    check()  # the points before a pole come first, as in a step-by-step check
+    if pole is not None:
+        raise OrbitAbort(f"step {step}: {pole}", prefix(step), step) from pole
+    return prefix(n + 1)
 
 
 def sample_level_set(params: LevelSetParams, m: int, seed: int = 0,

@@ -10,6 +10,7 @@ modules must never import this file.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -294,3 +295,67 @@ def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60,
         residual = worst
     return periods.PeriodReport(predicted, unanimous, rot.alpha,
                                 predicted == unanimous, residual)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the columnar orbit path
+# ---------------------------------------------------------------------------
+
+class ScalarOrbit(NamedTuple):
+    points: tuple
+    params: object
+    residuals: tuple
+
+
+def scalar_iterate_orbit(c0, params, n: int, *, renormalize: bool = False,
+                         residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12):
+    """iterate_orbit one ConfigPoint at a time, checking each step as it is made.
+
+    Raises OrbitAbort carrying a ScalarOrbit prefix.
+    """
+    from boltzmann_billiard import (DomainError, OrbitAbort, PoleError, level_set_residual,
+                                    map_t, project_onto_level_set)
+
+    if not params.nondegenerate:
+        raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
+    pts = [c0]
+    res = [level_set_residual(c0, params)]
+    for step in range(1, n + 1):
+        try:
+            c = map_t(pts[-1], params)
+        except PoleError as exc:
+            raise OrbitAbort(f"step {step}: {exc}", ScalarOrbit(tuple(pts), params, tuple(res)),
+                             step) from exc
+        if renormalize:
+            c = project_onto_level_set(c, params, max_steps=1)
+        ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
+        r = level_set_residual(c, params) if ok else math.inf
+        if not ok or r > residual_ceiling:
+            raise OrbitAbort(
+                f"step {step}: orbit left the level set (residual {r:.3e})",
+                ScalarOrbit(tuple(pts), params, tuple(res)), step)
+        pts.append(c)
+        res.append(r)
+    return ScalarOrbit(tuple(pts), params, tuple(res))
+
+
+def scalar_orbit_rows(points, params, D: float) -> list:
+    """The orbit command's rows, one point at a time."""
+    from boltzmann_billiard import implied_invariants
+
+    rows = []
+    for step, c in enumerate(points):
+        D_impl, E_impl = implied_invariants(c, params)
+        rows.append([step, c.x, c.A1, c.A2, c.L(params), D_impl - D, E_impl])
+    return rows
+
+
+def scalar_orbit_csv(points, params, D: float) -> str:
+    """The orbit command's CSV, one row and one field at a time."""
+    def fnum(v):
+        return "" if v != v else "%.17g" % v
+
+    out = ["step,x,A1,A2,L,D_resid,E_check\n"]
+    for row in scalar_orbit_rows(points, params, D):
+        out.append(",".join(fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    return "".join(out)

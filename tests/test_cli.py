@@ -1,15 +1,22 @@
 """Command line surface: formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from boltzmann_billiard import ConfigPoint, OrbitAbort, derive_params, sample_level_set
 from boltzmann_billiard import cli
 from boltzmann_billiard.cli import main
+from boltzmann_billiard.grid import orbit_drift_columns
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +147,37 @@ class TestOrbit:
                           "--steps", "5")
         assert code == 2
 
+    def test_negative_steps_exit_2(self, capsys):
+        code = main(["orbit", "--D", "1.5", "--E", "-0.2", "--steps", "-2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "error: orbit iteration needs n >= 0 steps (got -2)" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_aborted_prefix_matches_scalar(self, capsys, fmt):
+        argv = ("orbit", "--D", "0.3", "--E", "0.4", "--steps", "2000",
+                "--abort-abscissa", "50", "--seed", "1", "--format", fmt)
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == scalar_orbit_output(derive_params(0.3, 0.4), 1, 2000, fmt,
+                                                  abort_abscissa=50.0)
+        assert code == 1
+
+    @pytest.mark.parametrize("block", [cli._ORBIT_BLOCK, 2])
+    def test_writer_blanks_nan_fields(self, monkeypatch, params_i, block):
+        # E_check is blank where |D + 2 A2| < 1e-15; a NaN anywhere else is
+        # blank too, as the per-field writer leaves it
+        monkeypatch.setattr(cli, "_ORBIT_BLOCK", block)
+        A2 = -params_i.D / 2.0
+        pts = [ConfigPoint(0.3, 0.2, A2), ConfigPoint(0.9, -0.1, A2 + 1e-15),
+               ConfigPoint(math.nan, 0.1, 0.2), ConfigPoint(-1.7, 0.4, A2 + 4e-16),
+               ConfigPoint(0.5, 0.1, 0.2)]
+        x, A1, A2 = (np.array([getattr(c, k) for c in pts]) for k in ("x", "A1", "A2"))
+        L, D_impl, E_impl = orbit_drift_columns(x, A1, A2, params_i)
+        buf = io.StringIO()
+        cli._write_orbit(buf, (x, A1, A2, L, D_impl - params_i.D, E_impl))
+        assert buf.getvalue() == oracles.scalar_orbit_csv(pts, params_i, params_i.D)
+        assert buf.getvalue().splitlines()[1].endswith(",")
+
     def test_svg_output(self, capsys):
         code, out = run_cli(capsys, "orbit", "--D", "1.5", "--E", "-0.2",
                             "--steps", "7", "--format", "svg")
@@ -157,6 +195,32 @@ class TestOrbit:
         assert code == 0 and out == ""
         header, rows = parse_csv(target.read_text())
         assert header[0] == "step" and len(rows) == 4
+
+
+def scalar_orbit_output(params, seed, steps, fmt, **kwargs):
+    """(exit code, stdout) of the orbit command, rebuilt by the scalar references."""
+    c0 = sample_level_set(params, 1, seed)[0]
+    code = 0
+    try:
+        orbit = oracles.scalar_iterate_orbit(c0, params, steps, **kwargs)
+    except OrbitAbort as exc:
+        orbit, code = exc.orbit, 1
+    if fmt == "csv":
+        return code, oracles.scalar_orbit_csv(orbit.points, params, params.D)
+    rows = oracles.scalar_orbit_rows(orbit.points, params, params.D)
+    return code, cli._json({"D": params.D, "E": params.E, "class": params.cls.value,
+                            "rows": rows})
+
+
+@settings(max_examples=30)
+@given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 3000),
+       st.sampled_from(["csv", "json"]))
+def test_orbit_output_matches_scalar(params, seed, steps, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["orbit", f"--D={params.D!r}", f"--E={params.E!r}", "--seed", str(seed),
+                     "--steps", str(steps), "--format", fmt])
+    assert (code, buf.getvalue()) == scalar_orbit_output(params, seed, steps, fmt)
 
 
 class TestRotation:
@@ -223,6 +287,13 @@ class TestRotation:
         code, out = run_cli(capsys, "rotation", "--grid", "0:inf:0:1:3")
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_non_positive_steps_exit_2(self, capsys, steps):
+        code = main(["rotation", "--D", "1.5", "--E", "-0.2", "--steps", steps])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"error: empirical rotation needs n_steps >= 1 (got {steps})" in err
 
     def test_missing_args_exit_2(self, capsys):
         code, _ = run_cli(capsys, "rotation", "--D", "1.5")

@@ -1,4 +1,4 @@
-"""The batched rotation grid against the scalar derive_params / rotation_number path."""
+"""The batched kernels of grid.py against the scalar functions they repeat."""
 
 import math
 
@@ -14,11 +14,20 @@ from boltzmann_billiard import (
     DomainError,
     RealLocusClass,
     angle_of,
+    derive_params,
+    implied_invariants,
+    level_set_residual,
     map_t,
     rotation_grid,
     sample_level_set,
 )
-from boltzmann_billiard.grid import config_distance_array, map_t_array, theta_array
+from boltzmann_billiard.grid import (
+    config_distance_array,
+    level_set_residual_array,
+    map_t_array,
+    orbit_drift_columns,
+    theta_array,
+)
 from boltzmann_billiard.levelset import NONDEGENERATE
 from boltzmann_billiard.periods import config_distance
 
@@ -172,3 +181,47 @@ def test_distance_takes_max_as_python_does():
     want = [config_distance(c, a) for c in pts]
     got = config_distance_array(*as_arrays(pts), *as_arrays([a] * len(pts)))
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def drift_points(params):
+    """Points where D + 2 A2 is 0, below 1e-15 or just above it, and a NaN point."""
+    A2 = -params.D / 2.0
+    return [ConfigPoint(0.3, 0.2, A2), ConfigPoint(-1.7, 0.4, A2 + 4e-16),
+            ConfigPoint(0.9, -0.1, A2 + 1e-15), ConfigPoint(0.5, 0.1, A2 - 3e-16),
+            ConfigPoint(math.nan, 0.1, 0.2), ConfigPoint(1e200, 0.1, 0.2)]
+
+
+@given(oracles.level_sets(), st.integers(0, 2**16))
+def test_orbit_kernels_match_scalar(params, seed):
+    pts = orbit_points(params, seed, 40) + drift_points(params)
+    x, A1, A2 = as_arrays(pts)
+    L, D_impl, E_impl = orbit_drift_columns(x, A1, A2, params)
+    assert hexes(L) == hexes(c.L(params) for c in pts)
+    want = [implied_invariants(c, params) for c in pts]
+    assert hexes(D_impl) == hexes(d for d, _ in want)
+    assert hexes(E_impl) == hexes(e for _, e in want)
+    residual = level_set_residual_array(x, A1, A2, params)
+    assert hexes(residual) == hexes(level_set_residual(c, params) for c in pts)
+
+
+def test_drift_columns_blank_e(params_i):
+    _, _, E_impl = orbit_drift_columns(*as_arrays(drift_points(params_i)[:4]), params_i)
+    assert [math.isnan(v) for v in E_impl.tolist()] == [True, True, False, True]
+    # at D = 0, A2 = 5e-16 gives D + 2 A2 = 1e-15 exactly, which is not blank
+    params = derive_params(0.0, 0.3)
+    pts = [ConfigPoint(0.2, 0.1, 5e-16), ConfigPoint(0.2, 0.1, 4.9e-16)]
+    _, _, E_impl = orbit_drift_columns(*as_arrays(pts), params)
+    assert hexes(E_impl) == hexes(implied_invariants(c, params)[1] for c in pts)
+    assert not math.isnan(E_impl[0]) and math.isnan(E_impl[1])
+
+
+def test_residual_takes_max_as_python_does(params_i):
+    pts = [ConfigPoint(1e200, 0.1, 0.2), ConfigPoint(0.1, 1e200, 1e200),
+           ConfigPoint(math.inf, 0.1, 0.2), ConfigPoint(0.1, math.nan, 0.2),
+           ConfigPoint(0.1, 0.2, -math.inf)]
+    got = level_set_residual_array(*as_arrays(pts), params_i)
+    assert hexes(got) == hexes(level_set_residual(c, params_i) for c in pts)

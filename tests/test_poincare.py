@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import oracles
+from boltzmann_billiard import poincare
 from boltzmann_billiard import (
     ConfigPoint,
     DomainError,
@@ -216,6 +218,115 @@ class TestOrbit:
         c0 = sample_level_set(params_i, 1, seed=12)[0]
         orbit = iterate_orbit(c0, params_i, 300, renormalize=True)
         assert max(orbit.residuals) < 1e-11
+
+    def test_negative_steps_raise(self, params_i):
+        c0 = sample_level_set(params_i, 1, seed=8)[0]
+        with pytest.raises(ValueError, match="n >= 0"):
+            iterate_orbit(c0, params_i, -2)
+
+
+def orbit_bits(orbit):
+    """Points and residuals of an orbit as float hex strings (NaN-safe)."""
+    return ([tuple(v.hex() for v in (c.x, c.A1, c.A2)) for c in orbit.points],
+            [r.hex() for r in orbit.residuals])
+
+
+def orbit_outcome(fn, *args, **kwargs):
+    """The orbit's bits, or the abort's type, message, step and prefix bits."""
+    try:
+        return orbit_bits(fn(*args, **kwargs))
+    except OrbitAbort as exc:
+        return type(exc), str(exc), exc.step, orbit_bits(exc.orbit)
+
+
+def assert_matches_scalar(c0, params, n, **kwargs):
+    got = orbit_outcome(iterate_orbit, c0, params, n, **kwargs)
+    assert got == orbit_outcome(oracles.scalar_iterate_orbit, c0, params, n, **kwargs)
+    return got
+
+
+def residual_records(params, seed, n):
+    """Steps whose residual exceeds that of every earlier step past the start."""
+    c0 = sample_level_set(params, 1, seed)[0]
+    res = oracles.scalar_iterate_orbit(c0, params, n, residual_ceiling=1.0).residuals
+    records, top = [], -1.0
+    for step in range(1, n + 1):
+        if res[step] > top:
+            records.append(step)
+            top = res[step]
+    return c0, res, records
+
+
+class TestColumnarMatchesScalar:
+    """iterate_orbit against the step-by-step loop in oracles, bit for bit."""
+
+    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 3000), st.booleans())
+    def test_points_and_residuals(self, params, seed, n, renormalize):
+        c0 = sample_level_set(params, 1, seed)[0]
+        assert_matches_scalar(c0, params, n, renormalize=renormalize)
+
+    def test_abort_abscissa(self):
+        params = derive_params(0.3, 0.4)
+        c0 = sample_level_set(params, 1, seed=1)[0]
+        got = assert_matches_scalar(c0, params, 500, abort_abscissa=50.0)
+        assert got[0] is OrbitAbort and "(residual inf)" in got[1]
+
+    def test_abscissa_bound_is_inclusive(self):
+        params = derive_params(0.3, 0.4)
+        c0 = sample_level_set(params, 1, seed=1)[0]
+        far = max(abs(x) for x in iterate_orbit(c0, params, 500).x[1:].tolist())
+        got = assert_matches_scalar(c0, params, 500, abort_abscissa=far)
+        assert got[0] is not OrbitAbort
+        got = assert_matches_scalar(c0, params, 500, abort_abscissa=math.nextafter(far, 0.0))
+        assert got[0] is OrbitAbort
+
+    @pytest.mark.parametrize("first_block", [False, True])
+    def test_residual_ceiling_mid_block(self, first_block):
+        params = derive_params(2.5, -0.1)
+        c0, res, records = residual_records(params, 5, 10_000)
+        block = poincare._CHECK_BLOCK
+        step = next(j for j in records
+                    if (20 < j < block if first_block else j > block and j % block))
+        ceiling = max(res[1:step])
+        got = assert_matches_scalar(c0, params, 10_000, residual_ceiling=ceiling)
+        assert got[0] is OrbitAbort and got[2] == step
+        assert got[1] == f"step {step}: orbit left the level set (residual {res[step]:.3e})"
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_failure_at_block_boundary(self, monkeypatch, offset):
+        # the failing step is the last point of a block (offset 0) or the
+        # first point of the next one (offset 1)
+        params = derive_params(2.5, -0.1)
+        c0, res, records = residual_records(params, 5, 3000)
+        step = next(j for j in records if j > 1000)
+        monkeypatch.setattr(poincare, "_CHECK_BLOCK", step - offset)
+        got = assert_matches_scalar(c0, params, 3000, residual_ceiling=max(res[1:step]))
+        assert got[0] is OrbitAbort and got[2] == step
+
+    def test_pole_at_start(self, params_i):
+        # A1^2 = 1 puts the second wall intersection at infinity at step 1
+        got = assert_matches_scalar(ConfigPoint(0.3, 1.0, 0.2), params_i, 10)
+        assert got[:3] == (OrbitAbort, "step 1: second wall intersection at infinity (A1^2 = 1)", 1)
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_nan_start(self, monkeypatch, params_i, block):
+        # step 1 is all NaN and step 2 meets a pole; the non-finite step 1 wins
+        monkeypatch.setattr(poincare, "_CHECK_BLOCK", block)
+        got = assert_matches_scalar(ConfigPoint(math.nan, 0.1, 0.2), params_i, 10)
+        assert got[:3] == (OrbitAbort, "step 1: orbit left the level set (residual inf)", 1)
+
+    def test_nan_conic_start(self, params_i):
+        got = assert_matches_scalar(ConfigPoint(0.3, math.nan, 0.2), params_i, 10)
+        assert got[0] is OrbitAbort and got[2] == 1
+
+    @given(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3),
+           st.sampled_from([1e-6, math.inf]), st.sampled_from([1e12, math.inf]),
+           st.integers(0, 50))
+    def test_arbitrary_starts(self, params_ii_plus, start, ceiling, abscissa, n):
+        # starts off the level set, huge or not finite: overflowing and NaN
+        # residuals (a NaN passes the ceiling test), poles, non-finite steps
+        assert_matches_scalar(ConfigPoint(*start), params_ii_plus, n,
+                              residual_ceiling=ceiling, abort_abscissa=abscissa)
 
 
 class TestSampling:
