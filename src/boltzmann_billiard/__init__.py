@@ -65,6 +65,7 @@ from .periods import (
 )
 from .poincare import (
     Orbit,
+    component_curve,
     i_fixed_point,
     involution_i,
     involution_j,
@@ -76,7 +77,6 @@ from .uniformize import (
     AngleCoord,
     RotationData,
     angle_of,
-    component_curve,
     dalpha_dD,
     rotation_number,
     uniformize,

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -251,6 +252,22 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes every negative float literal as an option value.
+
+    argparse treats only -<digits> and -<digits>.<digits> as negative
+    numbers, so a value that repr() of a float prints, such as -2e-05 or
+    -inf, would otherwise read as an option.  Subparsers inherit the class.
+    """
+
+    _NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                                 re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_FLOAT
+
+
 def _add_common(p: argparse.ArgumentParser, *, D=False, E=False) -> None:
     if D:
         p.add_argument("--D", type=float, required=True, help="second integral D")
@@ -263,7 +280,7 @@ def _add_common(p: argparse.ArgumentParser, *, D=False, E=False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boltzmann-billiard",
         description="Collision map of a Kepler particle bouncing on a flat wall: "
                     "classification, orbits, rotation numbers, periodic loci.",

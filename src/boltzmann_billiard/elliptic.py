@@ -231,6 +231,29 @@ def incomplete_F(x: float, m, path: str = "legendre") -> float:
     return fn(x, m)
 
 
+def _jacobi_descent(emc: float):
+    """AGM descent of the Jacobi functions for emc = 1 - m in (0, 1).
+
+    Returns the argument scale c and the (a, sqrt(emc)) pairs of the
+    descent in the order the backward recurrence consumes them.  It depends
+    on the modulus only, so batched evaluations run it once.
+    """
+    a = 1.0
+    em = []
+    en = []
+    c = 0.0
+    for _ in range(16):
+        em.append(a)
+        emc = math.sqrt(emc)
+        en.append(emc)
+        c = 0.5 * (a + emc)
+        if abs(a - emc) <= _JACOBI_CA * a:
+            break
+        emc = emc * a
+        a = c
+    return c, tuple(zip(reversed(em), reversed(en)))
+
+
 def _sncndn_core(u: float, emc: float):
     """sn, cn, dn on the real axis for emc = 1 - m in (0, 1].
 
@@ -244,27 +267,15 @@ def _sncndn_core(u: float, emc: float):
         m = 1.0 - emc
         u2 = u * u
         return u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
-    a = 1.0
+    c, steps = _jacobi_descent(emc)
     dn = 1.0
-    em = []
-    en = []
-    c = 0.0
-    for _ in range(16):
-        em.append(a)
-        emc = math.sqrt(emc)
-        en.append(emc)
-        c = 0.5 * (a + emc)
-        if abs(a - emc) <= _JACOBI_CA * a:
-            break
-        emc = emc * a
-        a = c
     u = c * u
     sn = math.sin(u)
     cn = math.cos(u)
     if sn != 0.0:
         a = cn / sn
         c = c * a
-        for b, e in zip(reversed(em), reversed(en)):
+        for b, e in steps:
             a = c * a
             c = c * dn
             dn = (e + a) / (b + a)

@@ -5,7 +5,7 @@ gives it, by repeating the scalar code's floating-point operations one for
 one over arrays: +, -, *, /, sqrt, abs, comparisons and mod, which numpy
 rounds exactly as math and Python floats do.  Transcendental functions
 whose numpy versions may differ from math in the last bit (atan2, hypot,
-sin) are math's own, mapped over the elements.  Loops freeze each
+sin, cos) are math's own, mapped over the elements.  Loops freeze each
 converged element, so every element stops at the step where the scalar
 loop stops.
 
@@ -15,17 +15,20 @@ path has no rotation number get NaN: degenerate classes, the
 near-degenerate guards of rotation_number, and every domain error the
 scalar path would raise.
 
-map_t_array, config_distance_array, theta_array, level_set_residual_array
-and orbit_drift_columns act on arrays of points (x, A1, A2) of one level
-set, as map_t, config_distance, angle_of, level_set_residual and the
-ConfigPoint.L / implied_invariants pair do on a single point.  They raise
-the exception the scalar function raises at the first element where it
-raises.
+map_t_array, config_distance_array, theta_array, level_set_residual_array,
+orbit_drift_columns and project_onto_level_set_array act on arrays of
+points (x, A1, A2) of one level set, as map_t, config_distance, angle_of,
+level_set_residual, the ConfigPoint.L / implied_invariants pair and
+project_onto_level_set do on a single point.  They raise the exception the
+scalar function raises at the first element where it raises.
+uniformize_array evaluates uniformize at an array of angles; it returns a
+mask of the points where uniformize raises PoleError instead of raising.
 
 The scalar functions stay the reference for single points; this module
 serves the ensemble callers (the CLI grid, the heatmap script, the sign
 scan of find_periodic_locus, poncelet_check, empirical_rotation, the
-checks of iterate_orbit and the CSV columns of the orbit command).
+checks of iterate_orbit, the CSV columns of the orbit command, the angle
+route of sample_level_set and component_curve).
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import math
 
 import numpy as np
 
-from .elliptic import _AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, complete_K
+from .elliptic import (_AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, _jacobi_descent,
+                       complete_K)
 from .errors import DomainError, EndpointSingularityError, PoleError
 from .levelset import BOUNDARY_TOL, NONDEGENERATE, LevelSetParams, RealLocusClass, _reflect
 from .uniformize import _ALPHA_SIGN, _ENDPOINT_GUARD, _require_nondegenerate
@@ -308,3 +312,110 @@ def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
         val = np.where(sn < 0.0, -v, v)
         val = np.where(n != 0.0, val + 2.0 * n * K, val)
         return np.mod(val, period) / period
+
+
+def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """elliptic._sncndn_core(u, emc) at every element of u.
+
+    The AGM descent depends on emc only, so it runs once, in scalar code;
+    only the backward recurrence runs over the array.
+    """
+    if emc == 1.0:  # m = 0
+        return _each(math.sin, u), _each(math.cos, u), np.ones_like(u)
+    c, steps = _jacobi_descent(emc)
+    v = c * u
+    sn, cn = _each(math.sin, v), _each(math.cos, v)
+    with np.errstate(all="ignore"):  # sn == 0 divides by zero; those elements are masked
+        a = cn / sn
+        c = c * a
+        dn = np.ones_like(u)
+        for b, e in steps:
+            a = c * a
+            c = c * dn
+            dn = (e + a) / (b + a)
+            a = c / b
+        a = 1.0 / np.sqrt(c * c + 1.0)
+        a = np.where(sn >= 0.0, a, -a)
+        rec = sn != 0.0  # elements the recurrence applies to
+        sn, cn, dn = np.where(rec, a, sn), np.where(rec, c * a, cn), np.where(rec, dn, 1.0)
+    small = np.abs(u) < 1e-8  # the series branch, where the recurrence would divide by sn
+    if small.any():
+        m = 1.0 - emc
+        u2 = u * u
+        sn = np.where(small, u * (1.0 - (1.0 + m) * u2 / 6.0), sn)
+        cn = np.where(small, 1.0 - 0.5 * u2, cn)
+        dn = np.where(small, 1.0 - 0.5 * m * u2, dn)
+    return sn, cn, dn
+
+
+def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """uniformize(AngleCoord(theta, eps), params) at every angle theta.
+
+    eps is a component index or an array of them, broadcast against theta.
+    Returns x, A1, A2 and a mask of the points where uniformize raises
+    PoleError (the wall abscissa at infinity); x is NaN there.
+    """
+    _require_nondegenerate(params)
+    theta = np.asarray(theta, dtype=float)
+    eps = np.broadcast_to(eps, theta.shape)
+    R, E, D, C = params.R, params.E, params.D, params.C
+    if params.cls is RealLocusClass.I:
+        if (eps != 0).any():
+            raise DomainError("class I has a single component (eps = 0)")
+        kap2 = 1.0 / (1.0 - params.k2)
+        kap = math.sqrt(kap2)
+        s, c, d = _sncndn_array(4.0 * complete_K(kap2) * theta, 1.0 - kap2)
+        A1 = -2.0 * R * kap * s * d
+        A2 = 2.0 * E - R + 2.0 * R * d * d
+        z = C * c
+    else:
+        if not ((eps == 0) | (eps == 1)).all():
+            raise DomainError("component index eps must be 0 or 1")
+        mc = 1.0 - params.k2
+        s, c, d = _sncndn_array(2.0 * complete_K(mc) * theta, 1.0 - mc)
+        sgn = np.where(eps == 0, -1.0, 1.0)
+        A1 = sgn * 2.0 * R * s * c
+        A2 = 2.0 * E - R + 2.0 * R * c * c
+        z = -sgn * C * d
+    # wall_abscissa_from_z
+    den = 1.0 - A1 * A1
+    pole = np.abs(den) < 1e-12
+    with np.errstate(all="ignore"):
+        x = np.where(pole, np.nan, (z - A1 * (A2 + D)) / den)
+    return x, A1, A2, pole
+
+
+def project_onto_level_set_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                                 params: LevelSetParams, max_steps: int = 2
+                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """project_onto_level_set at every point (x, A1, A2).
+
+    A point freezes where the scalar loop breaks: once |f1| + |f2| < 1e-15,
+    or on a singular normal matrix.
+    """
+    D, E = params.D, params.E
+    go = np.ones(np.shape(x), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(max_steps):
+            f1 = A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E
+            w = A2 + D - A1 * x
+            f2 = x * x + 1.0 - w * w
+            go &= ~(np.abs(f1) + np.abs(f2) < 1e-15)
+            if not go.any():
+                break
+            # the Jacobian rows are (0, j11, j12) and (j20, j21, j22); the
+            # products are summed from 0, left to right, as sum() does
+            j11, j12 = 2.0 * A1, 2.0 * A2 - 4.0 * E
+            j20, j21, j22 = 2.0 * x + 2.0 * w * A1, 2.0 * w * x, -2.0 * w
+            g11 = 0.0 + j11 * j11 + j12 * j12
+            g12 = 0.0 + 0.0 * j20 + j11 * j21 + j12 * j22
+            g22 = 0.0 + j20 * j20 + j21 * j21 + j22 * j22
+            det = g11 * g22 - g12 * g12
+            go &= det != 0.0
+            l1 = (f1 * g22 - f2 * g12) / det
+            l2 = (f2 * g11 - f1 * g12) / det
+            x = np.where(go, x - (0.0 * l1 + j20 * l2), x)
+            A1 = np.where(go, A1 - (j11 * l1 + j21 * l2), A1)
+            A2 = np.where(go, A2 - (j12 * l1 + j22 * l2), A2)
+    return x, A1, A2

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import BilliardError, PoleError
 from .grid import config_distance_array, map_t_array, rotation_grid, theta_array
-from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
+from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _reflect, derive_params,
+                       other_wall_root)
 from .poincare import map_t, sample_level_set
 from .uniformize import rotation_number
 
@@ -126,8 +127,8 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
 
     The map is conjugate to the rotation by alpha, so each step advances
     theta by alpha mod 1; steps are unwrapped around the first increment
-    and averaged to suppress inversion noise.  The orbit is iterated point
-    by point, and its angles are computed in one batched call; errors are
+    and averaged to suppress inversion noise.  The orbit is iterated on
+    plain floats, and its angles are computed in one batched call; errors are
     raised in the order a point-by-point evaluation would meet them.
     Raises ValueError if n_steps < 1.
     """
@@ -135,15 +136,17 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
         raise ValueError(f"empirical rotation needs n_steps >= 1 (got {n_steps})")
     if c0 is None:
         c0 = sample_level_set(params, 1, seed)[0]
-    xs, A1s, A2s = [c0.x], [c0.A1], [c0.A2]
+    D, E = params.D, params.E
+    x, A1, A2 = c0.x, c0.A1, c0.A2
+    xs, A1s, A2s = [x], [A1], [A2]
     pole = None
-    c = c0
     try:
-        for _ in range(n_steps):
-            c = map_t(c, params)
-            xs.append(c.x)
-            A1s.append(c.A1)
-            A2s.append(c.A2)
+        for _ in range(n_steps):  # map_t on plain floats
+            x = other_wall_root(x, A1, A2, D)
+            A1, A2 = _reflect(x, A1, A2, E)
+            xs.append(x)
+            A1s.append(A1)
+            A2s.append(A2)
     except PoleError as exc:
         pole = exc
     # the angles of the points before the pole come first in the scalar order

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EmptyLocusError, OrbitAbort, PoleError
-from .grid import level_set_residual_array
+from .grid import level_set_residual_array, project_onto_level_set_array, uniformize_array
 from .levelset import (
     ConfigPoint,
     LevelSetParams,
@@ -27,7 +27,6 @@ from .levelset import (
     project_onto_level_set,
     wall_abscissa_from_z,
 )
-from .uniformize import AngleCoord, uniformize
 
 
 def involution_i(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
@@ -152,6 +151,44 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     return prefix(n + 1)
 
 
+def _points(keep: np.ndarray, *xyz: np.ndarray) -> list:
+    """ConfigPoints of the arrays x, A1, A2 where keep is set, in order."""
+    return list(map(ConfigPoint, *(v[keep].tolist() for v in xyz)))
+
+
+def _theta_candidates(params: LevelSetParams, rng, k: int) -> list:
+    """The accepted points among k candidates drawn uniformly in the angle.
+
+    The candidates are drawn in the scalar order (theta, then a fair-coin
+    component on two-component sets) and evaluated together.
+    """
+    if params.cls is RealLocusClass.I:
+        theta, eps = rng.random(k), 0
+    else:
+        theta, eps = np.array([(rng.random(), rng.integers(0, 2)) for _ in range(k)]).T
+    x, A1, A2, pole = uniformize_array(theta, eps, params)
+    x, A1, A2 = project_onto_level_set_array(x, A1, A2, params)
+    return _points(~pole & ~(level_set_residual_array(x, A1, A2, params) > 1e-12), x, A1, A2)
+
+
+def _rational_candidate(params: LevelSetParams, rng) -> list:
+    """The accepted point, if any, of one candidate on the eccentricity circle."""
+    psi = float(rng.uniform(0.0, 2.0 * math.pi))
+    A1 = -params.R * math.sin(psi)
+    A2 = 2.0 * params.E + params.R * math.cos(psi)
+    w = A2 + params.D
+    disc = A1 * A1 + w * w - 1.0
+    if disc < 0.0:
+        return []
+    z = math.sqrt(disc) * (1.0 if rng.integers(0, 2) == 0 else -1.0)
+    try:
+        x = wall_abscissa_from_z(z, A1, A2, params.D)
+    except PoleError:
+        return []
+    c = project_onto_level_set(ConfigPoint(x, A1, A2), params)
+    return [] if level_set_residual(c, params) > 1e-12 else [c]
+
+
 def sample_level_set(params: LevelSetParams, m: int, seed: int = 0,
                      method: str = "auto") -> list:
     """Draw m points of the real locus, deterministically for a fixed seed.
@@ -160,7 +197,14 @@ def sample_level_set(params: LevelSetParams, m: int, seed: int = 0,
     chosen by fair coin on two-component sets); "rational" samples the
     eccentricity circle by angle and keeps parameter values whose wall
     equation has real roots, picking a root at random.  "auto" uses the
-    angle route on nondegenerate sets.
+    angle route on nondegenerate sets.  A candidate is dropped where the
+    wall abscissa is at infinity or where its projection onto the level
+    set leaves a residual above 1e-12; after 100 m + 1000 candidates the
+    sampling gives up with DomainError.
+
+    The angle route evaluates its candidates in blocks, as many at a time
+    as points are still missing; its draws do not depend on the outcomes,
+    so the points are those of a one-at-a-time loop.
     """
     if params.cls is RealLocusClass.EMPTY:
         raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
@@ -169,38 +213,29 @@ def sample_level_set(params: LevelSetParams, m: int, seed: int = 0,
     if method == "auto":
         method = "theta" if params.lattice is not None else "rational"
     rng = np.random.default_rng(seed)
-    two_comp = params.cls is not RealLocusClass.I
-    out = []
-    guard = 0
+    limit = 100 * m + 1000  # candidates tried before giving up
+    out: list = []
+    tried = 0
     while len(out) < m:
-        guard += 1
-        if guard > 100 * m + 1000:
+        if tried == limit:
             raise DomainError("sampling failed to find real points (locus nearly degenerate?)")
         if method == "theta":
-            theta = float(rng.random())
-            eps = int(rng.integers(0, 2)) if two_comp else 0
-            try:
-                c = uniformize(AngleCoord(theta, eps), params)
-            except PoleError:
-                continue
+            k = min(m - len(out), limit - tried)
+            out += _theta_candidates(params, rng, k)
         elif method == "rational":
-            psi = float(rng.uniform(0.0, 2.0 * math.pi))
-            A1 = -params.R * math.sin(psi)
-            A2 = 2.0 * params.E + params.R * math.cos(psi)
-            w = A2 + params.D
-            disc = A1 * A1 + w * w - 1.0
-            if disc < 0.0:
-                continue
-            z = math.sqrt(disc) * (1.0 if rng.integers(0, 2) == 0 else -1.0)
-            try:
-                x = wall_abscissa_from_z(z, A1, A2, params.D)
-            except PoleError:
-                continue
-            c = ConfigPoint(x, A1, A2)
+            k = 1
+            out += _rational_candidate(params, rng)
         else:
             raise ValueError(f"unknown sampling method {method!r}")
-        c = project_onto_level_set(c, params)
-        if level_set_residual(c, params) > 1e-12:
-            continue
-        out.append(c)
+        tried += k
     return out
+
+
+def component_curve(params: LevelSetParams, eps: int = 0, n: int = 257) -> list:
+    """Closed polyline of one component, swept uniformly in theta.
+
+    Points where the wall abscissa passes through infinity are skipped.
+    """
+    theta = [j / (n - 1) % 1.0 for j in range(n)]
+    x, A1, A2, pole = uniformize_array(theta, eps, params)
+    return _points(~pole, x, A1, A2)

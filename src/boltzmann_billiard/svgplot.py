@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .kepler import trajectory_arc
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass
-from .uniformize import component_curve
+from .poincare import component_curve
 
 
 def _fmt(v: float) -> str:

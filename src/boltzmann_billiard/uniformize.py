@@ -26,18 +26,16 @@ The wall abscissa follows from z = (1 - A1^2) x + A1 (A2 + D).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .elliptic import (
     complete_K,
-    jacobi_sn_cn_dn,
     legendre_F_phi,
     seg_case_i,
     seg_case_ii_plus,
 )
-from .errors import ClassChangeError, DomainError, NearDegenerateError, PoleError
+from .errors import ClassChangeError, DomainError, NearDegenerateError
 from .levelset import (
     ConfigPoint,
     LevelSetParams,
@@ -73,7 +71,6 @@ class RotationData:
 
     alpha: float
     flips_component: bool
-    T_complex: complex
 
 
 def _require_nondegenerate(params: LevelSetParams):
@@ -118,32 +115,6 @@ def uniformize(a, params: LevelSetParams) -> ConfigPoint:
         z = -sgn * C * d
     x = wall_abscissa_from_z(z, A1, A2, D)
     return ConfigPoint(x, A1, A2)
-
-
-def uniformize_complex_oracle(a, params: LevelSetParams) -> ConfigPoint:
-    """Same point through the complex Jacobi formulas (slow test path).
-
-    Evaluates A1 = 2 i R sn(u)/cn(u)^2, A2 = 2E - R + 2R/cn(u)^2,
-    z = C dn(u)/cn(u) at u = 4 i K'' theta (class I) or
-    u = 2 i K' theta + 2 K eps (classes II).
-    """
-    _require_nondegenerate(params)
-    a = _coerce_angle(a)
-    lat = params.lattice
-    if params.cls is RealLocusClass.I:
-        u = complex(0.0, 4.0 * lat.Kpp * a.theta)
-    else:
-        u = complex(2.0 * lat.K * a.eps, 2.0 * lat.Kp * a.theta)
-    sn, cn, dn = jacobi_sn_cn_dn(u, params.k2)
-    if abs(cn) < 1e-8:
-        raise PoleError("uniformization pole: cn(u) = 0 (point at infinity of the conic pencil)")
-    A1 = 2.0j * params.R * sn / (cn * cn)
-    A2 = 2.0 * params.E - params.R + 2.0 * params.R / (cn * cn)
-    z = params.C * dn / cn
-    if max(abs(A1.imag), abs(A2.imag), abs(z.imag)) > 1e-8 * (1.0 + abs(z)):
-        raise DomainError("angle coordinate does not lie on the real locus")
-    x = wall_abscissa_from_z(z.real, A1.real, A2.real, params.D)
-    return ConfigPoint(x, A1.real, A2.real)
 
 
 def angle_of(c: ConfigPoint, params: LevelSetParams) -> AngleCoord:
@@ -200,8 +171,7 @@ def rotation_number(params: LevelSetParams) -> RotationData:
         seg = seg_case_i(params.s0_inv, params.k2)
         Kpp = params.lattice.Kpp
         alpha = (sign * seg / (4.0 * Kpp)) % 1.0
-        T = complex(0.0, 4.0 * Kpp * alpha)
-        return RotationData(alpha, False, T)
+        return RotationData(alpha, False)
     k = math.sqrt(params.k2)
     s0a = abs(params.s0)
     if s0a - 1.0 < _ENDPOINT_GUARD or 1.0 / k - s0a < _ENDPOINT_GUARD:
@@ -209,9 +179,7 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     seg = seg_case_ii_plus(s0a, params.k2)
     Kp = params.lattice.Kp
     alpha = (sign * seg / (2.0 * Kp)) % 1.0
-    if params.cls is RealLocusClass.II_PLUS:
-        return RotationData(alpha, True, complex(2.0 * params.lattice.K, 2.0 * Kp * alpha))
-    return RotationData(alpha, False, complex(0.0, 2.0 * Kp * alpha))
+    return RotationData(alpha, params.cls is RealLocusClass.II_PLUS)
 
 
 def dalpha_dD(params: LevelSetParams, h: float = 1e-5) -> float:
@@ -228,18 +196,3 @@ def dalpha_dD(params: LevelSetParams, h: float = 1e-5) -> float:
     a_hi = rotation_number(hi).alpha
     d = (a_hi - a_lo + 0.5) % 1.0 - 0.5  # shortest circular increment
     return d / (2.0 * h)
-
-
-def component_curve(params: LevelSetParams, eps: int = 0, n: int = 257):
-    """Closed polyline of one component, swept uniformly in theta.
-
-    Points where the wall abscissa passes through infinity are skipped.
-    """
-    pts = []
-    for j in range(n):
-        theta = j / (n - 1)
-        try:
-            pts.append(uniformize(AngleCoord(theta % 1.0, eps), params))
-        except PoleError:
-            continue
-    return pts

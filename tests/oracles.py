@@ -159,6 +159,38 @@ def carlson_rf_ref(x: float, y: float, z: float) -> float:
     return float(special.elliprf(x, y, z))
 
 
+def uniformize_complex_oracle(a, params):
+    """uniformize's point through the complex Jacobi formulas.
+
+    Evaluates A1 = 2 i R sn(u)/cn(u)^2, A2 = 2E - R + 2R/cn(u)^2,
+    z = C dn(u)/cn(u) at u = 4 i K'' theta (class I) or
+    u = 2 i K' theta + 2 K eps (classes II).
+    """
+    from boltzmann_billiard import (AngleCoord, ConfigPoint, DomainError, PoleError,
+                                    RealLocusClass, jacobi_sn_cn_dn)
+    from boltzmann_billiard.levelset import wall_abscissa_from_z
+
+    if not params.nondegenerate:
+        raise DomainError(f"operation needs a nondegenerate level set (class {params.cls.value})")
+    if not isinstance(a, AngleCoord):
+        a = AngleCoord(float(a), 0)
+    lat = params.lattice
+    if params.cls is RealLocusClass.I:
+        u = complex(0.0, 4.0 * lat.Kpp * a.theta)
+    else:
+        u = complex(2.0 * lat.K * a.eps, 2.0 * lat.Kp * a.theta)
+    sn, cn, dn = jacobi_sn_cn_dn(u, params.k2)
+    if abs(cn) < 1e-8:
+        raise PoleError("uniformization pole: cn(u) = 0 (point at infinity of the conic pencil)")
+    A1 = 2.0j * params.R * sn / (cn * cn)
+    A2 = 2.0 * params.E - params.R + 2.0 * params.R / (cn * cn)
+    z = params.C * dn / cn
+    if max(abs(A1.imag), abs(A2.imag), abs(z.imag)) > 1e-8 * (1.0 + abs(z)):
+        raise DomainError("angle coordinate does not lie on the real locus")
+    x = wall_abscissa_from_z(z.real, A1.real, A2.real, params.D)
+    return ConfigPoint(x, A1.real, A2.real)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -359,3 +391,47 @@ def scalar_orbit_csv(points, params, D: float) -> str:
     for row in scalar_orbit_rows(points, params, D):
         out.append(",".join(fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n")
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the batched level-set sampling
+# ---------------------------------------------------------------------------
+
+def scalar_sample_level_set(params, m: int, seed: int = 0) -> list:
+    """sample_level_set's angle route, one candidate at a time."""
+    from boltzmann_billiard import (AngleCoord, DomainError, PoleError, RealLocusClass,
+                                    level_set_residual, project_onto_level_set, uniformize)
+
+    rng = np.random.default_rng(seed)
+    two_comp = params.cls is not RealLocusClass.I
+    out = []
+    guard = 0
+    while len(out) < m:
+        guard += 1
+        if guard > 100 * m + 1000:
+            raise DomainError("sampling failed to find real points (locus nearly degenerate?)")
+        theta = float(rng.random())
+        eps = int(rng.integers(0, 2)) if two_comp else 0
+        try:
+            c = uniformize(AngleCoord(theta, eps), params)
+        except PoleError:
+            continue
+        c = project_onto_level_set(c, params)
+        if level_set_residual(c, params) > 1e-12:
+            continue
+        out.append(c)
+    return out
+
+
+def scalar_component_curve(params, eps: int = 0, n: int = 257) -> list:
+    """component_curve one uniformize call per angle, skipping the poles."""
+    from boltzmann_billiard import AngleCoord, PoleError, uniformize
+
+    pts = []
+    for j in range(n):
+        theta = j / (n - 1)
+        try:
+            pts.append(uniformize(AngleCoord(theta % 1.0, eps), params))
+        except PoleError:
+            continue
+    return pts

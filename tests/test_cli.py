@@ -382,3 +382,40 @@ def test_no_command_exit_2():
 def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
     assert "classify" in capsys.readouterr().out
+
+
+def run_quiet(argv):
+    """(exit code, stdout, stderr) of the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNegativeValues:
+    """Option values argparse would take for options: negative floats with an exponent."""
+
+    def test_orbit_exponent_value(self):
+        got = run_quiet(["orbit", "--D", "1.5", "--E", "-2e-1", "--steps", "1"])
+        assert got[0] == 0
+        assert got == run_quiet(["orbit", "--D", "1.5", "--E=-2e-1", "--steps", "1"])
+
+    @given(st.floats(max_value=-0.0, allow_nan=False))
+    def test_every_negative_float_repr(self, E):
+        value = repr(E)
+        got = run_quiet(["classify", "--D", "1.5", "--E", value, "--format", "json"])
+        assert got == run_quiet(["classify", "--D", "1.5", f"--E={value}", "--format", "json"])
+        assert "expected one argument" not in got[2]
+
+    def test_infinite_value_reaches_the_domain_check(self):
+        code, _, err = run_quiet(["classify", "--D", "1.5", "--E", "-inf"])
+        assert code == 2 and "must be finite" in err
+
+    def test_pair_value(self):
+        got = run_quiet(["period-scan", "--E", "-2.1e-1", "--D-range", "-1e-1", "2e0"])
+        assert got[0] == 0 and got[1].count("\n") == 2
+        assert got == run_quiet(["period-scan", "--E=-0.21", "--D-range", "-0.1", "2"])
+
+    def test_options_still_read_as_options(self):
+        code, _, err = run_quiet(["orbit", "--D", "1.5", "--E", "--steps", "1"])
+        assert code == 2 and "argument --E: expected one argument" in err

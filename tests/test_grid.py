@@ -10,23 +10,30 @@ from hypothesis import strategies as st
 import oracles
 from boltzmann_billiard import (
     BOUNDARY_TOL,
+    AngleCoord,
     ConfigPoint,
     DomainError,
+    PoleError,
     RealLocusClass,
     angle_of,
+    complete_K,
     derive_params,
     implied_invariants,
     level_set_residual,
     map_t,
+    project_onto_level_set,
     rotation_grid,
     sample_level_set,
+    uniformize,
 )
 from boltzmann_billiard.grid import (
     config_distance_array,
     level_set_residual_array,
     map_t_array,
     orbit_drift_columns,
+    project_onto_level_set_array,
     theta_array,
+    uniformize_array,
 )
 from boltzmann_billiard.levelset import NONDEGENERATE
 from boltzmann_billiard.periods import config_distance
@@ -225,3 +232,134 @@ def test_residual_takes_max_as_python_does(params_i):
            ConfigPoint(0.1, 0.2, -math.inf)]
     got = level_set_residual_array(*as_arrays(pts), params_i)
     assert hexes(got) == hexes(level_set_residual(c, params_i) for c in pts)
+
+
+# level sets whose real locus meets A1^2 = 1, where uniformize has its poles
+POLE_SETS = [(0.3, 0.4), (-2.5, 1.5), (3.0, 0.3)]
+FIXTURE_SETS = [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)]
+
+
+def components(params):
+    return (0,) if params.cls is RealLocusClass.I else (0, 1)
+
+
+def assert_uniformize_matches(thetas, eps, params):
+    """uniformize_array against uniformize at every angle; returns the pole mask."""
+    x, A1, A2, pole = uniformize_array(np.array(thetas, dtype=float), eps, params)
+    eps = np.broadcast_to(eps, pole.shape).tolist()
+    for i, theta in enumerate(thetas):
+        try:
+            c = uniformize(AngleCoord(theta, eps[i]), params)
+        except PoleError:
+            assert pole[i] and math.isnan(x[i])
+            continue
+        assert not pole[i]
+        assert hexes((x[i], A1[i], A2[i])) == hexes((c.x, c.A1, c.A2))
+    return pole
+
+
+def theta_scale(params):
+    """The factor uniformize multiplies theta by before the Jacobi functions."""
+    if params.cls is RealLocusClass.I:
+        return 4.0 * complete_K(1.0 / (1.0 - params.k2))
+    return 2.0 * complete_K(1.0 - params.k2)
+
+
+def edge_thetas(params):
+    """0, the smallest subnormal, the two sides of the |u| < 1e-8 series, 1/4, 1/2, 1 - ulp."""
+    scale = theta_scale(params)
+    below = above = 1e-8 / scale
+    while not scale * below < 1e-8:
+        below = math.nextafter(below, 0.0)
+    while scale * above < 1e-8:
+        above = math.nextafter(above, 1.0)
+    return [0.0, 5e-324, below, above, 0.25, 0.5, math.nextafter(1.0, 0.0)]
+
+
+@pytest.mark.parametrize("D,E", FIXTURE_SETS + POLE_SETS)
+def test_uniformize_array_edge_angles(D, E):
+    params = derive_params(D, E)
+    thetas = edge_thetas(params)
+    assert theta_scale(params) * thetas[2] < 1e-8 <= theta_scale(params) * thetas[3]
+    for eps in components(params):
+        assert_uniformize_matches(thetas, eps, params)
+
+
+def pole_thetas(params, eps):
+    """Angles on a fine comb around each crossing of A1^2 = 1."""
+    grid = np.linspace(0.0, 1.0, 2001)[:-1]
+    _, A1, _, _ = uniformize_array(grid, eps, params)
+    side = 1.0 - A1 * A1 > 0.0
+    out = []
+    for i in np.flatnonzero(side[:-1] != side[1:]).tolist():
+        lo, hi = grid[i], grid[i + 1]
+        while lo < math.nextafter(hi, 0.0):
+            mid = 0.5 * (lo + hi)
+            _, a, _, _ = uniformize_array([mid], eps, params)
+            if (1.0 - a[0] * a[0] > 0.0) == side[i]:
+                lo = mid
+            else:
+                hi = mid
+        out += [lo + k * 4e-15 for k in range(-60, 61)]
+    return out
+
+
+@pytest.mark.parametrize("D,E", POLE_SETS)
+def test_uniformize_array_marks_the_poles(D, E):
+    params = derive_params(D, E)
+    for eps in components(params):
+        pole = assert_uniformize_matches(pole_thetas(params, eps), eps, params)
+        assert pole.any() and not pole.all()
+
+
+@given(oracles.level_sets(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+       st.integers(0, 2**16))
+def test_uniformize_array_random_angles(params, thetas, seed):
+    if params.cls is RealLocusClass.I:
+        eps = 0
+    else:
+        eps = np.random.default_rng(seed).integers(0, 2, len(thetas))
+    assert_uniformize_matches(thetas, eps, params)
+
+
+def test_uniformize_array_rounds_as_math(monkeypatch, params_i, params_ii_plus):
+    # numpy's sin and cos may round differently from math's on some builds;
+    # moving math's results by one ulp shows the kernel follows math's
+    sin, cos = math.sin, math.cos
+    monkeypatch.setattr(math, "sin", lambda v: math.nextafter(sin(v), math.inf))
+    monkeypatch.setattr(math, "cos", lambda v: math.nextafter(cos(v), -math.inf))
+    thetas = np.linspace(0.0, 1.0, 101)[:-1].tolist()
+    for params in (params_i, params_ii_plus):
+        for eps in components(params):
+            assert_uniformize_matches(thetas, eps, params)
+
+
+def test_uniformize_array_errors(params_i, params_ii_plus):
+    def message(fn, *args):
+        with pytest.raises(DomainError) as info:
+            fn(*args)
+        return str(info.value)
+
+    for params, eps in [(params_i, 1), (params_ii_plus, 2), (derive_params(1.0, -0.5), 0)]:
+        assert (message(uniformize_array, [0.3], eps, params)
+                == message(uniformize, AngleCoord(0.3, eps), params))
+
+
+def projection_points(params, seed):
+    """Points on the level set, pushed off it at every scale, and the special cases."""
+    rng = np.random.default_rng(seed)
+    pts = sample_level_set(params, 10, seed)
+    off = [ConfigPoint(*(v + s * rng.standard_normal() for v in (c.x, c.A1, c.A2)))
+           for c in pts for s in (1e-14, 1e-9, 1e-4, 1e-1)]
+    special = [ConfigPoint(0.0, 0.0, 2.0 * params.E),  # both Jacobian rows lack A1, A2: det == 0
+               ConfigPoint(math.nan, 0.1, 0.2), ConfigPoint(math.inf, 0.1, 0.2),
+               ConfigPoint(1e200, 0.1, 0.2), ConfigPoint(-0.0, 0.0, -0.0)]
+    return pts + off + special
+
+
+@given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 3))
+def test_projection_matches_scalar(params, seed, max_steps):
+    pts = projection_points(params, seed)
+    got = project_onto_level_set_array(*as_arrays(pts), params, max_steps=max_steps)
+    want = [project_onto_level_set(c, params, max_steps=max_steps) for c in pts]
+    assert list(map(list, zip(*map(hexes, got)))) == [hexes((c.x, c.A1, c.A2)) for c in want]

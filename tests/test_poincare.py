@@ -2,16 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
+import boltzmann_billiard
 from boltzmann_billiard import poincare
 from boltzmann_billiard import (
     ConfigPoint,
     DomainError,
     EmptyLocusError,
     OrbitAbort,
+    PoleError,
+    RealLocusClass,
     conserved_quantities,
     derive_params,
     i_fixed_point,
@@ -23,6 +27,7 @@ from boltzmann_billiard import (
     map_t,
     phase_from_config,
     reflect_at_wall,
+    component_curve,
     sample_level_set,
 )
 from boltzmann_billiard.periods import config_distance
@@ -370,3 +375,119 @@ class TestSampling:
     def test_unknown_method(self, params_i):
         with pytest.raises(ValueError):
             sample_level_set(params_i, 1, method="bogus")
+
+
+def point_hexes(pts):
+    return [(c.x.hex(), c.A1.hex(), c.A2.hex()) for c in pts]
+
+
+def sampled(fn, *args):
+    """The points fn returns in hex, or the type and message of what it raises."""
+    try:
+        return point_hexes(fn(*args))
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def poles_at_positive_x(monkeypatch):
+    """Make uniformize_array and uniformize treat every point with x > 0 as a pole."""
+    kernel, scalar = poincare.uniformize_array, boltzmann_billiard.uniformize
+
+    def batched(theta, eps, params):
+        x, A1, A2, pole = kernel(theta, eps, params)
+        return x, A1, A2, pole | (x > 0.0)
+
+    def one(a, params):
+        c = scalar(a, params)
+        if c.x > 0.0:
+            raise PoleError("rejected")
+        return c
+
+    monkeypatch.setattr(poincare, "uniformize_array", batched)
+    monkeypatch.setattr(boltzmann_billiard, "uniformize", one)
+
+
+class TestBlockSampling:
+    """The angle route in blocks against the one-candidate-at-a-time loop."""
+
+    @given(oracles.level_sets(), st.integers(0, 2**32 - 1), st.integers(-2, 300))
+    def test_matches_scalar_loop(self, params, seed, m):
+        got = sampled(sample_level_set, params, m, seed)
+        assert got == sampled(oracles.scalar_sample_level_set, params, m, seed)
+
+    @pytest.mark.parametrize("residual", [None, math.inf, math.nan])
+    @pytest.mark.parametrize("D,E", ALL_CLASS_FIXTURES)
+    def test_rejections(self, monkeypatch, D, E, residual):
+        # no candidate is rejected on these sets, so make those with x > 0 poles
+        # or give them this residual on both paths; a rejection leaves a block
+        # short and more blocks follow, a NaN residual is accepted as in the loop
+        params = derive_params(D, E)
+        if residual is None:
+            poles_at_positive_x(monkeypatch)
+        else:
+            kernel, scalar = poincare.level_set_residual_array, boltzmann_billiard.level_set_residual
+            monkeypatch.setattr(poincare, "level_set_residual_array", lambda x, A1, A2, params:
+                                np.where(x > 0.0, residual, kernel(x, A1, A2, params)))
+            monkeypatch.setattr(boltzmann_billiard, "level_set_residual", lambda c, params:
+                                residual if c.x > 0.0 else scalar(c, params))
+        for seed in range(3):
+            got = sample_level_set(params, 57, seed)
+            assert len(got) == 57
+            nan_kept = residual is not None and math.isnan(residual)
+            assert any(c.x > 0.0 for c in got) == nan_kept
+            assert point_hexes(got) == point_hexes(oracles.scalar_sample_level_set(params, 57, seed))
+
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("D,E", [(1.5, -0.2), (2.5, -0.1)])
+    def test_guard_exhausted(self, monkeypatch, D, E, m):
+        # every candidate a pole: both paths try 100 m + 1000 of them, then raise
+        params = derive_params(D, E)
+        kernel, scalar = poincare.uniformize_array, boltzmann_billiard.uniformize
+        tried = []
+
+        def batched(theta, eps, params):
+            tried.append(len(theta))
+            x, A1, A2, pole = kernel(theta, eps, params)
+            return x, A1, A2, np.ones_like(pole)
+
+        def one(a, params):
+            tried.append(1)
+            raise PoleError("rejected")
+
+        monkeypatch.setattr(poincare, "uniformize_array", batched)
+        with pytest.raises(DomainError) as got:
+            sample_level_set(params, m, seed=3)
+        assert sum(tried) == 100 * m + 1000
+        tried.clear()
+        monkeypatch.setattr(boltzmann_billiard, "uniformize", one)
+        with pytest.raises(DomainError) as want:
+            oracles.scalar_sample_level_set(params, m, seed=3)
+        assert sum(tried) == 100 * m + 1000
+        assert str(got.value) == str(want.value) == (
+            "sampling failed to find real points (locus nearly degenerate?)")
+
+    def test_non_positive_count_checks_nothing(self, params_i):
+        # as in the loop, no candidate is drawn, so not even the method is checked
+        assert sample_level_set(params_i, 0, method="bogus") == []
+        assert sample_level_set(params_i, -2) == []
+
+
+class TestComponentCurve:
+    @pytest.mark.parametrize("D,E", ALL_CLASS_FIXTURES + [(0.3, 0.4), (3.0, 0.3)])
+    @pytest.mark.parametrize("n", [0, 2, 3, 129, 257, 1000])
+    def test_matches_scalar_loop(self, D, E, n):
+        params = derive_params(D, E)
+        for eps in ((0,) if params.cls is RealLocusClass.I else (0, 1)):
+            got = component_curve(params, eps, n)
+            assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params, eps, n))
+
+    def test_skips_poles(self, monkeypatch, params_ii_minus):
+        poles_at_positive_x(monkeypatch)
+        got = component_curve(params_ii_minus, 1, 65)
+        assert 0 < len(got) < 65
+        assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params_ii_minus, 1, 65))
+
+    def test_errors(self, params_i):
+        for args in [(params_i, 0, 1), (params_i, 1, 5), (derive_params(1.0, -0.5), 0, 5)]:
+            got = sampled(component_curve, *args)
+            assert isinstance(got, tuple) and got == sampled(oracles.scalar_component_curve, *args)

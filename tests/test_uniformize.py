@@ -23,7 +23,6 @@ from boltzmann_billiard import (
     uniformize,
 )
 from boltzmann_billiard.periods import config_distance
-from boltzmann_billiard.uniformize import uniformize_complex_oracle
 
 import oracles
 
@@ -73,7 +72,7 @@ def test_real_route_matches_complex_oracle():
             for eps in ((0, 1) if params.cls is not RealLocusClass.I else (0,)):
                 a = AngleCoord(theta, eps)
                 real = uniformize(a, params)
-                orac = uniformize_complex_oracle(a, params)
+                orac = oracles.uniformize_complex_oracle(a, params)
                 assert config_distance(real, orac) < 1e-10
 
 
