@@ -258,6 +258,9 @@ class _Parser(argparse.ArgumentParser):
     argparse treats only -<digits> and -<digits>.<digits> as negative
     numbers, so a value that repr() of a float prints, such as -2e-05 or
     -inf, would otherwise read as an option.  Subparsers inherit the class.
+    The override sets argparse's private _negative_number_matcher (checked
+    against Python 3.11); if argparse stops reading that attribute, the
+    override does nothing, and tests/test_cli.py::TestNegativeValues fails.
     """
 
     _NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",

@@ -325,7 +325,8 @@ def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np
     c, steps = _jacobi_descent(emc)
     v = c * u
     sn, cn = _each(math.sin, v), _each(math.cos, v)
-    with np.errstate(all="ignore"):  # sn == 0 divides by zero; those elements are masked
+    # sn = 0 only at u = 0, whose elements the series mask below overwrites
+    with np.errstate(all="ignore"):
         a = cn / sn
         c = c * a
         dn = np.ones_like(u)
@@ -336,8 +337,7 @@ def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np
             a = c / b
         a = 1.0 / np.sqrt(c * c + 1.0)
         a = np.where(sn >= 0.0, a, -a)
-        rec = sn != 0.0  # elements the recurrence applies to
-        sn, cn, dn = np.where(rec, a, sn), np.where(rec, c * a, cn), np.where(rec, dn, 1.0)
+        sn, cn = a, c * a
     small = np.abs(u) < 1e-8  # the series branch, where the recurrence would divide by sn
     if small.any():
         m = 1.0 - emc
@@ -387,9 +387,9 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
 
 
 def project_onto_level_set_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
-                                 params: LevelSetParams, max_steps: int = 2
+                                 params: LevelSetParams
                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """project_onto_level_set at every point (x, A1, A2).
+    """project_onto_level_set at every point (x, A1, A2), with its default 2 steps.
 
     A point freezes where the scalar loop breaks: once |f1| + |f2| < 1e-15,
     or on a singular normal matrix.
@@ -397,7 +397,7 @@ def project_onto_level_set_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     D, E = params.D, params.E
     go = np.ones(np.shape(x), dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(max_steps):
+        for _ in range(2):
             f1 = A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E
             w = A2 + D - A1 * x
             f2 = x * x + 1.0 - w * w

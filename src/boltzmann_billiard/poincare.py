@@ -236,6 +236,8 @@ def component_curve(params: LevelSetParams, eps: int = 0, n: int = 257) -> list:
 
     Points where the wall abscissa passes through infinity are skipped.
     """
+    if n <= 0:
+        return []
     theta = [j / (n - 1) % 1.0 for j in range(n)]
     x, A1, A2, pole = uniformize_array(theta, eps, params)
     return _points(~pole, x, A1, A2)

@@ -357,9 +357,9 @@ def projection_points(params, seed):
     return pts + off + special
 
 
-@given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 3))
-def test_projection_matches_scalar(params, seed, max_steps):
+@given(oracles.level_sets(), st.integers(0, 2**16))
+def test_projection_matches_scalar(params, seed):
     pts = projection_points(params, seed)
-    got = project_onto_level_set_array(*as_arrays(pts), params, max_steps=max_steps)
-    want = [project_onto_level_set(c, params, max_steps=max_steps) for c in pts]
+    got = project_onto_level_set_array(*as_arrays(pts), params)
+    want = [project_onto_level_set(c, params) for c in pts]
     assert list(map(list, zip(*map(hexes, got)))) == [hexes((c.x, c.A1, c.A2)) for c in want]

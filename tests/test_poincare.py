@@ -491,3 +491,9 @@ class TestComponentCurve:
         for args in [(params_i, 0, 1), (params_i, 1, 5), (derive_params(1.0, -0.5), 0, 5)]:
             got = sampled(component_curve, *args)
             assert isinstance(got, tuple) and got == sampled(oracles.scalar_component_curve, *args)
+
+    def test_no_points_checks_nothing(self, params_i):
+        # with n <= 0 the old loop made no uniformize call, so bad input passed
+        for args in [(derive_params(1.0, -0.5), 0, 0), (derive_params(1.0, -0.5), 1, -3),
+                     (params_i, 1, 0)]:
+            assert component_curve(*args) == oracles.scalar_component_curve(*args) == []
