@@ -16,7 +16,6 @@ from .elliptic import (
     complete_K,
     complete_Kp,
     complete_Kpp,
-    incomplete_F,
     jacobi_sn_cn_dn,
     legendre_F,
     legendre_F_phi,
@@ -118,7 +117,6 @@ __all__ = [
     "find_periodic_locus",
     "i_fixed_point",
     "implied_invariants",
-    "incomplete_F",
     "involution_i",
     "involution_j",
     "is_nonempty",

@@ -126,7 +126,7 @@ def _write_orbit(fh, cols) -> None:
 def cmd_orbit(args: argparse.Namespace) -> int:
     params = derive_params(args.D, args.E)
     code = 0
-    c0 = sample_level_set(params, max(1, args.samples), args.seed)[0]
+    c0 = sample_level_set(params, 1, args.seed)[0]
     try:
         orbit = iterate_orbit(c0, params, args.steps,
                               residual_ceiling=args.residual_ceiling,
@@ -160,8 +160,9 @@ def _parse_grid(spec: str):
     if n < 2:
         raise ValueError("grid needs n >= 2")
     steps = np.arange(n, dtype=float)
-    Ds = Dmin + (Dmax - Dmin) * steps / (n - 1)
-    Es = Emin + (Emax - Emin) * steps / (n - 1)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite axes are refused below
+        Ds = Dmin + (Dmax - Dmin) * steps / (n - 1)
+        Es = Emin + (Emax - Emin) * steps / (n - 1)
     if not (np.isfinite(Ds).all() and np.isfinite(Es).all()):
         raise ValueError("grid bounds must give finite D and E")
     return Ds, Es
@@ -301,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate the collision map and dump the orbit")
     _add_common(p, D=True, E=True)
     p.add_argument("--steps", type=int, default=6, help="number of map steps (default 6)")
-    p.add_argument("--samples", type=int, default=1, help="candidate starting points")
     p.add_argument("--residual-ceiling", type=float, default=1e-6,
                    help="abort when the level-set residual exceeds this")
     p.add_argument("--abort-abscissa", type=float, default=1e12,
@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Dmin:Dmax:Emin:Emax:n CSV heatmap over a parameter window")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="format of the single-point report; --grid writes CSV only")
     p.set_defaults(func=cmd_rotation)
 
     p = sub.add_parser("period-scan", help="roots of p*alpha integral in D, fixed E")
@@ -328,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(0.0, 2.0), metavar=("DMIN", "DMAX"))
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_period_scan)
 
     p = sub.add_parser("render", help="SVG figure of an orbit or a level set")
@@ -356,8 +356,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.command == "rotation" and not args.grid:
-        if args.D is None or args.E is None:
+    if args.command == "rotation":
+        if args.grid and args.format == "json":
+            sys.stderr.write("rotation --grid writes CSV only (got --format json)\n")
+            return 2
+        if not args.grid and (args.D is None or args.E is None):
             sys.stderr.write("rotation needs --D and --E or --grid\n")
             return 2
     try:

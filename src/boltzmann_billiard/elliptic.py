@@ -5,10 +5,7 @@ m = k^2 < 0 (rhombic period lattice) and 0 < m < 1 (rectangular lattice).
 Both are handled in all-real arithmetic.  Complete integrals use the
 arithmetic-geometric mean, incomplete ones go through Carlson's symmetric
 form R_F evaluated with the duplication theorem, and Jacobi sn, cn, dn on
-the real axis use the AGM descent with a backward recurrence.  The two
-complex lines the real locus needs, the imaginary axis and its translate
-by the half real period 2K, are reached through the imaginary-argument
-and imaginary-modulus transformations.
+the real axis use the AGM descent with a backward recurrence.
 
 Everything here is a pure function of its arguments and thread-safe.
 """
@@ -17,40 +14,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, EndpointSingularityError, PoleError
+from .errors import DomainError, EndpointSingularityError
 
 _AGM_RTOL = sys.float_info.epsilon  # relative gap at which the AGM iteration stops
 _AGM_MAX_STEPS = 64     # safety cap; at this tolerance the AGM stops within 7 steps for m <= 1 - 1e-9
 _RF_RTOL = 1e-16        # target relative error of Carlson R_F
 _MODULUS_FLOOR = 1e-12  # refuse to evaluate closer than this to a log singularity
 _JACOBI_CA = 1e-9       # AGM descent cutoff; final accuracy is of order CA**2
-
-
-@dataclass(frozen=True)
-class Modulus:
-    """Squared Legendre modulus.  k2 < 0 is handled via ell = sqrt(-k2)."""
-
-    k2: float
-
-    @property
-    def ell(self) -> float:
-        if self.k2 >= 0:
-            raise DomainError("ell is defined for k2 < 0 only")
-        return math.sqrt(-self.k2)
-
-    @property
-    def k(self) -> float:
-        if self.k2 < 0:
-            raise DomainError("k is defined for k2 >= 0 only; use ell")
-        return math.sqrt(self.k2)
-
-
-def _k2(m) -> float:
-    """Accept a Modulus or a bare squared modulus."""
-    return float(m.k2) if isinstance(m, Modulus) else float(m)
 
 
 def _agm(a: float, b: float) -> float:
@@ -68,21 +40,19 @@ def _complete_K(m: float) -> float:
 
 def complete_K(m) -> float:
     """Complete integral K of the squared modulus m < 1, via the AGM."""
-    m = _k2(m)
     if not m < 1.0 - _MODULUS_FLOOR:
-        raise DomainError(f"complete_K diverges as k2 -> 1 (got k2={m!r})")
+        raise DomainError(f"complete_K diverges as k2 -> 1 (got k2={float(m)!r})")
     return _complete_K(m)
 
 
 def complete_Kp(m) -> float:
     """Complementary complete integral K' = K(1 - k2), for 0 < k2 < 1."""
-    m = _k2(m)
     if m < 0.0:
         raise DomainError("complete_Kp needs 0 < k2 < 1; use complete_Kpp for k2 < 0")
     if m < _MODULUS_FLOOR:
-        raise DomainError(f"complete_Kp diverges logarithmically as k2 -> 0 (got k2={m!r})")
+        raise DomainError(f"complete_Kp diverges logarithmically as k2 -> 0 (got k2={float(m)!r})")
     if not m < 1.0:
-        raise DomainError(f"complete_Kp needs k2 < 1 (got k2={m!r})")
+        raise DomainError(f"complete_Kp needs k2 < 1 (got k2={float(m)!r})")
     return _complete_K(1.0 - m)
 
 
@@ -92,7 +62,6 @@ def complete_Kpp(m) -> float:
     K'' is the integral of 1/sqrt((1+v^2)(1-ell^2 v^2)) over 0 <= v <= 1/ell.
     Rescaling v reduces it to kappa * K(kappa^2) with kappa^2 = 1/(1+ell^2).
     """
-    m = _k2(m)
     if m >= 0.0:
         raise DomainError("complete_Kpp is defined for k2 < 0 only")
     ell = math.sqrt(-m)
@@ -101,7 +70,7 @@ def complete_Kpp(m) -> float:
     kap2 = 1.0 / (1.0 - m)
     if not kap2 < 1.0:
         # ell is below half an ulp of 1: the AGM would start from b = 0 and never converge
-        raise DomainError(f"complete_Kpp: 1/(1 - k2) rounds to 1 (got k2={m!r})")
+        raise DomainError(f"complete_Kpp: 1/(1 - k2) rounds to 1 (got k2={float(m)!r})")
     return math.sqrt(kap2) * _complete_K(kap2)
 
 
@@ -140,9 +109,8 @@ def legendre_F(x: float, m) -> float:
 
     Valid for |x| <= 1 and any squared modulus m < 1; odd in x.
     """
-    m = _k2(m)
     if not m < 1.0:
-        raise DomainError(f"legendre_F needs k2 < 1 (got k2={m!r})")
+        raise DomainError(f"legendre_F needs k2 < 1 (got k2={float(m)!r})")
     ax = abs(x)
     if ax > 1.0 + 1e-12:
         raise EndpointSingularityError(f"legendre_F argument |x|={ax!r} beyond the branch point 1")
@@ -154,7 +122,6 @@ def legendre_F(x: float, m) -> float:
 
 def legendre_F_phi(phi: float, m) -> float:
     """Legendre F(phi | m) for any real amplitude phi, quasi-periodic in phi."""
-    m = _k2(m)
     n = round(phi / math.pi)
     r = phi - n * math.pi
     val = legendre_F(math.sin(r), m)
@@ -170,7 +137,6 @@ def seg_case_i(x: float, m) -> float:
     the unbounded segment onto (-1, 1).  The endpoint x = -1 gives 0 and
     x = +1 gives 2 K''.
     """
-    m = _k2(m)
     if m >= 0.0:
         raise DomainError("seg_case_i is defined for k2 < 0 only")
     if abs(x) > 1.0 + 1e-12:
@@ -191,7 +157,6 @@ def seg_case_ii_plus(x: float, m) -> float:
     into a plain first-kind integral with the complementary modulus, so both
     endpoints are regular here; x = 1/k gives exactly K'.
     """
-    m = _k2(m)
     if not 0.0 < m < 1.0:
         raise DomainError("seg_case_ii_plus needs 0 < k2 < 1")
     k = math.sqrt(m)
@@ -201,34 +166,6 @@ def seg_case_ii_plus(x: float, m) -> float:
     mc = 1.0 - m
     sn = math.sqrt(max(0.0, (x * x - 1.0) / (mc * x * x)))
     return legendre_F(min(1.0, sn), mc)
-
-
-def seg_case_ii_minus(x: float, m) -> float:
-    """Integral of 1/sqrt((s^2-1)(1-m s^2)) from x to -1, for -1/k <= x <= -1."""
-    return seg_case_ii_plus(-x, m)
-
-
-_F_PATHS = {
-    "legendre": legendre_F,
-    "case_i": seg_case_i,
-    "case_ii_plus": seg_case_ii_plus,
-    "case_ii_minus": seg_case_ii_minus,
-}
-
-
-def incomplete_F(x: float, m, path: str = "legendre") -> float:
-    """Incomplete first-kind integral along one of the level-set paths.
-
-    path selects the normal form: "legendre" integrates from 0 inside the
-    unit interval, "case_i" along the one-component rotation path, and
-    "case_ii_plus"/"case_ii_minus" along the two-component paths outside
-    the unit interval.
-    """
-    try:
-        fn = _F_PATHS[path]
-    except KeyError:
-        raise ValueError(f"unknown incomplete_F path {path!r}") from None
-    return fn(x, m)
 
 
 def _jacobi_descent(emc: float):
@@ -286,66 +223,18 @@ def _sncndn_core(u: float, emc: float):
     return sn, cn, dn
 
 
-def _sncndn_real(u: float, m: float):
-    """Jacobi sn, cn, dn for real argument and squared modulus m < 1.
+def jacobi_sn_cn_dn(u: float, m: float):
+    """Jacobi sn, cn, dn for real argument u and squared modulus m < 1.
 
     Negative m is routed through the imaginary-modulus transformation,
     which maps to the modulus m1 = -m/(1-m) in (0, 1); dn of that modulus
     is bounded away from zero, so the transformed values are pole-free.
     """
-    if m >= 1.0:
-        if m == 1.0:
-            sn = math.tanh(u)
-            cn = 1.0 / math.cosh(u)
-            return sn, cn, cn
-        raise DomainError(f"squared modulus must be < 1 (got {m!r})")
+    if not m < 1.0:
+        raise DomainError(f"squared modulus must be < 1 (got {float(m)!r})")
     if m < 0.0:
         kap = math.sqrt(1.0 / (1.0 - m))
         m1 = -m / (1.0 - m)
         s, c, d = _sncndn_core(u / kap, 1.0 - m1)
         return kap * s / d, c / d, 1.0 / d
     return _sncndn_core(u, 1.0 - m)
-
-
-def _sncndn_imag(v: float, m: float):
-    """Values at u = i v as complex numbers, for squared modulus m < 1."""
-    if m < 0.0:
-        # rhombic regime: reduce to the complementary real modulus kappa
-        kap2 = 1.0 / (1.0 - m)
-        kap = math.sqrt(kap2)
-        s, c, d = _sncndn_real(v / kap, kap2)
-        # d >= sqrt(1 - kap2) > 0, no poles on this line
-        return complex(0.0, kap * s / d), complex(1.0 / d, 0.0), complex(c / d, 0.0)
-    s, c, d = _sncndn_real(v, 1.0 - m)
-    if abs(c) < 1e-12:
-        raise PoleError("Jacobi pole: u is too close to i K' on the imaginary axis")
-    return complex(0.0, s / c), complex(1.0 / c, 0.0), complex(d / c, 0.0)
-
-
-def jacobi_sn_cn_dn(u, m, line_tol: float = 1e-9):
-    """Jacobi sn, cn, dn at complex u on the lines R, iR and iR + 2K.
-
-    These are the only lines the real locus and its involutions need.  The
-    real part is reduced modulo the real period 4K, so translates of the
-    supported lines work too.  Off-line arguments raise DomainError.
-    """
-    m = _k2(m)
-    if not m < 1.0:
-        raise DomainError(f"squared modulus must be < 1 (got {m!r})")
-    z = complex(u)
-    re, im = z.real, z.imag
-    scale = 1.0 + abs(re) + abs(im)
-    if abs(im) <= line_tol * scale:
-        s, c, d = _sncndn_real(re, m)
-        return complex(s, 0.0), complex(c, 0.0), complex(d, 0.0)
-    K = complete_K(m)
-    r = math.remainder(re, 4.0 * K)  # in [-2K, 2K]
-    if abs(r) <= line_tol * scale:
-        return _sncndn_imag(im, m)
-    if abs(abs(r) - 2.0 * K) <= line_tol * scale:
-        s, c, d = _sncndn_imag(im, m)
-        return -s, -c, d
-    raise DomainError(
-        "jacobi_sn_cn_dn supports u on the real axis, the imaginary axis, "
-        "or the imaginary axis shifted by the half real period 2K"
-    )

@@ -55,8 +55,6 @@ class LatticeData:
     K: float
     Kp: float | None
     Kpp: float | None
-    omega1: complex
-    omega2: complex
 
 
 @dataclass(frozen=True)
@@ -171,16 +169,12 @@ def derive_params(D: float, E: float) -> LevelSetParams:
         cls = RealLocusClass.I
         K = complete_K(k2)
         Kpp = complete_Kpp(k2)
-        lattice = LatticeData(K, None, Kpp,
-                              complex(2.0 * K, 2.0 * Kpp),
-                              complex(-2.0 * K, 2.0 * Kpp))
+        lattice = LatticeData(K, None, Kpp)
     else:
         cls = RealLocusClass.II_PLUS if D > 2.0 else RealLocusClass.II_MINUS
         K = complete_K(k2)
         Kp = complete_Kp(k2)
-        lattice = LatticeData(K, Kp, None,
-                              complex(4.0 * K, 0.0),
-                              complex(0.0, 2.0 * Kp))
+        lattice = LatticeData(K, Kp, None)
     return LevelSetParams(D, E, cls, R, k2, s0, s0_inv, C2, C, lattice=lattice)
 
 

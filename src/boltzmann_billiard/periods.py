@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BilliardError, PoleError
+from .errors import BilliardError
 from .grid import config_distance_array, map_t_array, rotation_grid, theta_array
-from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _reflect, derive_params,
-                       other_wall_root)
-from .poincare import map_t, sample_level_set
+from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
+from .poincare import _walk, map_t, sample_level_set
 from .uniformize import rotation_number
 
 log = logging.getLogger(__name__)
+
+_SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_locus
 
 
 @dataclass(frozen=True)
@@ -136,21 +137,10 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
         raise ValueError(f"empirical rotation needs n_steps >= 1 (got {n_steps})")
     if c0 is None:
         c0 = sample_level_set(params, 1, seed)[0]
-    D, E = params.D, params.E
-    x, A1, A2 = c0.x, c0.A1, c0.A2
-    xs, A1s, A2s = [x], [A1], [A2]
-    pole = None
-    try:
-        for _ in range(n_steps):  # map_t on plain floats
-            x = other_wall_root(x, A1, A2, D)
-            A1, A2 = _reflect(x, A1, A2, E)
-            xs.append(x)
-            A1s.append(A1)
-            A2s.append(A2)
-    except PoleError as exc:
-        pole = exc
+    xs, A1s, A2s, pole = _walk(c0.x, c0.A1, c0.A2, n_steps, params.D, params.E)
     # the angles of the points before the pole come first in the scalar order
-    theta = theta_array(np.array(xs), np.array(A1s), np.array(A2s), params)
+    theta = theta_array(np.array([c0.x, *xs]), np.array([c0.A1, *A1s]), np.array([c0.A2, *A2s]),
+                        params)
     if pole is not None:
         raise pole
     d = np.mod(np.diff(theta), 1.0)
@@ -174,14 +164,14 @@ def period3_residual(D, E):
 
 
 def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
-                        tol: float = 1e-10, n_grid: int = 400) -> list:
+                        tol: float = 1e-10) -> list:
     """Roots of p * alpha(D, E) = 0 mod 1 in D over D_range, for fixed E.
 
-    Scans a grid for sign changes of the recentred defect (all grid points
-    in one rotation_grid call), bisects, then polishes with a few Newton
-    steps on a finite-difference derivative.
-    Period 1 occurs only on the excluded tangent boundary D = -2E and is
-    reported (logged) rather than returned.
+    Scans _SCAN_INTERVALS equal steps of D_range for sign changes of the
+    recentred defect (all scan points in one rotation_grid call), bisects,
+    then polishes with a few Newton steps on a finite-difference
+    derivative.  Period 1 occurs only on the excluded tangent boundary
+    D = -2E and is reported (logged) rather than returned.
     """
     if p < 1:
         raise ValueError("period must be positive")
@@ -203,7 +193,7 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
         return (v + 0.5) % 1.0 - 0.5
 
     lo, hi = D_range
-    Ds = lo + (hi - lo) * np.arange(n_grid + 1, dtype=float) / n_grid
+    Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
     classes, alpha = rotation_grid(Ds, E)
     if p % 2 == 1:
         alpha[classes == RealLocusClass.II_PLUS] = math.nan

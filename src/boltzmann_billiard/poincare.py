@@ -22,10 +22,8 @@ from .levelset import (
     LevelSetParams,
     RealLocusClass,
     _reflect,
-    level_set_residual,
     other_wall_root,
     project_onto_level_set,
-    wall_abscissa_from_z,
 )
 
 
@@ -82,6 +80,25 @@ class Orbit:
         return tuple(map(ConfigPoint, self.x.tolist(), self.A1.tolist(), self.A2.tolist()))
 
 
+def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
+    """n collision steps from (x, A1, A2), on plain floats.
+
+    Returns the lists x, A1, A2 of the new points and the PoleError that
+    stopped the walk early, or None; the points before the pole are kept.
+    """
+    xs, A1s, A2s = [], [], []
+    try:
+        for _ in range(n):
+            x = other_wall_root(x, A1, A2, D)
+            A1, A2 = _reflect(x, A1, A2, E)
+            xs.append(x)
+            A1s.append(A1)
+            A2s.append(A2)
+    except PoleError as exc:
+        return xs, A1s, A2s, exc
+    return xs, A1s, A2s, None
+
+
 def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
                   renormalize: bool = False, residual_ceiling: float = 1e-6,
                   abort_abscissa: float = 1e12) -> Orbit:
@@ -93,31 +110,24 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     Renormalization, off by default, projects each new point back onto the
     level set by one Gauss-Newton step.
 
-    The map runs on plain floats.  Every _CHECK_BLOCK steps, and at the
-    end or at a pole, the new points are checked together, and the abort
-    names the first failing step, as a check after every step would.
+    The map runs on plain floats, _CHECK_BLOCK steps at a time (one step
+    at a time when renormalizing).  The new points of each block are
+    checked together, and the abort names the first failing step, as a
+    check after every step would.
     """
     if not params.nondegenerate:
         raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
     if n < 0:
         raise ValueError(f"orbit iteration needs n >= 0 steps (got {n})")
-    D, E = params.D, params.E
-    xyz = np.empty((3, n + 1))  # x, A1, A2 of the points checked so far
+    xyz = np.empty((3, n + 1))  # x, A1, A2 of the points made so far
     res = np.empty(n + 1)
-    x, A1, A2 = c0.x, c0.A1, c0.A2
-    xs, A1s, A2s = [x], [A1], [A2]  # the points not yet checked, from index lo on
-    lo = step = 0
 
     def prefix(k: int) -> Orbit:
         return Orbit(xyz[0, :k], xyz[1, :k], xyz[2, :k], res[:k], params)
 
-    def check() -> None:
-        """Store the pending points; OrbitAbort at the first that fails a check."""
-        nonlocal lo
-        hi = lo + len(xs)
+    def check(lo: int, hi: int) -> None:
+        """OrbitAbort at the first of the stored points lo..hi-1 that fails a check."""
         block = xyz[:, lo:hi]
-        block[:] = xs, A1s, A2s
-        del xs[:], A1s[:], A2s[:]
         r = res[lo:hi] = level_set_residual_array(*block, params)
         with np.errstate(invalid="ignore"):
             ok = np.isfinite(block).all(axis=0) & (np.abs(block[0]) <= abort_abscissa)
@@ -128,26 +138,24 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
             i = int(np.argmax(bad))
             raise OrbitAbort(f"step {lo + i}: orbit left the level set (residual {r[i]:.3e})",
                              prefix(lo + i), lo + i)
-        lo = hi
 
-    pole = None
-    try:
-        for step in range(1, n + 1):
-            x = other_wall_root(x, A1, A2, D)
-            A1, A2 = _reflect(x, A1, A2, E)
-            if renormalize:
-                c = project_onto_level_set(ConfigPoint(x, A1, A2), params, max_steps=1)
-                x, A1, A2 = c.x, c.A1, c.A2
-            xs.append(x)
-            A1s.append(A1)
-            A2s.append(A2)
-            if step % _CHECK_BLOCK == 0:
-                check()
-    except PoleError as exc:
-        pole = exc
-    check()  # the points before a pole come first, as in a step-by-step check
-    if pole is not None:
-        raise OrbitAbort(f"step {step}: {pole}", prefix(step), step) from pole
+    xyz[:, 0] = c0.x, c0.A1, c0.A2
+    check(0, 1)
+    block = 1 if renormalize else _CHECK_BLOCK
+    lo = 1  # points stored and checked; point i is reached after i steps
+    while lo <= n:
+        x, A1, A2 = xyz[:, lo - 1].tolist()
+        xs, A1s, A2s, pole = _walk(x, A1, A2, min(block, n + 1 - lo), params.D, params.E)
+        if renormalize and xs:
+            c = project_onto_level_set(ConfigPoint(xs[0], A1s[0], A2s[0]), params, max_steps=1)
+            xs[0], A1s[0], A2s[0] = c.x, c.A1, c.A2
+        hi = lo + len(xs)
+        xyz[:, lo:hi] = xs, A1s, A2s
+        del xs, A1s, A2s  # stored; free the float objects before the checks
+        check(lo, hi)  # the points before a pole come first
+        if pole is not None:
+            raise OrbitAbort(f"step {hi}: {pole}", prefix(hi), hi) from pole
+        lo = hi
     return prefix(n + 1)
 
 
@@ -171,47 +179,23 @@ def _theta_candidates(params: LevelSetParams, rng, k: int) -> list:
     return _points(~pole & ~(level_set_residual_array(x, A1, A2, params) > 1e-12), x, A1, A2)
 
 
-def _rational_candidate(params: LevelSetParams, rng) -> list:
-    """The accepted point, if any, of one candidate on the eccentricity circle."""
-    psi = float(rng.uniform(0.0, 2.0 * math.pi))
-    A1 = -params.R * math.sin(psi)
-    A2 = 2.0 * params.E + params.R * math.cos(psi)
-    w = A2 + params.D
-    disc = A1 * A1 + w * w - 1.0
-    if disc < 0.0:
-        return []
-    z = math.sqrt(disc) * (1.0 if rng.integers(0, 2) == 0 else -1.0)
-    try:
-        x = wall_abscissa_from_z(z, A1, A2, params.D)
-    except PoleError:
-        return []
-    c = project_onto_level_set(ConfigPoint(x, A1, A2), params)
-    return [] if level_set_residual(c, params) > 1e-12 else [c]
-
-
-def sample_level_set(params: LevelSetParams, m: int, seed: int = 0,
-                     method: str = "auto") -> list:
+def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
     """Draw m points of the real locus, deterministically for a fixed seed.
 
-    method "theta" samples uniformly in the uniformizing angle (components
-    chosen by fair coin on two-component sets); "rational" samples the
-    eccentricity circle by angle and keeps parameter values whose wall
-    equation has real roots, picking a root at random.  "auto" uses the
-    angle route on nondegenerate sets.  A candidate is dropped where the
-    wall abscissa is at infinity or where its projection onto the level
-    set leaves a residual above 1e-12; after 100 m + 1000 candidates the
-    sampling gives up with DomainError.
+    The points are uniform in the uniformizing angle theta, with the
+    component chosen by a fair coin on two-component sets.  A candidate is
+    dropped where the wall abscissa is at infinity or where its projection
+    onto the level set leaves a residual above 1e-12; after 100 m + 1000
+    candidates the sampling gives up with DomainError.
 
-    The angle route evaluates its candidates in blocks, as many at a time
-    as points are still missing; its draws do not depend on the outcomes,
-    so the points are those of a one-at-a-time loop.
+    The candidates are evaluated in blocks, as many at a time as points are
+    still missing; the draws do not depend on the outcomes, so the points
+    are those of a one-at-a-time loop.
     """
     if params.cls is RealLocusClass.EMPTY:
         raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
     if not params.nondegenerate:
         raise DomainError(f"sampling needs a nondegenerate level set (class {params.cls.value})")
-    if method == "auto":
-        method = "theta" if params.lattice is not None else "rational"
     rng = np.random.default_rng(seed)
     limit = 100 * m + 1000  # candidates tried before giving up
     out: list = []
@@ -219,14 +203,8 @@ def sample_level_set(params: LevelSetParams, m: int, seed: int = 0,
     while len(out) < m:
         if tried == limit:
             raise DomainError("sampling failed to find real points (locus nearly degenerate?)")
-        if method == "theta":
-            k = min(m - len(out), limit - tried)
-            out += _theta_candidates(params, rng, k)
-        elif method == "rational":
-            k = 1
-            out += _rational_candidate(params, rng)
-        else:
-            raise ValueError(f"unknown sampling method {method!r}")
+        k = min(m - len(out), limit - tried)
+        out += _theta_candidates(params, rng, k)
         tried += k
     return out
 

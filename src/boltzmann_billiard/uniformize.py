@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .elliptic import (
     complete_K,
+    jacobi_sn_cn_dn,
     legendre_F_phi,
     seg_case_i,
     seg_case_ii_plus,
@@ -43,7 +44,6 @@ from .levelset import (
     derive_params,
     wall_abscissa_from_z,
 )
-from .elliptic import _sncndn_real
 
 # Orientation of the analytic rotation number relative to the forward
 # collision map in the theta coordinate above; anchored per class against
@@ -99,7 +99,7 @@ def uniformize(a, params: LevelSetParams) -> ConfigPoint:
         kap2 = 1.0 / (1.0 - params.k2)
         kap = math.sqrt(kap2)
         w = 4.0 * complete_K(kap2) * a.theta
-        s, c, d = _sncndn_real(w, kap2)
+        s, c, d = jacobi_sn_cn_dn(w, kap2)
         A1 = -2.0 * R * kap * s * d
         A2 = 2.0 * E - R + 2.0 * R * d * d
         z = C * c
@@ -108,7 +108,7 @@ def uniformize(a, params: LevelSetParams) -> ConfigPoint:
             raise DomainError("component index eps must be 0 or 1")
         mc = 1.0 - params.k2
         v = 2.0 * complete_K(mc) * a.theta
-        s, c, d = _sncndn_real(v, mc)
+        s, c, d = jacobi_sn_cn_dn(v, mc)
         sgn = -1.0 if a.eps == 0 else 1.0
         A1 = sgn * 2.0 * R * s * c
         A2 = 2.0 * E - R + 2.0 * R * c * c

@@ -159,6 +159,69 @@ def carlson_rf_ref(x: float, y: float, z: float) -> float:
     return float(special.elliprf(x, y, z))
 
 
+def _sncndn_real(u: float, m: float):
+    """The package's real-axis sn, cn, dn, extended to m = 1 by the tanh limit."""
+    from boltzmann_billiard import jacobi_sn_cn_dn
+
+    if m == 1.0:
+        sn = math.tanh(u)
+        cn = 1.0 / math.cosh(u)
+        return sn, cn, cn
+    return jacobi_sn_cn_dn(u, m)
+
+
+def _sncndn_imag(v: float, m: float):
+    """Values at u = i v as complex numbers, for squared modulus m < 1.
+
+    The imaginary-argument transformation with the complementary modulus
+    1 - m, or, for m < 0, with kappa^2 = 1/(1 - m).
+    """
+    from boltzmann_billiard import PoleError
+
+    if m < 0.0:
+        # rhombic regime: reduce to the complementary real modulus kappa
+        kap2 = 1.0 / (1.0 - m)
+        kap = math.sqrt(kap2)
+        s, c, d = _sncndn_real(v / kap, kap2)
+        # d >= sqrt(1 - kap2) > 0, no poles on this line
+        return complex(0.0, kap * s / d), complex(1.0 / d, 0.0), complex(c / d, 0.0)
+    s, c, d = _sncndn_real(v, 1.0 - m)
+    if abs(c) < 1e-12:
+        raise PoleError("Jacobi pole: u is too close to i K' on the imaginary axis")
+    return complex(0.0, s / c), complex(1.0 / c, 0.0), complex(d / c, 0.0)
+
+
+def jacobi_sn_cn_dn_complex(u, m: float, line_tol: float = 1e-9):
+    """Jacobi sn, cn, dn at complex u on the lines R, iR and iR + 2K.
+
+    These are the lines the complex uniformization of the real locus
+    uses.  The real part is reduced modulo the real period 4K, so
+    translates of the supported lines work too.  Off-line arguments raise
+    DomainError.
+    """
+    from boltzmann_billiard import DomainError, complete_K, jacobi_sn_cn_dn
+
+    if not m < 1.0:
+        raise DomainError(f"squared modulus must be < 1 (got {float(m)!r})")
+    z = complex(u)
+    re, im = z.real, z.imag
+    scale = 1.0 + abs(re) + abs(im)
+    if abs(im) <= line_tol * scale:
+        s, c, d = jacobi_sn_cn_dn(re, m)
+        return complex(s, 0.0), complex(c, 0.0), complex(d, 0.0)
+    K = complete_K(m)
+    r = math.remainder(re, 4.0 * K)  # in [-2K, 2K]
+    if abs(r) <= line_tol * scale:
+        return _sncndn_imag(im, m)
+    if abs(abs(r) - 2.0 * K) <= line_tol * scale:
+        s, c, d = _sncndn_imag(im, m)
+        return -s, -c, d
+    raise DomainError(
+        "jacobi_sn_cn_dn_complex supports u on the real axis, the imaginary axis, "
+        "or the imaginary axis shifted by the half real period 2K"
+    )
+
+
 def uniformize_complex_oracle(a, params):
     """uniformize's point through the complex Jacobi formulas.
 
@@ -166,8 +229,7 @@ def uniformize_complex_oracle(a, params):
     z = C dn(u)/cn(u) at u = 4 i K'' theta (class I) or
     u = 2 i K' theta + 2 K eps (classes II).
     """
-    from boltzmann_billiard import (AngleCoord, ConfigPoint, DomainError, PoleError,
-                                    RealLocusClass, jacobi_sn_cn_dn)
+    from boltzmann_billiard import AngleCoord, ConfigPoint, DomainError, PoleError, RealLocusClass
     from boltzmann_billiard.levelset import wall_abscissa_from_z
 
     if not params.nondegenerate:
@@ -179,7 +241,7 @@ def uniformize_complex_oracle(a, params):
         u = complex(0.0, 4.0 * lat.Kpp * a.theta)
     else:
         u = complex(2.0 * lat.K * a.eps, 2.0 * lat.Kp * a.theta)
-    sn, cn, dn = jacobi_sn_cn_dn(u, params.k2)
+    sn, cn, dn = jacobi_sn_cn_dn_complex(u, params.k2)
     if abs(cn) < 1e-8:
         raise PoleError("uniformization pole: cn(u) = 0 (point at infinity of the conic pencil)")
     A1 = 2.0j * params.R * sn / (cn * cn)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -141,6 +142,13 @@ class TestOrbit:
         _, rows = parse_csv(out)
         assert 1 <= len(rows) < 2001
         assert all(abs(float(r[1])) <= 50.0 for r in rows)
+
+    def test_samples_option_removed(self):
+        # the orbit starts from the first sampled point; --samples N used to draw
+        # N points and keep that first one, so it never changed the output
+        code, out, err = run_quiet(["orbit", "--D", "1.5", "--E", "-0.2", "--samples", "3"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --samples 3" in err
 
     def test_empty_set_exit_2(self, capsys):
         code, _ = run_cli(capsys, "orbit", "--D", "6.0", "--E", "-0.1",
@@ -303,6 +311,22 @@ class TestRotation:
         code, _ = run_cli(capsys, "rotation", "--grid", "1:2:3")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["0:inf:0:1:3", "-inf:inf:0:1:3", "-1e308:1e308:0:1:3"])
+    def test_grid_non_finite_warns_nothing(self, spec):
+        # the numpy warnings of an infinite or overflowing axis are errors here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_quiet(["rotation", f"--grid={spec}"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: grid bounds must give finite D and E\n")
+        assert "Warning" not in err
+
+    def test_grid_json_exit_2(self):
+        # the grid is CSV only; --format json used to be accepted and ignored
+        code, out, err = run_quiet(["rotation", "--grid", "0.5:3.5:-0.4:-0.1:5", "--format", "json"])
+        assert (code, out, err) == (2, "", "rotation --grid writes CSV only (got --format json)\n")
+        assert run_quiet(["rotation", "--grid", "0.5:3.5:-0.4:-0.1:5", "--format", "csv"])[0] == 0
+
 
 class TestPeriodScan:
     def test_finds_exact_root(self, capsys):
@@ -320,6 +344,12 @@ class TestPeriodScan:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows == []
+
+    def test_format_option_removed(self):
+        # period-scan writes CSV only; --format json used to be accepted and ignored
+        code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format json" in err
 
     def test_multiple_periods(self, capsys):
         code, out = run_cli(capsys, "period-scan", "--E", "-0.2",

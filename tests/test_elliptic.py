@@ -14,18 +14,12 @@ from boltzmann_billiard import (
     complete_K,
     complete_Kp,
     complete_Kpp,
-    incomplete_F,
     jacobi_sn_cn_dn,
     legendre_F,
     legendre_F_phi,
 )
 from boltzmann_billiard import elliptic
-from boltzmann_billiard.elliptic import (
-    Modulus,
-    seg_case_i,
-    seg_case_ii_minus,
-    seg_case_ii_plus,
-)
+from boltzmann_billiard.elliptic import seg_case_i, seg_case_ii_plus
 
 import oracles
 
@@ -101,14 +95,6 @@ class TestCompleteIntegrals:
         with pytest.raises(DomainError):
             complete_Kpp(-1e-17)
 
-    def test_modulus_wrapper_accepted(self):
-        assert complete_K(Modulus(0.3)) == complete_K(0.3)
-        assert complete_Kpp(Modulus(-2.0)) == complete_Kpp(-2.0)
-        with pytest.raises(DomainError):
-            Modulus(0.3).ell
-        with pytest.raises(DomainError):
-            Modulus(-0.3).k
-
 
 class TestCarlsonRF:
     def test_against_scipy(self):
@@ -164,14 +150,6 @@ class TestIncompleteF:
                 ref = oracles.mp_F_phi(float(phi), m)
                 assert legendre_F_phi(float(phi), m) == pytest.approx(ref, abs=1e-12)
 
-    def test_path_dispatch(self):
-        assert incomplete_F(0.5, 0.3) == legendre_F(0.5, 0.3)
-        assert incomplete_F(0.5, -2.0, path="case_i") == seg_case_i(0.5, -2.0)
-        assert incomplete_F(1.5, 0.3, path="case_ii_plus") == seg_case_ii_plus(1.5, 0.3)
-        assert incomplete_F(-1.5, 0.3, path="case_ii_minus") == seg_case_ii_minus(-1.5, 0.3)
-        with pytest.raises(ValueError):
-            incomplete_F(0.5, 0.3, path="nope")
-
 
 class TestSegmentIntegrals:
     def test_case_i_matches_quadrature(self):
@@ -221,9 +199,6 @@ class TestSegmentIntegrals:
             seg_case_ii_plus(0.8, 0.3)
         with pytest.raises(EndpointSingularityError):
             seg_case_ii_plus(1.0 / math.sqrt(0.3) + 1e-6, 0.3)
-
-    def test_case_ii_minus_mirror(self):
-        assert seg_case_ii_minus(-1.4, 0.3) == seg_case_ii_plus(1.4, 0.3)
 
 
 class TestJacobi:
@@ -302,10 +277,13 @@ class TestJacobi:
                 _, c, d = jacobi_sn_cn_dn(u, m)
                 assert num == pytest.approx(c.real * d.real, rel=1e-6)
 
+    # the complex lines are evaluated by oracles.jacobi_sn_cn_dn_complex,
+    # which serves oracles.uniformize_complex_oracle; checked here against mpmath
+
     def test_imaginary_axis(self):
         for m in (-1.2, 0.4):
             for v in (0.2, 0.9):
-                s, c, d = jacobi_sn_cn_dn(complex(0.0, v), m)
+                s, c, d = oracles.jacobi_sn_cn_dn_complex(complex(0.0, v), m)
                 rs, rc, rd = oracles.ellipj_imag_ref(v, m)
                 assert abs(s - rs) < 1e-11
                 assert abs(c - rc) < 1e-11
@@ -315,7 +293,7 @@ class TestJacobi:
         m = 0.4
         K = complete_K(m)
         for v in (0.3, 0.8):
-            got = jacobi_sn_cn_dn(complex(2.0 * K, v), m)
+            got = oracles.jacobi_sn_cn_dn_complex(complex(2.0 * K, v), m)
             with_mp = oracles.ellipj_imag_ref(v, m)
             # the 2K shift negates sn and cn and keeps dn
             assert abs(got[0] + with_mp[0]) < 1e-10
@@ -325,14 +303,38 @@ class TestJacobi:
     def test_pole_and_off_line(self):
         m = 0.4
         with pytest.raises(PoleError):
-            jacobi_sn_cn_dn(complex(0.0, complete_Kp(m)), m)
+            oracles.jacobi_sn_cn_dn_complex(complex(0.0, complete_Kp(m)), m)
         with pytest.raises(DomainError):
-            jacobi_sn_cn_dn(complex(0.7, 0.7), m)
-        with pytest.raises(DomainError):
-            jacobi_sn_cn_dn(0.5, 1.2)
+            oracles.jacobi_sn_cn_dn_complex(complex(0.7, 0.7), m)
+
+    def test_real_axis_domain(self):
+        # m = 1, where only the complex lines use the tanh limit, is refused too
+        for m in (1.2, 1.0, math.nan):
+            with pytest.raises(DomainError):
+                jacobi_sn_cn_dn(0.5, m)
+        assert jacobi_sn_cn_dn(0.5, np.float64(0.3)) == jacobi_sn_cn_dn(0.5, 0.3)
 
     @given(st.floats(-12.0, 12.0), st.floats(-5.0, 0.9))
     def test_identities_property(self, u, m):
         s, c, d = jacobi_sn_cn_dn(u, m)
         assert abs(s.real ** 2 + c.real ** 2 - 1.0) < 1e-11
         assert abs(d.real ** 2 + m * s.real ** 2 - 1.0) < 1e-11
+
+
+@pytest.mark.parametrize("fn, args", [
+    (complete_K, (1.0,)),
+    (complete_Kp, (1e-13,)),
+    (complete_Kp, (1.5,)),
+    (complete_Kpp, (-1e-17,)),
+    (legendre_F, (0.5, 1.5)),
+    (jacobi_sn_cn_dn, (0.5, 1.2)),
+])
+def test_numpy_scalar_modulus_shown_as_float(fn, args):
+    # a numpy scalar modulus is reported as the plain float, not as np.float64(...)
+    *head, m = args
+    with pytest.raises(DomainError) as want:
+        fn(*head, m)
+    with pytest.raises(DomainError) as got:
+        fn(*head, np.float64(m))
+    assert str(got.value) == str(want.value)
+    assert repr(m) in str(got.value)

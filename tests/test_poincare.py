@@ -360,10 +360,6 @@ class TestSampling:
         zs = [c.z(params_i) for c in pts]
         assert any(z > 0 for z in zs) and any(z < 0 for z in zs)
 
-    def test_rational_method(self, params_i):
-        pts = sample_level_set(params_i, 10, seed=17, method="rational")
-        assert all(level_set_residual(c, params_i) <= 1e-12 for c in pts)
-
     def test_empty_locus_raises(self):
         with pytest.raises(EmptyLocusError):
             sample_level_set(derive_params(6.0, -0.1), 1)
@@ -371,10 +367,6 @@ class TestSampling:
     def test_degenerate_raises(self):
         with pytest.raises(DomainError):
             sample_level_set(derive_params(1.0, -0.5), 1)
-
-    def test_unknown_method(self, params_i):
-        with pytest.raises(ValueError):
-            sample_level_set(params_i, 1, method="bogus")
 
 
 def point_hexes(pts):
@@ -466,9 +458,13 @@ class TestBlockSampling:
         assert str(got.value) == str(want.value) == (
             "sampling failed to find real points (locus nearly degenerate?)")
 
-    def test_non_positive_count_checks_nothing(self, params_i):
-        # as in the loop, no candidate is drawn, so not even the method is checked
-        assert sample_level_set(params_i, 0, method="bogus") == []
+    def test_non_positive_count_checks_nothing(self, params_i, monkeypatch):
+        # as in the loop, no candidate is drawn
+        def boom(*args):
+            raise AssertionError("a candidate was evaluated")
+
+        monkeypatch.setattr(poincare, "uniformize_array", boom)
+        assert sample_level_set(params_i, 0) == []
         assert sample_level_set(params_i, -2) == []
 
 
