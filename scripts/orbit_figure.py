@@ -8,12 +8,7 @@ nondegenerate classes, plus the closed period-3 triangle, into --out-dir.
 import argparse
 import pathlib
 
-from boltzmann_billiard import (
-    ArcUnsupportedError,
-    derive_params,
-    iterate_orbit,
-    sample_level_set,
-)
+from boltzmann_billiard import derive_params, iterate_orbit, sample_level_set
 from boltzmann_billiard.svgplot import level_set_figure, orbit_figure
 
 GALLERY = [
@@ -37,13 +32,8 @@ def main() -> None:
         orbit = iterate_orbit(c0, params, steps)
 
         path = args.out_dir / f"{name}_orbit.svg"
-        try:
-            path.write_text(orbit_figure(orbit.points, params))
-            print(f"wrote {path} ({steps} bounces, residual {max(orbit.residuals):.2e})")
-        except ArcUnsupportedError:
-            # positive-energy sets: successive bounces connect through
-            # infinity, so there is no physical arc to draw
-            print(f"skipped {path} (unbound arcs)")
+        path.write_text(orbit_figure(orbit.points, params))
+        print(f"wrote {path} ({steps} bounces, residual {max(orbit.residuals):.2e})")
 
         path = args.out_dir / f"{name}_levelset.svg"
         path.write_text(level_set_figure(params, orbit.points))

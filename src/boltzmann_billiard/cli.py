@@ -216,7 +216,7 @@ def cmd_period_scan(args: argparse.Namespace) -> int:
     lo, hi = args.D_range
     rows = []
     for p in p_list:
-        roots = find_periodic_locus(args.E, p, (lo, hi), tol=args.tol)
+        roots = find_periodic_locus(args.E, p, (lo, hi))
         for D_root in roots:
             rows.append([args.E, p, D_root, float(period3_residual(D_root, args.E))])
     text = _csv(rows, ["E", "p", "D_root", "period3_residual"])
@@ -258,14 +258,16 @@ class _Parser(argparse.ArgumentParser):
 
     argparse treats only -<digits> and -<digits>.<digits> as negative
     numbers, so a value that repr() of a float prints, such as -2e-05 or
-    -inf, would otherwise read as an option.  Subparsers inherit the class.
-    The override sets argparse's private _negative_number_matcher (checked
-    against Python 3.11); if argparse stops reading that attribute, the
-    override does nothing, and tests/test_cli.py::TestNegativeValues fails.
+    -inf, would otherwise read as an option, and so would a grid spec of
+    colon-separated literals such as -3.5:3.5:-0.5:1.5:50.  Subparsers
+    inherit the class.  The override sets argparse's private
+    _negative_number_matcher (checked against Python 3.11); if argparse
+    stops reading that attribute, the override does nothing, and
+    tests/test_cli.py::TestNegativeValues fails.
     """
 
-    _NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
-                                 re.IGNORECASE)
+    _FLOAT = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
+    _NEGATIVE_FLOAT = re.compile(rf"^-{_FLOAT}(:[-+]?{_FLOAT})*$", re.IGNORECASE)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -327,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated periods to scan (default 3)")
     p.add_argument("--D-range", dest="D_range", type=float, nargs=2,
                    default=(0.0, 2.0), metavar=("DMIN", "DMAX"))
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_period_scan)
 

@@ -389,7 +389,7 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
 def project_onto_level_set_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                                  params: LevelSetParams
                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """project_onto_level_set at every point (x, A1, A2), with its default 2 steps.
+    """project_onto_level_set at every point (x, A1, A2), with the same two steps.
 
     A point freezes where the scalar loop breaks: once |f1| + |f2| < 1e-15,
     or on a singular normal matrix.

@@ -263,8 +263,7 @@ def wall_abscissa_from_z(z: float, A1: float, A2: float, D: float) -> float:
     return (z - A1 * (A2 + D)) / den
 
 
-def project_onto_level_set(c: ConfigPoint, params: LevelSetParams,
-                           max_steps: int = 2) -> ConfigPoint:
+def project_onto_level_set(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     """Gauss-Newton projection onto the circle and wall equations.
 
     Takes the minimum-norm correction in (x, A1, A2); one step is already
@@ -272,7 +271,7 @@ def project_onto_level_set(c: ConfigPoint, params: LevelSetParams,
     """
     x, A1, A2 = c.x, c.A1, c.A2
     D, E = params.D, params.E
-    for _ in range(max_steps):
+    for _ in range(2):
         f1 = A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E
         w = A2 + D - A1 * x
         f2 = x * x + 1.0 - w * w

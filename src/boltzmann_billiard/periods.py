@@ -163,15 +163,44 @@ def period3_residual(D, E):
             + D ** 4 - 2 * D * D - 3)
 
 
-def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
-                        tol: float = 1e-10) -> list:
+def _illinois(f, a: float, fa: float, b: float, fb: float) -> tuple:
+    """Root of f between a and b (either order), where fa = f(a) and fb = f(b) differ in sign.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): b is the latest
+    point and a the end of the other sign.  The next point is the secant
+    point, or the midpoint where the secant leaves the open bracket; when it
+    falls on b's side, a is kept and its secant weight halved.  Stops at a
+    zero or NaN of f or at adjacent doubles; returns the end of smaller |f|
+    with its f.
+    """
+    ga = fa  # secant weight of a
+    while fa != 0.0 and fb != 0.0:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break  # adjacent doubles
+        c = b - fb * (b - a) / (fb - ga)
+        if not min(a, b) < c < max(a, b):
+            c = m
+        fc = f(c)
+        if fc != fc:
+            break
+        if (fc < 0.0) == (fb < 0.0):
+            ga *= 0.5
+        else:
+            a, fa, ga = b, fb, fb
+        b, fb = c, fc
+    return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+
+
+def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     """Roots of p * alpha(D, E) = 0 mod 1 in D over D_range, for fixed E.
 
     Scans _SCAN_INTERVALS equal steps of D_range for sign changes of the
-    recentred defect (all scan points in one rotation_grid call), bisects,
-    then polishes with a few Newton steps on a finite-difference
-    derivative.  Period 1 occurs only on the excluded tangent boundary
-    D = -2E and is reported (logged) rather than returned.
+    recentred defect (all scan points in one rotation_grid call), refines
+    each bracket from its scanned end values by _illinois down to adjacent
+    doubles, and keeps the roots with a defect below 1e-8.  Period 1 occurs
+    only on the excluded tangent boundary D = -2E and is reported (logged)
+    rather than returned.
     """
     if p < 1:
         raise ValueError("period must be positive")
@@ -179,18 +208,16 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
         log.info("period 1 only occurs on the tangent boundary D + 2E = 0; nothing to scan")
         return []
 
-    def defect(D: float) -> float | None:
+    def defect(D: float) -> float:
+        """The recentred defect of p * alpha at D, NaN where it has no value."""
         params = derive_params(D, E)
-        if not params.nondegenerate:
-            return None
-        if params.cls is RealLocusClass.II_PLUS and p % 2 == 1:
-            return None
+        if not params.nondegenerate or params.cls is RealLocusClass.II_PLUS and p % 2 == 1:
+            return math.nan
         try:
             a = rotation_number(params).alpha
         except BilliardError:
-            return None
-        v = p * a
-        return (v + 0.5) % 1.0 - 0.5
+            return math.nan
+        return (p * a + 0.5) % 1.0 - 0.5
 
     lo, hi = D_range
     Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
@@ -198,43 +225,16 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0),
     if p % 2 == 1:
         alpha[classes == RealLocusClass.II_PLUS] = math.nan
     grid = Ds.tolist()
-    # defect() at every grid point, None where it has no value
-    vals = [None if f != f else f for f in ((p * alpha + 0.5) % 1.0 - 0.5).tolist()]
+    vals = ((p * alpha + 0.5) % 1.0 - 0.5).tolist()  # defect() at every grid point
     roots = []
     for (D0, f0), (D1, f1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if f0 is None or f1 is None or f0 == 0.0 and f1 == 0.0:
-            continue
-        if f0 * f1 > 0.0:
+        # a NaN end fails the sign test
+        if not f0 * f1 <= 0.0 or f0 == 0.0 and f1 == 0.0:
             continue
         # drop wrap-around jumps of the recentred defect (both ends near 1/2)
         if min(abs(f0), abs(f1)) > 0.45:
             continue
-        a, b, fa = D0, D1, f0
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break  # adjacent doubles: further halving leaves the bracket as it is
-            fm = defect(mid)
-            if fm is None:
-                break
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        root = 0.5 * (a + b)
-        h = 1e-6
-        for _ in range(3):
-            f = defect(root)
-            fp = defect(root + h)
-            fm = defect(root - h)
-            if None in (f, fp, fm) or fp == fm:
-                break
-            step = f / ((fp - fm) / (2.0 * h))
-            if not math.isfinite(step) or abs(step) > (hi - lo):
-                break
-            root -= step
-        f = defect(root)
-        if f is not None and abs(f) < max(tol * 100.0, 1e-8):
-            if not any(abs(root - r) < 1e-7 for r in roots):
-                roots.append(root)
+        root, f = _illinois(defect, D0, f0, D1, f1)
+        if abs(f) < 1e-8 and not any(abs(root - r) < 1e-7 for r in roots):
+            roots.append(root)
     return sorted(roots)

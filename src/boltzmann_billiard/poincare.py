@@ -23,7 +23,6 @@ from .levelset import (
     RealLocusClass,
     _reflect,
     other_wall_root,
-    project_onto_level_set,
 )
 
 
@@ -100,20 +99,16 @@ def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
 
 
 def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
-                  renormalize: bool = False, residual_ceiling: float = 1e-6,
-                  abort_abscissa: float = 1e12) -> Orbit:
+                  residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12) -> Orbit:
     """Iterate the collision map n times from c0.
 
     Returns the n+1 visited points with residuals.  Raises OrbitAbort
     (carrying the valid prefix) if a point stops being finite, drifts off
     the level set beyond residual_ceiling, or |x| exceeds abort_abscissa.
-    Renormalization, off by default, projects each new point back onto the
-    level set by one Gauss-Newton step.
 
-    The map runs on plain floats, _CHECK_BLOCK steps at a time (one step
-    at a time when renormalizing).  The new points of each block are
-    checked together, and the abort names the first failing step, as a
-    check after every step would.
+    The map runs on plain floats, _CHECK_BLOCK steps at a time.  The new
+    points of each block are checked together, and the abort names the
+    first failing step, as a check after every step would.
     """
     if not params.nondegenerate:
         raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
@@ -141,14 +136,10 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
 
     xyz[:, 0] = c0.x, c0.A1, c0.A2
     check(0, 1)
-    block = 1 if renormalize else _CHECK_BLOCK
     lo = 1  # points stored and checked; point i is reached after i steps
     while lo <= n:
         x, A1, A2 = xyz[:, lo - 1].tolist()
-        xs, A1s, A2s, pole = _walk(x, A1, A2, min(block, n + 1 - lo), params.D, params.E)
-        if renormalize and xs:
-            c = project_onto_level_set(ConfigPoint(xs[0], A1s[0], A2s[0]), params, max_steps=1)
-            xs[0], A1s[0], A2s[0] = c.x, c.A1, c.A2
+        xs, A1s, A2s, pole = _walk(x, A1, A2, min(_CHECK_BLOCK, n + 1 - lo), params.D, params.E)
         hi = lo + len(xs)
         xyz[:, lo:hi] = xs, A1s, A2s
         del xs, A1s, A2s  # stored; free the float objects before the checks

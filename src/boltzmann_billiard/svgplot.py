@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import ArcUnsupportedError
 from .kepler import trajectory_arc
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass
 from .poincare import component_curve
@@ -102,7 +103,10 @@ class SvgCanvas:
 
 def orbit_figure(points: list[ConfigPoint], params: LevelSetParams,
                  n_arc: int = 64) -> str:
-    """Physical-plane figure: the wall, the centre, and one Kepler arc per bounce."""
+    """Physical-plane figure: the wall, the centre, and a marker and a Kepler arc per bounce.
+
+    An arc that trajectory_arc refuses (through infinity or below the wall) is left out.
+    """
     canvas = SvgCanvas()
     xs = [c.x for c in points]
     lo, hi = min(xs + [-1.0]), max(xs + [1.0])
@@ -110,7 +114,10 @@ def orbit_figure(points: list[ConfigPoint], params: LevelSetParams,
     canvas.polyline([(lo - pad, 1.0), (hi + pad, 1.0)], "wall")
     canvas.circle_marker(0.0, 0.0, "centre", r=4.0)
     for c in points[:-1]:
-        arc = trajectory_arc(c, params, n=n_arc)
+        try:
+            arc = trajectory_arc(c, params, n=n_arc)
+        except ArcUnsupportedError:
+            continue
         canvas.path(arc, "arc")
     for c in points:
         canvas.circle_marker(c.x, 1.0, "orbit", r=2.5)

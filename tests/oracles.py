@@ -401,14 +401,13 @@ class ScalarOrbit(NamedTuple):
     residuals: tuple
 
 
-def scalar_iterate_orbit(c0, params, n: int, *, renormalize: bool = False,
+def scalar_iterate_orbit(c0, params, n: int, *,
                          residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12):
     """iterate_orbit one ConfigPoint at a time, checking each step as it is made.
 
     Raises OrbitAbort carrying a ScalarOrbit prefix.
     """
-    from boltzmann_billiard import (DomainError, OrbitAbort, PoleError, level_set_residual,
-                                    map_t, project_onto_level_set)
+    from boltzmann_billiard import DomainError, OrbitAbort, PoleError, level_set_residual, map_t
 
     if not params.nondegenerate:
         raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
@@ -420,8 +419,6 @@ def scalar_iterate_orbit(c0, params, n: int, *, renormalize: bool = False,
         except PoleError as exc:
             raise OrbitAbort(f"step {step}: {exc}", ScalarOrbit(tuple(pts), params, tuple(res)),
                              step) from exc
-        if renormalize:
-            c = project_onto_level_set(c, params, max_steps=1)
         ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
         r = level_set_residual(c, params) if ok else math.inf
         if not ok or r > residual_ceiling:

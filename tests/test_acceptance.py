@@ -69,7 +69,7 @@ def test_criterion_2_conservation_along_orbits():
     for D, E in CLASS_POINTS:
         params = derive_params(D, E)
         c0 = sample_level_set(params, 1, seed=102)[0]
-        orbit = iterate_orbit(c0, params, 1000, renormalize=False)
+        orbit = iterate_orbit(c0, params, 1000)
         for c in orbit.points:
             D_impl, E_impl = implied_invariants(c, params)
             worst_D = max(worst_D, abs(D_impl - D))

@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from boltzmann_billiard import ConfigPoint, OrbitAbort, derive_params, sample_level_set
+from boltzmann_billiard import (
+    ArcUnsupportedError,
+    ConfigPoint,
+    OrbitAbort,
+    derive_params,
+    iterate_orbit,
+    sample_level_set,
+    trajectory_arc,
+)
 from boltzmann_billiard import cli
 from boltzmann_billiard.cli import main
 from boltzmann_billiard.grid import orbit_drift_columns
@@ -196,6 +204,23 @@ class TestOrbit:
                 and el.get("class") == "arc"]
         assert len(arcs) == 7
 
+    def test_svg_skips_arcs_through_infinity(self):
+        # class I at positive energy: most arcs run off to infinity, every bounce is marked
+        code, out, err = run_quiet(["orbit", "--D", "0.3", "--E", "0.4", "--steps", "20",
+                                    "--format", "svg"])
+        assert (code, err) == (0, "")
+        params = derive_params(0.3, 0.4)
+        orbit = iterate_orbit(sample_level_set(params, 1, 0)[0], params, 20)
+        drawn = 0
+        for c in orbit.points[:-1]:
+            with contextlib.suppress(ArcUnsupportedError):
+                trajectory_arc(c, params)
+                drawn += 1
+        assert 0 < drawn < 20
+        assert out.count('class="orbit"') == 21
+        assert out.count("<path") == drawn
+        assert run_quiet(["render", "--D", "-2.5", "--E", "1.5"])[0] == 0
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "orbit.csv"
         code, out = run_cli(capsys, "orbit", "--D", "1.5", "--E", "-0.2",
@@ -351,6 +376,11 @@ class TestPeriodScan:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --format json" in err
 
+    def test_tol_option_removed(self):
+        code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--tol", "1e-6"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol 1e-6" in err
+
     def test_multiple_periods(self, capsys):
         code, out = run_cli(capsys, "period-scan", "--E", "-0.2",
                             "--p-list", "3,5", "--D-range", "0.2", "1.99")
@@ -445,6 +475,12 @@ class TestNegativeValues:
         got = run_quiet(["period-scan", "--E", "-2.1e-1", "--D-range", "-1e-1", "2e0"])
         assert got[0] == 0 and got[1].count("\n") == 2
         assert got == run_quiet(["period-scan", "--E=-0.21", "--D-range", "-0.1", "2"])
+
+    def test_grid_spec_value(self):
+        spec = "-3.5:3.5:-0.5:1.5:3"
+        got = run_quiet(["rotation", "--grid", spec])
+        assert got[0] == 0 and got[1].count("\n") == 10
+        assert got == run_quiet(["rotation", f"--grid={spec}"])
 
     def test_options_still_read_as_options(self):
         code, _, err = run_quiet(["orbit", "--D", "1.5", "--E", "--steps", "1"])

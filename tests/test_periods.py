@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -138,6 +139,15 @@ class TestPeriod3Locus:
             alpha = rotation_number(p).alpha
             assert abs(3.0 * alpha - round(3.0 * alpha)) < 1e-6
 
+    @pytest.mark.parametrize("E", [-5.0 / 24.0, -0.15, -0.25, -0.3, -0.1, 0.0, 0.05])
+    def test_root_brackets_polynomial_sign_change(self, E):
+        # exact arithmetic: the polynomial changes sign within 1e-14 of each alpha root
+        roots = find_periodic_locus(E, 3)
+        assert roots
+        h, e = Fraction(1, 10**14), Fraction(E)
+        for D in roots:
+            assert period3_residual(Fraction(D) - h, e) * period3_residual(Fraction(D) + h, e) < 0
+
     def test_low_periods_empty(self):
         # period 1 needs a fixed point of t and period 2 a fixed point of j
         # away from the nodal sets; neither exists
@@ -166,6 +176,37 @@ class TestLocusScan:
                 for _ in range(4):
                     c = map_t(c, params)
                 assert periods.config_distance(c, c0) <= 1e-9
+
+    def test_defect_evaluations_per_root(self, monkeypatch):
+        # the refinement starts from the scanned bracket ends, so each root
+        # costs a few scalar evaluations, and lands on a double-precision zero
+        calls = []
+        monkeypatch.setattr(periods, "derive_params",
+                            lambda D, E: calls.append(D) or derive_params(D, E))
+        rng = np.random.default_rng(2024)
+        n_roots = 0
+        for E, p in zip(rng.uniform(-0.33, 0.3, 100).tolist(), rng.integers(2, 10, 100).tolist()):
+            roots = find_periodic_locus(E, p)
+            n_roots += len(roots)
+            for D in roots:
+                alpha = rotation_number(derive_params(D, E)).alpha
+                assert abs((p * alpha + 0.5) % 1.0 - 0.5) <= 1e-14
+        assert n_roots >= 100
+        assert len(calls) <= 8 * n_roots
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: 1.0 if x < 0.3 else -1.0, 0.3),          # a jump, no zero
+        (lambda x: math.atan(1e12 * (x - 0.123)), 0.123),   # steep
+        (lambda x: (x - 0.3) ** 9, 0.3),                    # flat
+    ], ids=["jump", "steep", "flat"])
+    def test_illinois_brackets_without_a_cap(self, f, root):
+        for a, b in ((0.0, 1.0), (1.0, 0.0)):
+            x, fx = periods._illinois(f, a, f(a), b, f(b))
+            assert fx == f(x) and abs(x - root) <= 2e-16
+
+    def test_illinois_stops_at_nan(self):
+        f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5  # noqa: E731
+        assert periods._illinois(f, 0.0, -0.5, 1.0, 0.5) == (0.0, -0.5)
 
     def test_batched_scan_finds_the_scalar_roots(self, monkeypatch):
         cases = [(E, p) for E in (-0.31, -5.0 / 24.0, -0.12, 0.02, 0.3) for p in range(2, 9)]

@@ -219,11 +219,6 @@ class TestOrbit:
         with pytest.raises(DomainError):
             iterate_orbit(ConfigPoint(0.0, 0.1, 0.2), params, 3)
 
-    def test_renormalized_orbit_stays_tight(self, params_i):
-        c0 = sample_level_set(params_i, 1, seed=12)[0]
-        orbit = iterate_orbit(c0, params_i, 300, renormalize=True)
-        assert max(orbit.residuals) < 1e-11
-
     def test_negative_steps_raise(self, params_i):
         c0 = sample_level_set(params_i, 1, seed=8)[0]
         with pytest.raises(ValueError, match="n >= 0"):
@@ -265,10 +260,10 @@ def residual_records(params, seed, n):
 class TestColumnarMatchesScalar:
     """iterate_orbit against the step-by-step loop in oracles, bit for bit."""
 
-    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 3000), st.booleans())
-    def test_points_and_residuals(self, params, seed, n, renormalize):
+    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 3000))
+    def test_points_and_residuals(self, params, seed, n):
         c0 = sample_level_set(params, 1, seed)[0]
-        assert_matches_scalar(c0, params, n, renormalize=renormalize)
+        assert_matches_scalar(c0, params, n)
 
     def test_abort_abscissa(self):
         params = derive_params(0.3, 0.4)
