@@ -274,15 +274,16 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE_FLOAT
 
 
-def _add_common(p: argparse.ArgumentParser, *, D=False, E=False) -> None:
-    if D:
-        p.add_argument("--D", type=float, required=True, help="second integral D")
-    if E:
-        p.add_argument("--E", type=float, required=True, help="energy E")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+def _add_common(p: argparse.ArgumentParser, *, seed: bool, formats: tuple = ()) -> None:
+    """--D, --E and --out, plus --seed and a --format with these choices where asked."""
+    p.add_argument("--D", type=float, required=True, help="second integral D")
+    p.add_argument("--E", type=float, required=True, help="energy E")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv",
-                   help="output format (default csv)")
+    if formats:
+        p.add_argument("--format", choices=formats, default="csv",
+                       help="output format (default csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify the level set at (D, E)")
-    _add_common(p, D=True, E=True)
+    _add_common(p, seed=False, formats=("csv", "json"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("orbit", help="iterate the collision map and dump the orbit")
-    _add_common(p, D=True, E=True)
+    _add_common(p, seed=True, formats=("csv", "json", "svg"))
     p.add_argument("--steps", type=int, default=6, help="number of map steps (default 6)")
     p.add_argument("--residual-ceiling", type=float, default=1e-6,
                    help="abort when the level-set residual exceeds this")
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_period_scan)
 
     p = sub.add_parser("render", help="SVG figure of an orbit or a level set")
-    _add_common(p, D=True, E=True)
+    _add_common(p, seed=True)
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--samples", type=int, default=0,
                    help="orbit points overlaid on the level-set figure")

@@ -1,8 +1,8 @@
 """Batched kernels: whole arrays of parameter points or of orbit points.
 
-Each kernel gives every element bit for bit what the scalar function
-gives it, by repeating the scalar code's floating-point operations one for
-one over arrays: +, -, *, /, sqrt, abs, comparisons and mod, which numpy
+Each kernel gives every element bit for bit what a scalar evaluation
+gives it, by repeating the scalar floating-point operations one for one
+over arrays: +, -, *, /, sqrt, abs, comparisons and mod, which numpy
 rounds exactly as math and Python floats do.  Transcendental functions
 whose numpy versions may differ from math in the last bit (atan2, hypot,
 sin, cos) are math's own, mapped over the elements.  Loops freeze each
@@ -15,20 +15,18 @@ path has no rotation number get NaN: degenerate classes, the
 near-degenerate guards of rotation_number, and every domain error the
 scalar path would raise.
 
-map_t_array, config_distance_array, theta_array, level_set_residual_array,
-orbit_drift_columns and project_onto_level_set_array act on arrays of
-points (x, A1, A2) of one level set, as map_t, config_distance, angle_of,
-level_set_residual, the ConfigPoint.L / implied_invariants pair and
-project_onto_level_set do on a single point.  They raise the exception the
-scalar function raises at the first element where it raises.
-uniformize_array evaluates uniformize at an array of angles; it returns a
-mask of the points where uniformize raises PoleError instead of raising.
+map_t_array, config_distance_array and orbit_drift_columns act on arrays
+of points (x, A1, A2) of one level set, as map_t, config_distance and the
+ConfigPoint.L / implied_invariants pair do on a single point.
 
-The scalar functions stay the reference for single points; this module
-serves the ensemble callers (the CLI grid, the heatmap script, the sign
-scan of find_periodic_locus, poncelet_check, empirical_rotation, the
-checks of iterate_orbit, the CSV columns of the orbit command, the angle
-route of sample_level_set and component_curve).
+theta_array (point to angle) and uniformize_array (angle to point) are
+the only implementations of the uniformization: angle_of and uniformize
+call them with one-element arrays, and the scalar references they are
+tested against live in tests/oracles.py.  The point kernels raise the
+exception of the scalar evaluation at the first element where it raises;
+uniformize_array instead returns a mask of the points where the wall
+abscissa is at infinity.  The level-set residual and the projection onto
+the level set are array kernels of levelset.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ import numpy as np
 from .elliptic import (_AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, _jacobi_descent,
                        complete_K)
 from .errors import DomainError, EndpointSingularityError, PoleError
-from .levelset import BOUNDARY_TOL, NONDEGENERATE, LevelSetParams, RealLocusClass, _reflect
-from .uniformize import _ALPHA_SIGN, _ENDPOINT_GUARD, _require_nondegenerate
+from .levelset import (_ALPHA_SIGN, _ENDPOINT_GUARD, BOUNDARY_TOL, NONDEGENERATE, LevelSetParams,
+                       RealLocusClass, _max, _reflect, _require_nondegenerate)
 
 _CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
 _CODE = {cls: code for code, cls in enumerate(RealLocusClass)}
@@ -189,32 +187,11 @@ def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
         return (x, *_reflect(x, A1, A2, params.E))
 
 
-def _max(first, *rest):
-    """Python's max per element: the first of equal values wins, and a NaN
-    after the first argument is skipped."""
-    m = first
-    for v in rest:
-        m = np.where(v > m, v, m)
-    return m
-
-
 def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
     """periods.config_distance between the points (x, A1, A2) and (x0, A10, A20)."""
     with np.errstate(all="ignore"):
         return _max(np.abs(x / (1.0 + np.abs(x)) - x0 / (1.0 + np.abs(x0))),
                     np.abs(A1 - A10), np.abs(A2 - A20))
-
-
-def level_set_residual_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
-                             params: LevelSetParams) -> np.ndarray:
-    """level_set_residual(ConfigPoint(x, A1, A2), params) at every point."""
-    D, E = params.D, params.E
-    with np.errstate(all="ignore"):
-        circle = np.abs(A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E)
-        w = A2 + D - A1 * x
-        q = x * x + 1.0
-        wall = np.abs(q - w * w) / _max(1.0, q, w * w)
-        return _max(circle, wall)
 
 
 def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
@@ -260,9 +237,13 @@ def _raise_first(checks) -> None:
 
 def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                 params: LevelSetParams) -> np.ndarray:
-    """angle_of(ConfigPoint(x, A1, A2), params).theta at every point.
+    """Angle theta in [0, 1) of every real-locus point (x, A1, A2).
 
-    Raises what angle_of raises at the first point where it raises.
+    Inverts the parametrization of uniformize_array; the quadrant is
+    resolved from the signs of the Jacobi triple, so theta is continuous
+    along each component.  At the first point where the inversion fails it
+    raises DomainError (off the real locus, or outside the domain of the
+    incomplete integral), EndpointSingularityError or, at NaN, ValueError.
     """
     _require_nondegenerate(params)
     R, E, C = params.R, params.E, params.C
@@ -350,11 +331,12 @@ def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np
 
 def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """uniformize(AngleCoord(theta, eps), params) at every angle theta.
+    """Points of the real locus at the angles theta, by the Jacobi parametrization.
 
-    eps is a component index or an array of them, broadcast against theta.
-    Returns x, A1, A2 and a mask of the points where uniformize raises
-    PoleError (the wall abscissa at infinity); x is NaN there.
+    eps is a component index or an array of them, broadcast against theta
+    (see the uniformize module for the formulas).  Returns x, A1, A2 and a
+    mask of the points where the wall abscissa is at infinity
+    (|1 - A1^2| < 1e-12); x is NaN there.
     """
     _require_nondegenerate(params)
     theta = np.asarray(theta, dtype=float)
@@ -378,44 +360,9 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
         A1 = sgn * 2.0 * R * s * c
         A2 = 2.0 * E - R + 2.0 * R * c * c
         z = -sgn * C * d
-    # wall_abscissa_from_z
+    # the wall abscissa from z = (1 - A1^2) x + A1 (A2 + D)
     den = 1.0 - A1 * A1
     pole = np.abs(den) < 1e-12
     with np.errstate(all="ignore"):
         x = np.where(pole, np.nan, (z - A1 * (A2 + D)) / den)
     return x, A1, A2, pole
-
-
-def project_onto_level_set_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
-                                 params: LevelSetParams
-                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """project_onto_level_set at every point (x, A1, A2), with the same two steps.
-
-    A point freezes where the scalar loop breaks: once |f1| + |f2| < 1e-15,
-    or on a singular normal matrix.
-    """
-    D, E = params.D, params.E
-    go = np.ones(np.shape(x), dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            f1 = A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E
-            w = A2 + D - A1 * x
-            f2 = x * x + 1.0 - w * w
-            go &= ~(np.abs(f1) + np.abs(f2) < 1e-15)
-            if not go.any():
-                break
-            # the Jacobian rows are (0, j11, j12) and (j20, j21, j22); the
-            # products are summed from 0, left to right, as sum() does
-            j11, j12 = 2.0 * A1, 2.0 * A2 - 4.0 * E
-            j20, j21, j22 = 2.0 * x + 2.0 * w * A1, 2.0 * w * x, -2.0 * w
-            g11 = 0.0 + j11 * j11 + j12 * j12
-            g12 = 0.0 + 0.0 * j20 + j11 * j21 + j12 * j22
-            g22 = 0.0 + j20 * j20 + j21 * j21 + j22 * j22
-            det = g11 * g22 - g12 * g12
-            go &= det != 0.0
-            l1 = (f1 * g22 - f2 * g12) / det
-            l2 = (f2 * g11 - f1 * g12) / det
-            x = np.where(go, x - (0.0 * l1 + j20 * l2), x)
-            A1 = np.where(go, A1 - (j11 * l1 + j21 * l2), A1)
-            A2 = np.where(go, A2 - (j12 * l1 + j22 * l2), A2)
-    return x, A1, A2

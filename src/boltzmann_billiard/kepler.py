@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .errors import ArcUnsupportedError, DomainError
 from .levelset import ConfigPoint, LevelSetParams, NONDEGENERATE, other_wall_root
 
+_L_FLOOR = 1e-12  # |L| below which phase_from_config refuses a radial conic
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -58,7 +60,7 @@ def reflect_at_wall(s: PhaseState) -> PhaseState:
 
 
 def phase_from_config(c: ConfigPoint, params: LevelSetParams,
-                      outgoing: bool = True, l_floor: float = 1e-12) -> PhaseState:
+                      outgoing: bool = True) -> PhaseState:
     """Reconstruct the phase state at the wall point (x, 1) of a collision.
 
     The squared angular momentum is D + 2 A2; the sign of L is fixed by
@@ -71,7 +73,7 @@ def phase_from_config(c: ConfigPoint, params: LevelSetParams,
     if L2 < -1e-10:
         raise DomainError(f"negative squared angular momentum D + 2 A2 = {L2!r}")
     L = math.sqrt(max(L2, 0.0))
-    if L < l_floor:
+    if L < _L_FLOOR:
         raise DomainError("radial conic: momentum at the wall is not defined (|L| below floor)")
     r = math.hypot(c.x, 1.0)
     # on a hyperbolic conic the squared wall equation also contains the far

@@ -9,8 +9,11 @@ points satisfy two equations,
     wall:    x^2 + 1 = (A2 + D - A1 x)^2
 
 which cut out a genus-one curve.  This module derives the curve data
-(radius R, squared modulus k2, branch value s0, scale C, period lattice)
-and classifies the shape of the real locus.
+(radius R, squared modulus k2, branch value s0, scale C, period lattice),
+classifies the shape of the real locus, and evaluates the residual of the
+two equations and the projection onto them.  The residual and the
+projection are array kernels; the single-point functions call them with
+one-element arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .elliptic import complete_K, complete_Kp, complete_Kpp
 from .errors import DomainError, PoleError
@@ -41,6 +46,17 @@ class RealLocusClass(enum.Enum):
 NONDEGENERATE = frozenset(
     {RealLocusClass.I, RealLocusClass.II_PLUS, RealLocusClass.II_MINUS}
 )
+
+# Orientation of the analytic rotation number relative to the forward
+# collision map in the uniformizing angle theta; anchored per class against
+# the empirical winding (matches to 1e-12 on all tested parameter points).
+_ALPHA_SIGN = {
+    RealLocusClass.I: -1.0,
+    RealLocusClass.II_PLUS: 1.0,
+    RealLocusClass.II_MINUS: -1.0,
+}
+
+_ENDPOINT_GUARD = 1e-10  # distance of s0 from a branch point below which alpha is refused
 
 
 @dataclass(frozen=True)
@@ -188,21 +204,44 @@ def is_nonempty(params: LevelSetParams) -> bool:
     return params.D + 4.0 * params.E + 2.0 * params.R > 0.0
 
 
-def circle_residual(c: ConfigPoint, params: LevelSetParams) -> float:
-    """Absolute defect of the eccentricity-circle equation."""
-    return abs(c.A1 * c.A1 + c.A2 * c.A2 - 4.0 * params.E * c.A2
-               - 1.0 - 2.0 * params.D * params.E)
+def _require_nondegenerate(params: LevelSetParams):
+    if not params.nondegenerate:
+        raise DomainError(f"operation needs a nondegenerate level set (class {params.cls.value})")
 
 
-def wall_residual(c: ConfigPoint, params: LevelSetParams) -> float:
-    """Relative defect of the wall equation (scaled so large x stays fair)."""
-    w = c.A2 + params.D - c.A1 * c.x
-    num = abs(c.x * c.x + 1.0 - w * w)
-    return num / max(1.0, c.x * c.x + 1.0, w * w)
+def _columns(c: ConfigPoint) -> np.ndarray:
+    """The point c as the one-element arrays x, A1, A2 (rows of one array)."""
+    return np.array([[c.x], [c.A1], [c.A2]], dtype=float)
+
+
+def _max(first, *rest):
+    """Python's max per element: the first of equal values wins, and a NaN
+    after the first argument is skipped."""
+    m = first
+    for v in rest:
+        m = np.where(v > m, v, m)
+    return m
+
+
+def level_set_residual_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                             params: LevelSetParams) -> np.ndarray:
+    """Level-set residual at every point (x, A1, A2).
+
+    The larger of the absolute defect of the circle equation and the
+    relative defect of the wall equation (scaled so large x stays fair).
+    """
+    D, E = params.D, params.E
+    with np.errstate(all="ignore"):
+        circle = np.abs(A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E)
+        w = A2 + D - A1 * x
+        q = x * x + 1.0
+        wall = np.abs(q - w * w) / _max(1.0, q, w * w)
+        return _max(circle, wall)
 
 
 def level_set_residual(c: ConfigPoint, params: LevelSetParams) -> float:
-    return max(circle_residual(c, params), wall_residual(c, params))
+    """level_set_residual_array at the single point c."""
+    return float(level_set_residual_array(*_columns(c), params)[0])
 
 
 def implied_invariants(c: ConfigPoint, params: LevelSetParams) -> tuple[float, float]:
@@ -255,40 +294,43 @@ def _reflect(x, A1, A2, E):
     return co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
 
 
-def wall_abscissa_from_z(z: float, A1: float, A2: float, D: float) -> float:
-    """Invert the linear relation z = (1 - A1^2) x + A1 (A2 + D) for x."""
-    den = 1.0 - A1 * A1
-    if abs(den) < 1e-12:
-        raise PoleError("wall abscissa at infinity (A1^2 = 1)")
-    return (z - A1 * (A2 + D)) / den
+def project_onto_level_set_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                                 params: LevelSetParams
+                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Newton projection of every point (x, A1, A2) onto the circle and wall equations.
+
+    Takes the minimum-norm correction in (x, A1, A2); one step is already
+    quadratically accurate, a second mops up rounding.  A point freezes
+    once |f1| + |f2| < 1e-15, or on a singular normal matrix.
+    """
+    D, E = params.D, params.E
+    go = np.ones(np.shape(x), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            f1 = A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E
+            w = A2 + D - A1 * x
+            f2 = x * x + 1.0 - w * w
+            go &= ~(np.abs(f1) + np.abs(f2) < 1e-15)
+            if not go.any():
+                break
+            # the Jacobian rows of (f1, f2) in (x, A1, A2) are (0, j11, j12)
+            # and (j20, j21, j22); the products of full rows are summed from 0,
+            # left to right, so an infinite j20 makes g12 NaN
+            j11, j12 = 2.0 * A1, 2.0 * A2 - 4.0 * E
+            j20, j21, j22 = 2.0 * x + 2.0 * w * A1, 2.0 * w * x, -2.0 * w
+            g11 = 0.0 + j11 * j11 + j12 * j12
+            g12 = 0.0 + 0.0 * j20 + j11 * j21 + j12 * j22
+            g22 = 0.0 + j20 * j20 + j21 * j21 + j22 * j22
+            det = g11 * g22 - g12 * g12
+            go &= det != 0.0
+            l1 = (f1 * g22 - f2 * g12) / det
+            l2 = (f2 * g11 - f1 * g12) / det
+            x = np.where(go, x - (0.0 * l1 + j20 * l2), x)
+            A1 = np.where(go, A1 - (j11 * l1 + j21 * l2), A1)
+            A2 = np.where(go, A2 - (j12 * l1 + j22 * l2), A2)
+    return x, A1, A2
 
 
 def project_onto_level_set(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
-    """Gauss-Newton projection onto the circle and wall equations.
-
-    Takes the minimum-norm correction in (x, A1, A2); one step is already
-    quadratically accurate, a second mops up rounding.
-    """
-    x, A1, A2 = c.x, c.A1, c.A2
-    D, E = params.D, params.E
-    for _ in range(2):
-        f1 = A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E
-        w = A2 + D - A1 * x
-        f2 = x * x + 1.0 - w * w
-        if abs(f1) + abs(f2) < 1e-15:
-            break
-        # rows of the Jacobian of (f1, f2) in (x, A1, A2)
-        j1 = (0.0, 2.0 * A1, 2.0 * A2 - 4.0 * E)
-        j2 = (2.0 * x + 2.0 * w * A1, 2.0 * w * x, -2.0 * w)
-        g11 = sum(v * v for v in j1)
-        g12 = sum(a * b for a, b in zip(j1, j2))
-        g22 = sum(v * v for v in j2)
-        det = g11 * g22 - g12 * g12
-        if det == 0.0:
-            break
-        l1 = (f1 * g22 - f2 * g12) / det
-        l2 = (f2 * g11 - f1 * g12) / det
-        x -= j1[0] * l1 + j2[0] * l2
-        A1 -= j1[1] * l1 + j2[1] * l2
-        A2 -= j1[2] * l1 + j2[2] * l2
-    return ConfigPoint(x, A1, A2)
+    """project_onto_level_set_array at the single point c."""
+    return ConfigPoint(*(float(v[0]) for v in project_onto_level_set_array(*_columns(c), params)))

@@ -24,6 +24,7 @@ from .uniformize import rotation_number
 log = logging.getLogger(__name__)
 
 _SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_locus
+_RETURN_TOL = 1e-8  # config_distance below which poncelet_check counts a start as returned
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ def smallest_period(alpha: float, flips_component: bool,
     return None
 
 
-def predict_period(params: LevelSetParams, p_max: int = 60, tol: float = 1e-9) -> int | None:
+def predict_period(params: LevelSetParams, p_max: int = 60) -> int | None:
     rot = rotation_number(params)
-    return smallest_period(rot.alpha, rot.flips_component, p_max, tol)
+    return smallest_period(rot.alpha, rot.flips_component, p_max)
 
 
 def detect_period_direct(c0: ConfigPoint, params: LevelSetParams,
@@ -77,7 +78,7 @@ def detect_period_direct(c0: ConfigPoint, params: LevelSetParams,
     return None
 
 
-def _first_returns(pts: list, params: LevelSetParams, p_max: int, tol: float):
+def _first_returns(pts: list, params: LevelSetParams, p_max: int):
     """detect_period_direct for all starts at once, with the distance at the return.
 
     Only the starts still searching take a step, so each start takes the
@@ -95,7 +96,7 @@ def _first_returns(pts: list, params: LevelSetParams, p_max: int, tol: float):
             break
         x, A1, A2 = map_t_array(x, A1, A2, params)
         d = config_distance_array(x, A1, A2, x0[idx], A10[idx], A20[idx])
-        hit = d < tol
+        hit = d < _RETURN_TOL
         for i, di in zip(idx[hit].tolist(), d[hit].tolist()):
             found[i], dist[i] = p, di
         idx, x, A1, A2 = idx[~hit], x[~hit], A1[~hit], A2[~hit]
@@ -103,17 +104,20 @@ def _first_returns(pts: list, params: LevelSetParams, p_max: int, tol: float):
 
 
 def poncelet_check(params: LevelSetParams, n_samples: int = 100,
-                   p_max: int = 60, tol: float = 1e-8, seed: int = 0) -> PeriodReport:
+                   p_max: int = 60, seed: int = 0) -> PeriodReport:
     """All-or-nothing periodicity over seeded starting points.
 
     Detects the direct period from n_samples starts, requires unanimity,
     and compares with the analytic prediction.  Disagreement is reported
     in the result, not raised.  The starts are iterated together as arrays,
-    with the result of detect_period_direct on each.
+    with the result of detect_period_direct on each.  Raises ValueError if
+    n_samples < 1.
     """
+    if n_samples < 1:
+        raise ValueError(f"poncelet check needs n_samples >= 1 (got {n_samples})")
     rot = rotation_number(params)
     predicted = smallest_period(rot.alpha, rot.flips_component, p_max)
-    found, dist = _first_returns(sample_level_set(params, n_samples, seed), params, p_max, tol)
+    found, dist = _first_returns(sample_level_set(params, n_samples, seed), params, p_max)
     detected = set(found)
     unanimous = detected.pop() if len(detected) == 1 else None
     # with a unanimous period, t^p(c) is the point each start returned at
@@ -220,7 +224,8 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
         return (p * a + 0.5) % 1.0 - 0.5
 
     lo, hi = D_range
-    Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
+    with np.errstate(invalid="ignore", over="ignore"):  # rotation_grid refuses non-finite D
+        Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
     classes, alpha = rotation_grid(Ds, E)
     if p % 2 == 1:
         alpha[classes == RealLocusClass.II_PLUS] = math.nan

@@ -16,13 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EmptyLocusError, OrbitAbort, PoleError
-from .grid import level_set_residual_array, project_onto_level_set_array, uniformize_array
+from .grid import uniformize_array
 from .levelset import (
     ConfigPoint,
     LevelSetParams,
     RealLocusClass,
     _reflect,
+    level_set_residual_array,
     other_wall_root,
+    project_onto_level_set_array,
 )
 
 
@@ -207,6 +209,6 @@ def component_curve(params: LevelSetParams, eps: int = 0, n: int = 257) -> list:
     """
     if n <= 0:
         return []
-    theta = [j / (n - 1) % 1.0 for j in range(n)]
+    theta = [j / max(n - 1, 1) % 1.0 for j in range(n)]
     x, A1, A2, pole = uniformize_array(theta, eps, params)
     return _points(~pole, x, A1, A2)

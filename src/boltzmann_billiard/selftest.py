@@ -19,7 +19,7 @@ from .kepler import conserved_quantities, phase_from_config, reflect_at_wall
 from .levelset import ConfigPoint, RealLocusClass, derive_params, level_set_residual
 from .periods import empirical_rotation, period3_residual, predict_period
 from .poincare import involution_i, involution_j, iterate_orbit, map_t, sample_level_set
-from .uniformize import rotation_number, uniformize
+from .uniformize import AngleCoord, rotation_number, uniformize
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,6 @@ def check_period3() -> CheckResult:
 def check_uniformize_roundtrip() -> CheckResult:
     """theta -> point -> residual stays pinned to the level set."""
     worst = 0.0
-    from .uniformize import AngleCoord
     for D, E in ((1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)):
         params = derive_params(D, E)
         for j in range(40):

@@ -14,6 +14,9 @@ from .kepler import trajectory_arc
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass
 from .poincare import component_curve
 
+_ARC_POINTS = 64  # samples per Kepler arc of orbit_figure
+_CURVE_POINTS = 257  # samples per component of level_set_figure
+
 
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
@@ -101,8 +104,7 @@ class SvgCanvas:
         return "\n".join(out) + "\n"
 
 
-def orbit_figure(points: list[ConfigPoint], params: LevelSetParams,
-                 n_arc: int = 64) -> str:
+def orbit_figure(points: list[ConfigPoint], params: LevelSetParams) -> str:
     """Physical-plane figure: the wall, the centre, and a marker and a Kepler arc per bounce.
 
     An arc that trajectory_arc refuses (through infinity or below the wall) is left out.
@@ -115,7 +117,7 @@ def orbit_figure(points: list[ConfigPoint], params: LevelSetParams,
     canvas.circle_marker(0.0, 0.0, "centre", r=4.0)
     for c in points[:-1]:
         try:
-            arc = trajectory_arc(c, params, n=n_arc)
+            arc = trajectory_arc(c, params, n=_ARC_POINTS)
         except ArcUnsupportedError:
             continue
         canvas.path(arc, "arc")
@@ -124,15 +126,14 @@ def orbit_figure(points: list[ConfigPoint], params: LevelSetParams,
     return canvas.render()
 
 
-def level_set_figure(params: LevelSetParams, points: list[ConfigPoint] | None = None,
-                     n_curve: int = 257) -> str:
+def level_set_figure(params: LevelSetParams, points: list[ConfigPoint] | None = None) -> str:
     """Level-set figure in the (A1, L) plane, with optional orbit points."""
     canvas = SvgCanvas()
     two_sided = params.cls in (RealLocusClass.II_PLUS, RealLocusClass.II_MINUS)
     eps_values = (0, 1) if two_sided else (0,)
     root = math.sqrt(params.D + 2.0 * params.E)
     for eps in eps_values:
-        curve = component_curve(params, eps=eps, n=n_curve)
+        curve = component_curve(params, eps=eps, n=_CURVE_POINTS)
         canvas.polyline([(c.A1, c.z(params) / root) for c in curve], "component")
     if points:
         for c in points:

@@ -2,9 +2,11 @@
 
 On a nondegenerate level set the real locus is one circle (class I) or two
 (classes II+/II-), and the collision map acts on it by a rigid rotation in
-a canonical angle theta in [0, 1).  This module evaluates the explicit
-Jacobi parametrization of the locus in all-real arithmetic, inverts it,
-and computes the rotation number from complete and incomplete elliptic
+a canonical angle theta in [0, 1).  The locus has an explicit Jacobi
+parametrization in all-real arithmetic; grid.uniformize_array evaluates
+it over arrays of angles and grid.theta_array inverts it, and uniformize
+and angle_of below are their single-point forms.  This module also
+computes the rotation number from complete and incomplete elliptic
 integrals.
 
 Class I lives on the imaginary axis of the uniformizing plane,
@@ -29,32 +31,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elliptic import (
-    complete_K,
-    jacobi_sn_cn_dn,
-    legendre_F_phi,
-    seg_case_i,
-    seg_case_ii_plus,
-)
-from .errors import ClassChangeError, DomainError, NearDegenerateError
+import numpy as np
+
+from .elliptic import seg_case_i, seg_case_ii_plus
+from .errors import ClassChangeError, NearDegenerateError, PoleError
+from .grid import theta_array, uniformize_array
 from .levelset import (
+    _ALPHA_SIGN,
+    _ENDPOINT_GUARD,
     ConfigPoint,
     LevelSetParams,
     RealLocusClass,
+    _columns,
+    _require_nondegenerate,
     derive_params,
-    wall_abscissa_from_z,
 )
-
-# Orientation of the analytic rotation number relative to the forward
-# collision map in the theta coordinate above; anchored per class against
-# the empirical winding (matches to 1e-12 on all tested parameter points).
-_ALPHA_SIGN = {
-    RealLocusClass.I: -1.0,
-    RealLocusClass.II_PLUS: 1.0,
-    RealLocusClass.II_MINUS: -1.0,
-}
-
-_ENDPOINT_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,11 +64,6 @@ class RotationData:
     flips_component: bool
 
 
-def _require_nondegenerate(params: LevelSetParams):
-    if not params.nondegenerate:
-        raise DomainError(f"operation needs a nondegenerate level set (class {params.cls.value})")
-
-
 def _coerce_angle(a) -> AngleCoord:
     if isinstance(a, AngleCoord):
         return a
@@ -85,74 +71,27 @@ def _coerce_angle(a) -> AngleCoord:
 
 
 def uniformize(a, params: LevelSetParams) -> ConfigPoint:
-    """Point of the real locus at angle coordinate a (all-real evaluation).
+    """Point of the real locus at angle coordinate a: uniformize_array at one angle.
 
     Raises PoleError when the wall abscissa is at infinity there (A1^2 = 1);
     callers that sample may retry with a perturbed angle.
     """
-    _require_nondegenerate(params)
     a = _coerce_angle(a)
-    R, E, D, C = params.R, params.E, params.D, params.C
-    if params.cls is RealLocusClass.I:
-        if a.eps != 0:
-            raise DomainError("class I has a single component (eps = 0)")
-        kap2 = 1.0 / (1.0 - params.k2)
-        kap = math.sqrt(kap2)
-        w = 4.0 * complete_K(kap2) * a.theta
-        s, c, d = jacobi_sn_cn_dn(w, kap2)
-        A1 = -2.0 * R * kap * s * d
-        A2 = 2.0 * E - R + 2.0 * R * d * d
-        z = C * c
-    else:
-        if a.eps not in (0, 1):
-            raise DomainError("component index eps must be 0 or 1")
-        mc = 1.0 - params.k2
-        v = 2.0 * complete_K(mc) * a.theta
-        s, c, d = jacobi_sn_cn_dn(v, mc)
-        sgn = -1.0 if a.eps == 0 else 1.0
-        A1 = sgn * 2.0 * R * s * c
-        A2 = 2.0 * E - R + 2.0 * R * c * c
-        z = -sgn * C * d
-    x = wall_abscissa_from_z(z, A1, A2, D)
-    return ConfigPoint(x, A1, A2)
+    x, A1, A2, pole = uniformize_array(np.array([a.theta]), a.eps, params)
+    if pole[0]:
+        raise PoleError("wall abscissa at infinity (A1^2 = 1)")
+    return ConfigPoint(float(x[0]), float(A1[0]), float(A2[0]))
 
 
 def angle_of(c: ConfigPoint, params: LevelSetParams) -> AngleCoord:
-    """Invert the parametrization: angle coordinate of a real-locus point.
+    """Angle coordinate of a real-locus point: theta_array at one point.
 
-    The quadrant is resolved from the signs of the Jacobi triple, so theta
-    is continuous along each component; the component index is the sign
-    of z.  Roundtrip defect with uniformize is at the incomplete-integral
-    accuracy level.
+    The component index is 0 in class I and otherwise the sign of z (0
+    where z > 0).  Roundtrip defect with uniformize is at the
+    incomplete-integral accuracy level.
     """
-    _require_nondegenerate(params)
-    R, E, C = params.R, params.E, params.C
-    z = c.z(params)
-    if params.cls is RealLocusClass.I:
-        kap2 = 1.0 / (1.0 - params.k2)
-        kap = math.sqrt(kap2)
-        Kk = complete_K(kap2)
-        d2 = (c.A2 - 2.0 * E + R) / (2.0 * R)
-        d = math.sqrt(max(d2, 0.0))
-        if d <= 0.0:
-            raise DomainError("point is off the real locus (dn = 0)")
-        s = -c.A1 / (2.0 * R * kap * d)
-        co = z / C
-        h = math.hypot(s, co)
-        if h == 0.0:
-            raise DomainError("degenerate angle inversion")
-        phi = math.atan2(s / h, co / h)
-        w = legendre_F_phi(phi, kap2) % (4.0 * Kk)
-        return AngleCoord(w / (4.0 * Kk), 0)
-    mc = 1.0 - params.k2
-    Kp = complete_K(mc)
-    eps = 0 if z > 0.0 else 1
-    sgn = -1.0 if eps == 0 else 1.0
-    sc = c.A1 / (sgn * 2.0 * R)           # sn * cn
-    c2 = (c.A2 - 2.0 * E + R) / (2.0 * R)  # cn^2
-    two_phi = math.atan2(2.0 * sc, 2.0 * c2 - 1.0)
-    v = legendre_F_phi(0.5 * two_phi, mc) % (2.0 * Kp)
-    return AngleCoord(v / (2.0 * Kp), eps)
+    theta = float(theta_array(*_columns(c), params)[0])
+    return AngleCoord(theta, 0 if params.cls is RealLocusClass.I or c.z(params) > 0.0 else 1)
 
 
 def rotation_number(params: LevelSetParams) -> RotationData:

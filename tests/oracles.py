@@ -3,8 +3,10 @@
 Everything here deliberately avoids the production code paths: the complete
 and incomplete integrals are done by adaptive quadrature on singularity-free
 substitutions, the Jacobi functions by numerically inverting the incomplete
-integral, and cross-checks go through scipy.special / mpmath.  Production
-modules must never import this file.
+integral, and cross-checks go through scipy.special / mpmath.  The scalar
+references further down repeat a batched kernel's formulas one point at a
+time in Python floats, so each kernel is compared with a second, separate
+implementation.  Production modules must never import this file.
 """
 
 from __future__ import annotations
@@ -230,7 +232,6 @@ def uniformize_complex_oracle(a, params):
     u = 2 i K' theta + 2 K eps (classes II).
     """
     from boltzmann_billiard import AngleCoord, ConfigPoint, DomainError, PoleError, RealLocusClass
-    from boltzmann_billiard.levelset import wall_abscissa_from_z
 
     if not params.nondegenerate:
         raise DomainError(f"operation needs a nondegenerate level set (class {params.cls.value})")
@@ -249,8 +250,152 @@ def uniformize_complex_oracle(a, params):
     z = params.C * dn / cn
     if max(abs(A1.imag), abs(A2.imag), abs(z.imag)) > 1e-8 * (1.0 + abs(z)):
         raise DomainError("angle coordinate does not lie on the real locus")
-    x = wall_abscissa_from_z(z.real, A1.real, A2.real, params.D)
+    x = _wall_abscissa_from_z(z.real, A1.real, A2.real, params.D)
     return ConfigPoint(x, A1.real, A2.real)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the curve kernels (uniformize_array, theta_array,
+# level_set_residual_array, project_onto_level_set_array), one point at a
+# time in Python floats
+# ---------------------------------------------------------------------------
+
+def _require_nondegenerate(params):
+    from boltzmann_billiard import DomainError
+
+    if not params.nondegenerate:
+        raise DomainError(f"operation needs a nondegenerate level set (class {params.cls.value})")
+
+
+def _wall_abscissa_from_z(z: float, A1: float, A2: float, D: float) -> float:
+    """Invert the linear relation z = (1 - A1^2) x + A1 (A2 + D) for x."""
+    from boltzmann_billiard import PoleError
+
+    den = 1.0 - A1 * A1
+    if abs(den) < 1e-12:
+        raise PoleError("wall abscissa at infinity (A1^2 = 1)")
+    return (z - A1 * (A2 + D)) / den
+
+
+def scalar_uniformize(a, params):
+    """Point of the real locus at angle coordinate a, by the real Jacobi formulas.
+
+    Raises PoleError where the wall abscissa is at infinity (A1^2 = 1).
+    """
+    from boltzmann_billiard import (AngleCoord, ConfigPoint, DomainError, RealLocusClass,
+                                    complete_K, jacobi_sn_cn_dn)
+
+    _require_nondegenerate(params)
+    if not isinstance(a, AngleCoord):
+        a = AngleCoord(float(a), 0)
+    R, E, D, C = params.R, params.E, params.D, params.C
+    if params.cls is RealLocusClass.I:
+        if a.eps != 0:
+            raise DomainError("class I has a single component (eps = 0)")
+        kap2 = 1.0 / (1.0 - params.k2)
+        kap = math.sqrt(kap2)
+        w = 4.0 * complete_K(kap2) * a.theta
+        s, c, d = jacobi_sn_cn_dn(w, kap2)
+        A1 = -2.0 * R * kap * s * d
+        A2 = 2.0 * E - R + 2.0 * R * d * d
+        z = C * c
+    else:
+        if a.eps not in (0, 1):
+            raise DomainError("component index eps must be 0 or 1")
+        mc = 1.0 - params.k2
+        v = 2.0 * complete_K(mc) * a.theta
+        s, c, d = jacobi_sn_cn_dn(v, mc)
+        sgn = -1.0 if a.eps == 0 else 1.0
+        A1 = sgn * 2.0 * R * s * c
+        A2 = 2.0 * E - R + 2.0 * R * c * c
+        z = -sgn * C * d
+    x = _wall_abscissa_from_z(z, A1, A2, D)
+    return ConfigPoint(x, A1, A2)
+
+
+def scalar_angle_of(c, params):
+    """Angle coordinate of a real-locus point, by inverting the real Jacobi formulas.
+
+    The quadrant comes from the signs of the Jacobi triple; the component
+    index is the sign of z.
+    """
+    from boltzmann_billiard import (AngleCoord, DomainError, RealLocusClass, complete_K,
+                                    legendre_F_phi)
+
+    _require_nondegenerate(params)
+    R, E, C = params.R, params.E, params.C
+    z = c.z(params)
+    if params.cls is RealLocusClass.I:
+        kap2 = 1.0 / (1.0 - params.k2)
+        kap = math.sqrt(kap2)
+        Kk = complete_K(kap2)
+        d2 = (c.A2 - 2.0 * E + R) / (2.0 * R)
+        d = math.sqrt(max(d2, 0.0))
+        if d <= 0.0:
+            raise DomainError("point is off the real locus (dn = 0)")
+        s = -c.A1 / (2.0 * R * kap * d)
+        co = z / C
+        h = math.hypot(s, co)
+        if h == 0.0:
+            raise DomainError("degenerate angle inversion")
+        phi = math.atan2(s / h, co / h)
+        w = legendre_F_phi(phi, kap2) % (4.0 * Kk)
+        return AngleCoord(w / (4.0 * Kk), 0)
+    mc = 1.0 - params.k2
+    Kp = complete_K(mc)
+    eps = 0 if z > 0.0 else 1
+    sgn = -1.0 if eps == 0 else 1.0
+    sc = c.A1 / (sgn * 2.0 * R)           # sn * cn
+    c2 = (c.A2 - 2.0 * E + R) / (2.0 * R)  # cn^2
+    two_phi = math.atan2(2.0 * sc, 2.0 * c2 - 1.0)
+    v = legendre_F_phi(0.5 * two_phi, mc) % (2.0 * Kp)
+    return AngleCoord(v / (2.0 * Kp), eps)
+
+
+def scalar_circle_residual(c, params) -> float:
+    """Absolute defect of the eccentricity-circle equation."""
+    return abs(c.A1 * c.A1 + c.A2 * c.A2 - 4.0 * params.E * c.A2
+               - 1.0 - 2.0 * params.D * params.E)
+
+
+def scalar_wall_residual(c, params) -> float:
+    """Relative defect of the wall equation (scaled so large x stays fair)."""
+    w = c.A2 + params.D - c.A1 * c.x
+    num = abs(c.x * c.x + 1.0 - w * w)
+    return num / max(1.0, c.x * c.x + 1.0, w * w)
+
+
+def scalar_level_set_residual(c, params) -> float:
+    return max(scalar_circle_residual(c, params), scalar_wall_residual(c, params))
+
+
+def scalar_project_onto_level_set(c, params):
+    """Gauss-Newton projection onto the circle and wall equations, two steps at most."""
+    from boltzmann_billiard import ConfigPoint
+
+    x, A1, A2 = c.x, c.A1, c.A2
+    D, E = params.D, params.E
+    for _ in range(2):
+        f1 = A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E
+        w = A2 + D - A1 * x
+        f2 = x * x + 1.0 - w * w
+        if abs(f1) + abs(f2) < 1e-15:
+            break
+        # rows of the Jacobian of (f1, f2) in (x, A1, A2)
+        j1 = (0.0, 2.0 * A1, 2.0 * A2 - 4.0 * E)
+        j2 = (2.0 * x + 2.0 * w * A1, 2.0 * w * x, -2.0 * w)
+        g11 = sum(v * v for v in j1)
+        g12 = sum(a * b for a, b in zip(j1, j2))
+        g22 = sum(v * v for v in j2)
+        det = g11 * g22 - g12 * g12
+        if det == 0.0:
+            break
+        l1 = (f1 * g22 - f2 * g12) / det
+        l2 = (f2 * g11 - f1 * g12) / det
+        x -= j1[0] * l1 + j2[0] * l2
+        A1 -= j1[1] * l1 + j2[1] * l2
+        A2 -= j1[2] * l1 + j2[2] * l2
+    return ConfigPoint(x, A1, A2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +485,18 @@ def level_sets(draw):
 
 
 def scalar_empirical_rotation(params, n_steps: int = 10_000, seed: int = 0, c0=None) -> float:
-    """empirical_rotation point by point: one map_t and one angle_of per step."""
-    from boltzmann_billiard import angle_of, map_t, sample_level_set
+    """empirical_rotation point by point: one map_t and one scalar_angle_of per step."""
+    from boltzmann_billiard import map_t, sample_level_set
 
     if c0 is None:
         c0 = sample_level_set(params, 1, seed)[0]
-    th_prev = angle_of(c0, params).theta
+    th_prev = scalar_angle_of(c0, params).theta
     c = c0
     d0 = None
     total = 0.0
     for _ in range(n_steps):
         c = map_t(c, params)
-        th = angle_of(c, params).theta
+        th = scalar_angle_of(c, params).theta
         d = (th - th_prev) % 1.0
         if d0 is None:
             d0 = d
@@ -364,8 +509,7 @@ def scalar_empirical_rotation(params, n_steps: int = 10_000, seed: int = 0, c0=N
     return (total / n_steps) % 1.0
 
 
-def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60,
-                          tol: float = 1e-8, seed: int = 0):
+def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60, seed: int = 0):
     """poncelet_check one start at a time, with a separate residual pass.
 
     The starts come from periods.sample_level_set, so a test that replaces
@@ -373,10 +517,12 @@ def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60,
     """
     from boltzmann_billiard import map_t, periods
 
+    if n_samples < 1:
+        raise ValueError(f"poncelet check needs n_samples >= 1 (got {n_samples})")
     rot = periods.rotation_number(params)
     predicted = periods.smallest_period(rot.alpha, rot.flips_component, p_max)
     pts = periods.sample_level_set(params, n_samples, seed)
-    detected = {periods.detect_period_direct(c, params, p_max, tol) for c in pts}
+    detected = {periods.detect_period_direct(c, params, p_max) for c in pts}
     unanimous = detected.pop() if len(detected) == 1 else None
     residual = math.nan
     if unanimous is not None:
@@ -407,12 +553,12 @@ def scalar_iterate_orbit(c0, params, n: int, *,
 
     Raises OrbitAbort carrying a ScalarOrbit prefix.
     """
-    from boltzmann_billiard import DomainError, OrbitAbort, PoleError, level_set_residual, map_t
+    from boltzmann_billiard import DomainError, OrbitAbort, PoleError, map_t
 
     if not params.nondegenerate:
         raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
     pts = [c0]
-    res = [level_set_residual(c0, params)]
+    res = [scalar_level_set_residual(c0, params)]
     for step in range(1, n + 1):
         try:
             c = map_t(pts[-1], params)
@@ -420,7 +566,7 @@ def scalar_iterate_orbit(c0, params, n: int, *,
             raise OrbitAbort(f"step {step}: {exc}", ScalarOrbit(tuple(pts), params, tuple(res)),
                              step) from exc
         ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
-        r = level_set_residual(c, params) if ok else math.inf
+        r = scalar_level_set_residual(c, params) if ok else math.inf
         if not ok or r > residual_ceiling:
             raise OrbitAbort(
                 f"step {step}: orbit left the level set (residual {r:.3e})",
@@ -458,8 +604,7 @@ def scalar_orbit_csv(points, params, D: float) -> str:
 
 def scalar_sample_level_set(params, m: int, seed: int = 0) -> list:
     """sample_level_set's angle route, one candidate at a time."""
-    from boltzmann_billiard import (AngleCoord, DomainError, PoleError, RealLocusClass,
-                                    level_set_residual, project_onto_level_set, uniformize)
+    from boltzmann_billiard import AngleCoord, DomainError, PoleError, RealLocusClass
 
     rng = np.random.default_rng(seed)
     two_comp = params.cls is not RealLocusClass.I
@@ -472,25 +617,25 @@ def scalar_sample_level_set(params, m: int, seed: int = 0) -> list:
         theta = float(rng.random())
         eps = int(rng.integers(0, 2)) if two_comp else 0
         try:
-            c = uniformize(AngleCoord(theta, eps), params)
+            c = scalar_uniformize(AngleCoord(theta, eps), params)
         except PoleError:
             continue
-        c = project_onto_level_set(c, params)
-        if level_set_residual(c, params) > 1e-12:
+        c = scalar_project_onto_level_set(c, params)
+        if scalar_level_set_residual(c, params) > 1e-12:
             continue
         out.append(c)
     return out
 
 
 def scalar_component_curve(params, eps: int = 0, n: int = 257) -> list:
-    """component_curve one uniformize call per angle, skipping the poles."""
-    from boltzmann_billiard import AngleCoord, PoleError, uniformize
+    """component_curve one scalar_uniformize call per angle, skipping the poles."""
+    from boltzmann_billiard import AngleCoord, PoleError
 
     pts = []
     for j in range(n):
-        theta = j / (n - 1)
+        theta = j / (n - 1) if n > 1 else 0.0
         try:
-            pts.append(uniformize(AngleCoord(theta % 1.0, eps), params))
+            pts.append(scalar_uniformize(AngleCoord(theta % 1.0, eps), params))
         except PoleError:
             continue
     return pts

@@ -87,6 +87,16 @@ class TestClassify:
         code, _ = run_cli(capsys, "classify", "--D", "nan", "--E", "-0.2")
         assert code == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["--format", "svg"], "argument --format: invalid choice: 'svg'"),
+    ])
+    def test_unread_options_removed(self, extra, message):
+        # classify draws nothing at random, and --format svg used to write the text report
+        code, out, err = run_quiet(["classify", "--D", "1.5", "--E", "-0.2", *extra])
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestOrbit:
     def test_csv_shape_and_conservation(self, capsys):
@@ -416,6 +426,12 @@ class TestRender:
         root = ET.fromstring(out)
         comps = [el for el in root.iter() if el.get("class") == "component"]
         assert len(comps) == 1
+
+    def test_format_option_removed(self):
+        # render writes SVG only; --format used to be accepted and ignored
+        code, out, err = run_quiet(["render", "--D", "1.5", "--E", "-0.2", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format json" in err
 
 
 class TestSelftest:

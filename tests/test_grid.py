@@ -1,4 +1,4 @@
-"""The batched kernels of grid.py against the scalar functions they repeat."""
+"""The batched kernels against the scalar functions and references they repeat."""
 
 import math
 
@@ -28,14 +28,16 @@ from boltzmann_billiard import (
 )
 from boltzmann_billiard.grid import (
     config_distance_array,
-    level_set_residual_array,
     map_t_array,
     orbit_drift_columns,
-    project_onto_level_set_array,
     theta_array,
     uniformize_array,
 )
-from boltzmann_billiard.levelset import NONDEGENERATE
+from boltzmann_billiard.levelset import (
+    NONDEGENERATE,
+    level_set_residual_array,
+    project_onto_level_set_array,
+)
 from boltzmann_billiard.periods import config_distance
 
 
@@ -171,7 +173,7 @@ def test_point_kernels_match_scalar(params, seed):
     pts = orbit_points(params, seed, 40)
     x, A1, A2 = as_arrays(pts)
     theta = theta_array(x, A1, A2, params)
-    assert theta.tolist() == [angle_of(c, params).theta for c in pts]
+    assert theta.tolist() == [oracles.scalar_angle_of(c, params).theta for c in pts]
     stepped = map_t_array(x, A1, A2, params)
     assert list(zip(*(v.tolist() for v in stepped))) == [
         (c.x, c.A1, c.A2) for c in (map_t(c, params) for c in pts)]
@@ -212,7 +214,7 @@ def test_orbit_kernels_match_scalar(params, seed):
     assert hexes(D_impl) == hexes(d for d, _ in want)
     assert hexes(E_impl) == hexes(e for _, e in want)
     residual = level_set_residual_array(x, A1, A2, params)
-    assert hexes(residual) == hexes(level_set_residual(c, params) for c in pts)
+    assert hexes(residual) == hexes(oracles.scalar_level_set_residual(c, params) for c in pts)
 
 
 def test_drift_columns_blank_e(params_i):
@@ -231,7 +233,7 @@ def test_residual_takes_max_as_python_does(params_i):
            ConfigPoint(math.inf, 0.1, 0.2), ConfigPoint(0.1, math.nan, 0.2),
            ConfigPoint(0.1, 0.2, -math.inf)]
     got = level_set_residual_array(*as_arrays(pts), params_i)
-    assert hexes(got) == hexes(level_set_residual(c, params_i) for c in pts)
+    assert hexes(got) == hexes(oracles.scalar_level_set_residual(c, params_i) for c in pts)
 
 
 # level sets whose real locus meets A1^2 = 1, where uniformize has its poles
@@ -244,12 +246,12 @@ def components(params):
 
 
 def assert_uniformize_matches(thetas, eps, params):
-    """uniformize_array against uniformize at every angle; returns the pole mask."""
+    """uniformize_array against the scalar reference at every angle; returns the pole mask."""
     x, A1, A2, pole = uniformize_array(np.array(thetas, dtype=float), eps, params)
     eps = np.broadcast_to(eps, pole.shape).tolist()
     for i, theta in enumerate(thetas):
         try:
-            c = uniformize(AngleCoord(theta, eps[i]), params)
+            c = oracles.scalar_uniformize(AngleCoord(theta, eps[i]), params)
         except PoleError:
             assert pole[i] and math.isnan(x[i])
             continue
@@ -342,7 +344,7 @@ def test_uniformize_array_errors(params_i, params_ii_plus):
 
     for params, eps in [(params_i, 1), (params_ii_plus, 2), (derive_params(1.0, -0.5), 0)]:
         assert (message(uniformize_array, [0.3], eps, params)
-                == message(uniformize, AngleCoord(0.3, eps), params))
+                == message(oracles.scalar_uniformize, AngleCoord(0.3, eps), params))
 
 
 def projection_points(params, seed):
@@ -361,5 +363,40 @@ def projection_points(params, seed):
 def test_projection_matches_scalar(params, seed):
     pts = projection_points(params, seed)
     got = project_onto_level_set_array(*as_arrays(pts), params)
-    want = [project_onto_level_set(c, params) for c in pts]
+    want = [oracles.scalar_project_onto_level_set(c, params) for c in pts]
     assert list(map(list, zip(*map(hexes, got)))) == [hexes((c.x, c.A1, c.A2)) for c in want]
+
+
+def outcome(fn, *args):
+    """What fn returns (a float, an angle or a point) in hex, or the type and message it raises."""
+    try:
+        v = fn(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, AngleCoord):
+        return v.theta.hex(), v.eps
+    return hexes((v.x, v.A1, v.A2))
+
+
+@pytest.mark.parametrize("D,E", FIXTURE_SETS + POLE_SETS + [(1.0, -0.5)])
+def test_single_point_functions_match_references(D, E):
+    # uniformize, angle_of, level_set_residual and project_onto_level_set are
+    # one-point calls of the kernels: same values and same errors as the references
+    params = derive_params(D, E)
+    if params.nondegenerate:
+        pts = projection_points(params, 3)
+        angles = [AngleCoord(theta, eps) for eps in components(params)
+                  for theta in edge_thetas(params)
+                  + (pole_thetas(params, eps)[::10] if (D, E) in POLE_SETS else [])]
+    else:
+        pts, angles = [ConfigPoint(0.3, 0.1, 0.2)], [AngleCoord(0.3, 0)]
+    for fn, ref in [(level_set_residual, oracles.scalar_level_set_residual),
+                    (project_onto_level_set, oracles.scalar_project_onto_level_set),
+                    (angle_of, oracles.scalar_angle_of)]:
+        assert [outcome(fn, c, params) for c in pts] == [outcome(ref, c, params) for c in pts]
+    got = [outcome(uniformize, a, params) for a in angles]
+    assert got == [outcome(oracles.scalar_uniformize, a, params) for a in angles]
+    if (D, E) in POLE_SETS:
+        assert (PoleError, "wall abscissa at infinity (A1^2 = 1)") in got

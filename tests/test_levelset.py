@@ -10,7 +10,6 @@ from boltzmann_billiard import (
     BOUNDARY_TOL,
     ConfigPoint,
     DomainError,
-    PoleError,
     RealLocusClass,
     derive_params,
     implied_invariants,
@@ -20,11 +19,8 @@ from boltzmann_billiard import (
     project_onto_level_set,
     sample_level_set,
 )
-from boltzmann_billiard.levelset import (
-    circle_residual,
-    wall_abscissa_from_z,
-    wall_residual,
-)
+
+import oracles
 
 
 CLASS_FIXTURES = [
@@ -179,8 +175,8 @@ class TestPointGeometry:
             for c in sample_level_set(params, 15, seed=3):
                 xp = other_wall_root(c.x, c.A1, c.A2, params.D)
                 cp = ConfigPoint(xp, c.A1, c.A2)
-                assert wall_residual(c, params) < 1e-10
-                assert wall_residual(cp, params) < 1e-10
+                assert oracles.scalar_wall_residual(c, params) < 1e-10
+                assert oracles.scalar_wall_residual(cp, params) < 1e-10
                 # applying it twice returns the original root
                 assert other_wall_root(xp, c.A1, c.A2, params.D) == pytest.approx(
                     c.x, rel=1e-9, abs=1e-9)
@@ -190,17 +186,11 @@ class TestPointGeometry:
         x = math.sqrt((A2 + params_i.D) ** 2 - 1.0)
         assert other_wall_root(x, 0.0, A2, params_i.D) == pytest.approx(-x, abs=1e-12)
 
-    def test_wall_abscissa_from_z(self, params_ii_plus):
-        for c in sample_level_set(params_ii_plus, 15, seed=4):
-            x = wall_abscissa_from_z(c.z(params_ii_plus), c.A1, c.A2, params_ii_plus.D)
-            assert x == pytest.approx(c.x, rel=1e-9, abs=1e-9)
-        with pytest.raises(PoleError):
-            wall_abscissa_from_z(0.3, 1.0, 0.2, params_ii_plus.D)
-
     def test_residual_decomposition(self, params_i):
         c = sample_level_set(params_i, 1, seed=5)[0]
         assert level_set_residual(c, params_i) == pytest.approx(
-            max(circle_residual(c, params_i), wall_residual(c, params_i)), abs=0.0)
+            max(oracles.scalar_circle_residual(c, params_i),
+                oracles.scalar_wall_residual(c, params_i)), abs=0.0)
 
     def test_projection(self, params_i):
         c = sample_level_set(params_i, 1, seed=6)[0]

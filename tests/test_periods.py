@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from boltzmann_billiard import (
     ConfigPoint,
+    DomainError,
     PoleError,
     RealLocusClass,
     derive_params,
@@ -208,6 +209,12 @@ class TestLocusScan:
         f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5  # noqa: E731
         assert periods._illinois(f, 0.0, -0.5, 1.0, 0.5) == (0.0, -0.5)
 
+    @pytest.mark.parametrize("D_range", [(0.0, math.inf), (-1e308, 1e308)])
+    def test_non_finite_range_raises(self, D_range):
+        # a numpy warning from building the scan axis would be an error here
+        with pytest.raises(DomainError, match="must be finite"):
+            find_periodic_locus(-0.2, 3, D_range)
+
     def test_batched_scan_finds_the_scalar_roots(self, monkeypatch):
         cases = [(E, p) for E in (-0.31, -5.0 / 24.0, -0.12, 0.02, 0.3) for p in range(2, 9)]
         batched = [find_periodic_locus(E, p) for E, p in cases]
@@ -256,8 +263,20 @@ class TestBatchedMatchesScalar:
 
     @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 40), st.integers(1, 60))
     def test_poncelet_check_repr(self, params, seed, n_samples, p_max):
-        got = poncelet_check(params, n_samples=n_samples, p_max=p_max, seed=seed)
-        assert repr(got) == repr(oracles.scalar_poncelet_check(params, n_samples, p_max, seed=seed))
+        def report(check, *args, **kwargs):
+            try:
+                return repr(check(*args, **kwargs))
+            except ValueError as exc:  # n_samples = 0
+                return str(exc)
+
+        got = report(poncelet_check, params, n_samples=n_samples, p_max=p_max, seed=seed)
+        assert got == report(oracles.scalar_poncelet_check, params, n_samples, p_max, seed=seed)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_poncelet_check_needs_a_start(self, params_period3, n_samples):
+        # with no start there is nothing to agree on
+        with pytest.raises(ValueError, match="n_samples >= 1"):
+            poncelet_check(params_period3, n_samples=n_samples)
 
     @pytest.mark.parametrize("fixture,detected", [("params_i", None), ("params_period3", 3),
                                                   ("params_ii_plus", None)])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
-import boltzmann_billiard
 from boltzmann_billiard import poincare
 from boltzmann_billiard import (
+    AngleCoord,
     ConfigPoint,
     DomainError,
     EmptyLocusError,
@@ -29,6 +29,7 @@ from boltzmann_billiard import (
     reflect_at_wall,
     component_curve,
     sample_level_set,
+    uniformize,
 )
 from boltzmann_billiard.periods import config_distance
 
@@ -377,8 +378,8 @@ def sampled(fn, *args):
 
 
 def poles_at_positive_x(monkeypatch):
-    """Make uniformize_array and uniformize treat every point with x > 0 as a pole."""
-    kernel, scalar = poincare.uniformize_array, boltzmann_billiard.uniformize
+    """Make uniformize_array and its scalar reference treat every point with x > 0 as a pole."""
+    kernel, scalar = poincare.uniformize_array, oracles.scalar_uniformize
 
     def batched(theta, eps, params):
         x, A1, A2, pole = kernel(theta, eps, params)
@@ -391,7 +392,7 @@ def poles_at_positive_x(monkeypatch):
         return c
 
     monkeypatch.setattr(poincare, "uniformize_array", batched)
-    monkeypatch.setattr(boltzmann_billiard, "uniformize", one)
+    monkeypatch.setattr(oracles, "scalar_uniformize", one)
 
 
 class TestBlockSampling:
@@ -412,10 +413,10 @@ class TestBlockSampling:
         if residual is None:
             poles_at_positive_x(monkeypatch)
         else:
-            kernel, scalar = poincare.level_set_residual_array, boltzmann_billiard.level_set_residual
+            kernel, scalar = poincare.level_set_residual_array, oracles.scalar_level_set_residual
             monkeypatch.setattr(poincare, "level_set_residual_array", lambda x, A1, A2, params:
                                 np.where(x > 0.0, residual, kernel(x, A1, A2, params)))
-            monkeypatch.setattr(boltzmann_billiard, "level_set_residual", lambda c, params:
+            monkeypatch.setattr(oracles, "scalar_level_set_residual", lambda c, params:
                                 residual if c.x > 0.0 else scalar(c, params))
         for seed in range(3):
             got = sample_level_set(params, 57, seed)
@@ -429,7 +430,7 @@ class TestBlockSampling:
     def test_guard_exhausted(self, monkeypatch, D, E, m):
         # every candidate a pole: both paths try 100 m + 1000 of them, then raise
         params = derive_params(D, E)
-        kernel, scalar = poincare.uniformize_array, boltzmann_billiard.uniformize
+        kernel, scalar = poincare.uniformize_array, oracles.scalar_uniformize
         tried = []
 
         def batched(theta, eps, params):
@@ -446,7 +447,7 @@ class TestBlockSampling:
             sample_level_set(params, m, seed=3)
         assert sum(tried) == 100 * m + 1000
         tried.clear()
-        monkeypatch.setattr(boltzmann_billiard, "uniformize", one)
+        monkeypatch.setattr(oracles, "scalar_uniformize", one)
         with pytest.raises(DomainError) as want:
             oracles.scalar_sample_level_set(params, m, seed=3)
         assert sum(tried) == 100 * m + 1000
@@ -479,7 +480,7 @@ class TestComponentCurve:
         assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params_ii_minus, 1, 65))
 
     def test_errors(self, params_i):
-        for args in [(params_i, 0, 1), (params_i, 1, 5), (derive_params(1.0, -0.5), 0, 5)]:
+        for args in [(params_i, 1, 5), (derive_params(1.0, -0.5), 0, 5)]:
             got = sampled(component_curve, *args)
             assert isinstance(got, tuple) and got == sampled(oracles.scalar_component_curve, *args)
 
@@ -488,3 +489,8 @@ class TestComponentCurve:
         for args in [(derive_params(1.0, -0.5), 0, 0), (derive_params(1.0, -0.5), 1, -3),
                      (params_i, 1, 0)]:
             assert component_curve(*args) == oracles.scalar_component_curve(*args) == []
+        # n = 1 is the single point at theta = 0 (it divided by n - 1 = 0)
+        for params, eps in [(params_i, 0), (derive_params(2.5, -0.1), 1)]:
+            got = component_curve(params, eps, 1)
+            assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params, eps, 1))
+            assert point_hexes(got) == point_hexes([uniformize(AngleCoord(0.0, eps), params)])
