@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify, orbit, rotation, period-scan, render, selftest.
-Output is deterministic for a fixed seed; floats in CSV/JSON are written
-with 17 significant digits so fixtures round-trip losslessly.
+Output is deterministic for a fixed seed.  CSV floats are written with 17
+significant digits (%.17g); JSON and the text reports print Python's
+shortest round-trip repr.  Either form reads back as the same float.
 
 Exit codes: 0 success, 1 check failure or aborted orbit, 2 usage or
 numeric error.
@@ -25,7 +26,7 @@ from .errors import BilliardError, OrbitAbort
 from .grid import orbit_drift_columns, rotation_grid
 from .levelset import derive_params
 from .periods import find_periodic_locus, period3_residual, empirical_rotation
-from .poincare import iterate_orbit, sample_level_set
+from .poincare import _checked_blocks, iterate_orbit, sample_level_set
 from .svgplot import level_set_figure, orbit_figure
 from .selftest import run_selftest
 from .uniformize import rotation_number
@@ -34,7 +35,6 @@ log = logging.getLogger("boltzmann_billiard")
 
 _F = "%.17g"
 _GRID_BLOCK = 4096  # cells per rotation_grid call, so grid memory does not grow with n^2
-_ORBIT_BLOCK = 4096  # orbit CSV rows formatted per write
 _ORBIT_ROW = "%d" + ",%.17g" * 6 + "\n"  # an orbit CSV row without NaN
 
 
@@ -109,44 +109,54 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_orbit(fh, cols) -> None:
-    """CSV rows step,x,A1,A2,L,D_resid,E_check of the column arrays, a block at a time.
+def _aborted(exc: OrbitAbort) -> int:
+    log.error("orbit aborted at step %s: %s", exc.step, exc)
+    return 1
 
-    A NaN is written as an empty field, as _csv writes it.
+
+def _write_orbit(fh, blocks, params) -> int:
+    """CSV rows step,x,A1,A2,L,D_resid,E_check of the orbit blocks (lo, xyz, res).
+
+    Each block is formatted and written as it arrives, so no row, column
+    or list outlives its block.  A NaN is written as an empty field, as
+    _csv writes it.  Returns the exit code: 1 after an OrbitAbort, whose
+    good rows are written first.
     """
     fh.write("step,x,A1,A2,L,D_resid,E_check\n")
-    for lo in range(0, len(cols[0]), _ORBIT_BLOCK):
-        block = [c[lo:lo + _ORBIT_BLOCK] for c in cols]
-        has_nan = np.isnan(block).any(axis=0).tolist()
-        rows = zip(range(lo, lo + len(has_nan)), *(c.tolist() for c in block))
-        fh.write("".join([_csv_row(row) if nan else _ORBIT_ROW % row
-                          for row, nan in zip(rows, has_nan)]))
+    try:
+        for lo, xyz, _ in blocks:
+            L, D_impl, E_impl = orbit_drift_columns(*xyz, params)
+            cols = (*xyz, L, D_impl - params.D, E_impl)
+            has_nan = np.isnan(cols).any(axis=0).tolist()
+            steps = range(lo, lo + len(has_nan))
+            # no name holds the float lists, so they are freed before the text is joined
+            fh.write("".join([_csv_row(row) if nan else _ORBIT_ROW % row for row, nan
+                              in zip(zip(steps, *(c.tolist() for c in cols)), has_nan)]))
+    except OrbitAbort as exc:
+        return _aborted(exc)
+    return 0
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     params = derive_params(args.D, args.E)
-    code = 0
     c0 = sample_level_set(params, 1, args.seed)[0]
+    limits = {"residual_ceiling": args.residual_ceiling, "abort_abscissa": args.abort_abscissa}
+    if args.format == "csv":
+        blocks = _checked_blocks(c0, params, args.steps, **limits)
+        with _open_out(args.out) as fh:
+            return _write_orbit(fh, blocks, params)
+    code = 0
     try:
-        orbit = iterate_orbit(c0, params, args.steps,
-                              residual_ceiling=args.residual_ceiling,
-                              abort_abscissa=args.abort_abscissa)
+        orbit = iterate_orbit(c0, params, args.steps, **limits)
     except OrbitAbort as exc:
-        log.error("orbit aborted at step %s: %s", exc.step, exc)
-        orbit = exc.orbit
-        code = 1
+        orbit, code = exc.orbit, _aborted(exc)
     if args.format == "svg":
         _emit(orbit_figure(orbit.points, params), args.out)
         return code
     L, D_impl, E_impl = orbit_drift_columns(orbit.x, orbit.A1, orbit.A2, params)
     cols = (orbit.x, orbit.A1, orbit.A2, L, D_impl - args.D, E_impl)
-    if args.format == "json":
-        rows = list(zip(range(len(L)), *(c.tolist() for c in cols)))
-        _emit(_json({"D": args.D, "E": args.E, "class": params.cls.value,
-                     "rows": rows}), args.out)
-    else:
-        with _open_out(args.out) as fh:
-            _write_orbit(fh, cols)
+    rows = list(zip(range(len(L)), *(c.tolist() for c in cols)))
+    _emit(_json({"D": args.D, "E": args.E, "class": params.cls.value, "rows": rows}), args.out)
     return code
 
 
@@ -275,15 +285,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser, *, seed: bool, formats: tuple = ()) -> None:
-    """--D, --E and --out, plus --seed and a --format with these choices where asked."""
+    """--D, --E and --out, plus --seed and a --format with these choices where asked.
+
+    The first format is the default.
+    """
     p.add_argument("--D", type=float, required=True, help="second integral D")
     p.add_argument("--E", type=float, required=True, help="energy E")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     if formats:
-        p.add_argument("--format", choices=formats, default="csv",
-                       help="output format (default csv)")
+        p.add_argument("--format", choices=formats, default=formats[0],
+                       help=f"output format (default {formats[0]})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify the level set at (D, E)")
-    _add_common(p, seed=False, formats=("csv", "json"))
+    _add_common(p, seed=False, formats=("text", "json"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("orbit", help="iterate the collision map and dump the orbit")
@@ -367,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.func(args)
-    except (BilliardError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (BilliardError, ValueError, ZeroDivisionError, OverflowError, MemoryError) as exc:
         log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return 2

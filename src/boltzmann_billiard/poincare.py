@@ -59,7 +59,7 @@ def map_t(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     return ConfigPoint(x, *_reflect(x, c.A1, c.A2, params.E))
 
 
-_CHECK_BLOCK = 4096  # map steps between the array checks of iterate_orbit
+_CHECK_BLOCK = 4096  # map steps between the array checks of an orbit
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +100,53 @@ def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
     return xs, A1s, A2s, None
 
 
+def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
+                    residual_ceiling: float, abort_abscissa: float):
+    """The n+1 points of the orbit from c0, checked and yielded a block at a time.
+
+    The arguments are checked at the call; the points as the blocks are
+    drawn.  Yields (lo, xyz, res): the rows x, A1, A2 of points lo, lo+1,
+    ... and their residuals.  The first block is the start point alone,
+    which is not checked.  Each later block holds up to _CHECK_BLOCK new
+    points, made by _walk on plain floats and checked together.  At the
+    first point that fails a check, or at a pole, the points before it in
+    its block are yielded and OrbitAbort is raised with that step and no
+    orbit.
+    """
+    if not params.nondegenerate:
+        raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
+    if n < 0:
+        raise ValueError(f"orbit iteration needs n >= 0 steps (got {n})")
+
+    def blocks():
+        xyz, pole = np.array([[c0.x], [c0.A1], [c0.A2]], dtype=float), None
+        lo = 0  # step of the first point of xyz; point i is reached after i steps
+        while True:
+            res = level_set_residual_array(*xyz, params)
+            with np.errstate(invalid="ignore"):
+                ok = np.isfinite(xyz).all(axis=0) & (np.abs(xyz[0]) <= abort_abscissa)
+            r = np.where(ok, res, math.inf)  # a non-finite or far point reports residual inf
+            bad = ~ok | (r > residual_ceiling)
+            bad[:1] &= lo > 0  # the start point is not checked
+            k = int(np.argmax(bad)) if bad.any() else len(bad)
+            if k:
+                yield lo, xyz[:, :k], res[:k]
+            if k < len(bad):
+                raise OrbitAbort(f"step {lo + k}: orbit left the level set (residual {r[k]:.3e})",
+                                 None, lo + k)
+            lo += k
+            if pole is not None:
+                raise OrbitAbort(f"step {lo}: {pole}", None, lo) from pole
+            if lo > n:
+                return
+            *walked, pole = _walk(*xyz[:, -1].tolist(), min(_CHECK_BLOCK, n + 1 - lo),
+                                  params.D, params.E)
+            xyz = np.array(walked)
+            del walked  # free the float objects while the block is checked and used
+
+    return blocks()
+
+
 def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
                   residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12) -> Orbit:
     """Iterate the collision map n times from c0.
@@ -112,43 +159,20 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     points of each block are checked together, and the abort names the
     first failing step, as a check after every step would.
     """
-    if not params.nondegenerate:
-        raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
-    if n < 0:
-        raise ValueError(f"orbit iteration needs n >= 0 steps (got {n})")
+    blocks = _checked_blocks(c0, params, n, residual_ceiling, abort_abscissa)
     xyz = np.empty((3, n + 1))  # x, A1, A2 of the points made so far
     res = np.empty(n + 1)
 
     def prefix(k: int) -> Orbit:
         return Orbit(xyz[0, :k], xyz[1, :k], xyz[2, :k], res[:k], params)
 
-    def check(lo: int, hi: int) -> None:
-        """OrbitAbort at the first of the stored points lo..hi-1 that fails a check."""
-        block = xyz[:, lo:hi]
-        r = res[lo:hi] = level_set_residual_array(*block, params)
-        with np.errstate(invalid="ignore"):
-            ok = np.isfinite(block).all(axis=0) & (np.abs(block[0]) <= abort_abscissa)
-        r = np.where(ok, r, math.inf)  # a non-finite or far point reports residual inf
-        bad = ~ok | (r > residual_ceiling)
-        bad[:1] &= lo > 0  # the start point is not checked
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise OrbitAbort(f"step {lo + i}: orbit left the level set (residual {r[i]:.3e})",
-                             prefix(lo + i), lo + i)
-
-    xyz[:, 0] = c0.x, c0.A1, c0.A2
-    check(0, 1)
-    lo = 1  # points stored and checked; point i is reached after i steps
-    while lo <= n:
-        x, A1, A2 = xyz[:, lo - 1].tolist()
-        xs, A1s, A2s, pole = _walk(x, A1, A2, min(_CHECK_BLOCK, n + 1 - lo), params.D, params.E)
-        hi = lo + len(xs)
-        xyz[:, lo:hi] = xs, A1s, A2s
-        del xs, A1s, A2s  # stored; free the float objects before the checks
-        check(lo, hi)  # the points before a pole come first
-        if pole is not None:
-            raise OrbitAbort(f"step {hi}: {pole}", prefix(hi), hi) from pole
-        lo = hi
+    try:
+        for lo, block, r in blocks:
+            xyz[:, lo:lo + len(r)] = block
+            res[lo:lo + len(r)] = r
+    except OrbitAbort as exc:
+        exc.orbit = prefix(exc.step)
+        raise
     return prefix(n + 1)
 
 

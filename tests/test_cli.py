@@ -5,6 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -18,14 +22,17 @@ from boltzmann_billiard import (
     ArcUnsupportedError,
     ConfigPoint,
     OrbitAbort,
+    PoleError,
     derive_params,
     iterate_orbit,
     sample_level_set,
     trajectory_arc,
 )
-from boltzmann_billiard import cli
+from boltzmann_billiard import cli, poincare
 from boltzmann_billiard.cli import main
 from boltzmann_billiard.grid import orbit_drift_columns
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +79,8 @@ class TestClassify:
         code, out = run_cli(capsys, "classify", "--D", "1.5", "--E", "-0.2")
         assert code == 0
         assert "class = I" in out
+        assert run_cli(capsys, "classify", "--D", "1.5", "--E", "-0.2",
+                       "--format", "text") == (0, out)
 
     def test_negative_side_with_failing_mirror(self, capsys):
         # the mirror (-D, -E) cannot be derived (complete_Kpp raises there),
@@ -90,9 +99,11 @@ class TestClassify:
     @pytest.mark.parametrize("extra, message", [
         (["--seed", "3"], "unrecognized arguments: --seed 3"),
         (["--format", "svg"], "argument --format: invalid choice: 'svg'"),
+        (["--format", "csv"], "argument --format: invalid choice: 'csv'"),
     ])
     def test_unread_options_removed(self, extra, message):
-        # classify draws nothing at random, and --format svg used to write the text report
+        # classify draws nothing at random, and --format svg and csv used to write
+        # the text report
         code, out, err = run_quiet(["classify", "--D", "1.5", "--E", "-0.2", *extra])
         assert (code, out) == (2, "")
         assert message in err
@@ -188,19 +199,18 @@ class TestOrbit:
                                                   abort_abscissa=50.0)
         assert code == 1
 
-    @pytest.mark.parametrize("block", [cli._ORBIT_BLOCK, 2])
-    def test_writer_blanks_nan_fields(self, monkeypatch, params_i, block):
+    @pytest.mark.parametrize("block", [poincare._CHECK_BLOCK, 2])
+    def test_writer_blanks_nan_fields(self, params_i, block):
         # E_check is blank where |D + 2 A2| < 1e-15; a NaN anywhere else is
         # blank too, as the per-field writer leaves it
-        monkeypatch.setattr(cli, "_ORBIT_BLOCK", block)
         A2 = -params_i.D / 2.0
         pts = [ConfigPoint(0.3, 0.2, A2), ConfigPoint(0.9, -0.1, A2 + 1e-15),
                ConfigPoint(math.nan, 0.1, 0.2), ConfigPoint(-1.7, 0.4, A2 + 4e-16),
                ConfigPoint(0.5, 0.1, 0.2)]
-        x, A1, A2 = (np.array([getattr(c, k) for c in pts]) for k in ("x", "A1", "A2"))
-        L, D_impl, E_impl = orbit_drift_columns(x, A1, A2, params_i)
+        xyz = np.array([[getattr(c, k) for c in pts] for k in ("x", "A1", "A2")])
+        blocks = ((lo, xyz[:, lo:lo + block], None) for lo in range(0, len(pts), block))
         buf = io.StringIO()
-        cli._write_orbit(buf, (x, A1, A2, L, D_impl - params_i.D, E_impl))
+        assert cli._write_orbit(buf, blocks, params_i) == 0
         assert buf.getvalue() == oracles.scalar_orbit_csv(pts, params_i, params_i.D)
         assert buf.getvalue().splitlines()[1].endswith(",")
 
@@ -264,6 +274,160 @@ def test_orbit_output_matches_scalar(params, seed, steps, fmt):
         code = main(["orbit", f"--D={params.D!r}", f"--E={params.E!r}", "--seed", str(seed),
                      "--steps", str(steps), "--format", fmt])
     assert (code, buf.getvalue()) == scalar_orbit_output(params, seed, steps, fmt)
+
+
+def scalar_abort(params, seed, steps, **kwargs):
+    """The step and message of the scalar references' OrbitAbort, or None."""
+    c0 = sample_level_set(params, 1, seed)[0]
+    try:
+        oracles.scalar_iterate_orbit(c0, params, steps, **kwargs)
+    except OrbitAbort as exc:
+        return exc.step, str(exc)
+    return None
+
+
+def assert_streamed_csv(capsys, caplog, tmp_path, D, E, seed, steps, *extra, **kwargs):
+    """orbit CSV to stdout and to --out against the scalar references, abort log included."""
+    params = derive_params(D, E)
+    want = scalar_orbit_output(params, seed, steps, "csv", **kwargs)
+    abort = scalar_abort(params, seed, steps, **kwargs)
+    argv = ["orbit", f"--D={D!r}", f"--E={E!r}", "--seed", str(seed), "--steps", str(steps),
+            *extra]
+    target = tmp_path / "orbit.csv"
+    for out in (None, target):
+        caplog.clear()
+        code = main(argv + (["--out", str(out)] if out else []))
+        stdout, stderr = capsys.readouterr()
+        got = (code, target.read_text() if out else stdout)
+        assert got == want and stderr == "" and stdout == ("" if out else got[1])
+        logged = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert logged == ([f"orbit aborted at step {abort[0]}: {abort[1]}"] if abort else [])
+    return abort
+
+
+class TestStreamedOrbitCsv:
+    """The orbit CSV is written one checked block of the orbit at a time."""
+
+    B = poincare._CHECK_BLOCK
+
+    @pytest.mark.parametrize("steps, D, E", [
+        (B - 1, 1.5, -0.2), (B, 2.5, -0.1), (B + 1, -2.5, 1.5), (2 * B, 1.5, -0.2)])
+    def test_block_edges_match_scalar(self, capsys, caplog, tmp_path, steps, D, E):
+        assert assert_streamed_csv(capsys, caplog, tmp_path, D, E, 3, steps) is None
+
+    @staticmethod
+    def place(monkeypatch, step, where):
+        """Set the block size so that the failing step falls where asked."""
+        block = {"first block": step + 1, "block start": step - 1,
+                 "mid-block": (step + 1) // 2}[where]
+        assert where != "mid-block" or (step > block and (step - 1) % block)
+        monkeypatch.setattr(poincare, "_CHECK_BLOCK", block)
+
+    @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
+    def test_abscissa_abort(self, capsys, caplog, tmp_path, monkeypatch, where):
+        limit = {"abort_abscissa": 50.0}
+        step, _ = scalar_abort(derive_params(0.3, 0.4), 1, 200, **limit)
+        self.place(monkeypatch, step, where)
+        got = assert_streamed_csv(capsys, caplog, tmp_path, 0.3, 0.4, 1, 200,
+                                  "--abort-abscissa", "50", **limit)
+        assert got[0] == step and "(residual inf)" in got[1]
+
+    @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
+    def test_residual_ceiling_abort(self, capsys, caplog, tmp_path, monkeypatch, where):
+        params = derive_params(2.5, -0.1)
+        c0 = sample_level_set(params, 1, 5)[0]
+        res = oracles.scalar_iterate_orbit(c0, params, 400, residual_ceiling=1.0).residuals
+        step = next(j for j in range(30, 401) if res[j] > max(res[1:j]))  # a record
+        limit = {"residual_ceiling": max(res[1:step])}
+        self.place(monkeypatch, step, where)
+        got = assert_streamed_csv(capsys, caplog, tmp_path, 2.5, -0.1, 5, 400,
+                                  f"--residual-ceiling={limit['residual_ceiling']!r}", **limit)
+        assert got[0] == step and "left the level set" in got[1]
+
+    @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
+    def test_pole_abort(self, capsys, caplog, tmp_path, monkeypatch, where):
+        # the second wall intersection of point 36 is put at infinity, for the
+        # CLI and the scalar references alike (both step through poincare)
+        params = derive_params(1.5, -0.2)
+        c0 = sample_level_set(params, 1, 2)[0]
+        before = oracles.scalar_iterate_orbit(c0, params, 35).points[-1].x
+        wall_root = poincare.other_wall_root
+
+        def other_wall_root(x, A1, A2, D):
+            if x == before:
+                raise PoleError("second wall intersection at infinity (test)")
+            return wall_root(x, A1, A2, D)
+
+        monkeypatch.setattr(poincare, "other_wall_root", other_wall_root)
+        self.place(monkeypatch, 36, where)
+        got = assert_streamed_csv(capsys, caplog, tmp_path, 1.5, -0.2, 2, 100)
+        assert got == (36, "step 36: second wall intersection at infinity (test)")
+
+    def test_blocks_bound_the_columns(self, capsys, monkeypatch):
+        # three blocks of map steps: no drift column spans more than one block,
+        # and the whole-orbit arrays of iterate_orbit are never built
+        sizes = []
+
+        def drift_columns(x, A1, A2, params):
+            sizes.append(len(x))
+            return orbit_drift_columns(x, A1, A2, params)
+
+        def whole_orbit(*args, **kwargs):
+            raise AssertionError("the CSV path iterates the orbit a block at a time")
+
+        monkeypatch.setattr(cli, "orbit_drift_columns", drift_columns)
+        monkeypatch.setattr(cli, "iterate_orbit", whole_orbit)
+        code, out = run_cli(capsys, "orbit", "--D", "2.5", "--E", "-0.1",
+                            "--steps", str(3 * self.B))
+        assert code == 0 and out.count("\n") == 3 * self.B + 2
+        assert sizes == [1, self.B, self.B, self.B]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--D", "1.5", "--E", "-0.2", "--steps", "-2"], "n >= 0 steps (got -2)"),
+        (["--D", "1.0", "--E", "-0.5"], "needs a nondegenerate level set"),
+    ])
+    def test_refused_orbit_writes_no_file(self, tmp_path, argv, message):
+        target = tmp_path / "orbit.csv"
+        code, out, err = run_quiet(["orbit", *argv, "--out", str(target)])
+        assert (code, out) == (2, "") and message in err
+        assert not target.exists()
+
+    def test_memory_error_exit_2(self, monkeypatch):
+        # an orbit too long for memory is a usage error, not an aborted orbit
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.18 TiB for an array")
+
+        monkeypatch.setattr(cli, "iterate_orbit", no_memory)
+        code, out, err = run_quiet(["orbit", "--D", "1.5", "--E", "-0.2", "--steps",
+                                    "100000000000", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err == "error: Unable to allocate 2.18 TiB for an array\n"
+
+
+ORBIT_PEAK_RSS = """
+import sys
+from boltzmann_billiard.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_orbit_csv_memory_does_not_grow_with_steps(tmp_path):
+    """Peak RSS of orbit CSV at 1 000 and 100 000 steps, each in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    peak_kb = []
+    for steps in (1000, 100_000):
+        done = subprocess.run(
+            [sys.executable, "-c", ORBIT_PEAK_RSS, "orbit", "--D", "2.5", "--E", "-0.1",
+             "--steps", str(steps), "--out", str(tmp_path / "orbit.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        code, kb = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+        peak_kb.append(kb)
+    assert peak_kb[1] - peak_kb[0] < 6 * 1024, peak_kb
 
 
 class TestRotation:
