@@ -47,7 +47,6 @@ from .levelset import (
     RealLocusClass,
     derive_params,
     implied_invariants,
-    is_nonempty,
     level_set_residual,
     other_wall_root,
     project_onto_level_set,
@@ -119,7 +118,6 @@ __all__ = [
     "implied_invariants",
     "involution_i",
     "involution_j",
-    "is_nonempty",
     "iterate_orbit",
     "jacobi_sn_cn_dn",
     "legendre_F",

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArcUnsupportedError, DomainError
-from .levelset import ConfigPoint, LevelSetParams, NONDEGENERATE, other_wall_root
+from .levelset import ConfigPoint, LevelSetParams, other_wall_root
 
 _L_FLOOR = 1e-12  # |L| below which phase_from_config refuses a radial conic
 
@@ -100,7 +100,7 @@ def trajectory_arc(c: ConfigPoint, params: LevelSetParams, n: int = 64):
     """
     if n < 2:
         raise ValueError("need at least the two endpoints")
-    if params.cls not in NONDEGENERATE:
+    if not params.nondegenerate:
         raise DomainError(f"no trajectory arcs on a degenerate level set (class {params.cls.value})")
     L2 = params.D + 2.0 * c.A2
     if L2 <= 1e-12:

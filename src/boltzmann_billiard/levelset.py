@@ -130,12 +130,6 @@ class LevelSetParams:
     def nondegenerate(self) -> bool:
         return self.cls in NONDEGENERATE
 
-    @property
-    def ell(self) -> float:
-        if not self.k2 < 0.0:
-            raise DomainError("ell is defined for k2 < 0 only")
-        return math.sqrt(-self.k2)
-
 
 def derive_params(D: float, E: float) -> LevelSetParams:
     """Classify (D, E) and derive the level-set curve data.
@@ -192,16 +186,6 @@ def derive_params(D: float, E: float) -> LevelSetParams:
         Kp = complete_Kp(k2)
         lattice = LatticeData(K, Kp, None)
     return LevelSetParams(D, E, cls, R, k2, s0, s0_inv, C2, C, lattice=lattice)
-
-
-def is_nonempty(params: LevelSetParams) -> bool:
-    """Whether the real locus is non-empty: D + 4E + 2R > 0.
-
-    Assumes R > 0 and D + 2E > 0 (automatic for D < 2 or E >= 0).
-    """
-    if not (params.R > 0.0 and params.D + 2.0 * params.E > 0.0):
-        raise DomainError("emptiness test assumes R > 0 and D + 2E > 0")
-    return params.D + 4.0 * params.E + 2.0 * params.R > 0.0
 
 
 def _require_nondegenerate(params: LevelSetParams):

@@ -24,7 +24,8 @@ from .uniformize import rotation_number
 log = logging.getLogger(__name__)
 
 _SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_locus
-_RETURN_TOL = 1e-8  # config_distance below which poncelet_check counts a start as returned
+_RETURN_TOL = 1e-8  # config_distance below which a start counts as returned
+_INTEGRAL_TOL = 1e-9  # distance of p * alpha from an integer below which p is a period
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,12 @@ def _dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
 
-def smallest_period(alpha: float, flips_component: bool,
-                    p_max: int = 60, tol: float = 1e-9) -> int | None:
+def smallest_period(alpha: float, flips_component: bool, p_max: int = 60) -> int | None:
     """Smallest p <= p_max with p*alpha integral (and p even when required)."""
     for p in range(1, p_max + 1):
         if flips_component and p % 2 == 1:
             continue
-        if _dist_to_int(p * alpha) < tol:
+        if _dist_to_int(p * alpha) < _INTEGRAL_TOL:
             return p
     return None
 
@@ -68,12 +68,12 @@ def predict_period(params: LevelSetParams, p_max: int = 60) -> int | None:
 
 
 def detect_period_direct(c0: ConfigPoint, params: LevelSetParams,
-                         p_max: int = 60, tol: float = 1e-8) -> int | None:
+                         p_max: int = 60) -> int | None:
     """Smallest p <= p_max with t^p(c0) back at c0 in the bounded metric."""
     c = c0
     for p in range(1, p_max + 1):
         c = map_t(c, params)
-        if config_distance(c, c0) < tol:
+        if config_distance(c, c0) < _RETURN_TOL:
             return p
     return None
 

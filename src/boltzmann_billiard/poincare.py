@@ -33,7 +33,7 @@ def involution_i(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     return ConfigPoint(other_wall_root(c.x, c.A1, c.A2, params.D), c.A1, c.A2)
 
 
-def i_fixed_point(c: ConfigPoint, params: LevelSetParams, tol: float = 1e-12) -> bool:
+def i_fixed_point(c: ConfigPoint, params: LevelSetParams) -> bool:
     """Whether the wall equation has a double root at this conic.
 
     Happens exactly on the radial-conic locus A2 = -D/2, where the two
@@ -41,7 +41,7 @@ def i_fixed_point(c: ConfigPoint, params: LevelSetParams, tol: float = 1e-12) ->
     """
     w = c.A2 + params.D
     disc = c.A1 * c.A1 + w * w - 1.0
-    return abs(disc) <= tol * max(1.0, w * w)
+    return abs(disc) <= 1e-12 * max(1.0, w * w)
 
 
 def involution_j(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
@@ -74,7 +74,6 @@ class Orbit:
     A1: np.ndarray
     A2: np.ndarray
     residuals: np.ndarray
-    params: LevelSetParams
 
     @cached_property
     def points(self) -> tuple:
@@ -164,7 +163,7 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     res = np.empty(n + 1)
 
     def prefix(k: int) -> Orbit:
-        return Orbit(xyz[0, :k], xyz[1, :k], xyz[2, :k], res[:k], params)
+        return Orbit(xyz[0, :k], xyz[1, :k], xyz[2, :k], res[:k])
 
     try:
         for lo, block, r in blocks:

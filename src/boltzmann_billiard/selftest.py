@@ -15,8 +15,8 @@ import numpy as np
 from .elliptic import complete_K, complete_Kp, jacobi_sn_cn_dn, legendre_F_phi
 from .errors import BilliardError
 from .grid import rotation_grid
-from .kepler import conserved_quantities, phase_from_config, reflect_at_wall
-from .levelset import ConfigPoint, RealLocusClass, derive_params, level_set_residual
+from .kepler import conserved_quantities, phase_from_config
+from .levelset import RealLocusClass, derive_params, level_set_residual
 from .periods import empirical_rotation, period3_residual, predict_period
 from .poincare import involution_i, involution_j, iterate_orbit, map_t, sample_level_set
 from .uniformize import AngleCoord, rotation_number, uniformize
@@ -33,12 +33,12 @@ def _check(name: str, worst: float, tol: float) -> CheckResult:
     return CheckResult(name, worst <= tol, f"worst residual {worst:.3e} (tol {tol:.1e})")
 
 
-def check_involutions(n: int = 200, seed: int = 7) -> CheckResult:
+def check_involutions() -> CheckResult:
     """i and j square to the identity and their images stay on the level set."""
     worst = 0.0
     for D, E in ((1.5, -0.2), (2.5, -0.1), (-2.5, 1.5), (0.3, 0.4)):
         params = derive_params(D, E)
-        for c in sample_level_set(params, n, seed):
+        for c in sample_level_set(params, 200, seed=7):
             for f in (involution_i, involution_j):
                 fc = f(c, params)
                 ffc = f(fc, params)
@@ -48,13 +48,13 @@ def check_involutions(n: int = 200, seed: int = 7) -> CheckResult:
     return _check("involutions", worst, 1e-9)
 
 
-def check_conservation(n_steps: int = 500) -> CheckResult:
+def check_conservation() -> CheckResult:
     """E and D survive long orbits of the collision map."""
     worst = 0.0
     for D, E in ((1.5, -0.2), (2.5, -0.1)):
         params = derive_params(D, E)
         c0 = sample_level_set(params, 1, seed=3)[0]
-        orbit = iterate_orbit(c0, params, n_steps)
+        orbit = iterate_orbit(c0, params, 500)
         for c in orbit.points:
             s = phase_from_config(c, params)
             q = conserved_quantities(s)
@@ -62,9 +62,10 @@ def check_conservation(n_steps: int = 500) -> CheckResult:
     return _check("conservation", worst, 1e-8)
 
 
-def check_special_functions(n: int = 400) -> CheckResult:
+def check_special_functions() -> CheckResult:
     """Pythagorean identities for sn, cn, dn and the addition-free F checks."""
     worst = 0.0
+    n = 400
     for i in range(n):
         m = -3.0 + 3.9 * i / (n - 1)          # spans negative and 0 < m < 0.9
         K = complete_K(m)
@@ -137,8 +138,9 @@ def check_uniformize_roundtrip() -> CheckResult:
     return _check("uniformize", worst, 1e-9)
 
 
-def check_grid_matches_scalar(n: int = 12) -> CheckResult:
+def check_grid_matches_scalar() -> CheckResult:
     """rotation_grid gives each cell the scalar class and alpha, bit for bit."""
+    n = 12
     Ds = [-3.0 + 6.0 * i / (n - 1) for i in range(n)]
     Es = [-0.6 + 2.1 * j / (n - 1) for j in range(n)]
     classes, alphas = rotation_grid(np.array(Ds)[:, None], np.array(Es))
@@ -168,8 +170,5 @@ ALL_CHECKS = (
 )
 
 
-def run_selftest(force_fail: bool = False) -> list[CheckResult]:
-    results = [check() for check in ALL_CHECKS]
-    if force_fail:
-        results.append(CheckResult("forced-failure", False, "requested via force_fail"))
-    return results
+def run_selftest() -> list[CheckResult]:
+    return [check() for check in ALL_CHECKS]

@@ -47,6 +47,8 @@ from .levelset import (
     derive_params,
 )
 
+_DALPHA_STEP = 1e-5  # step in D of the central difference in dalpha_dD
+
 
 @dataclass(frozen=True)
 class AngleCoord:
@@ -121,17 +123,17 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     return RotationData(alpha, params.cls is RealLocusClass.II_PLUS)
 
 
-def dalpha_dD(params: LevelSetParams, h: float = 1e-5) -> float:
+def dalpha_dD(params: LevelSetParams) -> float:
     """Central-difference derivative of the rotation number in D.
 
-    Raises ClassChangeError when D +/- h crosses a classification boundary.
+    Raises ClassChangeError when D +/- _DALPHA_STEP crosses a class boundary.
     """
     _require_nondegenerate(params)
-    lo = derive_params(params.D - h, params.E)
-    hi = derive_params(params.D + h, params.E)
+    lo = derive_params(params.D - _DALPHA_STEP, params.E)
+    hi = derive_params(params.D + _DALPHA_STEP, params.E)
     if lo.cls is not params.cls or hi.cls is not params.cls:
-        raise ClassChangeError(f"step h={h!r} crosses a class boundary at D={params.D!r}")
+        raise ClassChangeError(f"D +/- {_DALPHA_STEP!r} crosses a class boundary at D={params.D!r}")
     a_lo = rotation_number(lo).alpha
     a_hi = rotation_number(hi).alpha
     d = (a_hi - a_lo + 0.5) % 1.0 - 0.5  # shortest circular increment
-    return d / (2.0 * h)
+    return d / (2.0 * _DALPHA_STEP)

@@ -543,7 +543,6 @@ def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60, seed: i
 
 class ScalarOrbit(NamedTuple):
     points: tuple
-    params: object
     residuals: tuple
 
 
@@ -563,17 +562,16 @@ def scalar_iterate_orbit(c0, params, n: int, *,
         try:
             c = map_t(pts[-1], params)
         except PoleError as exc:
-            raise OrbitAbort(f"step {step}: {exc}", ScalarOrbit(tuple(pts), params, tuple(res)),
-                             step) from exc
+            raise OrbitAbort(f"step {step}: {exc}", ScalarOrbit(tuple(pts), tuple(res)), step) from exc
         ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
         r = scalar_level_set_residual(c, params) if ok else math.inf
         if not ok or r > residual_ceiling:
             raise OrbitAbort(
                 f"step {step}: orbit left the level set (residual {r:.3e})",
-                ScalarOrbit(tuple(pts), params, tuple(res)), step)
+                ScalarOrbit(tuple(pts), tuple(res)), step)
         pts.append(c)
         res.append(r)
-    return ScalarOrbit(tuple(pts), params, tuple(res))
+    return ScalarOrbit(tuple(pts), tuple(res))
 
 
 def scalar_orbit_rows(points, params, D: float) -> list:

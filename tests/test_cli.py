@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from boltzmann_billiard import (
     sample_level_set,
     trajectory_arc,
 )
-from boltzmann_billiard import cli, poincare
+from boltzmann_billiard import cli, poincare, selftest
 from boltzmann_billiard.cli import main
 from boltzmann_billiard.grid import orbit_drift_columns
 
@@ -524,7 +525,20 @@ class TestRotation:
         # the grid is CSV only; --format json used to be accepted and ignored
         code, out, err = run_quiet(["rotation", "--grid", "0.5:3.5:-0.4:-0.1:5", "--format", "json"])
         assert (code, out, err) == (2, "", "rotation --grid writes CSV only (got --format json)\n")
-        assert run_quiet(["rotation", "--grid", "0.5:3.5:-0.4:-0.1:5", "--format", "csv"])[0] == 0
+        assert run_quiet(["rotation", "--grid", "0.5:3.5:-0.4:-0.1:5", "--format", "text"])[0] == 0
+
+    def test_single_point_csv_exit_2(self):
+        # the single-point report is text; --format csv used to write it as well
+        code, out, err = run_quiet(["rotation", "--D", "1.5", "--E", "-0.2", "--format", "csv"])
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv'" in err
+
+    def test_single_point_text_format(self):
+        argv = ["rotation", "--D", "1.5", "--E", "-0.2", "--steps", "300"]
+        code, out, err = run_quiet(argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "class = I"
+        assert run_quiet(argv + ["--format", "text"]) == (code, out, err)
 
 
 class TestPeriodScan:
@@ -549,6 +563,13 @@ class TestPeriodScan:
         code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--format", "json"])
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --format json" in err
+
+    @pytest.mark.parametrize("p_list", ["", " "])
+    def test_empty_p_list_exit_2(self, p_list):
+        # an empty list used to read as "not given" and scan p = 3
+        code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--p-list", p_list])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --p-list needs at least one period\n")
 
     def test_tol_option_removed(self):
         code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--tol", "1e-6"])
@@ -591,11 +612,49 @@ class TestRender:
         comps = [el for el in root.iter() if el.get("class") == "component"]
         assert len(comps) == 1
 
+    @pytest.mark.parametrize("style, option", [("orbit", "--steps"), ("levelset", "--samples")])
+    def test_negative_count_exit_2(self, style, option):
+        # a negative --samples used to draw the level set with no samples
+        code, out, err = run_quiet(["render", "--D", "1.5", "--E", "-0.2", "--style", style,
+                                    option, "-3"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: orbit iteration needs n >= 0 steps (got -3)\n")
+
     def test_format_option_removed(self):
         # render writes SVG only; --format used to be accepted and ignored
         code, out, err = run_quiet(["render", "--D", "1.5", "--E", "-0.2", "--format", "json"])
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --format json" in err
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    ("orbit --D 1.5 --E -0.2 --steps 7 --format svg",
+     "11827d8164cd515134e88522d2eb692103e6396d7165fbb195d22a4398b8091e"),
+    # most arcs of this orbit pass through infinity and are left out
+    ("orbit --D 0.3 --E 0.4 --steps 20 --format svg",
+     "c2081552daa9c00b21bf6cedd982786c9292acf8c2c7e0cd800691c51ea9f675"),
+    ("orbit --D 1.5 --E -0.2 --steps 0 --format svg",
+     "7f6c38e1c2688e183f9996a188a2a2dcf46e375fdf094d728ee9f0bbc578335d"),
+    ("orbit --D -2.5 --E 1.5 --steps 9 --seed 4 --format svg",
+     "523f003097d3cba02d84d75ec428259d453b30f1752d130f6bf5b37d179d53c9"),
+    ("render --D 2.5 --E -0.1 --steps 5",
+     "32e4195a38629991ab10a1bedc324ed3598ea9f5bc3257a2ad87effeed78828d"),
+    ("render --D 1.5 --E -0.2 --style levelset",
+     "641cec61d15a24496e88f0f1c61979bb5e6a867c49ab19e6a82b327c96b6458e"),
+    ("render --D 1.5 --E -0.2 --style levelset --samples 5",
+     "7578b0b3c14bb3fdf046bcd3d69a3ba56ed5022a1be8d604298c8e5f30a1aef1"),
+    ("render --D 2.5 --E -0.1 --style levelset",
+     "50f63beb866e9b35036b6f43225df62dd4e18c0e4b9bba4f5839c9968bfa98d7"),
+    ("render --D 2.5 --E -0.1 --style levelset --samples 12 --seed 3",
+     "4e58b87a0bac0c7e97b36f7a39906c0521db9e5b1b51a36c50c3bf885d964328"),
+    ("render --D -2.5 --E 1.5 --style levelset --samples 7",
+     "465dbac705040ba96d6afe35ff7904720be612fd69aea51d1d066a0d2e41a39f"),
+])
+def test_svg_bytes_pinned(argv, sha256):
+    # whole-file digests of the figures, so any change to the SVG writer shows
+    code, out, err = run_quiet(argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestSelftest:
@@ -605,10 +664,20 @@ class TestSelftest:
         assert "all checks passed" in out
         assert out.count("ok") >= 7
 
-    def test_forced_failure(self, capsys):
-        code, out = run_cli(capsys, "selftest", "--force-fail")
+    def test_forced_failure(self, capsys, monkeypatch):
+        def always_fails():
+            return selftest.CheckResult("forced-failure", False, "always fails")
+
+        monkeypatch.setattr(selftest, "ALL_CHECKS", (*selftest.ALL_CHECKS, always_fails))
+        code, out = run_cli(capsys, "selftest")
         assert code == 1
-        assert "FAIL" in out
+        assert "forced-failure           FAIL always fails\n" in out
+        assert out.endswith("FAILURES present\n")
+
+    def test_force_fail_option_removed(self):
+        code, out, err = run_quiet(["selftest", "--force-fail"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --force-fail" in err
 
 
 def test_unknown_command_exit_2(capsys):

@@ -13,7 +13,6 @@ from boltzmann_billiard import (
     RealLocusClass,
     derive_params,
     implied_invariants,
-    is_nonempty,
     level_set_residual,
     other_wall_root,
     project_onto_level_set,
@@ -128,14 +127,15 @@ def test_negative_side_mirror():
 
 
 def test_nonempty_predicate():
-    assert is_nonempty(derive_params(1.5, -0.2))
-    assert is_nonempty(derive_params(-2.5, 1.5))
+    # the class is the one emptiness predicate: Empty where R^2 < 0 or D + 4E + 2R < 0
+    assert derive_params(1.5, -0.2).nondegenerate
+    assert derive_params(-2.5, 1.5).nondegenerate
     # real circle radius but no wall intersection
-    assert not is_nonempty(derive_params(6.0, -2.95))
-    # imaginary radius is classified as empty before the predicate applies
+    p = derive_params(6.0, -2.95)
+    assert p.R > 0.0 and p.D + 4.0 * p.E + 2.0 * p.R < 0.0
+    assert p.cls is RealLocusClass.EMPTY
+    # imaginary radius
     assert derive_params(6.0, -0.1).cls is RealLocusClass.EMPTY
-    with pytest.raises(DomainError):
-        is_nonempty(derive_params(6.0, -0.1))
 
 
 @given(st.floats(-1.99, 1.99), st.floats(-3.0, 3.0))

@@ -49,7 +49,7 @@ class TestSmallestPeriod:
         assert smallest_period(math.sqrt(2.0) - 1.0, False) is None
 
     def test_tolerance_and_cap(self):
-        assert smallest_period(1.0 / 7.0 + 1e-12, False, tol=1e-9) == 7
+        assert smallest_period(1.0 / 7.0 + 1e-12, False) == 7
         assert smallest_period(1.0 / 7.0, False, p_max=6) is None
 
 

@@ -202,7 +202,7 @@ class TestAlphaDerivative:
     def test_class_change_detected(self):
         p = derive_params(2.0 + 2e-6, -0.1)
         with pytest.raises(ClassChangeError):
-            dalpha_dD(p, h=1e-5)
+            dalpha_dD(p)
 
 
 def test_component_curve_on_set(params_i, params_ii_plus):
