@@ -38,8 +38,8 @@ import numpy as np
 from .elliptic import (_AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, _jacobi_descent,
                        complete_K)
 from .errors import DomainError, EndpointSingularityError, PoleError
-from .levelset import (_ALPHA_SIGN, _ENDPOINT_GUARD, BOUNDARY_TOL, NONDEGENERATE, LevelSetParams,
-                       RealLocusClass, _max, _reflect, _require_nondegenerate)
+from .levelset import (_ALPHA_SIGN, _AT_INFINITY, _ENDPOINT_GUARD, BOUNDARY_TOL, NONDEGENERATE,
+                       LevelSetParams, RealLocusClass, _max, _reflect, _require_nondegenerate)
 
 _CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
 _CODE = {cls: code for code, cls in enumerate(RealLocusClass)}
@@ -181,7 +181,7 @@ def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
         ssum = -2.0 * w * A1 / den
         # den == 0 makes ssum non-finite, so one test covers both of the scalar checks
         if not np.isfinite(ssum).all():
-            raise PoleError("second wall intersection at infinity (A1^2 = 1)")
+            raise PoleError(_AT_INFINITY)
         far = (x != 0.0) & (np.abs(x) > 0.5 * np.abs(ssum))
         x = np.where(far, (1.0 - w * w) / den / x, ssum - x)
         return (x, *_reflect(x, A1, A2, params.E))

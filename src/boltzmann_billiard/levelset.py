@@ -245,6 +245,9 @@ def implied_invariants(c: ConfigPoint, params: LevelSetParams) -> tuple[float, f
     return D_impl, E_impl
 
 
+_AT_INFINITY = "second wall intersection at infinity (A1^2 = 1)"  # PoleError of a step
+
+
 def other_wall_root(x: float, A1: float, A2: float, D: float) -> float:
     """The second root of the wall equation for the same conic.
 
@@ -256,10 +259,10 @@ def other_wall_root(x: float, A1: float, A2: float, D: float) -> float:
     w = A2 + D
     den = 1.0 - A1 * A1
     if den == 0.0:
-        raise PoleError("second wall intersection at infinity (A1^2 = 1)")
+        raise PoleError(_AT_INFINITY)
     ssum = -2.0 * w * A1 / den
     if not math.isfinite(ssum):
-        raise PoleError("second wall intersection at infinity (A1^2 = 1)")
+        raise PoleError(_AT_INFINITY)
     if x != 0.0 and abs(x) > 0.5 * abs(ssum):
         return (1.0 - w * w) / den / x
     return ssum - x

@@ -9,6 +9,7 @@ period is additionally even.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -18,12 +19,13 @@ import numpy as np
 from .errors import BilliardError
 from .grid import config_distance_array, map_t_array, rotation_grid, theta_array
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
-from .poincare import _walk, map_t, sample_level_set
+from .poincare import _sample_xyz, _walk, map_t, sample_level_set
 from .uniformize import rotation_number
 
 log = logging.getLogger(__name__)
 
 _SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_locus
+_SCAN_CACHE = 16  # D scans kept, one per (E, D_range); find_periodic_locus reuses them across p
 _RETURN_TOL = 1e-8  # config_distance below which a start counts as returned
 _INTEGRAL_TOL = 1e-9  # distance of p * alpha from an integer below which p is a period
 
@@ -78,18 +80,19 @@ def detect_period_direct(c0: ConfigPoint, params: LevelSetParams,
     return None
 
 
-def _first_returns(pts: list, params: LevelSetParams, p_max: int):
-    """detect_period_direct for all starts at once, with the distance at the return.
+def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray,
+                   params: LevelSetParams, p_max: int):
+    """detect_period_direct for the starts (x0, A10, A20) at once, with the distance at the return.
 
     Only the starts still searching take a step, so each start takes the
     steps its scalar search takes, and PoleError comes exactly where one of
     those would raise.  Returns per start the period (None if not found)
     and config_distance(t^p(c), c) at that period.
     """
-    x0, A10, A20 = np.array([(c.x, c.A1, c.A2) for c in pts], dtype=float).reshape(-1, 3).T
-    found: list = [None] * len(pts)
-    dist = [math.nan] * len(pts)
-    idx = np.arange(len(pts))
+    n = len(x0)
+    found: list = [None] * n
+    dist = [math.nan] * n
+    idx = np.arange(n)
     x, A1, A2 = x0, A10, A20
     for p in range(1, p_max + 1):
         if not idx.size:
@@ -109,15 +112,15 @@ def poncelet_check(params: LevelSetParams, n_samples: int = 100,
 
     Detects the direct period from n_samples starts, requires unanimity,
     and compares with the analytic prediction.  Disagreement is reported
-    in the result, not raised.  The starts are iterated together as arrays,
-    with the result of detect_period_direct on each.  Raises ValueError if
-    n_samples < 1.
+    in the result, not raised.  The starts are sampled and iterated
+    together as arrays, with the result of detect_period_direct on each.
+    Raises ValueError if n_samples < 1.
     """
     if n_samples < 1:
         raise ValueError(f"poncelet check needs n_samples >= 1 (got {n_samples})")
     rot = rotation_number(params)
     predicted = smallest_period(rot.alpha, rot.flips_component, p_max)
-    found, dist = _first_returns(sample_level_set(params, n_samples, seed), params, p_max)
+    found, dist = _first_returns(*_sample_xyz(params, n_samples, seed), params, p_max)
     detected = set(found)
     unanimous = detected.pop() if len(detected) == 1 else None
     # with a unanimous period, t^p(c) is the point each start returned at
@@ -142,18 +145,26 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
     if c0 is None:
         c0 = sample_level_set(params, 1, seed)[0]
     xs, A1s, A2s, pole = _walk(c0.x, c0.A1, c0.A2, n_steps, params.D, params.E)
+    xyz = np.empty((3, len(xs) + 1))
+    xyz[:, 0] = c0.x, c0.A1, c0.A2
+    xyz[:, 1:] = xs, A1s, A2s
     # the angles of the points before the pole come first in the scalar order
-    theta = theta_array(np.array([c0.x, *xs]), np.array([c0.A1, *A1s]), np.array([c0.A2, *A2s]),
-                        params)
+    theta = theta_array(*xyz, params)
     if pole is not None:
         raise pole
     d = np.mod(np.diff(theta), 1.0)
     d0 = d[:1]
     d = np.where(d - d0 > 0.5, d - 1.0, np.where(d0 - d > 0.5, d + 1.0, d))
-    total = 0.0
-    for v in d.tolist():  # summed left to right, as the increments arise
-        total += v
-    return (total / n_steps) % 1.0
+    return (_sum_in_order(d) / n_steps) % 1.0
+
+
+def _sum_in_order(v: np.ndarray) -> float:
+    """0.0 + v[0] + v[1] + ..., added left to right as a Python loop adds them.
+
+    add.accumulate adds in order, unlike the pairwise np.sum or the
+    compensated builtin sum of Python 3.12+.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], v)))[-1])
 
 
 def period3_residual(D, E):
@@ -196,11 +207,28 @@ def _illinois(f, a: float, fa: float, b: float, fb: float) -> tuple:
     return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
 
 
+@functools.lru_cache(maxsize=_SCAN_CACHE)
+def _scan(E: str, lo: str, hi: str) -> tuple:
+    """The D scan of find_periodic_locus: points, classes and alpha, as read-only arrays.
+
+    E and the D range come in float.hex form, so that 0.0 and -0.0 are
+    different keys.
+    """
+    E, lo, hi = map(float.fromhex, (E, lo, hi))
+    with np.errstate(invalid="ignore", over="ignore"):  # rotation_grid refuses non-finite D
+        Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
+    scan = (Ds, *rotation_grid(Ds, E))
+    for a in scan:
+        a.flags.writeable = False
+    return scan
+
+
 def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     """Roots of p * alpha(D, E) = 0 mod 1 in D over D_range, for fixed E.
 
     Scans _SCAN_INTERVALS equal steps of D_range for sign changes of the
-    recentred defect (all scan points in one rotation_grid call), refines
+    recentred defect (all scan points in one rotation_grid call, kept by
+    _scan for the other p at the same E and D_range), refines
     each bracket from its scanned end values by _illinois down to adjacent
     doubles, and keeps the roots with a defect below 1e-8.  Period 1 occurs
     only on the excluded tangent boundary D = -2E and is reported (logged)
@@ -224,11 +252,9 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
         return (p * a + 0.5) % 1.0 - 0.5
 
     lo, hi = D_range
-    with np.errstate(invalid="ignore", over="ignore"):  # rotation_grid refuses non-finite D
-        Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
-    classes, alpha = rotation_grid(Ds, E)
+    Ds, classes, alpha = _scan(*(float(v).hex() for v in (E, lo, hi)))
     if p % 2 == 1:
-        alpha[classes == RealLocusClass.II_PLUS] = math.nan
+        alpha = np.where(classes == RealLocusClass.II_PLUS, math.nan, alpha)
     grid = Ds.tolist()
     vals = ((p * alpha + 0.5) % 1.0 - 0.5).tolist()  # defect() at every grid point
     roots = []

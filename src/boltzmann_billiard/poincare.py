@@ -21,6 +21,7 @@ from .levelset import (
     ConfigPoint,
     LevelSetParams,
     RealLocusClass,
+    _AT_INFINITY,
     _reflect,
     level_set_residual_array,
     other_wall_root,
@@ -83,20 +84,37 @@ class Orbit:
 def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
     """n collision steps from (x, A1, A2), on plain floats.
 
-    Returns the lists x, A1, A2 of the new points and the PoleError that
-    stopped the walk early, or None; the points before the pole are kept.
+    The loop body is other_wall_root followed by _reflect, written out with
+    the same float operations in the same order, so the points are bit for
+    bit those of a map_t loop.  Returns the lists x, A1, A2 of the new
+    points and the PoleError that stopped the walk early, or None; the
+    points before the pole are kept.
     """
-    xs, A1s, A2s = [], [], []
-    try:
-        for _ in range(n):
-            x = other_wall_root(x, A1, A2, D)
-            A1, A2 = _reflect(x, A1, A2, E)
-            xs.append(x)
-            A1s.append(A1)
-            A2s.append(A2)
-    except PoleError as exc:
-        return xs, A1s, A2s, exc
-    return xs, A1s, A2s, None
+    xs, A1s, A2s = [0.0] * n, [0.0] * n, [0.0] * n
+    E4 = 4.0 * E
+    isfinite = math.isfinite
+    for i in range(n):
+        w = A2 + D
+        den = 1.0 - A1 * A1
+        if den == 0.0:
+            break
+        ssum = -2.0 * w * A1 / den
+        if not isfinite(ssum):
+            break
+        if x != 0.0 and abs(x) > 0.5 * abs(ssum):
+            x = (1.0 - w * w) / den / x
+        else:
+            x = ssum - x
+        q = x * x + 1.0
+        co = (x * x - 1.0) / q
+        si = 2.0 * x / q
+        e4 = E4 * x / q
+        A1, A2 = co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
+        xs[i], A1s[i], A2s[i] = x, A1, A2
+    else:
+        return xs, A1s, A2s, None
+    del xs[i:], A1s[i:], A2s[i:]
+    return xs, A1s, A2s, PoleError(_AT_INFINITY)
 
 
 def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
@@ -175,13 +193,8 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     return prefix(n + 1)
 
 
-def _points(keep: np.ndarray, *xyz: np.ndarray) -> list:
-    """ConfigPoints of the arrays x, A1, A2 where keep is set, in order."""
-    return list(map(ConfigPoint, *(v[keep].tolist() for v in xyz)))
-
-
-def _theta_candidates(params: LevelSetParams, rng, k: int) -> list:
-    """The accepted points among k candidates drawn uniformly in the angle.
+def _theta_candidates(params: LevelSetParams, rng, k: int) -> np.ndarray:
+    """Rows x, A1, A2 of the accepted points among k candidates drawn uniformly in the angle.
 
     The candidates are drawn in the scalar order (theta, then a fair-coin
     component on two-component sets) and evaluated together.
@@ -191,8 +204,28 @@ def _theta_candidates(params: LevelSetParams, rng, k: int) -> list:
     else:
         theta, eps = np.array([(rng.random(), rng.integers(0, 2)) for _ in range(k)]).T
     x, A1, A2, pole = uniformize_array(theta, eps, params)
-    x, A1, A2 = project_onto_level_set_array(x, A1, A2, params)
-    return _points(~pole & ~(level_set_residual_array(x, A1, A2, params) > 1e-12), x, A1, A2)
+    xyz = np.array(project_onto_level_set_array(x, A1, A2, params))
+    return xyz[:, ~pole & ~(level_set_residual_array(*xyz, params) > 1e-12)]
+
+
+def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
+    """sample_level_set's points as the rows x, A1, A2 of a (3, m) array."""
+    if params.cls is RealLocusClass.EMPTY:
+        raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
+    if not params.nondegenerate:
+        raise DomainError(f"sampling needs a nondegenerate level set (class {params.cls.value})")
+    rng = np.random.default_rng(seed)
+    limit = 100 * m + 1000  # candidates tried before giving up
+    blocks = [np.empty((3, 0))]
+    got = tried = 0
+    while got < m:
+        if tried == limit:
+            raise DomainError("sampling failed to find real points (locus nearly degenerate?)")
+        k = min(m - got, limit - tried)
+        blocks.append(_theta_candidates(params, rng, k))
+        got += blocks[-1].shape[1]
+        tried += k
+    return np.concatenate(blocks, axis=1)
 
 
 def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
@@ -208,21 +241,7 @@ def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
     still missing; the draws do not depend on the outcomes, so the points
     are those of a one-at-a-time loop.
     """
-    if params.cls is RealLocusClass.EMPTY:
-        raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
-    if not params.nondegenerate:
-        raise DomainError(f"sampling needs a nondegenerate level set (class {params.cls.value})")
-    rng = np.random.default_rng(seed)
-    limit = 100 * m + 1000  # candidates tried before giving up
-    out: list = []
-    tried = 0
-    while len(out) < m:
-        if tried == limit:
-            raise DomainError("sampling failed to find real points (locus nearly degenerate?)")
-        k = min(m - len(out), limit - tried)
-        out += _theta_candidates(params, rng, k)
-        tried += k
-    return out
+    return list(map(ConfigPoint, *_sample_xyz(params, m, seed).tolist()))
 
 
 def component_curve(params: LevelSetParams, eps: int = 0, n: int = 257) -> list:
@@ -234,4 +253,4 @@ def component_curve(params: LevelSetParams, eps: int = 0, n: int = 257) -> list:
         return []
     theta = [j / max(n - 1, 1) % 1.0 for j in range(n)]
     x, A1, A2, pole = uniformize_array(theta, eps, params)
-    return _points(~pole, x, A1, A2)
+    return list(map(ConfigPoint, *(v[~pole].tolist() for v in (x, A1, A2))))

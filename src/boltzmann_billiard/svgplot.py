@@ -10,7 +10,7 @@ import math
 
 from .errors import ArcUnsupportedError
 from .kepler import trajectory_arc
-from .levelset import ConfigPoint, LevelSetParams, RealLocusClass
+from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _require_nondegenerate
 from .poincare import component_curve
 
 _SIZE = 640  # width and height of the viewport in px
@@ -98,6 +98,7 @@ def orbit_figure(points: list[ConfigPoint], params: LevelSetParams) -> str:
 
 def level_set_figure(params: LevelSetParams, points: list[ConfigPoint] | None = None) -> str:
     """Level-set figure in the (A1, L) plane, with optional orbit points."""
+    _require_nondegenerate(params)  # before the square root, which D + 2E < 0 would fail
     two_sided = params.cls in (RealLocusClass.II_PLUS, RealLocusClass.II_MINUS)
     root = math.sqrt(params.D + 2.0 * params.E)
     shapes = [("polyline", "component",

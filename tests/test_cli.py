@@ -348,18 +348,28 @@ class TestStreamedOrbitCsv:
     @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
     def test_pole_abort(self, capsys, caplog, tmp_path, monkeypatch, where):
         # the second wall intersection of point 36 is put at infinity, for the
-        # CLI and the scalar references alike (both step through poincare)
+        # scalar references in other_wall_root and for the CLI in its float walk
         params = derive_params(1.5, -0.2)
         c0 = sample_level_set(params, 1, 2)[0]
         before = oracles.scalar_iterate_orbit(c0, params, 35).points[-1].x
-        wall_root = poincare.other_wall_root
+        wall_root, fused_walk = poincare.other_wall_root, poincare._walk
+        message = "second wall intersection at infinity (test)"
 
         def other_wall_root(x, A1, A2, D):
             if x == before:
-                raise PoleError("second wall intersection at infinity (test)")
+                raise PoleError(message)
             return wall_root(x, A1, A2, D)
 
+        def walk(x, A1, A2, n, D, E):
+            xs, A1s, A2s, pole = fused_walk(x, A1, A2, n, D, E)
+            starts = [x, *xs][:len(xs)]  # the points the walk stepped from
+            if before not in starts:
+                return xs, A1s, A2s, pole
+            k = starts.index(before)
+            return xs[:k], A1s[:k], A2s[:k], PoleError(message)
+
         monkeypatch.setattr(poincare, "other_wall_root", other_wall_root)
+        monkeypatch.setattr(poincare, "_walk", walk)
         self.place(monkeypatch, 36, where)
         got = assert_streamed_csv(capsys, caplog, tmp_path, 1.5, -0.2, 2, 100)
         assert got == (36, "step 36: second wall intersection at infinity (test)")
@@ -619,6 +629,16 @@ class TestRender:
                                     option, "-3"])
         assert (code, out) == (2, "")
         assert err.endswith("error: orbit iteration needs n >= 0 steps (got -3)\n")
+
+    @pytest.mark.parametrize("D, E, cls", [
+        ("1.5", "-2.0", "NegativeAngularMomentumSide"),
+        ("-4.410195721657075", "2.2050978608255876", "DegenerateTangent"),  # D + 2E < 0
+    ])
+    def test_levelset_style_degenerate_class(self, D, E, cls):
+        # the class is checked before sqrt(D + 2E), which used to fail first
+        code, out, err = run_quiet(["render", f"--D={D}", f"--E={E}", "--style", "levelset"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: operation needs a nondegenerate level set (class {cls})\n")
 
     def test_format_option_removed(self):
         # render writes SVG only; --format used to be accepted and ignored

@@ -164,6 +164,14 @@ class TestPeriod3Locus:
             assert abs(5.0 * alpha - round(5.0 * alpha)) < 1e-7
 
 
+@pytest.fixture
+def fresh_scans():
+    """An empty cache of find_periodic_locus D scans; the fixture's value empties it again."""
+    periods._scan.cache_clear()
+    yield periods._scan.cache_clear
+    periods._scan.cache_clear()
+
+
 class TestLocusScan:
     @pytest.mark.parametrize("E", [-0.3, -0.2, -0.1, 0.05])
     def test_period4_roots_close(self, E):
@@ -215,12 +223,38 @@ class TestLocusScan:
         with pytest.raises(DomainError, match="must be finite"):
             find_periodic_locus(-0.2, 3, D_range)
 
-    def test_batched_scan_finds_the_scalar_roots(self, monkeypatch):
+    def test_batched_scan_finds_the_scalar_roots(self, monkeypatch, fresh_scans):
         cases = [(E, p) for E in (-0.31, -5.0 / 24.0, -0.12, 0.02, 0.3) for p in range(2, 9)]
         batched = [find_periodic_locus(E, p) for E, p in cases]
         assert sum(map(len, batched)) >= 20
         monkeypatch.setattr(periods, "rotation_grid", oracles.scalar_rotation_grid)
+        fresh_scans()  # else the scans cached by the batched run are compared with themselves
         assert [find_periodic_locus(E, p) for E, p in cases] == batched
+
+    def test_scan_reused_across_periods(self, fresh_scans):
+        # IIplus cells lie past D = 2: odd p masks them, even p finds roots there
+        E, D_range, ps = -0.12, (0.0, 3.5), range(3, 9)
+        forward = {p: find_periodic_locus(E, p, D_range) for p in ps}
+        assert periods._scan.cache_info()[:2] == (len(ps) - 1, 1)  # hits, misses
+        backward = {p: find_periodic_locus(E, p, D_range) for p in reversed(ps)}
+        fresh = {}
+        for p in ps:
+            fresh_scans()
+            fresh[p] = find_periodic_locus(E, p, D_range)
+        assert forward == backward == fresh
+        assert len(forward[4]) > len(find_periodic_locus(E, 4))  # roots on IIplus cells
+        Ds, classes, alpha = periods._scan(*(float(v).hex() for v in (E, *D_range)))
+        assert (classes == RealLocusClass.II_PLUS).any()
+        assert not np.isnan(alpha[classes == RealLocusClass.II_PLUS]).any()
+        for a in (Ds, classes, alpha):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+
+    def test_scan_keys_tell_signed_zeros_apart(self, fresh_scans):
+        find_periodic_locus(0.0, 3)
+        find_periodic_locus(-0.0, 3)
+        find_periodic_locus(-0.2, 3, (-0.0, 2.0))
+        assert periods._scan.cache_info()[:2] == (0, 3)  # hits, misses
 
 
 class TestEmpiricalRotation:
@@ -237,6 +271,34 @@ class TestEmpiricalRotation:
             vals.append(empirical_rotation(params_i, n_steps=3000, c0=c0))
         spread = max(oracles.wrapped_diff(a, vals[0]) for a in vals)
         assert spread < 1e-8
+
+
+def left_to_right(v) -> float:
+    total = 0.0
+    for x in v:
+        total += x
+    return total
+
+
+class TestSummationOrder:
+    """empirical_rotation sums its unwrapped increments as a float loop would."""
+
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e-16, 1e-16),
+                              st.floats(-1.0, 1.0), st.floats(-1e16, 1e16), st.floats()),
+                    max_size=300))
+    def test_matches_the_loop(self, v):
+        assert periods._sum_in_order(np.array(v, dtype=float)).hex() == left_to_right(v).hex()
+
+    def test_pairwise_and_compensated_sums_differ(self):
+        v = [1.0] + [1e-16] * 16  # each small term alone rounds away against 1.0
+        want = left_to_right(v)
+        assert periods._sum_in_order(np.array(v)) == want == 1.0
+        assert float(np.sum(v)) != want and math.fsum(v) != want
+
+    def test_negative_zeros(self):
+        # the loop starts from 0.0, and 0.0 + -0.0 is 0.0
+        assert periods._sum_in_order(np.array([-0.0, -0.0])).hex() == (0.0).hex()
+        assert periods._sum_in_order(np.array([])).hex() == (0.0).hex()
 
 
 def outcome(fn, *args, **kwargs):
@@ -292,6 +354,8 @@ class TestBatchedMatchesScalar:
         starts = sample_level_set(params_period3, 5, seed=1)
         starts[3] = ConfigPoint(0.4, 1.0, 0.2)
         monkeypatch.setattr(periods, "sample_level_set", lambda *args: list(starts))
+        monkeypatch.setattr(periods, "_sample_xyz",
+                            lambda *args: np.array([(c.x, c.A1, c.A2) for c in starts]).T)
         with pytest.raises(PoleError):
             oracles.scalar_poncelet_check(params_period3)
         with pytest.raises(PoleError):

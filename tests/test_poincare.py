@@ -330,6 +330,79 @@ class TestColumnarMatchesScalar:
                               residual_ceiling=ceiling, abort_abscissa=abscissa)
 
 
+def point_bits(points) -> list:
+    return [tuple(v.hex() for v in (c.x, c.A1, c.A2)) for c in points]
+
+
+def scalar_walk(c0, params, n):
+    """The points after c0 of the step-by-step orbit, as bits, and its abort message."""
+    try:
+        orbit, abort = oracles.scalar_iterate_orbit(c0, params, n, residual_ceiling=math.inf,
+                                                    abort_abscissa=math.inf), None
+    except OrbitAbort as exc:
+        orbit, abort = exc.orbit, str(exc)
+    return point_bits(orbit.points[1:]), abort
+
+
+def fused_walk(c0, params, n):
+    """_walk's points after c0, as bits, and its pole as the orbit's abort message."""
+    xs, A1s, A2s, pole = poincare._walk(c0.x, c0.A1, c0.A2, n, params.D, params.E)
+    assert len(xs) == len(A1s) == len(A2s) <= n
+    assert (pole is None) == (len(xs) == n) and (pole is None or isinstance(pole, PoleError))
+    return point_bits(map(ConfigPoint, xs, A1s, A2s)), pole and f"step {len(xs) + 1}: {pole}"
+
+
+class TestFusedWalk:
+    """_walk, which inlines other_wall_root and the reflection, against map_t bit for bit."""
+
+    @pytest.mark.parametrize("D, E, seed, n, cls", [
+        (0.3, 0.4, 1, 500, RealLocusClass.I),      # E > 0: |x| grows past 800
+        (1.5, -0.2, 4, 3000, RealLocusClass.I),
+        (2.5, -0.1, 5, 3000, RealLocusClass.II_PLUS),
+        (-2.5, 1.5, 6, 3000, RealLocusClass.II_MINUS),
+    ])
+    def test_seeded_orbits(self, D, E, seed, n, cls):
+        params = derive_params(D, E)
+        assert params.cls is cls
+        c0 = sample_level_set(params, 1, seed)[0]
+        got = fused_walk(c0, params, n)
+        assert got == scalar_walk(c0, params, n) and got[1] is None
+        # both branches of other_wall_root: the product form where |x| is the larger root
+        xs, A1s, A2s, _ = poincare._walk(c0.x, c0.A1, c0.A2, n, D, E)
+        starts = list(zip([c0.x, *xs], [c0.A1, *A1s], [c0.A2, *A2s]))[:n]
+        assert {x != 0.0 and abs(x) > 0.5 * abs(-2.0 * (A2 + D) * A1 / (1.0 - A1 * A1))
+                for x, A1, A2 in starts} == {False, True}
+
+    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 300))
+    def test_random_level_sets(self, params, seed, n):
+        c0 = sample_level_set(params, 1, seed)[0]
+        assert fused_walk(c0, params, n) == scalar_walk(c0, params, n)
+
+    @pytest.mark.parametrize("A1", [1.0, -1.0])
+    def test_pole_at_step_zero(self, params_i, A1):
+        c0 = ConfigPoint(0.4, A1, 0.2)
+        got = fused_walk(c0, params_i, 10)
+        assert got == scalar_walk(c0, params_i, 10)
+        assert got == ([], "step 1: second wall intersection at infinity (A1^2 = 1)")
+
+    def test_pole_after_a_step(self, params_i):
+        # a start whose first image has A1 = 1 exactly: j undoes a reflection
+        # to A1 = 1 and i a step back, where both round trips are exact
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x1, A2 = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-1.0, 1.0))
+            c = involution_j(ConfigPoint(x1, 1.0, A2), params_i)
+            c0 = involution_i(c, params_i)
+            got = fused_walk(c0, params_i, 5)
+            if got[1] is not None:
+                break
+        assert got == scalar_walk(c0, params_i, 5)
+        assert len(got[0]) == 1 and got[1].startswith("step 2: ")
+
+    def test_zero_steps(self, params_i):
+        assert poincare._walk(0.4, 1.0, 0.2, 0, params_i.D, params_i.E) == ([], [], [], None)
+
+
 class TestSampling:
     @pytest.mark.parametrize("D,E", ALL_CLASS_FIXTURES)
     def test_residuals_and_determinism(self, D, E):
