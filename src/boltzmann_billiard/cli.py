@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from .errors import BilliardError, OrbitAbort
-from .grid import orbit_drift_columns, rotation_grid
-from .levelset import derive_params
+from .grid import _grid_codes, orbit_drift_columns
+from .levelset import RealLocusClass, derive_params
 from .periods import find_periodic_locus, period3_residual, empirical_rotation
 from .poincare import _checked_blocks, iterate_orbit, sample_level_set
 from .svgplot import level_set_figure, orbit_figure
@@ -34,8 +34,9 @@ from .uniformize import rotation_number
 log = logging.getLogger("boltzmann_billiard")
 
 _F = "%.17g"
-_GRID_BLOCK = 4096  # cells per rotation_grid call, so grid memory does not grow with n^2
+_GRID_BLOCK = 4096  # cells per block of grid rows, so grid memory does not grow with n^2
 _ORBIT_ROW = "%d" + ",%.17g" * 6 + "\n"  # an orbit CSV row without NaN
+_CLASS_FIELDS = np.array([cls.value + "," for cls in RealLocusClass], dtype=object)  # by class code
 
 
 def _fnum(v: float) -> str:
@@ -182,19 +183,28 @@ def _parse_grid(spec: str):
 
 
 def _write_grid(fh, Ds, Es) -> None:
-    """CSV rows D,E,class,alpha, computed and written a block of D rows at a time."""
+    """CSV rows D,E,class,alpha, computed and written a block of D rows at a time.
+
+    Each cell's line is four fields of an object array: "D", ",E,",
+    "class," and "alpha\n" ("\n" alone where alpha is NaN).  The D and E
+    strings are formatted once per row and column, the class field is
+    looked up by class code, so the only per-cell Python work is the %.17g
+    of a finite alpha; one join makes the block's text.
+    """
     fh.write("D,E,class,alpha\n")
-    e_cols = [_F % E for E in Es.tolist()]
+    e_fields = np.array(["," + _F % E + "," for E in Es.tolist()], dtype=object)
     per_block = max(1, _GRID_BLOCK // len(Es))
     for lo in range(0, len(Ds), per_block):
         block = Ds[lo:lo + per_block]
-        classes, alpha = rotation_grid(block[:, None], Es)
-        lines = []
-        for D, cls_row, alpha_row in zip(block.tolist(), classes, alpha.tolist()):
-            d = _F % D
-            lines.extend(f"{d},{e},{cls.value},{_fnum(a)}\n"
-                         for e, cls, a in zip(e_cols, cls_row, alpha_row))
-        fh.write("".join(lines))
+        codes, alpha = _grid_codes(block[:, None], Es)
+        fields = np.empty(alpha.shape + (4,), dtype=object)
+        fields[..., 0] = np.array([_F % D for D in block.tolist()], dtype=object)[:, None]
+        fields[..., 1] = e_fields
+        fields[..., 2] = _CLASS_FIELDS[codes]
+        fields[..., 3] = "\n"
+        has_alpha = ~np.isnan(alpha)
+        fields[has_alpha, 3] = [_F % a + "\n" for a in alpha[has_alpha].tolist()]
+        fh.write("".join(fields.ravel().tolist()))
 
 
 def cmd_rotation(args: argparse.Namespace) -> int:
@@ -222,7 +232,10 @@ def cmd_rotation(args: argparse.Namespace) -> int:
 def cmd_period_scan(args: argparse.Namespace) -> int:
     if not args.p_list.strip():
         raise ValueError("--p-list needs at least one period")
-    p_list = [int(p) for p in args.p_list.split(",")]
+    try:
+        p_list = [int(p) for p in args.p_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--p-list must be comma-separated integers (got {args.p_list!r})") from None
     lo, hi = args.D_range
     rows = []
     for p in p_list:
@@ -372,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "rotation":
         if args.grid and args.format == "json":
             sys.stderr.write("rotation --grid writes CSV only (got --format json)\n")
+            return 2
+        if args.grid and (args.D is not None or args.E is not None):
+            sys.stderr.write("rotation --grid takes no --D or --E (the grid spec sets both)\n")
             return 2
         if not args.grid and (args.D is None or args.E is None):
             sys.stderr.write("rotation needs --D and --E or --grid\n")

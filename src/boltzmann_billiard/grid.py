@@ -13,7 +13,9 @@ rotation_grid gives every (D, E) cell the class and the rotation number
 of derive_params followed by rotation_number.  Cells where the scalar
 path has no rotation number get NaN: degenerate classes, the
 near-degenerate guards of rotation_number, and every domain error the
-scalar path would raise.
+scalar path would raise.  It wraps _grid_codes, which gives each class as
+its position in RealLocusClass, so that the CLI can look up class names
+without a Python call per cell.
 
 map_t_array, config_distance_array and orbit_drift_columns act on arrays
 of points (x, A1, A2) of one level set, as map_t, config_distance and the
@@ -145,6 +147,22 @@ def _alpha(D, E, s, R, den):
     return alpha
 
 
+def _grid_codes(D, E) -> tuple[np.ndarray, np.ndarray]:
+    """rotation_grid with each class given as its position in RealLocusClass."""
+    D, E = np.broadcast_arrays(np.asarray(D, dtype=float), np.asarray(E, dtype=float))
+    if not (np.isfinite(D).all() and np.isfinite(E).all()):
+        raise DomainError("D and E must be finite")
+    shape = D.shape
+    D, E = D.ravel(), E.ravel()
+    # a cell whose curve data overflow is classified, and its alpha is blank
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        code, s, R, den = _classify(D, E)
+        alpha = np.full(D.shape, np.nan)
+        nd = np.flatnonzero(np.isin(code, _NONDEGENERATE))
+        alpha[nd] = _alpha(D[nd], E[nd], s[nd], R[nd], den[nd])
+    return code.reshape(shape), alpha.reshape(shape)
+
+
 def rotation_grid(D, E) -> tuple[np.ndarray, np.ndarray]:
     """Classes and rotation numbers of the parameter points (D, E).
 
@@ -154,17 +172,9 @@ def rotation_grid(D, E) -> tuple[np.ndarray, np.ndarray]:
     scalar derive_params / rotation_number result bit for bit.  Raises
     DomainError if any D or E is not finite.
     """
-    D, E = np.broadcast_arrays(np.asarray(D, dtype=float), np.asarray(E, dtype=float))
-    if not (np.isfinite(D).all() and np.isfinite(E).all()):
-        raise DomainError("D and E must be finite")
-    shape = D.shape
-    D, E = D.ravel(), E.ravel()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        code, s, R, den = _classify(D, E)
-        alpha = np.full(D.shape, np.nan)
-        nd = np.flatnonzero(np.isin(code, _NONDEGENERATE))
-        alpha[nd] = _alpha(D[nd], E[nd], s[nd], R[nd], den[nd])
-    return _CLASSES[code].reshape(shape), alpha.reshape(shape)
+    code, alpha = _grid_codes(D, E)
+    # through 1-d: indexing with a 0-d code array would give a bare member, not an array
+    return _CLASSES[code.ravel()].reshape(code.shape), alpha
 
 
 def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,

@@ -174,6 +174,10 @@ def derive_params(D: float, E: float) -> LevelSetParams:
     s0_inv = (s - R) / (s + R)
     s0 = math.inf if s0_inv == 0.0 else 1.0 / s0_inv
     C2 = s * den
+    if not all(map(math.isfinite, (R, k2, s0_inv, C2))):
+        # R^2 or s * den overflowed: there are no curve data for the integrals
+        raise DomainError(f"curve data are not finite at D={D!r}, E={E!r} "
+                          f"(R^2={R2!r}, k2={k2!r}, C^2={C2!r})")
     C = math.sqrt(C2)
     if abs(D) < 2.0:
         cls = RealLocusClass.I

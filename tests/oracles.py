@@ -452,6 +452,23 @@ def scalar_rotation_grid(D, E):
     return classes, alpha
 
 
+def scalar_grid_csv(Ds, Es) -> str:
+    """The text `rotation --grid` writes for the axes Ds and Es, one f-string per cell.
+
+    One rotation_grid call covers the whole window, so the text does not
+    depend on the CLI's block size.  A NaN alpha is an empty field.
+    """
+    from boltzmann_billiard import rotation_grid
+
+    classes, alpha = rotation_grid(np.asarray(Ds)[:, None], np.asarray(Es))
+    lines = ["D,E,class,alpha\n"]
+    for D, cls_row, alpha_row in zip(Ds.tolist(), classes, alpha.tolist()):
+        for E, cls, a in zip(Es.tolist(), cls_row, alpha_row):
+            shown = "" if a != a else "%.17g" % a
+            lines.append(f"{D:.17g},{E:.17g},{cls.value},{shown}\n")
+    return "".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # scalar references for the batched Poncelet checks
 # ---------------------------------------------------------------------------

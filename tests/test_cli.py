@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from boltzmann_billiard import (
     sample_level_set,
     trajectory_arc,
 )
-from boltzmann_billiard import cli, poincare, selftest
+from boltzmann_billiard import cli, periods, poincare, selftest
 from boltzmann_billiard.cli import main
 from boltzmann_billiard.grid import orbit_drift_columns
 
@@ -45,6 +46,18 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reported at the first line that differs.
+
+    pytest's own diff of two whole grid texts runs for minutes.
+    """
+    if got != want:
+        g, w = got.splitlines(), want.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"texts differ first at line {i}: {g[i:i + 1]} != {w[i:i + 1]} "
+                    f"({len(g)} vs {len(w)} lines)")
 
 
 class TestClassify:
@@ -96,6 +109,13 @@ class TestClassify:
     def test_invalid_numerics_exit_2(self, capsys):
         code, _ = run_cli(capsys, "classify", "--D", "nan", "--E", "-0.2")
         assert code == 2
+
+    def test_overflowing_curve_data_exit_2(self):
+        # R^2 = 1 + 2DE + 4E^2 overflows; the message used to blame complete_K (k2=nan)
+        code, out, err = run_quiet(["classify", "--D", "1e200", "--E", "1e200"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: curve data are not finite at D=1e+200, E=1e+200 "
+                            "(R^2=inf, k2=nan, C^2=inf)\n")
 
     @pytest.mark.parametrize("extra, message", [
         (["--seed", "3"], "unrecognized arguments: --seed 3"),
@@ -490,7 +510,56 @@ class TestRotation:
                 cls, alpha = oracles.scalar_rotation_cell(D, E)
                 shown = "" if alpha != alpha else "%.17g" % alpha
                 lines.append(f"{D:.17g},{E:.17g},{cls.value},{shown}")
-        assert out == "\n".join(lines) + "\n"
+        assert_same_text(out, "\n".join(lines) + "\n")
+        assert_same_text(out, oracles.scalar_grid_csv(*cli._parse_grid("0.5:3.5:-0.4:-0.1:60")))
+
+    @pytest.mark.parametrize("spec, block", [
+        ("2.000000002:2.5:20:21:2", cli._GRID_BLOCK),  # one blank alpha among full cells
+        ("-0.0:0.0:-0.0:1:3", cli._GRID_BLOCK),
+        ("0.5:3.5:-0.4:-0.1:60", 59),  # below n: each block holds one row
+        ("-3.5:3.5:-0.5:1.5:9", 1),
+    ])
+    def test_grid_matches_cell_writer(self, monkeypatch, spec, block):
+        monkeypatch.setattr(cli, "_GRID_BLOCK", block)
+        code, out, err = run_quiet(["rotation", f"--grid={spec}"])
+        assert (code, err) == (0, "")
+        assert_same_text(out, oracles.scalar_grid_csv(*cli._parse_grid(spec)))
+
+    def test_grid_writer_signed_zeros(self):
+        # the parsed axes never hold -0.0 (-0.0 + 0.0 is 0.0), so the writer is called directly
+        Ds, Es = np.array([-0.0, 0.0, 1.5]), np.array([-0.0, -0.2])
+        fh = io.StringIO()
+        cli._write_grid(fh, Ds, Es)
+        assert_same_text(fh.getvalue(), oracles.scalar_grid_csv(Ds, Es))
+        assert fh.getvalue().splitlines()[1] == "-0,-0,DegenerateTangent,"
+
+    @settings(max_examples=40)
+    @given(st.floats(-6.0, 6.0), st.floats(0.0, 8.0), st.floats(-3.0, 3.0), st.floats(0.0, 5.0),
+           st.integers(2, 40), st.integers(1, 2000))
+    def test_grid_random_windows_match_cell_writer(self, Dmin, dw, Emin, eh, n, block):
+        spec = f"{Dmin!r}:{Dmin + dw!r}:{Emin!r}:{Emin + eh!r}:{n}"
+        with mock.patch.object(cli, "_GRID_BLOCK", block):
+            code, out, err = run_quiet(["rotation", f"--grid={spec}"])
+        assert (code, err) == (0, "")
+        assert_same_text(out, oracles.scalar_grid_csv(*cli._parse_grid(spec)))
+
+    def test_grid_overflowing_cells_blank(self):
+        # R^2 = 1 + 2DE + 4E^2 overflows in every cell: each is classified and
+        # its alpha is blank, with no numpy warning (an error here)
+        spec = "1e308:1.5e308:1e308:1.5e308:2"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_quiet(["rotation", f"--grid={spec}"])
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [row[2:] for row in rows] == [["IIplus", ""]] * 4
+        assert_same_text(out, oracles.scalar_grid_csv(*cli._parse_grid(spec)))
+
+    @pytest.mark.parametrize("extra", [["--D", "5"], ["--E", "-0.2"], ["--D", "1.5", "--E", "-0.2"]])
+    def test_grid_with_point_exit_2(self, extra):
+        # --D and --E next to --grid used to be ignored without a word
+        code, out, err = run_quiet(["rotation", "--grid", "0:1:0:1:2", *extra])
+        assert (code, out, err) == (2, "", "rotation --grid takes no --D or --E (the grid spec sets both)\n")
 
     def test_grid_blank_where_curve_data_fails(self, capsys):
         # at D = 2 + 2e-9, E = 20 the squared modulus falls below the floor
@@ -580,6 +649,22 @@ class TestPeriodScan:
         code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--p-list", p_list])
         assert (code, out) == (2, "")
         assert err.endswith("error: --p-list needs at least one period\n")
+
+    @pytest.mark.parametrize("p_list", ["3,,4", "3,x", "3.5", "3,"])
+    def test_malformed_p_list_exit_2(self, p_list):
+        # the message used to be int()'s, naming no option
+        code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--p-list", p_list])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: --p-list must be comma-separated integers (got {p_list!r})\n")
+
+    def test_overflowing_energy_warns_nothing(self):
+        # R^2 overflows at every scan point: no alpha, so no root, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_quiet(["period-scan", "--E", "1e300", "--p-list", "3"])
+        assert (code, out, err) == (0, "E,p,D_root,period3_residual\n", "")
+        _, classes, alpha = periods._scan(*(float.hex(v) for v in (1e300, 0.0, 2.0)))
+        assert np.isnan(alpha).all() and classes[0] is not None
 
     def test_tol_option_removed(self):
         code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--tol", "1e-6"])

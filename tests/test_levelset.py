@@ -18,6 +18,7 @@ from boltzmann_billiard import (
     project_onto_level_set,
     sample_level_set,
 )
+from boltzmann_billiard import levelset
 
 import oracles
 
@@ -152,6 +153,19 @@ def test_nan_rejected():
         derive_params(math.nan, 0.1)
     with pytest.raises(DomainError):
         derive_params(1.0, math.inf)
+
+
+@pytest.mark.parametrize("D, E", [(1e200, 1e200), (-1e200, 1e200), (1e300, 1e-300)])
+def test_overflowing_curve_data_rejected(monkeypatch, D, E):
+    # R^2 = 1 + 2DE + 4E^2 or C^2 = (D + 2E)(D + 4E + 2R) overflows; the
+    # error names the curve data before any complete integral is tried
+    def no_integral(m):
+        raise AssertionError(f"complete integral called at m={m!r}")
+
+    for name in ("complete_K", "complete_Kp", "complete_Kpp"):
+        monkeypatch.setattr(levelset, name, no_integral)
+    with pytest.raises(DomainError, match="curve data are not finite"):
+        derive_params(D, E)
 
 
 class TestPointGeometry:
