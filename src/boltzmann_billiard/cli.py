@@ -166,13 +166,13 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def _parse_grid(spec: str):
     """D and E axes of a Dmin:Dmax:Emin:Emax:n window, endpoints included."""
-    parts = spec.split(":")
-    if len(parts) != 5:
-        raise ValueError("grid must be Dmin:Dmax:Emin:Emax:n")
-    Dmin, Dmax, Emin, Emax = map(float, parts[:4])
-    n = int(parts[4])
+    *bounds, n = spec.split(":")
+    try:
+        Dmin, Dmax, Emin, Emax, n = *map(float, bounds), int(n)
+    except ValueError:
+        raise ValueError(f"--grid must be Dmin:Dmax:Emin:Emax:n, integer n (got {spec!r})") from None
     if n < 2:
-        raise ValueError("grid needs n >= 2")
+        raise ValueError("--grid needs n >= 2")
     steps = np.arange(n, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite axes are refused below
         Ds = Dmin + (Dmax - Dmin) * steps / (n - 1)
@@ -215,7 +215,8 @@ def cmd_rotation(args: argparse.Namespace) -> int:
         return 0
     params = derive_params(args.D, args.E)
     rot = rotation_number(params)
-    emp = empirical_rotation(params, n_steps=args.steps, seed=args.seed)
+    emp = empirical_rotation(params, n_steps=10_000 if args.steps is None else args.steps,
+                             seed=0 if args.seed is None else args.seed)
     diff = abs(rot.alpha - emp)
     diff = min(diff, 1.0 - diff)
     return _report({
@@ -236,6 +237,8 @@ def cmd_period_scan(args: argparse.Namespace) -> int:
         p_list = [int(p) for p in args.p_list.split(",")]
     except ValueError:
         raise ValueError(f"--p-list must be comma-separated integers (got {args.p_list!r})") from None
+    if min(p_list) < 1:
+        raise ValueError(f"--p-list periods must be positive (got {args.p_list!r})")
     lo, hi = args.D_range
     rows = []
     for p in p_list:
@@ -340,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rotation", help="analytic vs empirical rotation number")
     p.add_argument("--D", type=float, help="second integral D")
     p.add_argument("--E", type=float, help="energy E")
-    p.add_argument("--steps", type=int, default=10_000,
+    p.add_argument("--steps", type=int, default=None,
                    help="empirical winding length (default 10000)")
     p.add_argument("--grid", type=str, default=None,
                    help="Dmin:Dmax:Emin:Emax:n CSV heatmap over a parameter window")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="format of the single-point report (default text); --grid writes CSV only")
@@ -389,9 +392,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.grid and (args.D is not None or args.E is not None):
             sys.stderr.write("rotation --grid takes no --D or --E (the grid spec sets both)\n")
             return 2
+        if args.grid and (args.steps is not None or args.seed is not None):
+            sys.stderr.write("rotation --grid takes no --steps or --seed (it runs no orbit)\n")
+            return 2
         if not args.grid and (args.D is None or args.E is None):
             sys.stderr.write("rotation needs --D and --E or --grid\n")
             return 2
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        sys.stderr.write(f"--seed must be >= 0 (got {args.seed})\n")
+        return 2
     try:
         return args.func(args)
     except (BilliardError, ValueError, ZeroDivisionError, OverflowError, MemoryError) as exc:

@@ -40,8 +40,9 @@ import numpy as np
 from .elliptic import (_AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, _jacobi_descent,
                        complete_K)
 from .errors import DomainError, EndpointSingularityError, PoleError
-from .levelset import (_ALPHA_SIGN, _AT_INFINITY, _ENDPOINT_GUARD, BOUNDARY_TOL, NONDEGENERATE,
-                       LevelSetParams, RealLocusClass, _max, _reflect, _require_nondegenerate)
+from .levelset import (_ALPHA_SIGN, _AT_INFINITY, _ENDPOINT_GUARD, _TABLE_CLASSES, NONDEGENERATE,
+                       LevelSetParams, RealLocusClass, _class_tests, _curve_terms, _k2_s0_inv, _L,
+                       _max, _reflect, _require_nondegenerate, _z)
 
 _CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
 _CODE = {cls: code for code, cls in enumerate(RealLocusClass)}
@@ -90,39 +91,26 @@ def _carlson_rf(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _classify(D, E):
-    """Class codes in derive_params' order of tests, and the curve data R, den."""
-    s = D + 2.0 * E
-    R2 = 1.0 + 2.0 * D * E + 4.0 * E * E
-    R = np.sqrt(R2)
-    den = D + 4.0 * E + 2.0 * R
-    band = BOUNDARY_TOL
-    code = np.select(
-        [np.abs(s) < band, s < 0.0, np.abs(R2) < band, R2 < 0.0,
-         np.abs(np.abs(D) - 2.0) < band, np.abs(den) < band, den < 0.0,
-         np.abs(D) < 2.0, D > 2.0],
-        [_CODE[c] for c in (
-            RealLocusClass.DEGENERATE_TANGENT, RealLocusClass.NEGATIVE_SIDE,
-            RealLocusClass.NODAL_R, RealLocusClass.EMPTY, RealLocusClass.NODAL_D,
-            RealLocusClass.NODAL_D, RealLocusClass.EMPTY, RealLocusClass.I,
-            RealLocusClass.II_PLUS)],
-        _CODE[RealLocusClass.II_MINUS])
+    """Class codes by the class table of derive_params, and the curve terms s, R, den."""
+    s, R2, R, den = _curve_terms(D, E)
+    code = np.select(_class_tests(D, s, R2, den), [_CODE[cls] for cls in _TABLE_CLASSES],
+                     _CODE[RealLocusClass.II_MINUS])
     return code, s, R, den
 
 
 def _alpha(D, E, s, R, den):
     """Rotation numbers of nondegenerate cells, NaN where the scalar path raises."""
-    k2 = (D + 4.0 * E - 2.0 * R) / den
-    s0_inv = (s - R) / (s + R)
+    k2, s0_inv = _k2_s0_inv(D, E, s, R, den)
     one = np.abs(D) < 2.0  # class I; the rest is class II
-    k = np.sqrt(k2)
     s0a = np.abs(np.where(s0_inv == 0.0, np.inf, 1.0 / s0_inv))
-    # domain checks of complete_K, complete_Kpp / complete_Kp, and the guards of rotation_number
-    ok = (k2 < 1.0 - _MODULUS_FLOOR) & np.where(
+    # domain checks of complete_Kpp / complete_Kp, and the guards of rotation_number (which
+    # blank every class II cell with 1 - k2 < 1e-12: there (1, 1/k) is narrower than a guard)
+    ok = np.where(
         one,
         (k2 < 0.0) & ~(np.sqrt(-k2) < _MODULUS_FLOOR) & (1.0 / (1.0 - k2) < 1.0)
         & ~(1.0 - np.abs(s0_inv) < _ENDPOINT_GUARD),
         ~(k2 < 0.0) & ~(k2 < _MODULUS_FLOOR) & (k2 < 1.0)
-        & ~(s0a - 1.0 < _ENDPOINT_GUARD) & ~(1.0 / k - s0a < _ENDPOINT_GUARD))
+        & ~(s0a - 1.0 < _ENDPOINT_GUARD) & ~(1.0 / np.sqrt(k2) - s0a < _ENDPOINT_GUARD))
     alpha = np.full(D.shape, np.nan)
     one, D, k2, x, s0a = one[ok], D[ok], k2[ok], s0_inv[ok], s0a[ok]
     # past the guards the clamps and range checks of seg_case_i and
@@ -213,11 +201,8 @@ def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     where ConfigPoint.L does (D + 2E <= 0).
     """
     D, E = params.D, params.E
-    s = D + 2.0 * E
-    if s <= 0.0:
-        raise DomainError("L accessor needs D + 2E > 0")
     with np.errstate(all="ignore"):
-        L = ((1.0 - A1 * A1) * x + A1 * (A2 + D)) / math.sqrt(s)
+        L = _L(_z(x, A1, A2, D), D, E)
         r = _each(math.hypot, x, np.ones_like(x))
         D_impl = np.copysign(r, A2 + D - A1 * x) + A1 * x - A2
         L2 = D + 2.0 * A2
@@ -258,7 +243,7 @@ def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     _require_nondegenerate(params)
     R, E, C = params.R, params.E, params.C
     with np.errstate(all="ignore"):
-        z = (1.0 - A1 * A1) * x + A1 * (A2 + params.D)
+        z = _z(x, A1, A2, params.D)
         c2 = (A2 - 2.0 * E + R) / (2.0 * R)  # dn^2 in class I, cn^2 in classes II
         if params.cls is RealLocusClass.I:
             m = 1.0 / (1.0 - params.k2)

@@ -8,12 +8,13 @@ points satisfy two equations,
     circle:  A1^2 + A2^2 - 4 E A2 = 1 + 2 D E
     wall:    x^2 + 1 = (A2 + D - A1 x)^2
 
-which cut out a genus-one curve.  This module derives the curve data
-(radius R, squared modulus k2, branch value s0, scale C, period lattice),
-classifies the shape of the real locus, and evaluates the residual of the
-two equations and the projection onto them.  The residual and the
-projection are array kernels; the single-point functions call them with
-one-element arrays.
+which cut out a genus-one curve.  This module classifies the real locus
+by one class table and derives the curve data (radius R, squared modulus
+k2, branch value s0, scale C), shared by points and grids as plain
+arithmetic on floats or numpy arrays; it computes no elliptic integral.
+The residual of the two equations and the projection onto them are
+array kernels; the single-point functions call them with one-element
+arrays.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .elliptic import complete_K, complete_Kp, complete_Kpp
 from .errors import DomainError, PoleError
 
 BOUNDARY_TOL = 1e-9  # absolute tolerance on D^2-4, R^2, D+2E, D+4E+2R
@@ -59,18 +60,53 @@ _ALPHA_SIGN = {
 _ENDPOINT_GUARD = 1e-10  # distance of s0 from a branch point below which alpha is refused
 
 
-@dataclass(frozen=True)
-class LatticeData:
-    """Period lattice of the uniformizing plane.
+def _curve_terms(D, E):
+    """s = D + 2E, R^2, the radius R (NaN where R^2 < 0) and den = D + 4E + 2R."""
+    s = D + 2.0 * E
+    R2 = 1.0 + 2.0 * D * E + 4.0 * E * E
+    R = np.sqrt(R2) if isinstance(R2, np.ndarray) else math.sqrt(R2) if R2 >= 0.0 else math.nan
+    return s, R2, R, D + 4.0 * E + 2.0 * R
 
-    One-component sets have the rhombic generators 2K + 2iK'' and its
-    negated conjugate; two-component sets have the rectangular generators
-    4K and 2iK'.  Unused quarter periods are None.
+
+# the class table: the class of each test of _class_tests, tried in order; II_MINUS if none holds
+_TABLE_CLASSES = (
+    RealLocusClass.DEGENERATE_TANGENT, RealLocusClass.NEGATIVE_SIDE,  # D + 2E = 0, < 0
+    RealLocusClass.NODAL_R, RealLocusClass.EMPTY,                     # R^2 = 0, < 0
+    RealLocusClass.NODAL_D,                                           # |D| = 2
+    RealLocusClass.NODAL_D, RealLocusClass.EMPTY,                     # D + 4E + 2R = 0, < 0
+    RealLocusClass.I, RealLocusClass.II_PLUS,                         # |D| < 2, D > 2
+)
+
+
+def _class_tests(D, s, R2, den):
+    """The tests of the class table, one per entry of _TABLE_CLASSES."""
+    return (abs(s) < BOUNDARY_TOL, s < 0.0,
+            abs(R2) < BOUNDARY_TOL, R2 < 0.0,
+            abs(abs(D) - 2.0) < BOUNDARY_TOL,
+            abs(den) < BOUNDARY_TOL, den < 0.0,  # den = 0 forces D^2 = 4
+            abs(D) < 2.0, D > 2.0)
+
+
+def _k2_s0_inv(D, E, s, R, den):
+    """Squared modulus k2 and inverse branch value 1/s0 from _curve_terms."""
+    return (D + 4.0 * E - 2.0 * R) / den, (s - R) / (s + R)
+
+
+def _z(x, A1, A2, D):
+    """Linearized wall coordinate (1 - A1^2) x + A1 (A2 + D).
+
+    Its square equals A1^2 + (A2+D)^2 - 1 on the level set, and it is
+    sqrt(D + 2E) times the angular momentum of the outgoing branch.
     """
+    return (1.0 - A1 * A1) * x + A1 * (A2 + D)
 
-    K: float
-    Kp: float | None
-    Kpp: float | None
+
+def _L(z, D, E):
+    """Angular momentum z / sqrt(D + 2E) of the outgoing branch."""
+    s = D + 2.0 * E
+    if s <= 0.0:
+        raise DomainError("L accessor needs D + 2E > 0")
+    return z / math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -82,19 +118,12 @@ class ConfigPoint:
     A2: float
 
     def z(self, params: "LevelSetParams") -> float:
-        """Linearized wall coordinate (1 - A1^2) x + A1 (A2 + D).
-
-        Its square equals A1^2 + (A2+D)^2 - 1 on the level set, and it is
-        sqrt(D + 2E) times the angular momentum of the outgoing branch.
-        """
-        return (1.0 - self.A1 * self.A1) * self.x + self.A1 * (self.A2 + params.D)
+        """Linearized wall coordinate _z at this point."""
+        return _z(self.x, self.A1, self.A2, params.D)
 
     def L(self, params: "LevelSetParams") -> float:
         """Angular momentum of the outgoing branch at this point."""
-        s = params.D + 2.0 * params.E
-        if s <= 0.0:
-            raise DomainError("L accessor needs D + 2E > 0")
-        return self.z(params) / math.sqrt(s)
+        return _L(self.z(params), params.D, params.E)
 
 
 @dataclass(frozen=True)
@@ -113,7 +142,6 @@ class LevelSetParams:
     s0_inv: float
     C2: float
     C: float
-    lattice: LatticeData | None = None
 
     @property
     def mirror(self) -> "LevelSetParams | None":
@@ -132,64 +160,26 @@ class LevelSetParams:
 
 
 def derive_params(D: float, E: float) -> LevelSetParams:
-    """Classify (D, E) and derive the level-set curve data.
+    """Classify (D, E) by the class table and derive the level-set curve data.
 
-    Boundary bands of width BOUNDARY_TOL (absolute, on D+2E, R^2, |D|-2 and
-    D+4E+2R) classify as the corresponding degenerate class.  For
-    D + 2E < 0 the sign symmetry (D, E, A) -> (-D, -E, -A) applies; the
-    mapped parameters are the mirror property.
+    For D + 2E < 0 the sign symmetry (D, E, A) -> (-D, -E, -A) gives the mirror property.
     """
-    D = float(D)
-    E = float(E)
+    D, E = float(D), float(E)
     if not (math.isfinite(D) and math.isfinite(E)):
         raise DomainError(f"D and E must be finite (got D={D!r}, E={E!r})")
-    nan = float("nan")
-    s = D + 2.0 * E
-    if abs(s) < BOUNDARY_TOL:
-        return LevelSetParams(D, E, RealLocusClass.DEGENERATE_TANGENT,
-                              nan, nan, nan, nan, nan, nan)
-    if s < 0.0:
-        return LevelSetParams(D, E, RealLocusClass.NEGATIVE_SIDE,
-                              nan, nan, nan, nan, nan, nan)
-    R2 = 1.0 + 2.0 * D * E + 4.0 * E * E
-    if abs(R2) < BOUNDARY_TOL:
-        return LevelSetParams(D, E, RealLocusClass.NODAL_R,
-                              0.0, nan, nan, nan, nan, nan)
-    if R2 < 0.0:
-        return LevelSetParams(D, E, RealLocusClass.EMPTY,
-                              nan, nan, nan, nan, nan, nan)
-    R = math.sqrt(R2)
-    if abs(abs(D) - 2.0) < BOUNDARY_TOL:
-        return LevelSetParams(D, E, RealLocusClass.NODAL_D,
-                              R, nan, nan, nan, nan, nan)
-    den = D + 4.0 * E + 2.0 * R
-    if abs(den) < BOUNDARY_TOL:
-        # den = 0 forces D^2 = 4, so this band is the nodal one as well
-        return LevelSetParams(D, E, RealLocusClass.NODAL_D,
-                              R, nan, nan, nan, nan, nan)
-    if den < 0.0:
-        return LevelSetParams(D, E, RealLocusClass.EMPTY,
-                              R, nan, nan, nan, nan, nan)
-    k2 = (D + 4.0 * E - 2.0 * R) / den
-    s0_inv = (s - R) / (s + R)
+    s, R2, R, den = _curve_terms(D, E)
+    cls = next(compress(_TABLE_CLASSES, _class_tests(D, s, R2, den)), RealLocusClass.II_MINUS)
+    if cls not in NONDEGENERATE:
+        R = math.nan if s < BOUNDARY_TOL else 0.0 if cls is RealLocusClass.NODAL_R else R
+        return LevelSetParams(D, E, cls, R, *(math.nan,) * 5)
+    k2, s0_inv = _k2_s0_inv(D, E, s, R, den)
     s0 = math.inf if s0_inv == 0.0 else 1.0 / s0_inv
     C2 = s * den
     if not all(map(math.isfinite, (R, k2, s0_inv, C2))):
         # R^2 or s * den overflowed: there are no curve data for the integrals
         raise DomainError(f"curve data are not finite at D={D!r}, E={E!r} "
                           f"(R^2={R2!r}, k2={k2!r}, C^2={C2!r})")
-    C = math.sqrt(C2)
-    if abs(D) < 2.0:
-        cls = RealLocusClass.I
-        K = complete_K(k2)
-        Kpp = complete_Kpp(k2)
-        lattice = LatticeData(K, None, Kpp)
-    else:
-        cls = RealLocusClass.II_PLUS if D > 2.0 else RealLocusClass.II_MINUS
-        K = complete_K(k2)
-        Kp = complete_Kp(k2)
-        lattice = LatticeData(K, Kp, None)
-    return LevelSetParams(D, E, cls, R, k2, s0, s0_inv, C2, C, lattice=lattice)
+    return LevelSetParams(D, E, cls, R, k2, s0, s0_inv, C2, math.sqrt(C2))
 
 
 def _require_nondegenerate(params: LevelSetParams):

@@ -134,6 +134,9 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
         raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
     if n < 0:
         raise ValueError(f"orbit iteration needs n >= 0 steps (got {n})")
+    for name, limit in (("residual_ceiling", residual_ceiling), ("abort_abscissa", abort_abscissa)):
+        if not limit >= 0.0:
+            raise ValueError(f"{name} must be >= 0 (got {limit!r})")
 
     def blocks():
         xyz, pole = np.array([[c0.x], [c0.A1], [c0.A2]], dtype=float), None

@@ -98,11 +98,10 @@ def orbit_figure(points: list[ConfigPoint], params: LevelSetParams) -> str:
 
 def level_set_figure(params: LevelSetParams, points: list[ConfigPoint] | None = None) -> str:
     """Level-set figure in the (A1, L) plane, with optional orbit points."""
-    _require_nondegenerate(params)  # before the square root, which D + 2E < 0 would fail
+    _require_nondegenerate(params)  # before L, whose error on D + 2E < 0 names no class
     two_sided = params.cls in (RealLocusClass.II_PLUS, RealLocusClass.II_MINUS)
-    root = math.sqrt(params.D + 2.0 * params.E)
     shapes = [("polyline", "component",
-               [(c.A1, c.z(params) / root) for c in component_curve(params, eps=eps)])
+               [(c.A1, c.L(params)) for c in component_curve(params, eps=eps)])
               for eps in ((0, 1) if two_sided else (0,))]
-    shapes += [("circle", "orbit", (c.A1, c.z(params) / root, 2.5)) for c in points or ()]
+    shapes += [("circle", "orbit", (c.A1, c.L(params), 2.5)) for c in points or ()]
     return _render(shapes)

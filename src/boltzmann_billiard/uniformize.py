@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import seg_case_i, seg_case_ii_plus
+from .elliptic import complete_Kp, complete_Kpp, seg_case_i, seg_case_ii_plus
 from .errors import ClassChangeError, NearDegenerateError, PoleError
 from .grid import theta_array, uniformize_array
 from .levelset import (
@@ -107,18 +107,17 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     _require_nondegenerate(params)
     sign = _ALPHA_SIGN[params.cls]
     if params.cls is RealLocusClass.I:
+        Kpp = complete_Kpp(params.k2)
         if 1.0 - abs(params.s0_inv) < _ENDPOINT_GUARD:
             raise NearDegenerateError("s0 within guard of a branch point (near-degenerate set)")
         seg = seg_case_i(params.s0_inv, params.k2)
-        Kpp = params.lattice.Kpp
         alpha = (sign * seg / (4.0 * Kpp)) % 1.0
         return RotationData(alpha, False)
-    k = math.sqrt(params.k2)
+    Kp = complete_Kp(params.k2)
     s0a = abs(params.s0)
-    if s0a - 1.0 < _ENDPOINT_GUARD or 1.0 / k - s0a < _ENDPOINT_GUARD:
+    if s0a - 1.0 < _ENDPOINT_GUARD or 1.0 / math.sqrt(params.k2) - s0a < _ENDPOINT_GUARD:
         raise NearDegenerateError("s0 within guard of a branch point (near-degenerate set)")
     seg = seg_case_ii_plus(s0a, params.k2)
-    Kp = params.lattice.Kp
     alpha = (sign * seg / (2.0 * Kp)) % 1.0
     return RotationData(alpha, params.cls is RealLocusClass.II_PLUS)
 

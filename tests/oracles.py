@@ -231,17 +231,17 @@ def uniformize_complex_oracle(a, params):
     z = C dn(u)/cn(u) at u = 4 i K'' theta (class I) or
     u = 2 i K' theta + 2 K eps (classes II).
     """
-    from boltzmann_billiard import AngleCoord, ConfigPoint, DomainError, PoleError, RealLocusClass
+    from boltzmann_billiard import (AngleCoord, ConfigPoint, DomainError, PoleError, RealLocusClass,
+                                    complete_K, complete_Kp, complete_Kpp)
 
     if not params.nondegenerate:
         raise DomainError(f"operation needs a nondegenerate level set (class {params.cls.value})")
     if not isinstance(a, AngleCoord):
         a = AngleCoord(float(a), 0)
-    lat = params.lattice
     if params.cls is RealLocusClass.I:
-        u = complex(0.0, 4.0 * lat.Kpp * a.theta)
+        u = complex(0.0, 4.0 * complete_Kpp(params.k2) * a.theta)
     else:
-        u = complex(2.0 * lat.K * a.eps, 2.0 * lat.Kp * a.theta)
+        u = complex(2.0 * complete_K(params.k2) * a.eps, 2.0 * complete_Kp(params.k2) * a.theta)
     sn, cn, dn = jacobi_sn_cn_dn_complex(u, params.k2)
     if abs(cn) < 1e-8:
         raise PoleError("uniformization pole: cn(u) = 0 (point at infinity of the conic pencil)")

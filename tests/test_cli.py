@@ -97,8 +97,8 @@ class TestClassify:
                        "--format", "text") == (0, out)
 
     def test_negative_side_with_failing_mirror(self, capsys):
-        # the mirror (-D, -E) cannot be derived (complete_Kpp raises there),
-        # but the point itself classifies
+        # the mirror (-D, -E) has no rotation number (complete_Kpp raises
+        # there), but the point itself classifies
         code, out = run_cli(capsys, "classify", "--D", "-1.999999095130935",
                             "--E", "-45242.943014490746", "--format", "json")
         assert code == 0
@@ -619,6 +619,29 @@ class TestRotation:
         assert out.splitlines()[2] == "class = I"
         assert run_quiet(argv + ["--format", "text"]) == (code, out, err)
 
+    @pytest.mark.parametrize("extra", [["--steps", "5"], ["--seed", "3"], ["--steps", "5", "--seed", "0"]])
+    def test_grid_refuses_winding_options(self, extra):
+        # both options used to be accepted and ignored by the grid
+        code, out, err = run_quiet(["rotation", "--grid", "0:1:0:1:2", *extra])
+        assert (code, out, err) == (2, "", "rotation --grid takes no --steps or --seed "
+                                           "(it runs no orbit)\n")
+
+    def test_single_point_defaults(self):
+        argv = ["rotation", "--D", "2.5", "--E", "-0.1"]
+        got = run_quiet(argv)
+        assert got[0] == 0
+        assert got == run_quiet(argv + ["--steps", "10000", "--seed", "0"])
+
+    @pytest.mark.parametrize("spec, message", [
+        (spec, f"--grid must be Dmin:Dmax:Emin:Emax:n, integer n (got {spec!r})")
+        for spec in ("0:1:0:1:2.5", "0:1:0:1", "0:x:0:1:3", "1:2:3:4:5:6")
+    ] + [("0:1:0:1:1", "--grid needs n >= 2")])
+    def test_malformed_grid_names_option(self, spec, message):
+        # the messages used to be int()'s or float()'s, or began "grid", naming no option
+        code, out, err = run_quiet(["rotation", f"--grid={spec}"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
 
 class TestPeriodScan:
     def test_finds_exact_root(self, capsys):
@@ -656,6 +679,13 @@ class TestPeriodScan:
         code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--p-list", p_list])
         assert (code, out) == (2, "")
         assert err.endswith(f"error: --p-list must be comma-separated integers (got {p_list!r})\n")
+
+    @pytest.mark.parametrize("p_list", ["0", "-3", "3,0"])
+    def test_non_positive_period_names_option(self, p_list):
+        # the message used to be find_periodic_locus's "period must be positive"
+        code, out, err = run_quiet(["period-scan", "--E", "-0.2", f"--p-list={p_list}"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: --p-list periods must be positive (got {p_list!r})\n")
 
     def test_overflowing_energy_warns_nothing(self):
         # R^2 overflows at every scan point: no alpha, so no root, and no numpy warning
@@ -804,6 +834,78 @@ def run_quiet(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--D", "1.5", "--E", "-0.2"],
+    ["rotation", "--D", "1.5", "--E", "-0.2", "--steps", "10"],
+    ["render", "--D", "1.5", "--E", "-0.2"],
+])
+def test_negative_seed_names_option(argv):
+    # numpy's default_rng used to refuse it with "expected non-negative integer"
+    assert run_quiet(argv + ["--seed", "-5"]) == (2, "", "--seed must be >= 0 (got -5)\n")
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--residual-ceiling", "nan"), ("--residual-ceiling", "-1"),
+    ("--abort-abscissa", "nan"), ("--abort-abscissa", "-1e-9"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_orbit_threshold_refused(option, value, fmt):
+    # nan used to switch the residual check off or abort at step 1; a negative value aborted
+    code, out, err = run_quiet(["orbit", "--D", "1.5", "--E", "-0.2", "--steps", "3",
+                                "--format", fmt, option, value])
+    keyword = option[2:].replace("-", "_")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {keyword} must be >= 0 (got {float(value)!r})\n")
+
+
+def test_orbit_infinite_thresholds_accepted():
+    argv = ["orbit", "--D", "1.5", "--E", "-0.2", "--steps", "3"]
+    got = run_quiet(argv + ["--residual-ceiling", "inf", "--abort-abscissa", "inf"])
+    assert got == run_quiet(argv)
+    assert got[0] == 0
+
+
+SLIVER_K_ERRORS = [
+    # (D, E, message of classify and rotation, message of orbit and render)
+    ("2.000000002", "20", "complete_Kp diverges logarithmically as k2 -> 0 "
+     "(got k2=2.974747819275188e-13)", "complete_K diverges as k2 -> 1 (got k2=0.9999999999997026)"),
+    ("-1.8", "1e7", "complete_Kpp: 1/(1 - k2) rounds to 1 (got k2=-9.313226165249962e-17)",
+     "complete_K diverges as k2 -> 1 (got k2=1.0)"),
+]
+
+
+@pytest.mark.parametrize("D, E, point_msg, orbit_msg", SLIVER_K_ERRORS)
+def test_diverging_integral_outcomes(D, E, point_msg, orbit_msg):
+    # derive_params computes no integral, so the classes are known here; the
+    # integral that diverges fails the command that needs it
+    for argv, msg in ((["classify"], point_msg), (["rotation", "--steps", "10"], point_msg),
+                      (["orbit"], orbit_msg), (["render"], orbit_msg)):
+        code, out, err = run_quiet([*argv, "--D", D, f"--E={E}"])
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: {msg}\n"), argv
+
+
+def test_class_ii_sliver_outcomes():
+    # 1 - k2 < 1e-12 in class IIplus: K(k2) is not needed, so the point and
+    # rotation commands meet the branch-point guard and the orbit runs
+    point = ["--D", "382690741.9356395", "--E=-1.3065380068237316e-09"]
+    for cmd in ("classify", "rotation"):
+        code, out, err = run_quiet([cmd, *point])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: s0 within guard of a branch point (near-degenerate set)\n")
+    code, out, err = run_quiet(["orbit", *point, "--steps", "4"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
+
+
+def test_class_ii_k2_rounding_to_one():
+    # on the same sliver k2 can round to 1: complete_Kp refuses it before the guards
+    for cmd in ("classify", "rotation"):
+        code, out, err = run_quiet([cmd, "--D", "16124111189373.742", "--E=-3.100945909862638e-14"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: complete_Kp needs k2 < 1 (got k2=1.0)\n")
 
 
 class TestNegativeValues:

@@ -127,12 +127,62 @@ def test_fixture_points():
     assert_matches_scalar(D, E)
 
 
-def test_blank_where_derive_params_raises():
-    # k2 ~ 3e-13 is inside the floor of complete_Kp: derive_params raises there
+# Each edge of the class table as (D, E) of an offset q from it, with the
+# quantity that measures q and the README class at q = -2, -0.5, 0.5 and 2
+# BOUNDARY_TOL.  The den = D + 4E + 2R edge is reached with s > 0 only on the
+# |D| = 2 band (den * (D + 4E - 2R) = D^2 - 4), so its band classifies NodalD.
+I, IIP, IIM = RealLocusClass.I, RealLocusClass.II_PLUS, RealLocusClass.II_MINUS
+TAN, NEG = RealLocusClass.DEGENERATE_TANGENT, RealLocusClass.NEGATIVE_SIDE
+NR, ND, EMPTY = RealLocusClass.NODAL_R, RealLocusClass.NODAL_D, RealLocusClass.EMPTY
+
+
+def _s(D, E):
+    return D + 2.0 * E
+
+
+def _R2(D, E):
+    return 1.0 + 2.0 * D * E + 4.0 * E * E
+
+
+def _den(D, E):
+    return D + 4.0 * E + 2.0 * math.sqrt(_R2(D, E))
+
+
+CLASS_EDGES = [
+    # D + 2E = q: tests 1 and 2
+    (lambda q: (1.5, (q - 1.5) / 2.0), _s, (NEG, TAN, TAN, I)),
+    (lambda q: (-3.0, (q + 3.0) / 2.0), _s, (NEG, TAN, TAN, IIM)),
+    (lambda q: (3.0, (q - 3.0) / 2.0), _s, (NEG, TAN, TAN, EMPTY)),
+    # R^2 = q on both roots in E: tests 3 and 4, then test 7 on the far root
+    (lambda q: (3.0, (-3.0 + math.sqrt(5.0 + 4.0 * q)) / 4.0), _R2, (EMPTY, NR, NR, IIP)),
+    (lambda q: (3.0, (-3.0 - math.sqrt(5.0 + 4.0 * q)) / 4.0), _R2, (EMPTY, NR, NR, EMPTY)),
+    # |D| - 2 = q: tests 5, 8 and 9, and the fallback II_MINUS
+    (lambda q: (2.0 + q, -0.3), lambda D, E: abs(D) - 2.0, (I, ND, ND, IIP)),
+    (lambda q: (-2.0 - q, 1.3), lambda D, E: abs(D) - 2.0, (I, ND, ND, IIM)),
+    # den = q to first order: tests 6 and 7
+    (lambda q: (2.0 - 0.75 * q, -0.875), _den, (EMPTY, ND, ND, I)),
+]
+
+
+@pytest.mark.parametrize("edge, measure, want", CLASS_EDGES)
+def test_class_table_edges(edge, measure, want):
+    offsets = [-2.0 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 0.5 * BOUNDARY_TOL, 2.0 * BOUNDARY_TOL]
+    points = [edge(q) for q in offsets]
+    for (D, E), q in zip(points, offsets):
+        assert measure(D, E) == pytest.approx(q, rel=0.01)
+    D, E = (np.array(v) for v in zip(*points))
+    classes, _ = rotation_grid(D, E)
+    assert [derive_params(*pt).cls for pt in points] == list(classes) == list(want)
+    assert_matches_scalar(D, E)
+
+
+def test_blank_where_complete_Kp_raises():
+    # k2 ~ 3e-13 is inside the floor of complete_Kp: rotation_number raises there
     classes, alpha = rotation_grid(2.0 + 2e-9, 20.0)
     assert classes[()] is RealLocusClass.II_PLUS
     assert math.isnan(alpha)
-    assert oracles.scalar_rotation_cell(2.0 + 2e-9, 20.0)[0] is None
+    cls, want = oracles.scalar_rotation_cell(2.0 + 2e-9, 20.0)
+    assert cls is RealLocusClass.II_PLUS and math.isnan(want)
 
 
 def test_blank_where_kappa_rounds_to_one():
@@ -140,7 +190,8 @@ def test_blank_where_kappa_rounds_to_one():
     classes, alpha = rotation_grid(-1.8, 1e7)
     assert classes[()] is RealLocusClass.I
     assert math.isnan(alpha)
-    assert oracles.scalar_rotation_cell(-1.8, 1e7)[0] is None
+    cls, want = oracles.scalar_rotation_cell(-1.8, 1e7)
+    assert cls is RealLocusClass.I and math.isnan(want)
 
 
 def test_broadcast_shapes():

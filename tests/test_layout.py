@@ -1,0 +1,84 @@
+"""Static checks of the source tree: where imports sit, the import graph, tracer names."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "boltzmann_billiard"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_imports(name: str) -> set:
+    """The package modules that module `name` imports, at any depth of its tree."""
+    found = set()
+    for node in ast.walk(parse(PACKAGE / f"{name}.py")):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import x, y
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("boltzmann_billiard."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("boltzmann_billiard."))
+    return found & set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    for fn in ast.walk(parse(PACKAGE / f"{name}.py")):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            inner = [node.lineno for node in ast.walk(fn)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))]
+            assert not inner, f"{name}.py imports inside {getattr(fn, 'name', 'lambda')} at {inner}"
+
+
+def test_import_graph_has_no_cycle():
+    graph = {name: package_imports(name) for name in MODULES}
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            pytest.fail("import cycle: " + " -> ".join(path[path.index(name):] + [name]))
+        if name in done:
+            return
+        path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        path.pop()
+        done.add(name)
+
+    for name in MODULES:
+        visit(name)
+
+
+def test_levelset_computes_no_integral():
+    # the class table and the curve data need no elliptic integral
+    assert "elliptic" not in package_imports("levelset")
+
+
+def tracer_table(name: str):
+    """A module-level literal of perfbench/tracer.py, read without importing it."""
+    for node in parse(ROOT / "perfbench" / "tracer.py").body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_tracer_names_exist():
+    # the tracer wraps these by name; a missing one would only show in its smoke run
+    for layer, names in tracer_table("LAYERS").items():
+        module = importlib.import_module(f"boltzmann_billiard.{layer}")
+        for fname in names:
+            assert callable(getattr(module, fname, None)), f"{layer}.{fname}"
+    for consumer in tracer_table("CONSUMERS"):
+        importlib.import_module(f"boltzmann_billiard.{consumer}")
+    assert callable(importlib.import_module("boltzmann_billiard.levelset").ConfigPoint.L)

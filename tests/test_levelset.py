@@ -11,6 +11,8 @@ from boltzmann_billiard import (
     ConfigPoint,
     DomainError,
     RealLocusClass,
+    complete_Kp,
+    complete_Kpp,
     derive_params,
     implied_invariants,
     level_set_residual,
@@ -18,7 +20,7 @@ from boltzmann_billiard import (
     project_onto_level_set,
     sample_level_set,
 )
-from boltzmann_billiard import levelset
+from boltzmann_billiard import elliptic
 
 import oracles
 
@@ -93,8 +95,9 @@ def test_modulus_regimes(params_i, params_ii_plus, params_ii_minus):
     assert 0.0 < params_ii_minus.k2 < 1.0
     for p in (params_i, params_ii_plus, params_ii_minus):
         assert p.C2 > 0.0
-        assert p.lattice is not None
-        assert p.lattice.K > 0.0
+    assert complete_Kpp(params_i.k2) > 0.0
+    assert complete_Kp(params_ii_plus.k2) > 0.0
+    assert complete_Kp(params_ii_minus.k2) > 0.0
 
 
 def test_s0_ranges(params_i, params_ii_plus, params_ii_minus):
@@ -155,17 +158,52 @@ def test_nan_rejected():
         derive_params(1.0, math.inf)
 
 
-@pytest.mark.parametrize("D, E", [(1e200, 1e200), (-1e200, 1e200), (1e300, 1e-300)])
-def test_overflowing_curve_data_rejected(monkeypatch, D, E):
-    # R^2 = 1 + 2DE + 4E^2 or C^2 = (D + 2E)(D + 4E + 2R) overflows; the
-    # error names the curve data before any complete integral is tried
+def forbid_integrals(monkeypatch):
+    """Make every complete integral of elliptic raise when called."""
     def no_integral(m):
         raise AssertionError(f"complete integral called at m={m!r}")
 
-    for name in ("complete_K", "complete_Kp", "complete_Kpp"):
-        monkeypatch.setattr(levelset, name, no_integral)
+    for name in ("complete_K", "complete_Kp", "complete_Kpp", "_complete_K"):
+        monkeypatch.setattr(elliptic, name, no_integral)
+
+
+@pytest.mark.parametrize("D, E", [(1e200, 1e200), (-1e200, 1e200), (1e300, 1e-300)])
+def test_overflowing_curve_data_rejected(monkeypatch, D, E):
+    # R^2 = 1 + 2DE + 4E^2 or C^2 = (D + 2E)(D + 4E + 2R) overflows; the
+    # error names the curve data, and no complete integral is tried
+    forbid_integrals(monkeypatch)
     with pytest.raises(DomainError, match="curve data are not finite"):
         derive_params(D, E)
+
+
+# points where a complete integral diverges: the floor of complete_Kp (k2 ~ 3e-13),
+# kappa^2 = 1/(1 - k2) rounding to 1 in class I, and the class II sliver 1 - k2 < 1e-12
+SLIVER_POINTS = [
+    (2.000000002, 20.0, RealLocusClass.II_PLUS),
+    (-1.8, 1e7, RealLocusClass.I),
+    (382690741.9356395, -1.3065380068237316e-09, RealLocusClass.II_PLUS),
+]
+
+
+@pytest.mark.parametrize("D, E, cls", CLASS_FIXTURES + SLIVER_POINTS)
+def test_derive_params_computes_no_integral(monkeypatch, D, E, cls):
+    forbid_integrals(monkeypatch)
+    assert derive_params(D, E).cls is cls
+
+
+@pytest.mark.parametrize("D, E, R", [
+    (1.0, -0.5, math.nan),                    # DegenerateTangent
+    (1.5, -2.0, math.nan),                    # NegativeAngularMomentumSide
+    (2.05, -0.4, 0.0),                        # NodalR
+    (6.0, -0.1, math.nan),                    # Empty, R^2 < 0
+    (2.0, -0.3, 0.4),                         # NodalD
+    (6.0, -2.95, math.sqrt(0.41)),            # Empty, D + 4E + 2R < 0
+])
+def test_degenerate_radius(D, E, R):
+    p = derive_params(D, E)
+    assert not p.nondegenerate
+    assert p.R == pytest.approx(R, abs=1e-12, nan_ok=True)
+    assert all(math.isnan(v) for v in (p.k2, p.s0, p.s0_inv, p.C2, p.C))
 
 
 class TestPointGeometry:

@@ -225,6 +225,24 @@ class TestOrbit:
         with pytest.raises(ValueError, match="n >= 0"):
             iterate_orbit(c0, params_i, -2)
 
+    @pytest.mark.parametrize("keyword", ["residual_ceiling", "abort_abscissa"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf])
+    def test_bad_threshold_raises(self, params_i, keyword, value):
+        # nan used to switch a check off or abort at step 1, a negative value to abort
+        c0 = sample_level_set(params_i, 1, seed=8)[0]
+        limits = {"residual_ceiling": 1e-6, "abort_abscissa": 1e12, keyword: value}
+        with pytest.raises(ValueError, match=f"{keyword} must be >= 0 \\(got {value!r}\\)"):
+            iterate_orbit(c0, params_i, 3, **limits)
+        with pytest.raises(ValueError, match=keyword):
+            poincare._checked_blocks(c0, params_i, 3, **limits)  # at the call, before any block
+
+    def test_threshold_bounds_accepted(self, params_i):
+        c0 = sample_level_set(params_i, 1, seed=8)[0]
+        assert len(iterate_orbit(c0, params_i, 3, residual_ceiling=math.inf,
+                                 abort_abscissa=math.inf).residuals) == 4
+        with pytest.raises(OrbitAbort):  # 0 is a valid, if strict, threshold
+            iterate_orbit(c0, params_i, 3, residual_ceiling=0.0, abort_abscissa=0.0)
+
 
 def orbit_bits(orbit):
     """Points and residuals of an orbit as float hex strings (NaN-safe)."""
