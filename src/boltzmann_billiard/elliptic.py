@@ -41,7 +41,7 @@ def _complete_K(m: float) -> float:
 def complete_K(m) -> float:
     """Complete integral K of the squared modulus m < 1, via the AGM."""
     if not m < 1.0 - _MODULUS_FLOOR:
-        raise DomainError(f"complete_K diverges as k2 -> 1 (got k2={float(m)!r})")
+        raise DomainError(f"complete_K diverges as m -> 1 (got m={float(m)!r})")
     return _complete_K(m)
 
 

@@ -25,10 +25,14 @@ theta_array (point to angle) and uniformize_array (angle to point) are
 the only implementations of the uniformization: angle_of and uniformize
 call them with one-element arrays, and the scalar references they are
 tested against live in tests/oracles.py.  The point kernels raise the
-exception of the scalar evaluation at the first element where it raises;
-uniformize_array instead returns a mask of the points where the wall
-abscissa is at infinity.  The level-set residual and the projection onto
-the level set are array kernels of levelset.
+exception of the scalar evaluation at the first element where it raises,
+with one difference: where the angle comes out NaN, theta_array raises
+DomainError and the scalar path a bare ValueError.  So the angle
+inversion raises only DomainError: in class I at a point off the real
+locus (dn = 0) or with a degenerate angle, and in every class at a NaN
+angle.  uniformize_array instead returns a mask of the points where the
+wall abscissa is at infinity.  The level-set residual and the projection
+onto the level set are array kernels of levelset.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ import math
 import numpy as np
 
 from .elliptic import (_AGM_MAX_STEPS, _AGM_RTOL, _MODULUS_FLOOR, _RF_RTOL, _jacobi_descent,
-                       complete_K)
-from .errors import DomainError, EndpointSingularityError, PoleError
+                       complete_K, complete_Kp)
+from .errors import DomainError, PoleError
 from .levelset import (_ALPHA_SIGN, _AT_INFINITY, _ENDPOINT_GUARD, _TABLE_CLASSES, NONDEGENERATE,
                        LevelSetParams, RealLocusClass, _class_tests, _curve_terms, _k2_s0_inv, _L,
                        _max, _reflect, _require_nondegenerate, _z)
@@ -216,20 +220,6 @@ def _each(fn, *arrays) -> np.ndarray:
     return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
 
 
-def _raise_first(checks) -> None:
-    """Raise at the first element failing a check, the first check it fails.
-
-    checks: (mask, exception factory taking the element index) in the order
-    the scalar code tests them.
-    """
-    bad = np.zeros(checks[0][0].shape, dtype=bool)
-    for mask, _ in checks:
-        bad |= mask
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise next(make(i) for mask, make in checks if mask[i])
-
-
 def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                 params: LevelSetParams) -> np.ndarray:
     """Angle theta in [0, 1) of every real-locus point (x, A1, A2).
@@ -237,8 +227,9 @@ def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     Inverts the parametrization of uniformize_array; the quadrant is
     resolved from the signs of the Jacobi triple, so theta is continuous
     along each component.  At the first point where the inversion fails it
-    raises DomainError (off the real locus, or outside the domain of the
-    incomplete integral), EndpointSingularityError or, at NaN, ValueError.
+    raises DomainError: in class I where dn = 0 (off the real locus) or
+    where the angle is degenerate, and in every class where the angle
+    comes out NaN (at a NaN point, say).
     """
     _require_nondegenerate(params)
     R, E, C = params.R, params.E, params.C
@@ -255,36 +246,28 @@ def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
             co = z / C
             h = _each(math.hypot, s, co)
             phi = _each(math.atan2, s / h, co / h)
-            checks = [
-                (d <= 0.0, lambda i: DomainError("point is off the real locus (dn = 0)")),
-                (h == 0.0, lambda i: DomainError("degenerate angle inversion")),
-            ]
+            checks = [(d <= 0.0, "point is off the real locus (dn = 0)"),
+                      (h == 0.0, "degenerate angle inversion")]
         else:
             m = 1.0 - params.k2
-            K = complete_K(m)
+            K = complete_Kp(params.k2)
             period = 2.0 * K
             sgn = np.where(z > 0.0, -1.0, 1.0)
             sc = A1 / (sgn * 2.0 * R)
             phi = 0.5 * _each(math.atan2, 2.0 * sc, 2.0 * c2 - 1.0)
             checks = []
-        # legendre_F_phi(phi, m) % period
+        checks.append((np.isnan(phi), "angle inversion gives NaN (point not finite?)"))
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():  # the first failing point, and the first check it fails
+            i = int(np.argmax(bad))
+            raise DomainError(next(msg for mask, msg in checks if mask[i]))
+        # legendre_F_phi(phi, m) % period; |sn| <= 1 and 0 < m < 1, so R_F is in its domain
         n = np.rint(phi / math.pi)  # half to even, as round() does
         r = phi - n * math.pi
         sn = _each(math.sin, r)
         ax = np.abs(sn)
-        too_far = ax > 1.0 + 1e-12
-        ax = np.minimum(ax, 1.0)
         s2 = ax * ax
-        rx, ry = 1.0 - s2, 1.0 - m * s2
-        checks += [
-            (np.isnan(phi), lambda i: ValueError("cannot convert float NaN to integer")),
-            (too_far, lambda i: EndpointSingularityError(
-                f"legendre_F argument |x|={float(np.abs(sn[i]))!r} beyond the branch point 1")),
-            ((np.minimum(rx, ry) < 0.0) | ((rx == 0.0) & (ry == 0.0)),
-             lambda i: DomainError("carlson_rf needs non-negative arguments, at most one zero")),
-        ]
-        _raise_first(checks)
-        v = ax * _carlson_rf(rx, ry, 1.0)
+        v = ax * _carlson_rf(1.0 - s2, 1.0 - m * s2, 1.0)
         val = np.where(sn < 0.0, -v, v)
         val = np.where(n != 0.0, val + 2.0 * n * K, val)
         return np.mod(val, period) / period
@@ -350,7 +333,7 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
         if not ((eps == 0) | (eps == 1)).all():
             raise DomainError("component index eps must be 0 or 1")
         mc = 1.0 - params.k2
-        s, c, d = _sncndn_array(2.0 * complete_K(mc) * theta, 1.0 - mc)
+        s, c, d = _sncndn_array(2.0 * complete_Kp(params.k2) * theta, 1.0 - mc)
         sgn = np.where(eps == 0, -1.0, 1.0)
         A1 = sgn * 2.0 * R * s * c
         A2 = 2.0 * E - R + 2.0 * R * c * c

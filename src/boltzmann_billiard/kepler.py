@@ -15,6 +15,7 @@ from .errors import ArcUnsupportedError, DomainError
 from .levelset import ConfigPoint, LevelSetParams, other_wall_root
 
 _L_FLOOR = 1e-12  # |L| below which phase_from_config refuses a radial conic
+_ARC_POINTS = 64  # points of a trajectory_arc, both wall points included
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,12 @@ def reflect_at_wall(s: PhaseState) -> PhaseState:
     return PhaseState(s.x1, s.x2, s.p1, -s.p2)
 
 
-def phase_from_config(c: ConfigPoint, params: LevelSetParams,
-                      outgoing: bool = True) -> PhaseState:
-    """Reconstruct the phase state at the wall point (x, 1) of a collision.
+def phase_from_config(c: ConfigPoint, params: LevelSetParams) -> PhaseState:
+    """Reconstruct the outgoing phase state at the wall point (x, 1) of a collision.
 
     The squared angular momentum is D + 2 A2; the sign of L is fixed by
-    requiring p2 >= 0 for the outgoing branch.  The opposite branch is the
-    time reverse (both momentum components negated), i.e. the state
-    arriving at this wall point along the same conic just before the next
-    bounce.
+    requiring p2 >= 0.  Its time reverse, with both momentum components
+    negated, is the state arriving at this wall point along the same conic.
     """
     L2 = params.D + 2.0 * c.A2
     if L2 < -1e-10:
@@ -83,23 +81,21 @@ def phase_from_config(c: ConfigPoint, params: LevelSetParams,
                           "no wall state exists there")
     p2 = (c.A1 + c.x / r) / L
     p1 = -(c.A2 + 1.0 / r) / L
-    if (p2 < 0.0) == bool(outgoing):
+    if p2 < 0.0:
         p1, p2 = -p1, -p2
     return PhaseState(c.x, 1.0, p1, p2)
 
 
-def trajectory_arc(c: ConfigPoint, params: LevelSetParams, n: int = 64):
+def trajectory_arc(c: ConfigPoint, params: LevelSetParams):
     """Sample the Kepler arc from this bounce to the next wall hit.
 
-    Returns n points (x1, x2) on the conic r = L^2 / (1 + A1 cos(phi)
-    + A2 sin(phi)), swept in the direction of motion from (x, 1) to the
-    second wall intersection; the endpoints are set to the two wall points
-    exactly.  Every sample stays on the far side of the wall.  Arcs that
-    would pass through infinity (possible only for E >= 0) raise
+    Returns _ARC_POINTS points (x1, x2) on the conic r = L^2 / (1 + A1
+    cos(phi) + A2 sin(phi)), swept in the direction of motion from (x, 1)
+    to the second wall intersection; the endpoints are set to the two wall
+    points exactly.  Every sample stays on the far side of the wall.  Arcs
+    that would pass through infinity (possible only for E >= 0) raise
     ArcUnsupportedError.
     """
-    if n < 2:
-        raise ValueError("need at least the two endpoints")
     if not params.nondegenerate:
         raise DomainError(f"no trajectory arcs on a degenerate level set (class {params.cls.value})")
     L2 = params.D + 2.0 * c.A2
@@ -115,6 +111,7 @@ def trajectory_arc(c: ConfigPoint, params: LevelSetParams, n: int = 64):
     sweep = math.fmod(direction * (phi2 - phi1), 2.0 * math.pi)
     if sweep <= 0.0:
         sweep += 2.0 * math.pi
+    n = _ARC_POINTS
     pts = []
     for j in range(n):
         phi = phi1 + direction * sweep * j / (n - 1)

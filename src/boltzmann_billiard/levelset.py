@@ -144,26 +144,12 @@ class LevelSetParams:
     C: float
 
     @property
-    def mirror(self) -> "LevelSetParams | None":
-        """Parameters of the sign-mapped point (-D, -E) when D + 2E < 0, else None.
-
-        Derived on access, so a point whose mirror cannot be derived still
-        classifies.
-        """
-        if self.cls is RealLocusClass.NEGATIVE_SIDE:
-            return derive_params(-self.D, -self.E)
-        return None
-
-    @property
     def nondegenerate(self) -> bool:
         return self.cls in NONDEGENERATE
 
 
 def derive_params(D: float, E: float) -> LevelSetParams:
-    """Classify (D, E) by the class table and derive the level-set curve data.
-
-    For D + 2E < 0 the sign symmetry (D, E, A) -> (-D, -E, -A) gives the mirror property.
-    """
+    """Classify (D, E) by the class table and derive the level-set curve data."""
     D, E = float(D), float(E)
     if not (math.isfinite(D) and math.isfinite(E)):
         raise DomainError(f"D and E must be finite (got D={D!r}, E={E!r})")

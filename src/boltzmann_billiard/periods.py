@@ -28,6 +28,8 @@ _SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_l
 _SCAN_CACHE = 16  # D scans kept, one per (E, D_range); find_periodic_locus reuses them across p
 _RETURN_TOL = 1e-8  # config_distance below which a start counts as returned
 _INTEGRAL_TOL = 1e-9  # distance of p * alpha from an integer below which p is a period
+_P_MAX = 60  # longest period the searches look for
+_N_STARTS = 100  # sampled starts of poncelet_check
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,9 @@ def _dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
 
-def smallest_period(alpha: float, flips_component: bool, p_max: int = 60) -> int | None:
-    """Smallest p <= p_max with p*alpha integral (and p even when required)."""
-    for p in range(1, p_max + 1):
+def smallest_period(alpha: float, flips_component: bool) -> int | None:
+    """Smallest p <= _P_MAX with p*alpha integral (and p even when required)."""
+    for p in range(1, _P_MAX + 1):
         if flips_component and p % 2 == 1:
             continue
         if _dist_to_int(p * alpha) < _INTEGRAL_TOL:
@@ -64,24 +66,22 @@ def smallest_period(alpha: float, flips_component: bool, p_max: int = 60) -> int
     return None
 
 
-def predict_period(params: LevelSetParams, p_max: int = 60) -> int | None:
+def predict_period(params: LevelSetParams) -> int | None:
     rot = rotation_number(params)
-    return smallest_period(rot.alpha, rot.flips_component, p_max)
+    return smallest_period(rot.alpha, rot.flips_component)
 
 
-def detect_period_direct(c0: ConfigPoint, params: LevelSetParams,
-                         p_max: int = 60) -> int | None:
-    """Smallest p <= p_max with t^p(c0) back at c0 in the bounded metric."""
+def detect_period_direct(c0: ConfigPoint, params: LevelSetParams) -> int | None:
+    """Smallest p <= _P_MAX with t^p(c0) back at c0 in the bounded metric."""
     c = c0
-    for p in range(1, p_max + 1):
+    for p in range(1, _P_MAX + 1):
         c = map_t(c, params)
         if config_distance(c, c0) < _RETURN_TOL:
             return p
     return None
 
 
-def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray,
-                   params: LevelSetParams, p_max: int):
+def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray, params: LevelSetParams):
     """detect_period_direct for the starts (x0, A10, A20) at once, with the distance at the return.
 
     Only the starts still searching take a step, so each start takes the
@@ -94,7 +94,7 @@ def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray,
     dist = [math.nan] * n
     idx = np.arange(n)
     x, A1, A2 = x0, A10, A20
-    for p in range(1, p_max + 1):
+    for p in range(1, _P_MAX + 1):
         if not idx.size:
             break
         x, A1, A2 = map_t_array(x, A1, A2, params)
@@ -106,21 +106,17 @@ def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray,
     return found, dist
 
 
-def poncelet_check(params: LevelSetParams, n_samples: int = 100,
-                   p_max: int = 60, seed: int = 0) -> PeriodReport:
+def poncelet_check(params: LevelSetParams, seed: int = 0) -> PeriodReport:
     """All-or-nothing periodicity over seeded starting points.
 
-    Detects the direct period from n_samples starts, requires unanimity,
+    Detects the direct period from _N_STARTS starts, requires unanimity,
     and compares with the analytic prediction.  Disagreement is reported
     in the result, not raised.  The starts are sampled and iterated
     together as arrays, with the result of detect_period_direct on each.
-    Raises ValueError if n_samples < 1.
     """
-    if n_samples < 1:
-        raise ValueError(f"poncelet check needs n_samples >= 1 (got {n_samples})")
     rot = rotation_number(params)
-    predicted = smallest_period(rot.alpha, rot.flips_component, p_max)
-    found, dist = _first_returns(*_sample_xyz(params, n_samples, seed), params, p_max)
+    predicted = smallest_period(rot.alpha, rot.flips_component)
+    found, dist = _first_returns(*_sample_xyz(params, _N_STARTS, seed), params)
     detected = set(found)
     unanimous = detected.pop() if len(detected) == 1 else None
     # with a unanimous period, t^p(c) is the point each start returned at

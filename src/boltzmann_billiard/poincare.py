@@ -61,6 +61,7 @@ def map_t(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
 
 
 _CHECK_BLOCK = 4096  # map steps between the array checks of an orbit
+_CURVE_POINTS = 257  # points of a component_curve, the first and last both at theta = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +248,12 @@ def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
     return list(map(ConfigPoint, *_sample_xyz(params, m, seed).tolist()))
 
 
-def component_curve(params: LevelSetParams, eps: int = 0, n: int = 257) -> list:
-    """Closed polyline of one component, swept uniformly in theta.
+def component_curve(params: LevelSetParams, eps: int = 0) -> list:
+    """Closed polyline of one component, _CURVE_POINTS points swept uniformly in theta.
 
     Points where the wall abscissa passes through infinity are skipped.
     """
-    if n <= 0:
-        return []
-    theta = [j / max(n - 1, 1) % 1.0 for j in range(n)]
+    n = _CURVE_POINTS
+    theta = [j / (n - 1) % 1.0 for j in range(n)]
     x, A1, A2, pole = uniformize_array(theta, eps, params)
     return list(map(ConfigPoint, *(v[~pole].tolist() for v in (x, A1, A2))))

@@ -66,19 +66,12 @@ class RotationData:
     flips_component: bool
 
 
-def _coerce_angle(a) -> AngleCoord:
-    if isinstance(a, AngleCoord):
-        return a
-    return AngleCoord(float(a), 0)
-
-
-def uniformize(a, params: LevelSetParams) -> ConfigPoint:
+def uniformize(a: AngleCoord, params: LevelSetParams) -> ConfigPoint:
     """Point of the real locus at angle coordinate a: uniformize_array at one angle.
 
     Raises PoleError when the wall abscissa is at infinity there (A1^2 = 1);
     callers that sample may retry with a perturbed angle.
     """
-    a = _coerce_angle(a)
     x, A1, A2, pole = uniformize_array(np.array([a.theta]), a.eps, params)
     if pole[0]:
         raise PoleError("wall abscissa at infinity (A1^2 = 1)")

@@ -526,7 +526,7 @@ def scalar_empirical_rotation(params, n_steps: int = 10_000, seed: int = 0, c0=N
     return (total / n_steps) % 1.0
 
 
-def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60, seed: int = 0):
+def scalar_poncelet_check(params, seed: int = 0):
     """poncelet_check one start at a time, with a separate residual pass.
 
     The starts come from periods.sample_level_set, so a test that replaces
@@ -534,12 +534,10 @@ def scalar_poncelet_check(params, n_samples: int = 100, p_max: int = 60, seed: i
     """
     from boltzmann_billiard import map_t, periods
 
-    if n_samples < 1:
-        raise ValueError(f"poncelet check needs n_samples >= 1 (got {n_samples})")
     rot = periods.rotation_number(params)
-    predicted = periods.smallest_period(rot.alpha, rot.flips_component, p_max)
-    pts = periods.sample_level_set(params, n_samples, seed)
-    detected = {periods.detect_period_direct(c, params, p_max) for c in pts}
+    predicted = periods.smallest_period(rot.alpha, rot.flips_component)
+    pts = periods.sample_level_set(params, periods._N_STARTS, seed)
+    detected = {periods.detect_period_direct(c, params) for c in pts}
     unanimous = detected.pop() if len(detected) == 1 else None
     residual = math.nan
     if unanimous is not None:
@@ -648,7 +646,7 @@ def scalar_component_curve(params, eps: int = 0, n: int = 257) -> list:
 
     pts = []
     for j in range(n):
-        theta = j / (n - 1) if n > 1 else 0.0
+        theta = j / (n - 1)
         try:
             pts.append(scalar_uniformize(AngleCoord(theta % 1.0, eps), params))
         except PoleError:

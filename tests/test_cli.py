@@ -868,11 +868,14 @@ def test_orbit_infinite_thresholds_accepted():
 
 
 SLIVER_K_ERRORS = [
-    # (D, E, message of classify and rotation, message of orbit and render)
+    # (D, E, message of classify and rotation, message of orbit and render); in class II
+    # the uniformization takes its quarter period from complete_Kp, as rotation_number does
     ("2.000000002", "20", "complete_Kp diverges logarithmically as k2 -> 0 "
-     "(got k2=2.974747819275188e-13)", "complete_K diverges as k2 -> 1 (got k2=0.9999999999997026)"),
+     "(got k2=2.974747819275188e-13)", "complete_Kp diverges logarithmically as k2 -> 0 "
+     "(got k2=2.974747819275188e-13)"),
+    # class I: the uniformization needs K(m) at m = 1/(1 - k2), which rounds to 1
     ("-1.8", "1e7", "complete_Kpp: 1/(1 - k2) rounds to 1 (got k2=-9.313226165249962e-17)",
-     "complete_K diverges as k2 -> 1 (got k2=1.0)"),
+     "complete_K diverges as m -> 1 (got m=1.0)"),
 ]
 
 
@@ -901,8 +904,9 @@ def test_class_ii_sliver_outcomes():
 
 
 def test_class_ii_k2_rounding_to_one():
-    # on the same sliver k2 can round to 1: complete_Kp refuses it before the guards
-    for cmd in ("classify", "rotation"):
+    # on the same sliver k2 can round to 1: complete_Kp refuses it before the guards, and
+    # before the sampling of orbit and render (whose orbit used to abort at step 1)
+    for cmd in ("classify", "rotation", "orbit", "render"):
         code, out, err = run_quiet([cmd, "--D", "16124111189373.742", "--E=-3.100945909862638e-14"])
         assert (code, out) == (2, "")
         assert err.endswith("error: complete_Kp needs k2 < 1 (got k2=1.0)\n")

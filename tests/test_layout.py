@@ -1,4 +1,4 @@
-"""Static checks of the source tree: where imports sit, the import graph, tracer names."""
+"""Static checks of the source tree: its imports (place, use, graph) and the tracer names."""
 
 import ast
 import importlib
@@ -39,6 +39,17 @@ def test_no_import_inside_a_function(name):
             inner = [node.lineno for node in ast.walk(fn)
                      if isinstance(node, (ast.Import, ast.ImportFrom))]
             assert not inner, f"{name}.py imports inside {getattr(fn, 'name', 'lambda')} at {inner}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__"])
+def test_every_import_is_used(name):
+    # __init__ imports to re-export; every other module imports only what it uses
+    tree = parse(PACKAGE / f"{name}.py")
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{name}.py imports {sorted(imported - used)} and never uses them"
 
 
 def test_import_graph_has_no_cycle():

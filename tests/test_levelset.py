@@ -121,13 +121,11 @@ def test_s0_ranges_property(D, E):
 
 
 def test_negative_side_mirror():
-    p = derive_params(1.5, -2.0)
-    assert p.cls is RealLocusClass.NEGATIVE_SIDE
-    assert p.mirror is not None
-    assert p.mirror.D == -1.5 and p.mirror.E == 2.0
-    assert p.mirror.cls is RealLocusClass.I
-    q = derive_params(-2.5, -0.1)
-    assert q.mirror.cls is RealLocusClass.II_PLUS
+    # D + 2E < 0 is the sign-mapped image of the level set at (-D, -E)
+    assert derive_params(1.5, -2.0).cls is RealLocusClass.NEGATIVE_SIDE
+    assert derive_params(-1.5, 2.0).cls is RealLocusClass.I
+    assert derive_params(-2.5, -0.1).cls is RealLocusClass.NEGATIVE_SIDE
+    assert derive_params(2.5, 0.1).cls is RealLocusClass.II_PLUS
 
 
 def test_nonempty_predicate():
@@ -147,7 +145,7 @@ def test_small_D_never_empty(D, E):
     # |D| < 2: the wall always meets the conic family
     p = derive_params(D, E)
     if p.cls is RealLocusClass.NEGATIVE_SIDE:
-        p = p.mirror
+        p = derive_params(-D, -E)
     assert p.cls is not RealLocusClass.EMPTY
 
 

@@ -50,7 +50,7 @@ class TestSmallestPeriod:
 
     def test_tolerance_and_cap(self):
         assert smallest_period(1.0 / 7.0 + 1e-12, False) == 7
-        assert smallest_period(1.0 / 7.0, False, p_max=6) is None
+        assert smallest_period(1.0 / 61.0, False) is None  # the search stops at 60
 
 
 def test_predict_period_period3(params_period3):
@@ -61,7 +61,7 @@ def test_predict_period_period3(params_period3):
 
 
 def test_predict_period_generic(params_i):
-    assert predict_period(params_i, p_max=50) is None
+    assert predict_period(params_i) is None
 
 
 def test_detect_period3_direct(params_period3):
@@ -72,12 +72,12 @@ def test_detect_period3_direct(params_period3):
 
 def test_detect_generic_none(params_i):
     c0 = sample_level_set(params_i, 1, seed=3)[0]
-    assert detect_period_direct(c0, params_i, p_max=50) is None
+    assert detect_period_direct(c0, params_i) is None
 
 
 def test_poncelet_all_or_nothing(params_period3):
     # every starting point closes after exactly 3 bounces, not just a few
-    report = poncelet_check(params_period3, n_samples=100, seed=4)
+    report = poncelet_check(params_period3, seed=4)
     assert report.predicted == 3
     assert report.detected == 3
     assert report.method_agreement
@@ -86,7 +86,7 @@ def test_poncelet_all_or_nothing(params_period3):
 
 
 def test_poncelet_generic_agrees_on_none(params_i):
-    report = poncelet_check(params_i, n_samples=30, seed=5)
+    report = poncelet_check(params_i, seed=5)
     assert report.predicted is None
     assert report.detected is None
     assert report.method_agreement
@@ -323,22 +323,10 @@ class TestBatchedMatchesScalar:
         got = empirical_rotation(params, n_steps=n_steps, c0=c0)
         assert got.hex() == oracles.scalar_empirical_rotation(params, n_steps, c0=c0).hex()
 
-    @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 40), st.integers(1, 60))
-    def test_poncelet_check_repr(self, params, seed, n_samples, p_max):
-        def report(check, *args, **kwargs):
-            try:
-                return repr(check(*args, **kwargs))
-            except ValueError as exc:  # n_samples = 0
-                return str(exc)
-
-        got = report(poncelet_check, params, n_samples=n_samples, p_max=p_max, seed=seed)
-        assert got == report(oracles.scalar_poncelet_check, params, n_samples, p_max, seed=seed)
-
-    @pytest.mark.parametrize("n_samples", [0, -3])
-    def test_poncelet_check_needs_a_start(self, params_period3, n_samples):
-        # with no start there is nothing to agree on
-        with pytest.raises(ValueError, match="n_samples >= 1"):
-            poncelet_check(params_period3, n_samples=n_samples)
+    @given(oracles.level_sets(), st.integers(0, 2**16))
+    def test_poncelet_check_repr(self, params, seed):
+        got = repr(poncelet_check(params, seed=seed))
+        assert got == repr(oracles.scalar_poncelet_check(params, seed=seed))
 
     @pytest.mark.parametrize("fixture,detected", [("params_i", None), ("params_period3", 3),
                                                   ("params_ii_plus", None)])
@@ -375,6 +363,10 @@ class TestBatchedMatchesScalar:
             "no_angle": ConfigPoint(0.0, 0.0, c.A2),        # s = cn = 0 in class I
         }[start]
         want = outcome(oracles.scalar_empirical_rotation, params, 50, c0=c0)
+        if start == "nan_x":
+            # the scalar path fails in round(NaN); the kernel refuses the NaN angle by type
+            assert want == (ValueError, "cannot convert float NaN to integer")
+            want = (DomainError, "angle inversion gives NaN (point not finite?)")
         assert outcome(empirical_rotation, params, 50, c0=c0) == want
         if params.cls is RealLocusClass.I or start in ("pole", "nan_x"):
             assert isinstance(want, tuple)

@@ -9,11 +9,11 @@ from hypothesis import assume, given, strategies as st
 import oracles
 from boltzmann_billiard import poincare
 from boltzmann_billiard import (
-    AngleCoord,
     ConfigPoint,
     DomainError,
     EmptyLocusError,
     OrbitAbort,
+    PhaseState,
     PoleError,
     RealLocusClass,
     conserved_quantities,
@@ -29,7 +29,6 @@ from boltzmann_billiard import (
     reflect_at_wall,
     component_curve,
     sample_level_set,
-    uniformize,
 )
 from boltzmann_billiard.periods import config_distance
 
@@ -136,7 +135,8 @@ def test_j_matches_phase_route(D, E):
     # new conic constants
     params = derive_params(D, E)
     for c in sample_level_set(params, 25, seed=5):
-        incoming = phase_from_config(c, params, outgoing=False)
+        out = phase_from_config(c, params)
+        incoming = PhaseState(out.x1, out.x2, -out.p1, -out.p2)  # the time reverse
         q = conserved_quantities(reflect_at_wall(incoming))
         cj = involution_j(c, params)
         assert cj.A1 == pytest.approx(q.A1, abs=1e-9)
@@ -558,30 +558,21 @@ class TestBlockSampling:
 class TestComponentCurve:
     @pytest.mark.parametrize("D,E", ALL_CLASS_FIXTURES + [(0.3, 0.4), (3.0, 0.3)])
     @pytest.mark.parametrize("n", [0, 2, 3, 129, 257, 1000])
-    def test_matches_scalar_loop(self, D, E, n):
+    def test_matches_scalar_loop(self, monkeypatch, D, E, n):
+        # the curve at the number of points of the module constant, set to n
+        monkeypatch.setattr(poincare, "_CURVE_POINTS", n)
         params = derive_params(D, E)
         for eps in ((0,) if params.cls is RealLocusClass.I else (0, 1)):
-            got = component_curve(params, eps, n)
+            got = component_curve(params, eps)
             assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params, eps, n))
 
     def test_skips_poles(self, monkeypatch, params_ii_minus):
         poles_at_positive_x(monkeypatch)
-        got = component_curve(params_ii_minus, 1, 65)
-        assert 0 < len(got) < 65
-        assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params_ii_minus, 1, 65))
+        got = component_curve(params_ii_minus, 1)
+        assert 0 < len(got) < 257
+        assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params_ii_minus, 1))
 
     def test_errors(self, params_i):
-        for args in [(params_i, 1, 5), (derive_params(1.0, -0.5), 0, 5)]:
+        for args in [(params_i, 1), (derive_params(1.0, -0.5), 0)]:
             got = sampled(component_curve, *args)
             assert isinstance(got, tuple) and got == sampled(oracles.scalar_component_curve, *args)
-
-    def test_no_points_checks_nothing(self, params_i):
-        # with n <= 0 the old loop made no uniformize call, so bad input passed
-        for args in [(derive_params(1.0, -0.5), 0, 0), (derive_params(1.0, -0.5), 1, -3),
-                     (params_i, 1, 0)]:
-            assert component_curve(*args) == oracles.scalar_component_curve(*args) == []
-        # n = 1 is the single point at theta = 0 (it divided by n - 1 = 0)
-        for params, eps in [(params_i, 0), (derive_params(2.5, -0.1), 1)]:
-            got = component_curve(params, eps, 1)
-            assert point_hexes(got) == point_hexes(oracles.scalar_component_curve(params, eps, 1))
-            assert point_hexes(got) == point_hexes([uniformize(AngleCoord(0.0, eps), params)])

@@ -208,7 +208,7 @@ class TestAlphaDerivative:
 def test_component_curve_on_set(params_i, params_ii_plus):
     for params, eps_list in ((params_i, (0,)), (params_ii_plus, (0, 1))):
         for eps in eps_list:
-            pts = component_curve(params, eps=eps, n=129)
+            pts = component_curve(params, eps=eps)
             assert len(pts) >= 120
             assert all(level_set_residual(c, params) < 1e-9 for c in pts)
 
