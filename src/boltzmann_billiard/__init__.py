@@ -31,7 +31,6 @@ from .errors import (
     OrbitAbort,
     PoleError,
 )
-from .grid import rotation_grid
 from .kepler import (
     ConservedSet,
     PhaseState,
@@ -76,6 +75,7 @@ from .uniformize import (
     RotationData,
     angle_of,
     dalpha_dD,
+    rotation_grid,
     rotation_number,
     uniformize,
 )

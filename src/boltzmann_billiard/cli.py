@@ -23,13 +23,12 @@ import sys
 import numpy as np
 
 from .errors import BilliardError, OrbitAbort
-from .grid import _grid_codes, orbit_drift_columns
 from .levelset import RealLocusClass, derive_params
 from .periods import find_periodic_locus, period3_residual, empirical_rotation
-from .poincare import _checked_blocks, iterate_orbit, sample_level_set
+from .poincare import _checked_blocks, iterate_orbit, orbit_drift_columns, sample_level_set
 from .svgplot import level_set_figure, orbit_figure
 from .selftest import run_selftest
-from .uniformize import rotation_number
+from .uniformize import _grid_codes, rotation_number
 
 log = logging.getLogger("boltzmann_billiard")
 

@@ -7,6 +7,9 @@ arithmetic-geometric mean, incomplete ones go through Carlson's symmetric
 form R_F evaluated with the duplication theorem, and Jacobi sn, cn, dn on
 the real axis use the AGM descent with a backward recurrence.
 
+The AGM, K, R_F and sn cn dn have array twins named *_array for the
+batched kernels of uniformize; _each says how each twin agrees.
+
 Everything here is a pure function of its arguments and thread-safe.
 """
 
@@ -16,6 +19,8 @@ import math
 import sys
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, EndpointSingularityError
 
 _AGM_RTOL = sys.float_info.epsilon  # relative gap at which the AGM iteration stops
@@ -23,6 +28,23 @@ _AGM_MAX_STEPS = 64     # safety cap; at this tolerance the AGM stops within 7 s
 _RF_RTOL = 1e-16        # target relative error of Carlson R_F
 _MODULUS_FLOOR = 1e-12  # refuse to evaluate closer than this to a log singularity
 _JACOBI_CA = 1e-9       # AGM descent cutoff; final accuracy is of order CA**2
+_RF_Q = (3.0 * _RF_RTOL) ** (-1.0 / 6.0)  # R_F stops once f * _RF_Q * max|A0 - x| <= |A|
+
+
+def _each(fn, *arrays) -> np.ndarray:
+    """A math function per element, so it rounds exactly as in the scalar code.
+
+    Every array twin of a scalar kernel, here and in uniformize and
+    poincare, gives each element bit for bit what the scalar evaluation
+    gives it.  It repeats the scalar floating-point operations one for one
+    over arrays: +, -, *, /, sqrt, abs, comparisons and mod, which numpy
+    rounds exactly as math and Python floats do.  Transcendental functions
+    whose numpy versions may differ from math in the last bit (sin, cos,
+    atan2, hypot) are math's own, mapped over the elements by this
+    function.  Loops freeze each converged element, so every element stops
+    at the step where the scalar loop stops.
+    """
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
 
 
 def _agm(a: float, b: float) -> float:
@@ -33,9 +55,24 @@ def _agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
+def _agm_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_agm per element."""
+    for _ in range(_AGM_MAX_STEPS):
+        go = ~(np.abs(a - b) <= _AGM_RTOL * a)
+        if not go.any():
+            break
+        a, b = np.where(go, 0.5 * (a + b), a), np.where(go, np.sqrt(a * b), b)
+    return 0.5 * (a + b)
+
+
 @lru_cache(maxsize=4096)
 def _complete_K(m: float) -> float:
     return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
+
+
+def _complete_K_array(m: np.ndarray) -> np.ndarray:
+    """_complete_K per element."""
+    return np.pi / (2.0 * _agm_array(np.ones_like(m), np.sqrt(1.0 - m)))
 
 
 def complete_K(m) -> float:
@@ -56,6 +93,11 @@ def complete_Kp(m) -> float:
     return _complete_K(1.0 - m)
 
 
+def _Kp_domain(m: np.ndarray) -> np.ndarray:
+    """Where complete_Kp(m) returns a value, per element."""
+    return ~(m < 0.0) & ~(m < _MODULUS_FLOOR) & (m < 1.0)
+
+
 def complete_Kpp(m) -> float:
     """Companion period K'' for squared modulus k2 = -ell^2 < 0.
 
@@ -74,6 +116,11 @@ def complete_Kpp(m) -> float:
     return math.sqrt(kap2) * _complete_K(kap2)
 
 
+def _Kpp_domain(m: np.ndarray) -> np.ndarray:
+    """Where complete_Kpp(m) returns a value, per element."""
+    return (m < 0.0) & ~(np.sqrt(-m) < _MODULUS_FLOOR) & (1.0 / (1.0 - m) < 1.0)
+
+
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson symmetric integral R_F(x, y, z) by the duplication theorem.
 
@@ -83,7 +130,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
         raise DomainError("carlson_rf needs non-negative arguments, at most one zero")
     A0 = (x + y + z) / 3.0
     A = A0
-    Q = (3.0 * _RF_RTOL) ** (-1.0 / 6.0) * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
+    Q = _RF_Q * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
     f = 1.0
     while f * Q > abs(A):
         sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
@@ -93,15 +140,37 @@ def carlson_rf(x: float, y: float, z: float) -> float:
         z = 0.25 * (z + lam)
         A = 0.25 * (A + lam)
         f *= 0.25
+    return _rf_series(A, x, y, z) / math.sqrt(A)
+
+
+def _carlson_rf_array(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """carlson_rf per element, for arguments inside its domain."""
+    A0 = (x + y + z) / 3.0
+    A = A0
+    Q = _RF_Q * np.maximum(np.maximum(np.abs(A0 - x), np.abs(A0 - y)), np.abs(A0 - z))
+    f = 1.0  # the same power of 1/4 in every cell still iterating
+    go = f * Q > np.abs(A)
+    while go.any():
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x = np.where(go, 0.25 * (x + lam), x)
+        y = np.where(go, 0.25 * (y + lam), y)
+        z = np.where(go, 0.25 * (z + lam), z)
+        A = np.where(go, 0.25 * (A + lam), A)
+        f *= 0.25
+        go &= f * Q > np.abs(A)
+    return _rf_series(A, x, y, z) / np.sqrt(A)
+
+
+def _rf_series(A, x, y, z):
+    """Fifth-order series tail of the duplication theorem; R_F is it over sqrt(A)."""
     # A - x equals (A0 - x_original) * f, so these are Carlson's X, Y, Z
     X = (A - x) / A
     Y = (A - y) / A
     Z = -X - Y
     E2 = X * Y - Z * Z
     E3 = X * Y * Z
-    # fifth-order series tail of the duplication theorem
-    s = 1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0
-    return s / math.sqrt(A)
+    return 1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0
 
 
 def legendre_F(x: float, m) -> float:
@@ -201,26 +270,60 @@ def _sncndn_core(u: float, emc: float):
         return math.sin(u), math.cos(u), 1.0
     if abs(u) < 1e-8:
         # the backward recurrence divides by sn; series it out instead
-        m = 1.0 - emc
-        u2 = u * u
-        return u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
+        return _sncndn_series(u, 1.0 - emc)
     c, steps = _jacobi_descent(emc)
     dn = 1.0
     u = c * u
     sn = math.sin(u)
     cn = math.cos(u)
     if sn != 0.0:
-        a = cn / sn
-        c = c * a
-        for b, e in steps:
-            a = c * a
-            c = c * dn
-            dn = (e + a) / (b + a)
-            a = c / b
+        c, dn = _backward(c, sn, cn, dn, steps)
         a = 1.0 / math.sqrt(c * c + 1.0)
         sn = a if sn >= 0.0 else -a
         cn = c * sn
     return sn, cn, dn
+
+
+def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_sncndn_core(u, emc) at every element of u.
+
+    The AGM descent depends on emc only, so it runs once, in scalar code;
+    only the backward recurrence runs over the array.
+    """
+    if emc == 1.0:  # m = 0
+        return _each(math.sin, u), _each(math.cos, u), np.ones_like(u)
+    c, steps = _jacobi_descent(emc)
+    v = c * u
+    sn, cn = _each(math.sin, v), _each(math.cos, v)
+    # sn = 0 only at u = 0, whose elements the series mask below overwrites
+    with np.errstate(all="ignore"):
+        c, dn = _backward(c, sn, cn, np.ones_like(u), steps)
+        a = 1.0 / np.sqrt(c * c + 1.0)
+        sn = np.where(sn >= 0.0, a, -a)
+        cn = c * sn
+    small = np.abs(u) < 1e-8
+    if small.any():
+        series = _sncndn_series(u, 1.0 - emc)
+        sn, cn, dn = (np.where(small, t, v) for t, v in zip(series, (sn, cn, dn)))
+    return sn, cn, dn
+
+
+def _sncndn_series(u, m):
+    """The leading terms of the series of sn, cn, dn in u, on floats or arrays."""
+    u2 = u * u
+    return u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
+
+
+def _backward(c, sn, cn, dn, steps):
+    """The backward recurrence of the descent, on floats or arrays; returns the last c and dn."""
+    a = cn / sn
+    c = c * a
+    for b, e in steps:
+        a = c * a
+        c = c * dn
+        dn = (e + a) / (b + a)
+        a = c / b
+    return c, dn
 
 
 def jacobi_sn_cn_dn(u: float, m: float):

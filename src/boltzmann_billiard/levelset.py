@@ -48,17 +48,6 @@ NONDEGENERATE = frozenset(
     {RealLocusClass.I, RealLocusClass.II_PLUS, RealLocusClass.II_MINUS}
 )
 
-# Orientation of the analytic rotation number relative to the forward
-# collision map in the uniformizing angle theta; anchored per class against
-# the empirical winding (matches to 1e-12 on all tested parameter points).
-_ALPHA_SIGN = {
-    RealLocusClass.I: -1.0,
-    RealLocusClass.II_PLUS: 1.0,
-    RealLocusClass.II_MINUS: -1.0,
-}
-
-_ENDPOINT_GUARD = 1e-10  # distance of s0 from a branch point below which alpha is refused
-
 
 def _curve_terms(D, E):
     """s = D + 2E, R^2, the radius R (NaN where R^2 < 0) and den = D + 4E + 2R."""
@@ -85,6 +74,29 @@ def _class_tests(D, s, R2, den):
             abs(abs(D) - 2.0) < BOUNDARY_TOL,
             abs(den) < BOUNDARY_TOL, den < 0.0,  # den = 0 forces D^2 = 4
             abs(D) < 2.0, D > 2.0)
+
+
+_CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
+_CODE = {cls: code for code, cls in enumerate(RealLocusClass)}
+_NONDEGENERATE = [_CODE[cls] for cls in NONDEGENERATE]
+
+
+def _classify(D, E):
+    """Class codes of the arrays D, E by the class table, as positions in RealLocusClass.
+
+    Returns the codes, a mask of the nondegenerate ones and the curve
+    terms s, R, den.
+    """
+    s, R2, R, den = _curve_terms(D, E)
+    code = np.select(_class_tests(D, s, R2, den), [_CODE[cls] for cls in _TABLE_CLASSES],
+                     _CODE[RealLocusClass.II_MINUS])
+    return code, np.isin(code, _NONDEGENERATE), s, R, den
+
+
+def _classes(code: np.ndarray) -> np.ndarray:
+    """The RealLocusClass members of the class codes, as an object array of their shape."""
+    # through 1-d: indexing with a 0-d code array would give a bare member, not an array
+    return _CLASSES[code.ravel()].reshape(code.shape)
 
 
 def _k2_s0_inv(D, E, s, R, den):

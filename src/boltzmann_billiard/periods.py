@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BilliardError
-from .grid import config_distance_array, map_t_array, rotation_grid, theta_array
-from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
-from .poincare import _sample_xyz, _walk, map_t, sample_level_set
-from .uniformize import rotation_number
+from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _max, derive_params
+from .poincare import _sample_xyz, _walk, map_t, map_t_array, sample_level_set
+from .uniformize import rotation_grid, rotation_number, theta_array
 
 log = logging.getLogger(__name__)
 
@@ -43,13 +42,19 @@ class PeriodReport:
     residual: float
 
 
-def _chart(x: float) -> float:
-    """Bounded chart for the wall abscissa, so points near infinity compare fairly."""
+def _chart(x):
+    """Bounded chart of the wall abscissa (floats or arrays), so far points compare fairly."""
     return x / (1.0 + abs(x))
 
 
 def config_distance(a: ConfigPoint, b: ConfigPoint) -> float:
     return max(abs(_chart(a.x) - _chart(b.x)), abs(a.A1 - b.A1), abs(a.A2 - b.A2))
+
+
+def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
+    """config_distance between the points (x, A1, A2) and (x0, A10, A20)."""
+    with np.errstate(all="ignore"):
+        return _max(np.abs(_chart(x) - _chart(x0)), np.abs(A1 - A10), np.abs(A2 - A20))
 
 
 def _dist_to_int(x: float) -> float:

@@ -15,18 +15,21 @@ from functools import cached_property
 
 import numpy as np
 
+from .elliptic import _each
 from .errors import DomainError, EmptyLocusError, OrbitAbort, PoleError
-from .grid import uniformize_array
 from .levelset import (
     ConfigPoint,
     LevelSetParams,
     RealLocusClass,
     _AT_INFINITY,
+    _L,
     _reflect,
+    _z,
     level_set_residual_array,
     other_wall_root,
     project_onto_level_set_array,
 )
+from .uniformize import uniformize_array
 
 
 def involution_i(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
@@ -58,6 +61,45 @@ def map_t(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
     """One collision step: exchange wall intersections, then reflect the conic."""
     x = other_wall_root(c.x, c.A1, c.A2, params.D)
     return ConfigPoint(x, *_reflect(x, c.A1, c.A2, params.E))
+
+
+def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                params: LevelSetParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """map_t at every point (x, A1, A2) of the level set of params.
+
+    other_wall_root's two branches, then the reflection of involution_j.
+    Raises PoleError if any point has its second wall intersection at
+    infinity.
+    """
+    with np.errstate(all="ignore"):
+        w = A2 + params.D
+        den = 1.0 - A1 * A1
+        ssum = -2.0 * w * A1 / den
+        # den == 0 makes ssum non-finite, so one test covers both of the scalar checks
+        if not np.isfinite(ssum).all():
+            raise PoleError(_AT_INFINITY)
+        far = (x != 0.0) & (np.abs(x) > 0.5 * np.abs(ssum))
+        x = np.where(far, (1.0 - w * w) / den / x, ssum - x)
+        return (x, *_reflect(x, A1, A2, params.E))
+
+
+def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                        params: LevelSetParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ConfigPoint.L and implied_invariants at every point (x, A1, A2).
+
+    Returns the arrays L, D_impl and E_impl; E_impl is NaN where
+    |D + 2 A2| < 1e-15, as in the scalar function.  Raises DomainError
+    where ConfigPoint.L does (D + 2E <= 0).
+    """
+    D, E = params.D, params.E
+    with np.errstate(all="ignore"):
+        L = _L(_z(x, A1, A2, D), D, E)
+        r = _each(math.hypot, x, np.ones_like(x))
+        D_impl = np.copysign(r, A2 + D - A1 * x) + A1 * x - A2
+        L2 = D + 2.0 * A2
+        E_impl = np.where(np.abs(L2) < 1e-15, np.nan,
+                          (A1 * A1 + A2 * A2 - 1.0) / (2.0 * L2))
+    return L, D_impl, E_impl
 
 
 _CHECK_BLOCK = 4096  # map steps between the array checks of an orbit
@@ -218,6 +260,8 @@ def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
         raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
     if not params.nondegenerate:
         raise DomainError(f"sampling needs a nondegenerate level set (class {params.cls.value})")
+    if m < 0:
+        raise ValueError(f"sampling needs m >= 0 points (got {m})")
     rng = np.random.default_rng(seed)
     limit = 100 * m + 1000  # candidates tried before giving up
     blocks = [np.empty((3, 0))]
@@ -239,7 +283,8 @@ def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
     component chosen by a fair coin on two-component sets.  A candidate is
     dropped where the wall abscissa is at infinity or where its projection
     onto the level set leaves a residual above 1e-12; after 100 m + 1000
-    candidates the sampling gives up with DomainError.
+    candidates the sampling gives up with DomainError.  m < 0 raises
+    ValueError.
 
     The candidates are evaluated in blocks, as many at a time as points are
     still missing; the draws do not depend on the outcomes, so the points

@@ -14,12 +14,11 @@ import numpy as np
 
 from .elliptic import complete_K, complete_Kp, jacobi_sn_cn_dn, legendre_F_phi
 from .errors import BilliardError
-from .grid import rotation_grid
 from .kepler import conserved_quantities, phase_from_config
 from .levelset import RealLocusClass, derive_params, level_set_residual
 from .periods import empirical_rotation, period3_residual, predict_period
 from .poincare import involution_i, involution_j, iterate_orbit, map_t, sample_level_set
-from .uniformize import AngleCoord, rotation_number, uniformize
+from .uniformize import AngleCoord, rotation_grid, rotation_number, uniformize
 
 
 @dataclass(frozen=True)

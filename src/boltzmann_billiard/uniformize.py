@@ -3,11 +3,11 @@
 On a nondegenerate level set the real locus is one circle (class I) or two
 (classes II+/II-), and the collision map acts on it by a rigid rotation in
 a canonical angle theta in [0, 1).  The locus has an explicit Jacobi
-parametrization in all-real arithmetic; grid.uniformize_array evaluates
-it over arrays of angles and grid.theta_array inverts it, and uniformize
-and angle_of below are their single-point forms.  This module also
-computes the rotation number from complete and incomplete elliptic
-integrals.
+parametrization in all-real arithmetic; uniformize_array evaluates it
+over arrays of angles and theta_array inverts it, and uniformize and
+angle_of are their single-point forms.  The rotation number comes from
+complete and incomplete elliptic integrals, for one level set
+(rotation_number) or for arrays of (D, E) (rotation_grid).
 
 Class I lives on the imaginary axis of the uniformizing plane,
 u = 4 i K'' theta; after the imaginary-argument and imaginary-modulus
@@ -33,20 +33,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import complete_Kp, complete_Kpp, seg_case_i, seg_case_ii_plus
-from .errors import ClassChangeError, NearDegenerateError, PoleError
-from .grid import theta_array, uniformize_array
-from .levelset import (
-    _ALPHA_SIGN,
-    _ENDPOINT_GUARD,
-    ConfigPoint,
-    LevelSetParams,
-    RealLocusClass,
-    _columns,
-    _require_nondegenerate,
-    derive_params,
-)
+from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K_array, _each,
+                       _sncndn_array, complete_K, complete_Kp, complete_Kpp, seg_case_i,
+                       seg_case_ii_plus)
+from .errors import ClassChangeError, DomainError, NearDegenerateError, PoleError
+from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _classes, _classify, _columns,
+                       _k2_s0_inv, _require_nondegenerate, _z, derive_params)
 
+# Orientation of the analytic rotation number relative to the forward
+# collision map in the uniformizing angle theta; anchored per class against
+# the empirical winding (matches to 1e-12 on all tested parameter points).
+_ALPHA_SIGN = {
+    RealLocusClass.I: -1.0,
+    RealLocusClass.II_PLUS: 1.0,
+    RealLocusClass.II_MINUS: -1.0,
+}
+
+_ENDPOINT_GUARD = 1e-10  # distance of s0 from a branch point below which alpha is refused
 _DALPHA_STEP = 1e-5  # step in D of the central difference in dalpha_dD
 
 
@@ -66,6 +69,45 @@ class RotationData:
     flips_component: bool
 
 
+def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Points of the real locus at the angles theta, by the Jacobi parametrization.
+
+    eps is a component index or an array of them, broadcast against theta
+    (see the uniformize module for the formulas).  Returns x, A1, A2 and a
+    mask of the points where the wall abscissa is at infinity
+    (|1 - A1^2| < 1e-12); x is NaN there.
+    """
+    _require_nondegenerate(params)
+    theta = np.asarray(theta, dtype=float)
+    eps = np.broadcast_to(eps, theta.shape)
+    R, E, D, C = params.R, params.E, params.D, params.C
+    if params.cls is RealLocusClass.I:
+        if (eps != 0).any():
+            raise DomainError("class I has a single component (eps = 0)")
+        kap2 = 1.0 / (1.0 - params.k2)
+        kap = math.sqrt(kap2)
+        s, c, d = _sncndn_array(4.0 * complete_K(kap2) * theta, 1.0 - kap2)
+        A1 = -2.0 * R * kap * s * d
+        A2 = 2.0 * E - R + 2.0 * R * d * d
+        z = C * c
+    else:
+        if not ((eps == 0) | (eps == 1)).all():
+            raise DomainError("component index eps must be 0 or 1")
+        mc = 1.0 - params.k2
+        s, c, d = _sncndn_array(2.0 * complete_Kp(params.k2) * theta, 1.0 - mc)
+        sgn = np.where(eps == 0, -1.0, 1.0)
+        A1 = sgn * 2.0 * R * s * c
+        A2 = 2.0 * E - R + 2.0 * R * c * c
+        z = -sgn * C * d
+    # the wall abscissa from z = (1 - A1^2) x + A1 (A2 + D)
+    den = 1.0 - A1 * A1
+    pole = np.abs(den) < 1e-12
+    with np.errstate(all="ignore"):
+        x = np.where(pole, np.nan, (z - A1 * (A2 + D)) / den)
+    return x, A1, A2, pole
+
+
 def uniformize(a: AngleCoord, params: LevelSetParams) -> ConfigPoint:
     """Point of the real locus at angle coordinate a: uniformize_array at one angle.
 
@@ -76,6 +118,61 @@ def uniformize(a: AngleCoord, params: LevelSetParams) -> ConfigPoint:
     if pole[0]:
         raise PoleError("wall abscissa at infinity (A1^2 = 1)")
     return ConfigPoint(float(x[0]), float(A1[0]), float(A2[0]))
+
+
+def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                params: LevelSetParams) -> np.ndarray:
+    """Angle theta in [0, 1) of every real-locus point (x, A1, A2).
+
+    Inverts the parametrization of uniformize_array; the quadrant is
+    resolved from the signs of the Jacobi triple, so theta is continuous
+    along each component.  At the first point where the inversion fails it
+    raises DomainError: in class I where dn = 0 (off the real locus) or
+    where the angle is degenerate, and in every class where the angle
+    comes out NaN or x is not finite.
+    """
+    _require_nondegenerate(params)
+    R, E, C = params.R, params.E, params.C
+    with np.errstate(all="ignore"):
+        z = _z(x, A1, A2, params.D)
+        c2 = (A2 - 2.0 * E + R) / (2.0 * R)  # dn^2 in class I, cn^2 in classes II
+        if params.cls is RealLocusClass.I:
+            m = 1.0 / (1.0 - params.k2)
+            kap = math.sqrt(m)
+            K = complete_K(m)
+            period = 4.0 * K
+            d = np.sqrt(np.maximum(c2, 0.0))
+            s = -A1 / (2.0 * R * kap * d)
+            co = z / C
+            h = _each(math.hypot, s, co)
+            phi = _each(math.atan2, s / h, co / h)
+            checks = [(d <= 0.0, "point is off the real locus (dn = 0)"),
+                      (h == 0.0, "degenerate angle inversion")]
+        else:
+            m = 1.0 - params.k2
+            K = complete_Kp(params.k2)
+            period = 2.0 * K
+            sgn = np.where(z > 0.0, -1.0, 1.0)
+            sc = A1 / (sgn * 2.0 * R)
+            phi = 0.5 * _each(math.atan2, 2.0 * sc, 2.0 * c2 - 1.0)
+            # x enters only through the sign of z, so a point with x not finite needs its own check
+            phi = np.where(np.isfinite(x), phi, np.nan)
+            checks = []
+        checks.append((np.isnan(phi), "angle inversion gives NaN (point not finite?)"))
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():  # the first failing point, and the first check it fails
+            i = int(np.argmax(bad))
+            raise DomainError(next(msg for mask, msg in checks if mask[i]))
+        # legendre_F_phi(phi, m) % period; |sn| <= 1 and 0 < m < 1, so R_F is in its domain
+        n = np.rint(phi / math.pi)  # half to even, as round() does
+        r = phi - n * math.pi
+        sn = _each(math.sin, r)
+        ax = np.abs(sn)
+        s2 = ax * ax
+        v = ax * _carlson_rf_array(1.0 - s2, 1.0 - m * s2, 1.0)
+        val = np.where(sn < 0.0, -v, v)
+        val = np.where(n != 0.0, val + 2.0 * n * K, val)
+        return np.mod(val, period) / period
 
 
 def angle_of(c: ConfigPoint, params: LevelSetParams) -> AngleCoord:
@@ -113,6 +210,72 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     seg = seg_case_ii_plus(s0a, params.k2)
     alpha = (sign * seg / (2.0 * Kp)) % 1.0
     return RotationData(alpha, params.cls is RealLocusClass.II_PLUS)
+
+
+def _alpha(D, E, s, R, den):
+    """Rotation numbers of nondegenerate cells, NaN where the scalar path raises."""
+    k2, s0_inv = _k2_s0_inv(D, E, s, R, den)
+    one = np.abs(D) < 2.0  # class I; the rest is class II
+    s0a = np.abs(np.where(s0_inv == 0.0, np.inf, 1.0 / s0_inv))
+    # domain checks of complete_Kpp / complete_Kp, and the guards of rotation_number (which
+    # blank every class II cell with 1 - k2 < 1e-12: there (1, 1/k) is narrower than a guard)
+    ok = np.where(
+        one,
+        _Kpp_domain(k2) & ~(1.0 - np.abs(s0_inv) < _ENDPOINT_GUARD),
+        _Kp_domain(k2) & ~(s0a - 1.0 < _ENDPOINT_GUARD)
+        & ~(1.0 / np.sqrt(k2) - s0a < _ENDPOINT_GUARD))
+    alpha = np.full(D.shape, np.nan)
+    one, D, k2, x, s0a = one[ok], D[ok], k2[ok], s0_inv[ok], s0a[ok]
+    # past the guards the clamps and range checks of seg_case_i and
+    # seg_case_ii_plus never act, so they are left out
+    kap2 = 1.0 / (1.0 - k2)
+    ell2 = -k2
+    mc = 1.0 - k2
+    # seg_case_ii_plus(s0a): legendre_F(t, mc) with t = min(1, sn)
+    t = np.minimum(1.0, np.sqrt(np.maximum(0.0, (s0a * s0a - 1.0) / (mc * s0a * s0a))))
+    s2 = t * t
+    K = _complete_K_array(np.where(one, kap2, mc))  # K(kappa^2) for class I, K' for class II
+    rf = _carlson_rf_array(np.where(one, ell2 * (1.0 - x * x), 1.0 - s2),
+                           np.where(one, ell2 + x * x, 1.0 - mc * s2),
+                           np.where(one, ell2, 1.0))
+    Kpp = np.sqrt(kap2) * K
+    seg = np.where(one, Kpp + x * rf, t * rf)
+    period = np.where(one, 4.0 * Kpp, 2.0 * K)
+    sign = np.where(one, _ALPHA_SIGN[RealLocusClass.I],
+                    np.where(D > 2.0, _ALPHA_SIGN[RealLocusClass.II_PLUS],
+                             _ALPHA_SIGN[RealLocusClass.II_MINUS]))
+    alpha[ok] = np.mod(sign * seg / period, 1.0)
+    return alpha
+
+
+def _grid_codes(D, E) -> tuple[np.ndarray, np.ndarray]:
+    """rotation_grid with each class given as its code, its position in RealLocusClass."""
+    D, E = np.broadcast_arrays(np.asarray(D, dtype=float), np.asarray(E, dtype=float))
+    if not (np.isfinite(D).all() and np.isfinite(E).all()):
+        raise DomainError("D and E must be finite")
+    shape = D.shape
+    D, E = D.ravel(), E.ravel()
+    # a cell whose curve data overflow is classified, and its alpha is blank
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        code, nd, s, R, den = _classify(D, E)
+        alpha = np.full(D.shape, np.nan)
+        nd = np.flatnonzero(nd)
+        alpha[nd] = _alpha(D[nd], E[nd], s[nd], R[nd], den[nd])
+    return code.reshape(shape), alpha.reshape(shape)
+
+
+def rotation_grid(D, E) -> tuple[np.ndarray, np.ndarray]:
+    """Classes and rotation numbers of the parameter points (D, E).
+
+    D and E are array-likes broadcast against each other.  Returns an
+    object array of RealLocusClass members and a float array of rotation
+    numbers in [0, 1), NaN where the cell has none (a degenerate class, a
+    guard of rotation_number or any domain error of the scalar path); each
+    cell equals the scalar derive_params / rotation_number result bit for
+    bit.  Raises DomainError if any D or E is not finite.
+    """
+    code, alpha = _grid_codes(D, E)
+    return _classes(code), alpha
 
 
 def dalpha_dD(params: LevelSetParams) -> float:

@@ -619,6 +619,8 @@ def scalar_sample_level_set(params, m: int, seed: int = 0) -> list:
     """sample_level_set's angle route, one candidate at a time."""
     from boltzmann_billiard import AngleCoord, DomainError, PoleError, RealLocusClass
 
+    if m < 0:
+        raise ValueError(f"sampling needs m >= 0 points (got {m})")
     rng = np.random.default_rng(seed)
     two_comp = params.cls is not RealLocusClass.I
     out = []

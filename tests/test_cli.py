@@ -32,7 +32,7 @@ from boltzmann_billiard import (
 )
 from boltzmann_billiard import cli, periods, poincare, selftest
 from boltzmann_billiard.cli import main
-from boltzmann_billiard.grid import orbit_drift_columns
+from boltzmann_billiard.poincare import orbit_drift_columns
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

@@ -338,3 +338,40 @@ def test_numpy_scalar_modulus_shown_as_float(fn, args):
         fn(*head, np.float64(m))
     assert str(got.value) == str(want.value)
     assert repr(m) in str(got.value)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestArrayTwins:
+    """Each array kernel against its scalar twin, element by element and bit for bit."""
+
+    def test_agm(self):
+        rng = np.random.default_rng(5)
+        m = np.concatenate([oracles.sample_m_grid(40), [-1e3, -1e-6, 0.0, 1.0 - 1e-9],
+                            1.0 - 10.0 ** rng.uniform(-11, 3, 200)])
+        b = np.sqrt(1.0 - m)
+        assert hexes(elliptic._agm_array(np.ones_like(b), b)) == hexes(
+            elliptic._agm(1.0, v) for v in b.tolist())
+        assert hexes(elliptic._complete_K_array(m)) == hexes(map(elliptic._complete_K, m.tolist()))
+
+    def test_carlson_rf(self):
+        # spreads of the arguments up to 1e12, and one zero argument in each place
+        rng = np.random.default_rng(6)
+        x, y, z = 10.0 ** rng.uniform(-6.0, 6.0, size=(3, 600))
+        x[:50], y[50:100], z[100:150] = 0.0, 0.0, 0.0
+        x[150:160], y[150:160], z[150:160] = 1e-6, 1e6, 1.0
+        got = elliptic._carlson_rf_array(x, y, z)
+        assert hexes(got) == hexes(map(carlson_rf, x.tolist(), y.tolist(), z.tolist()))
+
+    @pytest.mark.parametrize("emc", [1.0, 1.0 - 1e-12, 0.5, 1e-6, 1e-12,
+                                     *np.random.default_rng(8).uniform(0.0, 1.0, 3).tolist()])
+    def test_sncndn(self, emc):
+        # both sides of the |u| < 1e-8 series branch, its edge and zeros of both signs
+        rng = np.random.default_rng(7)
+        tiny = 1e-8 * rng.uniform(-1.0, 1.0, 40)
+        u = np.concatenate([rng.uniform(-20.0, 20.0, 300), tiny, 1e-8 + np.abs(tiny),
+                            [0.0, -0.0, 5e-324, 1e-8, -1e-8, math.nextafter(1e-8, 0.0)]])
+        got = list(zip(*map(hexes, elliptic._sncndn_array(u, emc))))
+        assert got == [tuple(hexes(elliptic._sncndn_core(v, emc))) for v in u.tolist()]

@@ -26,19 +26,14 @@ from boltzmann_billiard import (
     sample_level_set,
     uniformize,
 )
-from boltzmann_billiard.grid import (
-    config_distance_array,
-    map_t_array,
-    orbit_drift_columns,
-    theta_array,
-    uniformize_array,
-)
 from boltzmann_billiard.levelset import (
     NONDEGENERATE,
     level_set_residual_array,
     project_onto_level_set_array,
 )
-from boltzmann_billiard.periods import config_distance
+from boltzmann_billiard.periods import config_distance, config_distance_array
+from boltzmann_billiard.poincare import map_t_array, orbit_drift_columns
+from boltzmann_billiard.uniformize import theta_array, uniformize_array
 
 
 def assert_matches_scalar(D, E):
@@ -448,9 +443,10 @@ def test_single_point_functions_match_references(D, E):
                     (angle_of, oracles.scalar_angle_of)]:
         want = [outcome(ref, c, params) for c in pts]
         if fn is angle_of:
-            # where the scalar inversion fails in round(NaN), the kernel raises a typed error
-            want = [NAN_ANGLE if w == (ValueError, "cannot convert float NaN to integer") else w
-                    for w in want]
+            # where the scalar inversion fails in round(NaN), the kernel raises a typed error;
+            # it also refuses an x that is not finite, which the class-II reference ignores
+            want = [NAN_ANGLE if w == (ValueError, "cannot convert float NaN to integer")
+                    or not math.isfinite(c.x) else w for c, w in zip(pts, want)]
         assert [outcome(fn, c, params) for c in pts] == want
     got = [outcome(uniformize, a, params) for a in angles]
     assert got == [outcome(oracles.scalar_uniformize, a, params) for a in angles]
@@ -468,6 +464,11 @@ def test_nan_point_has_no_angle(D, E):
     nan = ConfigPoint(math.nan, math.nan, math.nan)
     assert outcome(angle_of, nan, params) == NAN_ANGLE
     assert outcome(theta_array, *as_arrays([c, nan, c]), params) == NAN_ANGLE
+    # a point with x not finite and A1, A2 finite, in every class
+    for x in (math.nan, math.inf, -math.inf):
+        bad = ConfigPoint(x, 0.1, 0.2)
+        assert outcome(angle_of, bad, params) == NAN_ANGLE
+        assert outcome(theta_array, *as_arrays([c, bad, c]), params) == NAN_ANGLE
     if params.cls is RealLocusClass.I:
         # the first failing point raises, with the first check it fails
         dn_zero = ConfigPoint(c.x, c.A1, 2.0 * params.E - params.R)

@@ -76,6 +76,13 @@ def test_levelset_computes_no_integral():
     assert "elliptic" not in package_imports("levelset")
 
 
+@pytest.mark.parametrize("name", ["elliptic", "levelset"])
+def test_base_layers_import_only_errors(name):
+    # the array kernels sit above these two, beside the scalar functions they repeat
+    imports = package_imports(name)
+    assert imports <= {"errors"}, f"{name}.py imports {sorted(imports)}"
+
+
 def tracer_table(name: str):
     """A module-level literal of perfbench/tracer.py, read without importing it."""
     for node in parse(ROOT / "perfbench" / "tracer.py").body:

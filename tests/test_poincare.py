@@ -546,13 +546,14 @@ class TestBlockSampling:
             "sampling failed to find real points (locus nearly degenerate?)")
 
     def test_non_positive_count_checks_nothing(self, params_i, monkeypatch):
-        # as in the loop, no candidate is drawn
+        # as in the loop, no candidate is drawn; m < 0 raises, as n < 0 does in iterate_orbit
         def boom(*args):
             raise AssertionError("a candidate was evaluated")
 
         monkeypatch.setattr(poincare, "uniformize_array", boom)
         assert sample_level_set(params_i, 0) == []
-        assert sample_level_set(params_i, -2) == []
+        with pytest.raises(ValueError, match=r"m >= 0 points \(got -2\)"):
+            sample_level_set(params_i, -2)
 
 
 class TestComponentCurve:
