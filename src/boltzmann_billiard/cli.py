@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Subcommands: classify, orbit, rotation, period-scan, render, selftest.
-Output is deterministic for a fixed seed.  CSV floats are written with 17
+Subcommands: classify, orbit, rotation, period-scan, selftest.  Each SVG
+figure is a format of the command whose data it draws: classify --format
+svg is the level-set curve, orbit --format svg the Kepler arcs and orbit
+--format levelset the orbit on the level-set curve.  Output is
+deterministic for a fixed seed.  CSV floats are written with 17
 significant digits (%.17g); JSON and the text reports print Python's
 shortest round-trip repr.  Either form reads back as the same float.
 
 Exit codes: 0 success, 1 check failure or aborted orbit, 2 usage or
-numeric error.
+numeric error.  Each error is one line on stderr: "error: ..." for exit
+2 and "orbit aborted: step k: ..." for an aborted orbit.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from .poincare import _checked_blocks, iterate_orbit, orbit_drift_columns, sampl
 from .svgplot import level_set_figure, orbit_figure
 from .selftest import run_selftest
 from .uniformize import _grid_codes, rotation_number
-
-log = logging.getLogger("boltzmann_billiard")
 
 _F = "%.17g"
 _GRID_BLOCK = 4096  # cells per block of grid rows, so grid memory does not grow with n^2
@@ -109,11 +111,14 @@ def _classify_report(D: float, E: float) -> dict:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.format == "svg":
+        _emit(level_set_figure(derive_params(args.D, args.E)), args.out)
+        return 0
     return _report(_classify_report(args.D, args.E), args)
 
 
 def _aborted(exc: OrbitAbort) -> int:
-    log.error("orbit aborted at step %s: %s", exc.step, exc)
+    sys.stderr.write(f"orbit aborted: {exc}\n")  # the message starts "step k: "
     return 1
 
 
@@ -155,6 +160,9 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         orbit, code = exc.orbit, _aborted(exc)
     if args.format == "svg":
         _emit(orbit_figure(orbit.points, params), args.out)
+        return code
+    if args.format == "levelset":
+        _emit(level_set_figure(params, orbit.points), args.out)
         return code
     L, D_impl, E_impl = orbit_drift_columns(orbit.x, orbit.A1, orbit.A2, params)
     cols = (orbit.x, orbit.A1, orbit.A2, L, D_impl - args.D, E_impl)
@@ -249,22 +257,6 @@ def cmd_period_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    params = derive_params(args.D, args.E)
-    if args.style == "orbit":
-        c0 = sample_level_set(params, 1, args.seed)[0]
-        orbit = iterate_orbit(c0, params, args.steps)
-        svg = orbit_figure(orbit.points, params)
-    else:
-        pts = None
-        if args.samples:  # iterate_orbit refuses a negative count, as it does --steps
-            c0 = sample_level_set(params, 1, args.seed)[0]
-            pts = iterate_orbit(c0, params, args.samples).points
-        svg = level_set_figure(params, pts)
-    _emit(svg, args.out)
-    return 0
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
     results = run_selftest()
     lines = []
@@ -299,19 +291,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE_FLOAT
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool, formats: tuple = ()) -> None:
-    """--D, --E and --out, plus --seed and a --format with these choices where asked.
-
-    The first format is the default.
-    """
+def _add_common(p: argparse.ArgumentParser, *, seed: bool, formats: tuple) -> None:
+    """--D, --E, --out, --seed if asked, and a --format with these choices (the first is the default)."""
     p.add_argument("--D", type=float, required=True, help="second integral D")
     p.add_argument("--E", type=float, required=True, help="energy E")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-    if formats:
-        p.add_argument("--format", choices=formats, default=formats[0],
-                       help=f"output format (default {formats[0]})")
+    p.add_argument("--format", choices=formats, default=formats[0],
+                   help=f"output format (default {formats[0]})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,16 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: orbit -> step,x,A1,A2,L,D_resid,E_check; "
                "rotation grid -> D,E,class,alpha; "
                "period-scan -> E,p,D_root,period3_residual. "
+               "SVG figures: classify --format svg -> the level-set curve; "
+               "orbit --format svg -> the Kepler arcs; orbit --format levelset -> "
+               "the orbit on the level-set curve. "
                "Set BOLTZMANN_LOG=debug|info|warning for verbosity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify the level set at (D, E)")
-    _add_common(p, seed=False, formats=("text", "json"))
+    _add_common(p, seed=False, formats=("text", "json", "svg"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("orbit", help="iterate the collision map and dump the orbit")
-    _add_common(p, seed=True, formats=("csv", "json", "svg"))
+    _add_common(p, seed=True, formats=("csv", "json", "svg", "levelset"))
     p.add_argument("--steps", type=int, default=6, help="number of map steps (default 6)")
     p.add_argument("--residual-ceiling", type=float, default=1e-6,
                    help="abort when the level-set residual exceeds this")
@@ -360,14 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(0.0, 2.0), metavar=("DMIN", "DMAX"))
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_period_scan)
-
-    p = sub.add_parser("render", help="SVG figure of an orbit or a level set")
-    _add_common(p, seed=True)
-    p.add_argument("--steps", type=int, default=6)
-    p.add_argument("--samples", type=int, default=0,
-                   help="orbit points overlaid on the level-set figure")
-    p.add_argument("--style", choices=("orbit", "levelset"), default="orbit")
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the built-in consistency checks")
     p.add_argument("--out", type=str, default=None)
@@ -403,7 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (BilliardError, ValueError, ZeroDivisionError, OverflowError, MemoryError) as exc:
-        log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArcUnsupportedError, DomainError
-from .levelset import ConfigPoint, LevelSetParams, other_wall_root
+from .levelset import ConfigPoint, LevelSetParams, _require_nondegenerate, other_wall_root
 
 _L_FLOOR = 1e-12  # |L| below which phase_from_config refuses a radial conic
 _ARC_POINTS = 64  # points of a trajectory_arc, both wall points included
@@ -96,8 +96,7 @@ def trajectory_arc(c: ConfigPoint, params: LevelSetParams):
     that would pass through infinity (possible only for E >= 0) raise
     ArcUnsupportedError.
     """
-    if not params.nondegenerate:
-        raise DomainError(f"no trajectory arcs on a degenerate level set (class {params.cls.value})")
+    _require_nondegenerate(params)
     L2 = params.D + 2.0 * c.A2
     if L2 <= 1e-12:
         raise DomainError("radial conic has no arc between distinct wall points")

@@ -243,11 +243,8 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
 
     def defect(D: float) -> float:
         """The recentred defect of p * alpha at D, NaN where it has no value."""
-        params = derive_params(D, E)
-        if not params.nondegenerate or params.cls is RealLocusClass.II_PLUS and p % 2 == 1:
-            return math.nan
         try:
-            a = rotation_number(params).alpha
+            a = rotation_number(derive_params(D, E)).alpha
         except BilliardError:
             return math.nan
         return (p * a + 0.5) % 1.0 - 0.5

@@ -24,6 +24,7 @@ from .levelset import (
     _AT_INFINITY,
     _L,
     _reflect,
+    _require_nondegenerate,
     _z,
     level_set_residual_array,
     other_wall_root,
@@ -173,8 +174,7 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     its block are yielded and OrbitAbort is raised with that step and no
     orbit.
     """
-    if not params.nondegenerate:
-        raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
+    _require_nondegenerate(params)
     if n < 0:
         raise ValueError(f"orbit iteration needs n >= 0 steps (got {n})")
     for name, limit in (("residual_ceiling", residual_ceiling), ("abort_abscissa", abort_abscissa)):
@@ -258,8 +258,7 @@ def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
     """sample_level_set's points as the rows x, A1, A2 of a (3, m) array."""
     if params.cls is RealLocusClass.EMPTY:
         raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
-    if not params.nondegenerate:
-        raise DomainError(f"sampling needs a nondegenerate level set (class {params.cls.value})")
+    _require_nondegenerate(params)
     if m < 0:
         raise ValueError(f"sampling needs m >= 0 points (got {m})")
     rng = np.random.default_rng(seed)

@@ -147,12 +147,10 @@ def check_grid_matches_scalar() -> CheckResult:
     for D, cls_row, alpha_row in zip(Ds, classes, alphas.tolist()):
         for E, cls, alpha in zip(Es, cls_row, alpha_row):
             params = derive_params(D, E)
-            want = math.nan
-            if params.nondegenerate:
-                try:
-                    want = rotation_number(params).alpha
-                except BilliardError:
-                    pass
+            try:
+                want = rotation_number(params).alpha
+            except BilliardError:
+                want = math.nan
             bad += cls is not params.cls or repr(alpha) != repr(want)
     return CheckResult("grid-matches-scalar", bad == 0, f"{bad} of {n * n} cells differ")
 

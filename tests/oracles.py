@@ -570,7 +570,7 @@ def scalar_iterate_orbit(c0, params, n: int, *,
     from boltzmann_billiard import DomainError, OrbitAbort, PoleError, map_t
 
     if not params.nondegenerate:
-        raise DomainError(f"orbit iteration needs a nondegenerate level set (class {params.cls.value})")
+        raise DomainError(f"operation needs a nondegenerate level set (class {params.cls.value})")
     pts = [c0]
     res = [scalar_level_set_residual(c0, params)]
     for step in range(1, n + 1):

@@ -243,13 +243,14 @@ def test_criterion_9_cli_figures(capsys, tmp_path):
             and el.get("class") == "arc"]
     assert len(arcs) == 3
     # level-set figures: one closed component for class I, two for D > 2
-    assert main(["render", "--D", "1.5", "--E", "-0.2",
-                 "--style", "levelset"]) == 0
+    assert main(["classify", "--D", "1.5", "--E", "-0.2",
+                 "--format", "svg"]) == 0
     one = ET.fromstring(capsys.readouterr().out)
     assert len([el for el in one.iter() if el.get("class") == "component"]) == 1
-    assert main(["render", "--D", "2.5", "--E", "-0.1",
-                 "--style", "levelset"]) == 0
+    assert main(["orbit", "--D", "2.5", "--E", "-0.1", "--steps", "3",
+                 "--format", "levelset"]) == 0
     two = ET.fromstring(capsys.readouterr().out)
+    assert len([el for el in two.iter() if el.get("class") == "orbit"]) == 4
     assert len([el for el in two.iter() if el.get("class") == "component"]) == 2
     # t alternates between the two components: the momentum column of a
     # II+ orbit flips sign every single step

@@ -30,7 +30,7 @@ from boltzmann_billiard import (
     sample_level_set,
     trajectory_arc,
 )
-from boltzmann_billiard import cli, periods, poincare, selftest
+from boltzmann_billiard import cli, periods, poincare, selftest, svgplot
 from boltzmann_billiard.cli import main
 from boltzmann_billiard.poincare import orbit_drift_columns
 
@@ -119,12 +119,12 @@ class TestClassify:
 
     @pytest.mark.parametrize("extra, message", [
         (["--seed", "3"], "unrecognized arguments: --seed 3"),
-        (["--format", "svg"], "argument --format: invalid choice: 'svg'"),
+        (["--format", "levelset"], "argument --format: invalid choice: 'levelset'"),
         (["--format", "csv"], "argument --format: invalid choice: 'csv'"),
     ])
     def test_unread_options_removed(self, extra, message):
-        # classify draws nothing at random, and --format svg and csv used to write
-        # the text report
+        # classify draws nothing at random and draws no orbit; --format csv used to
+        # write the text report
         code, out, err = run_quiet(["classify", "--D", "1.5", "--E", "-0.2", *extra])
         assert (code, out) == (2, "")
         assert message in err
@@ -260,7 +260,7 @@ class TestOrbit:
         assert 0 < drawn < 20
         assert out.count('class="orbit"') == 21
         assert out.count("<path") == drawn
-        assert run_quiet(["render", "--D", "-2.5", "--E", "1.5"])[0] == 0
+        assert run_quiet(["orbit", "--D", "-2.5", "--E", "1.5", "--format", "svg"])[0] == 0
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "orbit.csv"
@@ -307,8 +307,8 @@ def scalar_abort(params, seed, steps, **kwargs):
     return None
 
 
-def assert_streamed_csv(capsys, caplog, tmp_path, D, E, seed, steps, *extra, **kwargs):
-    """orbit CSV to stdout and to --out against the scalar references, abort log included."""
+def assert_streamed_csv(capsys, tmp_path, D, E, seed, steps, *extra, **kwargs):
+    """orbit CSV to stdout and to --out against the scalar references, abort line included."""
     params = derive_params(D, E)
     want = scalar_orbit_output(params, seed, steps, "csv", **kwargs)
     abort = scalar_abort(params, seed, steps, **kwargs)
@@ -316,13 +316,11 @@ def assert_streamed_csv(capsys, caplog, tmp_path, D, E, seed, steps, *extra, **k
             *extra]
     target = tmp_path / "orbit.csv"
     for out in (None, target):
-        caplog.clear()
         code = main(argv + (["--out", str(out)] if out else []))
         stdout, stderr = capsys.readouterr()
         got = (code, target.read_text() if out else stdout)
-        assert got == want and stderr == "" and stdout == ("" if out else got[1])
-        logged = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert logged == ([f"orbit aborted at step {abort[0]}: {abort[1]}"] if abort else [])
+        assert got == want and stdout == ("" if out else got[1])
+        assert stderr == (f"orbit aborted: {abort[1]}\n" if abort else "")
     return abort
 
 
@@ -333,8 +331,8 @@ class TestStreamedOrbitCsv:
 
     @pytest.mark.parametrize("steps, D, E", [
         (B - 1, 1.5, -0.2), (B, 2.5, -0.1), (B + 1, -2.5, 1.5), (2 * B, 1.5, -0.2)])
-    def test_block_edges_match_scalar(self, capsys, caplog, tmp_path, steps, D, E):
-        assert assert_streamed_csv(capsys, caplog, tmp_path, D, E, 3, steps) is None
+    def test_block_edges_match_scalar(self, capsys, tmp_path, steps, D, E):
+        assert assert_streamed_csv(capsys, tmp_path, D, E, 3, steps) is None
 
     @staticmethod
     def place(monkeypatch, step, where):
@@ -345,28 +343,28 @@ class TestStreamedOrbitCsv:
         monkeypatch.setattr(poincare, "_CHECK_BLOCK", block)
 
     @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
-    def test_abscissa_abort(self, capsys, caplog, tmp_path, monkeypatch, where):
+    def test_abscissa_abort(self, capsys, tmp_path, monkeypatch, where):
         limit = {"abort_abscissa": 50.0}
         step, _ = scalar_abort(derive_params(0.3, 0.4), 1, 200, **limit)
         self.place(monkeypatch, step, where)
-        got = assert_streamed_csv(capsys, caplog, tmp_path, 0.3, 0.4, 1, 200,
+        got = assert_streamed_csv(capsys, tmp_path, 0.3, 0.4, 1, 200,
                                   "--abort-abscissa", "50", **limit)
         assert got[0] == step and "(residual inf)" in got[1]
 
     @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
-    def test_residual_ceiling_abort(self, capsys, caplog, tmp_path, monkeypatch, where):
+    def test_residual_ceiling_abort(self, capsys, tmp_path, monkeypatch, where):
         params = derive_params(2.5, -0.1)
         c0 = sample_level_set(params, 1, 5)[0]
         res = oracles.scalar_iterate_orbit(c0, params, 400, residual_ceiling=1.0).residuals
         step = next(j for j in range(30, 401) if res[j] > max(res[1:j]))  # a record
         limit = {"residual_ceiling": max(res[1:step])}
         self.place(monkeypatch, step, where)
-        got = assert_streamed_csv(capsys, caplog, tmp_path, 2.5, -0.1, 5, 400,
+        got = assert_streamed_csv(capsys, tmp_path, 2.5, -0.1, 5, 400,
                                   f"--residual-ceiling={limit['residual_ceiling']!r}", **limit)
         assert got[0] == step and "left the level set" in got[1]
 
     @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
-    def test_pole_abort(self, capsys, caplog, tmp_path, monkeypatch, where):
+    def test_pole_abort(self, capsys, tmp_path, monkeypatch, where):
         # the second wall intersection of point 36 is put at infinity, for the
         # scalar references in other_wall_root and for the CLI in its float walk
         params = derive_params(1.5, -0.2)
@@ -391,7 +389,7 @@ class TestStreamedOrbitCsv:
         monkeypatch.setattr(poincare, "other_wall_root", other_wall_root)
         monkeypatch.setattr(poincare, "_walk", walk)
         self.place(monkeypatch, 36, where)
-        got = assert_streamed_csv(capsys, caplog, tmp_path, 1.5, -0.2, 2, 100)
+        got = assert_streamed_csv(capsys, tmp_path, 1.5, -0.2, 2, 100)
         assert got == (36, "step 36: second wall intersection at infinity (test)")
 
     def test_blocks_bound_the_columns(self, capsys, monkeypatch):
@@ -435,6 +433,41 @@ class TestStreamedOrbitCsv:
         assert err == "error: Unable to allocate 2.18 TiB for an array\n"
 
 
+def process_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+class TestProcessStderr:
+    """Each error is one stderr line of a real process.
+
+    In-process runs miss a second copy: a logging handler writes to the stderr
+    it found when logging was first configured, not to the one the test swaps in.
+    """
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "boltzmann_billiard.cli", *argv],
+                              env=process_env(), capture_output=True, text=True, timeout=60)
+
+    def test_error_line(self):
+        # it used to follow an "ERROR boltzmann_billiard: ..." copy of itself
+        done = self.run("classify", "--D", "1e400", "--E", "0")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: D and E must be finite (got D=inf, E=0.0)\n"
+
+    def test_abort_line(self, tmp_path):
+        # it used to be logged as "ERROR ...: orbit aborted at step 29: step 29: ..."
+        target = tmp_path / "orbit.csv"
+        done = self.run("orbit", "--D", "0.3", "--E", "0.4", "--steps", "2000",
+                        "--abort-abscissa", "50", "--out", str(target))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "orbit aborted: step 29: orbit left the level set (residual inf)\n"
+        assert len(target.read_text().splitlines()) == 30
+
+
 ORBIT_PEAK_RSS = """
 import sys
 from boltzmann_billiard.cli import main
@@ -447,8 +480,7 @@ with open("/proc/self/status") as fh:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_orbit_csv_memory_does_not_grow_with_steps(tmp_path):
     """Peak RSS of orbit CSV at 1 000 and 100 000 steps, each in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = process_env()
     peak_kb = []
     for steps in (1000, 100_000):
         done = subprocess.run(
@@ -714,52 +746,64 @@ class TestPeriodScan:
                 assert abs(float(row[3])) < 1e-8
 
 
-class TestRender:
-    def test_orbit_style(self, capsys):
-        code, out = run_cli(capsys, "render", "--D", "1.5", "--E", "-0.2",
-                            "--steps", "5")
+class TestFigures:
+    """The SVG figures: classify --format svg, orbit --format svg and orbit --format levelset."""
+
+    def test_orbit_arcs(self, capsys):
+        # one trajectory arc per step of the orbit figure
+        code, out = run_cli(capsys, "orbit", "--D", "1.5", "--E", "-0.2",
+                            "--steps", "5", "--format", "svg")
         assert code == 0
         root = ET.fromstring(out)
         arcs = [el for el in root.iter() if el.tag.endswith("path")
                 and el.get("class") == "arc"]
         assert len(arcs) == 5
 
-    def test_levelset_style_components(self, capsys):
-        code, out = run_cli(capsys, "render", "--D", "2.5", "--E", "-0.1",
-                            "--style", "levelset")
-        assert code == 0
-        root = ET.fromstring(out)
-        comps = [el for el in root.iter() if el.get("class") == "component"]
-        assert len(comps) == 2
-        code, out = run_cli(capsys, "render", "--D", "1.5", "--E", "-0.2",
-                            "--style", "levelset")
-        root = ET.fromstring(out)
-        comps = [el for el in root.iter() if el.get("class") == "component"]
-        assert len(comps) == 1
+    def test_levelset_components(self, capsys):
+        # one closed component for class I, two for D > 2; the orbit figure adds its points
+        for D, E, n in (("2.5", "-0.1", 2), ("1.5", "-0.2", 1)):
+            for argv, marks in ((["classify", "--format", "svg"], 0),
+                                (["orbit", "--steps", "4", "--format", "levelset"], 5)):
+                code, out = run_cli(capsys, *argv, "--D", D, "--E", E)
+                classes = [el.get("class") for el in ET.fromstring(out).iter()]
+                assert (code, classes.count("component"), classes.count("orbit")) == (0, n, marks)
 
-    @pytest.mark.parametrize("style, option", [("orbit", "--steps"), ("levelset", "--samples")])
-    def test_negative_count_exit_2(self, style, option):
-        # a negative --samples used to draw the level set with no samples
-        code, out, err = run_quiet(["render", "--D", "1.5", "--E", "-0.2", "--style", style,
-                                    option, "-3"])
+    def test_levelset_abort_draws_prefix(self):
+        # as every orbit format: the valid prefix is drawn, the abort line written, exit 1
+        params = derive_params(0.3, 0.4)
+        c0 = sample_level_set(params, 1, 0)[0]
+        with pytest.raises(OrbitAbort) as info:
+            iterate_orbit(c0, params, 2000, abort_abscissa=50.0)
+        code, out, err = run_quiet(["orbit", "--D", "0.3", "--E", "0.4", "--steps", "2000",
+                                    "--abort-abscissa", "50", "--format", "levelset"])
+        assert (code, err) == (1, f"orbit aborted: {info.value}\n")
+        assert out == svgplot.level_set_figure(params, info.value.orbit.points)
+        assert out.count('class="orbit"') == info.value.step
+
+    @pytest.mark.parametrize("fmt", ["svg", "levelset"])
+    def test_negative_steps_exit_2(self, fmt):
+        code, out, err = run_quiet(["orbit", "--D", "1.5", "--E", "-0.2", "--format", fmt,
+                                    "--steps", "-3"])
         assert (code, out) == (2, "")
-        assert err.endswith("error: orbit iteration needs n >= 0 steps (got -3)\n")
+        assert err == "error: orbit iteration needs n >= 0 steps (got -3)\n"
 
     @pytest.mark.parametrize("D, E, cls", [
         ("1.5", "-2.0", "NegativeAngularMomentumSide"),
         ("-4.410195721657075", "2.2050978608255876", "DegenerateTangent"),  # D + 2E < 0
     ])
-    def test_levelset_style_degenerate_class(self, D, E, cls):
-        # the class is checked before sqrt(D + 2E), which used to fail first
-        code, out, err = run_quiet(["render", f"--D={D}", f"--E={E}", "--style", "levelset"])
-        assert (code, out) == (2, "")
-        assert err.endswith(f"error: operation needs a nondegenerate level set (class {cls})\n")
+    def test_degenerate_class(self, D, E, cls):
+        # the class is checked before sqrt(D + 2E), which used to fail first; the orbit
+        # figure used to word it "sampling needs ..."
+        for argv in (["classify", "--format", "svg"], ["orbit", "--format", "levelset"]):
+            code, out, err = run_quiet([*argv, f"--D={D}", f"--E={E}"])
+            assert (code, out) == (2, "")
+            assert err == f"error: operation needs a nondegenerate level set (class {cls})\n"
 
-    def test_format_option_removed(self):
-        # render writes SVG only; --format used to be accepted and ignored
-        code, out, err = run_quiet(["render", "--D", "1.5", "--E", "-0.2", "--format", "json"])
+    def test_render_command_removed(self):
+        # its figures are formats of classify and orbit
+        code, out, err = run_quiet(["render", "--D", "1.5", "--E", "-0.2", "--style", "levelset"])
         assert (code, out) == (2, "")
-        assert "unrecognized arguments: --format json" in err
+        assert "argument command: invalid choice: 'render'" in err
 
 
 @pytest.mark.parametrize("argv, sha256", [
@@ -772,17 +816,17 @@ class TestRender:
      "7f6c38e1c2688e183f9996a188a2a2dcf46e375fdf094d728ee9f0bbc578335d"),
     ("orbit --D -2.5 --E 1.5 --steps 9 --seed 4 --format svg",
      "523f003097d3cba02d84d75ec428259d453b30f1752d130f6bf5b37d179d53c9"),
-    ("render --D 2.5 --E -0.1 --steps 5",
+    ("orbit --D 2.5 --E -0.1 --steps 5 --format svg",
      "32e4195a38629991ab10a1bedc324ed3598ea9f5bc3257a2ad87effeed78828d"),
-    ("render --D 1.5 --E -0.2 --style levelset",
+    ("classify --D 1.5 --E -0.2 --format svg",
      "641cec61d15a24496e88f0f1c61979bb5e6a867c49ab19e6a82b327c96b6458e"),
-    ("render --D 1.5 --E -0.2 --style levelset --samples 5",
+    ("orbit --D 1.5 --E -0.2 --steps 5 --format levelset",
      "7578b0b3c14bb3fdf046bcd3d69a3ba56ed5022a1be8d604298c8e5f30a1aef1"),
-    ("render --D 2.5 --E -0.1 --style levelset",
+    ("classify --D 2.5 --E -0.1 --format svg",
      "50f63beb866e9b35036b6f43225df62dd4e18c0e4b9bba4f5839c9968bfa98d7"),
-    ("render --D 2.5 --E -0.1 --style levelset --samples 12 --seed 3",
+    ("orbit --D 2.5 --E -0.1 --steps 12 --seed 3 --format levelset",
      "4e58b87a0bac0c7e97b36f7a39906c0521db9e5b1b51a36c50c3bf885d964328"),
-    ("render --D -2.5 --E 1.5 --style levelset --samples 7",
+    ("orbit --D -2.5 --E 1.5 --steps 7 --format levelset",
      "465dbac705040ba96d6afe35ff7904720be612fd69aea51d1d066a0d2e41a39f"),
 ])
 def test_svg_bytes_pinned(argv, sha256):
@@ -839,7 +883,7 @@ def run_quiet(argv):
 @pytest.mark.parametrize("argv", [
     ["orbit", "--D", "1.5", "--E", "-0.2"],
     ["rotation", "--D", "1.5", "--E", "-0.2", "--steps", "10"],
-    ["render", "--D", "1.5", "--E", "-0.2"],
+    ["orbit", "--D", "1.5", "--E", "-0.2", "--format", "levelset"],
 ])
 def test_negative_seed_names_option(argv):
     # numpy's default_rng used to refuse it with "expected non-negative integer"
@@ -868,7 +912,7 @@ def test_orbit_infinite_thresholds_accepted():
 
 
 SLIVER_K_ERRORS = [
-    # (D, E, message of classify and rotation, message of orbit and render); in class II
+    # (D, E, message of classify and rotation, message of the orbit and the figures); in class II
     # the uniformization takes its quarter period from complete_Kp, as rotation_number does
     ("2.000000002", "20", "complete_Kp diverges logarithmically as k2 -> 0 "
      "(got k2=2.974747819275188e-13)", "complete_Kp diverges logarithmically as k2 -> 0 "
@@ -884,7 +928,8 @@ def test_diverging_integral_outcomes(D, E, point_msg, orbit_msg):
     # derive_params computes no integral, so the classes are known here; the
     # integral that diverges fails the command that needs it
     for argv, msg in ((["classify"], point_msg), (["rotation", "--steps", "10"], point_msg),
-                      (["orbit"], orbit_msg), (["render"], orbit_msg)):
+                      (["orbit"], orbit_msg), (["classify", "--format", "svg"], orbit_msg),
+                      (["orbit", "--format", "levelset"], orbit_msg)):
         code, out, err = run_quiet([*argv, "--D", D, f"--E={E}"])
         assert (code, out) == (2, ""), argv
         assert err.endswith(f"error: {msg}\n"), argv
@@ -905,9 +950,10 @@ def test_class_ii_sliver_outcomes():
 
 def test_class_ii_k2_rounding_to_one():
     # on the same sliver k2 can round to 1: complete_Kp refuses it before the guards, and
-    # before the sampling of orbit and render (whose orbit used to abort at step 1)
-    for cmd in ("classify", "rotation", "orbit", "render"):
-        code, out, err = run_quiet([cmd, "--D", "16124111189373.742", "--E=-3.100945909862638e-14"])
+    # before the sampling of the orbit (which used to abort at step 1) and its figures
+    for argv in (["classify"], ["rotation"], ["orbit"], ["classify", "--format", "svg"],
+                 ["orbit", "--format", "levelset"]):
+        code, out, err = run_quiet([*argv, "--D", "16124111189373.742", "--E=-3.100945909862638e-14"])
         assert (code, out) == (2, "")
         assert err.endswith("error: complete_Kp needs k2 < 1 (got k2=1.0)\n")
 

@@ -155,5 +155,5 @@ class TestTrajectoryArc:
 
     def test_degenerate_class_rejected(self):
         params = derive_params(1.0, -0.5)  # tangent level set
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^operation needs a nondegenerate level set \(class DegenerateTangent\)$"):
             trajectory_arc(ConfigPoint(0.0, 0.1, 0.2), params)

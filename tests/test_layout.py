@@ -1,4 +1,5 @@
-"""Static checks of the source tree: its imports (place, use, graph) and the tracer names."""
+"""Static checks of the source tree: its imports (place, use, graph), its one
+degenerate-set refusal and the tracer names."""
 
 import ast
 import importlib
@@ -81,6 +82,17 @@ def test_base_layers_import_only_errors(name):
     # the array kernels sit above these two, beside the scalar functions they repeat
     imports = package_imports(name)
     assert imports <= {"errors"}, f"{name}.py imports {sorted(imports)}"
+
+
+def test_one_degenerate_set_refusal():
+    # every function that needs a nondegenerate level set calls levelset._require_nondegenerate
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        sites += [(path.name, node.lineno) for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Raise)
+                  and "degenerate level set" in ast.get_source_segment(text, node)]
+    assert [name for name, _ in sites] == ["levelset.py"], sites
 
 
 def tracer_table(name: str):

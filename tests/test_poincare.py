@@ -217,7 +217,7 @@ class TestOrbit:
 
     def test_degenerate_class_rejected(self):
         params = derive_params(1.0, -0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^operation needs a nondegenerate level set \(class DegenerateTangent\)$"):
             iterate_orbit(ConfigPoint(0.0, 0.1, 0.2), params, 3)
 
     def test_negative_steps_raise(self, params_i):
@@ -452,7 +452,7 @@ class TestSampling:
             sample_level_set(derive_params(6.0, -0.1), 1)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^operation needs a nondegenerate level set \(class DegenerateTangent\)$"):
             sample_level_set(derive_params(1.0, -0.5), 1)
 
 
