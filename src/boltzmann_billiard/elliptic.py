@@ -34,15 +34,11 @@ _RF_Q = (3.0 * _RF_RTOL) ** (-1.0 / 6.0)  # R_F stops once f * _RF_Q * max|A0 - 
 def _each(fn, *arrays) -> np.ndarray:
     """A math function per element, so it rounds exactly as in the scalar code.
 
-    Every array twin of a scalar kernel, here and in uniformize and
-    poincare, gives each element bit for bit what the scalar evaluation
-    gives it.  It repeats the scalar floating-point operations one for one
-    over arrays: +, -, *, /, sqrt, abs, comparisons and mod, which numpy
-    rounds exactly as math and Python floats do.  Transcendental functions
-    whose numpy versions may differ from math in the last bit (sin, cos,
-    atan2, hypot) are math's own, mapped over the elements by this
-    function.  Loops freeze each converged element, so every element stops
-    at the step where the scalar loop stops.
+    Array twins repeat the scalar +, -, *, /, sqrt, abs, comparisons and
+    mod one for one, which numpy rounds as math does, and freeze each
+    converged element where the scalar loop stops.  Where numpy may differ
+    from math in the last bit, they call math's own through this function:
+    sin and cos in _sncndn_array, hypot in poincare.orbit_drift_columns.
     """
     return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BilliardError
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _max, derive_params
 from .poincare import _sample_xyz, _walk, map_t, map_t_array, sample_level_set
-from .uniformize import rotation_grid, rotation_number, theta_array
+from .uniformize import _amplitudes, _lift, _turns, rotation_grid, rotation_number
 
 log = logging.getLogger(__name__)
 
@@ -134,12 +134,12 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
                        seed: int = 0, c0: ConfigPoint | None = None) -> float:
     """Winding of the angle coordinate along an actual orbit, in [0, 1).
 
-    The map is conjugate to the rotation by alpha, so each step advances
-    theta by alpha mod 1; steps are unwrapped around the first increment
-    and averaged to suppress inversion noise.  The orbit is iterated on
-    plain floats, and its angles are computed in one batched call; errors are
-    raised in the order a point-by-point evaluation would meet them.
-    Raises ValueError if n_steps < 1.
+    The map is conjugate to the rotation by alpha, so the lifted theta
+    advances by theta_n - theta_0 plus one per step that passes theta = 0
+    (where theta decreases), alpha per step on average.  The orbit runs on
+    plain floats, the turns are counted on the Jacobi amplitudes of all its
+    points, and only its ends are integrated; errors come in the order of a
+    point-by-point evaluation.  Raises ValueError if n_steps < 1.
     """
     if n_steps < 1:
         raise ValueError(f"empirical rotation needs n_steps >= 1 (got {n_steps})")
@@ -149,23 +149,13 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
     xyz = np.empty((3, len(xs) + 1))
     xyz[:, 0] = c0.x, c0.A1, c0.A2
     xyz[:, 1:] = xs, A1s, A2s
-    # the angles of the points before the pole come first in the scalar order
-    theta = theta_array(*xyz, params)
+    # the amplitudes of the points before the pole come first in the scalar order
+    sn, cn, *modulus = _amplitudes(*xyz, params)
     if pole is not None:
         raise pole
-    d = np.mod(np.diff(theta), 1.0)
-    d0 = d[:1]
-    d = np.where(d - d0 > 0.5, d - 1.0, np.where(d0 - d > 0.5, d + 1.0, d))
-    return (_sum_in_order(d) / n_steps) % 1.0
-
-
-def _sum_in_order(v: np.ndarray) -> float:
-    """0.0 + v[0] + v[1] + ..., added left to right as a Python loop adds them.
-
-    add.accumulate adds in order, unlike the pairwise np.sum or the
-    compensated builtin sum of Python 3.12+.
-    """
-    return float(np.cumsum(np.concatenate(([0.0], v)))[-1])
+    # the ends from the same amplitudes, unreduced, so each is on the turns' side of the cut
+    theta0, theta_n = _lift(sn[[0, -1]], cn[[0, -1]], *modulus).tolist()
+    return ((_turns(sn, cn) + theta_n - theta0) / n_steps) % 1.0
 
 
 def period3_residual(D, E):

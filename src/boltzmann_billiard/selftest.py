@@ -102,7 +102,7 @@ def check_rotation_conjugacy() -> CheckResult:
         emp = empirical_rotation(params, n_steps=2000, seed=1)
         d = abs(alpha - emp)
         worst = max(worst, min(d, 1.0 - d))
-    return _check("rotation-conjugacy", worst, 1e-6)
+    return _check("rotation-conjugacy", worst, 1e-12)
 
 
 def check_period3() -> CheckResult:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K_array, _each,
+from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K_array,
                        _sncndn_array, complete_K, complete_Kp, complete_Kpp, seg_case_i,
                        seg_case_ii_plus)
 from .errors import ClassChangeError, DomainError, NearDegenerateError, PoleError
@@ -120,16 +120,13 @@ def uniformize(a: AngleCoord, params: LevelSetParams) -> ConfigPoint:
     return ConfigPoint(float(x[0]), float(A1[0]), float(A2[0]))
 
 
-def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
-                params: LevelSetParams) -> np.ndarray:
-    """Angle theta in [0, 1) of every real-locus point (x, A1, A2).
+def _amplitudes(x: np.ndarray, A1: np.ndarray, A2: np.ndarray, params: LevelSetParams):
+    """sn and cn of the Jacobi amplitude phi of every point (x, A1, A2), by + - * / and sqrt.
 
-    Inverts the parametrization of uniformize_array; the quadrant is
-    resolved from the signs of the Jacobi triple, so theta is continuous
-    along each component.  At the first point where the inversion fails it
-    raises DomainError: in class I where dn = 0 (off the real locus) or
-    where the angle is degenerate, and in every class where the angle
-    comes out NaN or x is not finite.
+    theta is F(phi | m) / period, phi in [0, 2 pi) in class I and in [0, pi) in
+    classes II.  Returns sn, cn, 1 - m, K(m) and the period.  Raises DomainError at
+    the first failing point: in class I where dn = 0 (off the real locus), and in
+    every class where the angle is degenerate or the amplitude or x is not finite.
     """
     _require_nondegenerate(params)
     R, E, C = params.R, params.E, params.C
@@ -138,49 +135,66 @@ def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
         c2 = (A2 - 2.0 * E + R) / (2.0 * R)  # dn^2 in class I, cn^2 in classes II
         if params.cls is RealLocusClass.I:
             m = 1.0 / (1.0 - params.k2)
-            kap = math.sqrt(m)
-            K = complete_K(m)
-            period = 4.0 * K
+            K, mc = complete_K(m), -params.k2 * m
             d = np.sqrt(np.maximum(c2, 0.0))
-            s = -A1 / (2.0 * R * kap * d)
-            co = z / C
-            h = _each(math.hypot, s, co)
-            phi = _each(math.atan2, s / h, co / h)
-            checks = [(d <= 0.0, "point is off the real locus (dn = 0)"),
-                      (h == 0.0, "degenerate angle inversion")]
-        else:
-            m = 1.0 - params.k2
-            K = complete_Kp(params.k2)
-            period = 2.0 * K
-            sgn = np.where(z > 0.0, -1.0, 1.0)
-            sc = A1 / (sgn * 2.0 * R)
-            phi = 0.5 * _each(math.atan2, 2.0 * sc, 2.0 * c2 - 1.0)
-            # x enters only through the sign of z, so a point with x not finite needs its own check
-            phi = np.where(np.isfinite(x), phi, np.nan)
+            checks = [(d <= 0.0, "point is off the real locus (dn = 0)")]
+            p, q = -A1 / (2.0 * R * math.sqrt(m) * d), z / C  # (sn, cn) times a factor > 0
+        else:  # m = 1 - k2
+            K, mc = complete_Kp(params.k2), params.k2
             checks = []
-        checks.append((np.isnan(phi), "angle inversion gives NaN (point not finite?)"))
-        bad = np.logical_or.reduce([mask for mask, _ in checks])
-        if bad.any():  # the first failing point, and the first check it fails
-            i = int(np.argmax(bad))
-            raise DomainError(next(msg for mask, msg in checks if mask[i]))
-        # legendre_F_phi(phi, m) % period; |sn| <= 1 and 0 < m < 1, so R_F is in its domain
-        n = np.rint(phi / math.pi)  # half to even, as round() does
-        r = phi - n * math.pi
-        sn = _each(math.sin, r)
-        ax = np.abs(sn)
-        s2 = ax * ax
-        v = ax * _carlson_rf_array(1.0 - s2, 1.0 - m * s2, 1.0)
-        val = np.where(sn < 0.0, -v, v)
-        val = np.where(n != 0.0, val + 2.0 * n * K, val)
-        return np.mod(val, period) / period
+            p, q = A1 / np.where(z > 0.0, -R, R), 2.0 * c2 - 1.0  # (sin, cos) of 2 phi, likewise
+        h = np.maximum(np.abs(p), np.abs(q))  # scaled first, so that p^2 + q^2 cannot overflow
+        p, q = p / h, q / h
+        r = np.sqrt(p * p + q * q)
+        sn, cn = p / r, q / r
+        if params.cls is not RealLocusClass.I:
+            # halve 2 phi: the larger of |sn| and |cn| from 1 + |cos 2 phi|, the other from
+            # sin 2 phi = 2 sn cn; sn >= 0 picks phi in [0, pi)
+            big = np.sqrt((1.0 + np.abs(cn)) / 2.0)
+            other, cos_big = sn / (2.0 * big), cn >= 0.0
+            sn, cn = (np.where(cos_big, np.abs(other), big),
+                      np.where(cos_big, np.where(other < 0.0, -big, big), other))
+        # x enters classes II only through the sign of z, so it needs its own check
+        checks += [(h == 0.0, "degenerate angle inversion"),
+                   (~(np.isfinite(sn) & np.isfinite(cn) & np.isfinite(x)),
+                    "angle inversion gives NaN (point not finite?)")]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():  # the first failing point, and the first check it fails
+        i = int(np.argmax(bad))
+        raise DomainError(next(msg for mask, msg in checks if mask[i]))
+    return sn, cn, mc, K, (4.0 if params.cls is RealLocusClass.I else 2.0) * K
+
+
+def _unfold(r, sn, cn, at_pi):
+    """r, a value at phi's reference angle in [0, pi/2] and at_pi at pi, unfolded to phi."""
+    r = np.where(cn < 0.0, at_pi - r, r)
+    return np.where(sn < 0.0, 2.0 * at_pi - r, r)
+
+
+def _lift(sn, cn, mc, K, period) -> np.ndarray:
+    """theta in [0, 1] of the amplitudes from _amplitudes, not reduced mod 1."""
+    # F(phi | m) = |sn| R_F(cn^2, dn^2, 1) at the reference angle, with no 1 - sn^2 to cancel
+    f = np.abs(sn) * _carlson_rf_array(cn * cn, cn * cn + mc * (sn * sn), 1.0)
+    return _unfold(f, sn, cn, 2.0 * K) / period
+
+
+def _turns(sn, cn) -> int:
+    """Steps where phi in [0, 2 pi) decreases, by a key that rises with phi as F(phi | m) does."""
+    key = _unfold(np.abs(sn) / (np.abs(sn) + np.abs(cn)), sn, cn, 2.0)
+    return int(np.count_nonzero(key[1:] < key[:-1]))
+
+
+def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                params: LevelSetParams) -> np.ndarray:
+    """Angle theta in [0, 1) of every real-locus point (x, A1, A2): _amplitudes, then _lift."""
+    return _lift(*_amplitudes(x, A1, A2, params)) % 1.0
 
 
 def angle_of(c: ConfigPoint, params: LevelSetParams) -> AngleCoord:
     """Angle coordinate of a real-locus point: theta_array at one point.
 
     The component index is 0 in class I and otherwise the sign of z (0
-    where z > 0).  Roundtrip defect with uniformize is at the
-    incomplete-integral accuracy level.
+    where z > 0).
     """
     theta = float(theta_array(*_columns(c), params)[0])
     return AngleCoord(theta, 0 if params.cls is RealLocusClass.I or c.z(params) > 0.0 else 1)

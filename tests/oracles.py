@@ -149,6 +149,31 @@ def mp_F_phi(phi: float, m: float) -> float:
         return float(mpmath.ellipf(phi, m).real)
 
 
+def mp_angle(c, params) -> tuple:
+    """(theta, phi) of a real-locus point by a 40-digit inversion of the real Jacobi formulas.
+
+    The float point and parameters are taken as exact; phi is the Jacobi
+    amplitude, by atan2 of the Jacobi pair (class I) or half the atan2 of
+    (2 sn cn, 2 cn^2 - 1) (classes II), and theta is F(phi | m) over the period.
+    """
+    from boltzmann_billiard import RealLocusClass
+
+    with mpmath.workdps(40):
+        x, A1, A2 = map(mpmath.mpf, (c.x, c.A1, c.A2))
+        R, E, C, D, k2 = map(mpmath.mpf, (params.R, params.E, params.C, params.D, params.k2))
+        z = (1 - A1 * A1) * x + A1 * (A2 + D)
+        c2 = (A2 - 2 * E + R) / (2 * R)
+        if params.cls is RealLocusClass.I:
+            m = 1 / (1 - k2)
+            phi = mpmath.atan2(-A1 / (2 * R * mpmath.sqrt(m) * mpmath.sqrt(c2)), z / C)
+            period = 4 * mpmath.ellipk(m)
+        else:
+            m = 1 - k2
+            phi = mpmath.atan2(A1 / (-R if z > 0 else R), 2 * c2 - 1) / 2
+            period = 2 * mpmath.ellipk(m)
+        return float(mpmath.ellipf(phi, m) / period % 1), float(phi)
+
+
 def mp_seg_case_i(x: float, m: float) -> float:
     """seg_case_i by 30-digit tanh-sinh quadrature, split at s = 0."""
     with mpmath.workdps(30):
@@ -313,43 +338,74 @@ def scalar_uniformize(a, params):
     return ConfigPoint(x, A1, A2)
 
 
-def scalar_angle_of(c, params):
-    """Angle coordinate of a real-locus point, by inverting the real Jacobi formulas.
+def scalar_amplitude(c, params):
+    """sin and cos of the Jacobi amplitude of a real-locus point, with 1 - m, K(m) and the period.
 
-    The quadrant comes from the signs of the Jacobi triple; the component
-    index is the sign of z.
+    The square-root inversion of the real Jacobi formulas: in class I the
+    normalized (sn, cn) of modulus kappa^2; in classes II the half angle of
+    (2 sn cn, 2 cn^2 - 1) of modulus 1 - k2, with sn >= 0.
     """
-    from boltzmann_billiard import (AngleCoord, DomainError, RealLocusClass, complete_K,
-                                    legendre_F_phi)
+    from boltzmann_billiard import DomainError, RealLocusClass, complete_K, complete_Kp
 
     _require_nondegenerate(params)
-    R, E, C = params.R, params.E, params.C
+    R, E = params.R, params.E
     z = c.z(params)
+    c2 = (c.A2 - 2.0 * E + R) / (2.0 * R)  # dn^2 in class I, cn^2 in classes II
     if params.cls is RealLocusClass.I:
-        kap2 = 1.0 / (1.0 - params.k2)
-        kap = math.sqrt(kap2)
-        Kk = complete_K(kap2)
-        d2 = (c.A2 - 2.0 * E + R) / (2.0 * R)
-        d = math.sqrt(max(d2, 0.0))
+        m = 1.0 / (1.0 - params.k2)
+        K = complete_K(m)
+        mc = -params.k2 * m
+        period = 4.0 * K
+        d = math.sqrt(max(c2, 0.0))
         if d <= 0.0:
             raise DomainError("point is off the real locus (dn = 0)")
-        s = -c.A1 / (2.0 * R * kap * d)
-        co = z / C
-        h = math.hypot(s, co)
-        if h == 0.0:
-            raise DomainError("degenerate angle inversion")
-        phi = math.atan2(s / h, co / h)
-        w = legendre_F_phi(phi, kap2) % (4.0 * Kk)
-        return AngleCoord(w / (4.0 * Kk), 0)
-    mc = 1.0 - params.k2
-    Kp = complete_K(mc)
-    eps = 0 if z > 0.0 else 1
-    sgn = -1.0 if eps == 0 else 1.0
-    sc = c.A1 / (sgn * 2.0 * R)           # sn * cn
-    c2 = (c.A2 - 2.0 * E + R) / (2.0 * R)  # cn^2
-    two_phi = math.atan2(2.0 * sc, 2.0 * c2 - 1.0)
-    v = legendre_F_phi(0.5 * two_phi, mc) % (2.0 * Kp)
-    return AngleCoord(v / (2.0 * Kp), eps)
+        p, q = -c.A1 / (2.0 * R * math.sqrt(m) * d), z / params.C
+    else:
+        mc = params.k2
+        K = complete_Kp(params.k2)
+        period = 2.0 * K
+        p, q = c.A1 / (-R if z > 0.0 else R), 2.0 * c2 - 1.0  # 2 sn cn, 2 cn^2 - 1
+    h = max(abs(p), abs(q)) if not math.isnan(p + q) else math.nan  # as np.maximum gives it
+    if h == 0.0:
+        raise DomainError("degenerate angle inversion")
+    p, q = p / h, q / h
+    r = math.sqrt(p * p + q * q)
+    sn, cn = p / r, q / r
+    if params.cls is not RealLocusClass.I:
+        big = math.sqrt((1.0 + abs(cn)) / 2.0)
+        other = sn / (2.0 * big)
+        if cn >= 0.0:
+            sn, cn = abs(other), (-big if other < 0.0 else big)
+        else:
+            sn, cn = big, other
+    if not all(map(math.isfinite, (sn, cn, c.x))):
+        raise DomainError("angle inversion gives NaN (point not finite?)")
+    return sn, cn, mc, K, period
+
+
+def _scalar_unfold(r, sn, cn, at_pi):
+    if cn < 0.0:
+        r = at_pi - r
+    return 2.0 * at_pi - r if sn < 0.0 else r
+
+
+def scalar_lift(sn, cn, mc, K, period):
+    """theta in [0, 1] of an amplitude: F(phi | m) / period, phi in [0, 2 pi)."""
+    from boltzmann_billiard import carlson_rf
+
+    f = abs(sn) * carlson_rf(cn * cn, cn * cn + mc * (sn * sn), 1.0)
+    return _scalar_unfold(f, sn, cn, 2.0 * K) / period
+
+
+def scalar_angle_of(c, params):
+    """Angle coordinate of a real-locus point: scalar_lift of its scalar_amplitude.
+
+    The component index is the sign of z.
+    """
+    from boltzmann_billiard import AngleCoord, RealLocusClass
+
+    theta = scalar_lift(*scalar_amplitude(c, params)) % 1.0
+    return AngleCoord(theta, 0 if params.cls is RealLocusClass.I or c.z(params) > 0.0 else 1)
 
 
 def scalar_circle_residual(c, params) -> float:
@@ -502,28 +558,28 @@ def level_sets(draw):
 
 
 def scalar_empirical_rotation(params, n_steps: int = 10_000, seed: int = 0, c0=None) -> float:
-    """empirical_rotation point by point: one map_t and one scalar_angle_of per step."""
+    """empirical_rotation point by point: one map_t and one scalar_amplitude per step.
+
+    A turn is a step where the amplitude angle in [0, 2 pi) decreases; the
+    lift is the number of turns plus the difference of the two end angles.
+    """
     from boltzmann_billiard import map_t, sample_level_set
+
+    def key(amp):
+        sn, cn = amp[:2]
+        return _scalar_unfold(abs(sn) / (abs(sn) + abs(cn)), sn, cn, 2.0)
 
     if c0 is None:
         c0 = sample_level_set(params, 1, seed)[0]
-    th_prev = scalar_angle_of(c0, params).theta
+    first = last = scalar_amplitude(c0, params)
     c = c0
-    d0 = None
-    total = 0.0
+    turns = 0
     for _ in range(n_steps):
         c = map_t(c, params)
-        th = scalar_angle_of(c, params).theta
-        d = (th - th_prev) % 1.0
-        if d0 is None:
-            d0 = d
-        elif d - d0 > 0.5:
-            d -= 1.0
-        elif d0 - d > 0.5:
-            d += 1.0
-        total += d
-        th_prev = th
-    return (total / n_steps) % 1.0
+        amp = scalar_amplitude(c, params)
+        turns += key(amp) < key(last)
+        last = amp
+    return ((turns + scalar_lift(*last) - scalar_lift(*first)) / n_steps) % 1.0
 
 
 def scalar_poncelet_check(params, seed: int = 0):

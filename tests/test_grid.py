@@ -441,13 +441,7 @@ def test_single_point_functions_match_references(D, E):
     for fn, ref in [(level_set_residual, oracles.scalar_level_set_residual),
                     (project_onto_level_set, oracles.scalar_project_onto_level_set),
                     (angle_of, oracles.scalar_angle_of)]:
-        want = [outcome(ref, c, params) for c in pts]
-        if fn is angle_of:
-            # where the scalar inversion fails in round(NaN), the kernel raises a typed error;
-            # it also refuses an x that is not finite, which the class-II reference ignores
-            want = [NAN_ANGLE if w == (ValueError, "cannot convert float NaN to integer")
-                    or not math.isfinite(c.x) else w for c, w in zip(pts, want)]
-        assert [outcome(fn, c, params) for c in pts] == want
+        assert [outcome(fn, c, params) for c in pts] == [outcome(ref, c, params) for c in pts]
     got = [outcome(uniformize, a, params) for a in angles]
     assert got == [outcome(oracles.scalar_uniformize, a, params) for a in angles]
     if (D, E) in POLE_SETS:
@@ -464,10 +458,12 @@ def test_nan_point_has_no_angle(D, E):
     nan = ConfigPoint(math.nan, math.nan, math.nan)
     assert outcome(angle_of, nan, params) == NAN_ANGLE
     assert outcome(theta_array, *as_arrays([c, nan, c]), params) == NAN_ANGLE
-    # a point with x not finite and A1, A2 finite, in every class
-    for x in (math.nan, math.inf, -math.inf):
-        bad = ConfigPoint(x, 0.1, 0.2)
+    # a point with x not finite and A1, A2 finite, in every class; with A1 = 0 the sine
+    # of the amplitude is a finite zero
+    for bad in (ConfigPoint(x, A1, 0.2) for x in (math.nan, math.inf, -math.inf)
+                for A1 in (0.1, 0.0)):
         assert outcome(angle_of, bad, params) == NAN_ANGLE
+        assert outcome(oracles.scalar_angle_of, bad, params) == NAN_ANGLE
         assert outcome(theta_array, *as_arrays([c, bad, c]), params) == NAN_ANGLE
     if params.cls is RealLocusClass.I:
         # the first failing point raises, with the first check it fails

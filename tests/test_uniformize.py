@@ -1,6 +1,7 @@
 """Angle coordinates on the level set and the rotation number of t."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from boltzmann_billiard import (
     uniformize,
 )
 from boltzmann_billiard.periods import config_distance
+from boltzmann_billiard.uniformize import theta_array
 
 import oracles
 
@@ -86,6 +88,21 @@ def test_angle_roundtrip(D, E):
         back = uniformize(a, params)
         worst = max(worst, config_distance(back, c))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("D,E", [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)])
+def test_theta_against_mpmath(D, E):
+    # theta to within 1e-15 of a 40-digit inversion, also next to phi = pi/2 (and 3 pi/2 in
+    # class I), where |cos phi| < 1e-8 and 1 - sin(phi)^2 would cancel
+    params = derive_params(D, E)
+    one = params.cls is RealLocusClass.I
+    near = [AngleCoord(t + d, eps) for t in ((0.25, 0.75) if one else (0.5,))
+            for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9) for eps in ((0,) if one else (0, 1))]
+    pts = sample_level_set(params, 400, seed=26) + [uniformize(a, params) for a in near]
+    theta = theta_array(*np.array([(c.x, c.A1, c.A2) for c in pts]).T, params)
+    ref = [oracles.mp_angle(c, params) for c in pts]
+    assert max(oracles.wrapped_diff(t, r) for t, (r, _) in zip(theta.tolist(), ref)) < 1e-15
+    assert min(abs(math.cos(phi)) for _, phi in ref) < 1e-8
 
 
 @pytest.mark.parametrize("D,E,alpha", ALPHA_FIXTURES)
@@ -214,7 +231,7 @@ def test_component_curve_on_set(params_i, params_ii_plus):
 
 
 def test_angle_of_stable_under_drift(params_i):
-    # the inversion normalizes through atan2, so a slightly off-set point
+    # the inversion normalizes the Jacobi pair by its length, so a slightly off-set point
     # (as produced by long unrenormalized orbits) maps to a nearby angle
     from boltzmann_billiard import ConfigPoint
     c = sample_level_set(params_i, 1, seed=25)[0]
