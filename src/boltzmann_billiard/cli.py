@@ -26,6 +26,7 @@ import sys
 
 import numpy as np
 
+from .csvtext import csv_rows
 from .errors import BilliardError, OrbitAbort
 from .levelset import RealLocusClass, derive_params
 from .periods import find_periodic_locus, period3_residual, empirical_rotation
@@ -36,7 +37,7 @@ from .uniformize import _grid_codes, rotation_number
 
 _F = "%.17g"
 _GRID_BLOCK = 4096  # cells per block of grid rows, so grid memory does not grow with n^2
-_ORBIT_ROW = "%d" + ",%.17g" * 6 + "\n"  # an orbit CSV row without NaN
+_ORBIT_SLICE = 1024  # orbit rows per csv_rows call; 4096 ran no faster and peaked 3.4 MB higher
 _CLASS_FIELDS = np.array([cls.value + "," for cls in RealLocusClass], dtype=object)  # by class code
 
 
@@ -125,21 +126,19 @@ def _aborted(exc: OrbitAbort) -> int:
 def _write_orbit(fh, blocks, params) -> int:
     """CSV rows step,x,A1,A2,L,D_resid,E_check of the orbit blocks (lo, xyz, res).
 
-    Each block is formatted and written as it arrives, so no row, column
-    or list outlives its block.  A NaN is written as an empty field, as
-    _csv writes it.  Returns the exit code: 1 after an OrbitAbort, whose
-    good rows are written first.
+    Each block is written as it arrives, _ORBIT_SLICE rows per csv_rows
+    call, so no row or column outlives its block.  csv_rows writes every
+    field as "%.17g" does (the step as a float: exact below 2**53) and a
+    NaN as an empty field, as _csv writes them.  Returns the exit code: 1
+    after an OrbitAbort, whose good rows are written first.
     """
     fh.write("step,x,A1,A2,L,D_resid,E_check\n")
     try:
         for lo, xyz, _ in blocks:
             L, D_impl, E_impl = orbit_drift_columns(*xyz, params)
-            cols = (*xyz, L, D_impl - params.D, E_impl)
-            has_nan = np.isnan(cols).any(axis=0).tolist()
-            steps = range(lo, lo + len(has_nan))
-            # no name holds the float lists, so they are freed before the text is joined
-            fh.write("".join([_csv_row(row) if nan else _ORBIT_ROW % row for row, nan
-                              in zip(zip(steps, *(c.tolist() for c in cols)), has_nan)]))
+            rows = np.column_stack((np.arange(lo, lo + len(L)), *xyz, L, D_impl - params.D, E_impl))
+            for i in range(0, len(rows), _ORBIT_SLICE):
+                fh.write(csv_rows(rows[i:i + _ORBIT_SLICE]))
     except OrbitAbort as exc:
         return _aborted(exc)
     return 0

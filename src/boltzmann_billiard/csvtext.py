@@ -1,0 +1,149 @@
+"""CSV rows of a float array, each field byte for byte as "%.17g" writes it, NaN as an empty field.
+
+A value with 1e-230 < |v| < 1e230 is scaled to 17 digits by 10**(16 - X), X its decimal
+exponent, in Dekker's double-length product ("A floating-point technique for extending the
+available precision", 1971), exact to about 1e-14.  Values within _UNSURE of a rounding tie,
++-inf and the values outside the range are formatted by "%.17g" one at a time.  Each field is
+four little-endian 8-byte words, NUL where its text is shorter: comma, sign and "0.000"
+prefix, then the digits with the dot and the exponent; one bytes.translate drops the NULs.
+The lookup tables are built on first use, so a command that writes no orbit CSV never builds them.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+
+_RANGE = 1e230  # the kernel formats 1/_RANGE < |v| < _RANGE; "%.17g" formats the rest
+_K_LO, _K_HI = -231, 246  # exponents of the tabled powers of ten
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+_UNSURE = 1e-6  # scaled values this close to a half go to "%.17g"
+
+
+def _two_product(a, b):
+    """p = fl(a * b) and e = a * b - p exactly, by Dekker's split (barring over- and underflow)."""
+    p = a * b
+    ah, bh = a * _SPLIT, b * _SPLIT
+    ah -= ah - a
+    bh -= bh - b
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@lru_cache(maxsize=None)
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**k for k in [_K_LO, _K_HI] as hi + lo, hi the nearest double and lo the rest, rounded;
+    and the least double >= 10**k."""
+    hi, lo = [], []
+    for num, den in ((10 ** k, 1) if k >= 0 else (1, 10 ** -k) for k in range(_K_LO, _K_HI + 1)):
+        h_num, h_den = (num / den).as_integer_ratio()  # int / int is correctly rounded
+        hi.append(h_num / h_den)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, lo = np.array(hi), np.array(lo)
+    return hi, lo, np.where(lo > 0, np.nextafter(hi, np.inf), hi)
+
+
+@lru_cache(maxsize=None)
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """"%04d" of 0-9999 as "<u4"; and by group j of the 16 digits after the first, and its value,
+    the count of digits up to the group's last nonzero one, or 1 (a number's is the largest)."""
+    two = [b"%02d" % i for i in range(100)]
+    ascii2 = np.array(two, "S2").view("<u2").astype("<u4")
+    last = np.array([len(t.rstrip(b"0")) for t in two], np.int8)
+    last4 = np.where(np.arange(100) > 0, 2 + last, last[:, None]).ravel()  # the same of "%04d"
+    nsig = np.where(last4 > 0, np.arange(1, 14, 4, dtype=np.int8)[:, None] + last4, np.int8(1))
+    return (ascii2[:, None] | ascii2 << 16).ravel(), nsig
+
+
+@lru_cache(maxsize=None)
+def _field_tables() -> tuple[np.ndarray, ...]:
+    """The field's word tables.
+
+    left, right, point: by 18 * dot + keep, the masks and the "." of the 24 digit bytes: digit
+    i < min(dot, keep) stays at byte i, digit i in [dot, keep) moves to byte i + 1, and "." is
+    at byte dot when keep > dot.  prefix: comma, sign and "0.000", by 5 * negative + the zeros
+    after the dot of fixed notation below 1.  exponent: "e+XX" in bytes 18-22, by exponent;
+    the last is none.
+    """
+    b, dot, keep = np.arange(24), np.arange(18)[:, None, None], np.arange(18)[:, None]
+    masks = [np.where(cond, byte, 0).astype(np.uint8).reshape(-1, 24).view("<u8") for cond, byte in
+             [(b < np.minimum(dot, keep), 255), ((b > dot) & (b <= keep), 255),
+              ((b == dot) & (keep > dot), ord("."))]]
+    prefix = [b"," + s + b"0.000"[:z and z + 1] for s in (b"", b"-") for z in range(5)]
+    exponent = [b"\0\0e%+03d" % x for x in range(_K_LO, _K_HI + 1)] + [b""]
+    return (*masks, np.array(prefix, "S8").view("<u8"), np.array(exponent, "S8").view("<u8"))
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's 17 digits as an integer, rounded half to even, its decimal exponent, and whether
+    they are known: not at 0, NaN, +-inf, out of range or near a tie, where both are 0."""
+    p_hi, p_lo, p_ceil = _powers_of_ten()
+    a = np.abs(v)
+    exact = (a > 1 / _RANGE) & (a < _RANGE)
+    a[~exact] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)  # may be one off next to a power of ten
+    x += a >= np.take(p_ceil, x + 1 - _K_LO)
+    x -= a < np.take(p_ceil, x - _K_LO)
+    s = 16 - x - _K_LO  # a * 10**(16 - x) = hi + lo to about 1e-14, hi an integer in [1e16, 1e17]
+    hi, lo = _two_product(a, np.take(p_hi, s))
+    lo += a * np.take(p_lo, s)
+    frac = lo - np.floor(lo)
+    exact &= np.abs(frac - 0.5) > _UNSURE
+    digits = hi.astype(np.int64) + np.floor(lo).astype(np.int64) + (frac > 0.5)
+    carry = digits == 10 ** 17  # rounded up to the next power of ten
+    digits[carry] = 10 ** 16
+    x += carry
+    digits[~exact] = 0
+    x[~exact] = 0
+    return digits, x, exact
+
+
+def _ascii17(n: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Each n < 10**17 as 17 ASCII digits in bytes 0-16 of three words, and its digits up to the
+    last nonzero one."""
+    ascii4, nsig_table = _digit_tables()
+    first, rest = np.divmod(n, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    ascii16 = np.empty((len(n), 4), "<u4")
+    nsig = np.ones(len(n), np.int8)
+    for j, group in enumerate((high // 10000, high % 10000, low // 10000, low % 10000)):
+        ascii16[:, j] = np.take(ascii4, group)
+        np.maximum(nsig, np.take(nsig_table[j], group), out=nsig)
+    w0, w1 = ascii16.view("<u8").T
+    c = (first + 48).astype(np.uint64)
+    return (c | w0 << 8, w0 >> 56 | w1 << 8, w1 >> 56), nsig
+
+
+def _fields(v: np.ndarray) -> np.ndarray:
+    """The four words of each value's field, a comma first."""
+    left, right, point, prefix_words, exponent_words = _field_tables()
+    digits, x, exact = _decimal(v)
+    unshifted, nsig = _ascii17(digits)
+    nan = v != v
+    fixed = (x >= -4) & (x < 17)
+    dot = np.where(fixed, np.where(x >= 0, x + 1, 17), 1)  # digits before the dot; 17: no dot
+    keep = np.where(fixed & (x >= 0), np.maximum(nsig, x + 1), nsig)  # digits written
+    keep[nan] = 0
+    code = 18 * dot + keep
+    fields = np.empty((len(v), 4), "<u8")
+    zeros = np.where(fixed & (x < 0), -x, 0)  # after the dot, before the digits
+    fields[:, 0] = np.take(prefix_words, 5 * (np.signbit(v) & ~nan) + zeros)
+    for j, u in enumerate(unshifted):
+        shifted = u << 8 | (unshifted[j - 1] >> 56 if j else 0)  # one byte up, past the dot
+        fields[:, 1 + j] = (u & np.take(left[:, j], code) | shifted & np.take(right[:, j], code)
+                            | np.take(point[:, j], code))
+    fields[:, 3] |= np.take(exponent_words, np.where(fixed, -1, x - _K_LO))  # x = 0 unless exact
+    text = fields.view(np.uint8)
+    for i in np.flatnonzero(~(exact | nan | (v == 0))).tolist():
+        field = b"%.17g" % v[i]
+        text[i, 1:31] = 0
+        text[i, 1:1 + len(field)] = np.frombuffer(field, np.uint8)
+    return fields
+
+
+def csv_rows(vals: np.ndarray) -> str:
+    """The CSV text of the (n, k) float array vals: "%.17g" of each value, NaN empty."""
+    k = vals.shape[1]
+    text = _fields(vals.ravel()).view(np.uint8)
+    text[::k, 0] = 0  # no comma before a row's first field
+    text[k - 1::k, 31] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii")

@@ -656,15 +656,21 @@ def scalar_orbit_rows(points, params, D: float) -> list:
     return rows
 
 
+def _fnum(v) -> str:
+    return "" if v != v else "%.17g" % v
+
+
 def scalar_orbit_csv(points, params, D: float) -> str:
     """The orbit command's CSV, one row and one field at a time."""
-    def fnum(v):
-        return "" if v != v else "%.17g" % v
-
     out = ["step,x,A1,A2,L,D_resid,E_check\n"]
     for row in scalar_orbit_rows(points, params, D):
-        out.append(",".join(fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        out.append(",".join(_fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n")
     return "".join(out)
+
+
+def scalar_csv_rows(vals) -> str:
+    """csvtext.csv_rows of a 2-D float array, one "%.17g" per field."""
+    return "".join(",".join(map(_fnum, row)) + "\n" for row in vals.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from boltzmann_billiard import (
     sample_level_set,
     trajectory_arc,
 )
-from boltzmann_billiard import cli, periods, poincare, selftest, svgplot
+from boltzmann_billiard import cli, csvtext, periods, poincare, selftest, svgplot
 from boltzmann_billiard.cli import main
 from boltzmann_billiard.poincare import orbit_drift_columns
 
@@ -223,17 +223,34 @@ class TestOrbit:
     @pytest.mark.parametrize("block", [poincare._CHECK_BLOCK, 2])
     def test_writer_blanks_nan_fields(self, params_i, block):
         # E_check is blank where |D + 2 A2| < 1e-15; a NaN anywhere else is
-        # blank too, as the per-field writer leaves it
+        # blank too, as the per-field writer leaves it.  +-inf and |v| = 1e250
+        # go to the kernel's "%.17g" fallback, -0.0 is its own case
         A2 = -params_i.D / 2.0
         pts = [ConfigPoint(0.3, 0.2, A2), ConfigPoint(0.9, -0.1, A2 + 1e-15),
                ConfigPoint(math.nan, 0.1, 0.2), ConfigPoint(-1.7, 0.4, A2 + 4e-16),
-               ConfigPoint(0.5, 0.1, 0.2)]
+               ConfigPoint(0.5, 0.1, 0.2), ConfigPoint(math.inf, 0.1, 0.2),
+               ConfigPoint(-math.inf, 0.1, 0.2), ConfigPoint(-0.0, 0.1, 0.2),
+               ConfigPoint(1e250, 0.1, 0.2), ConfigPoint(0.5, -1e250, 0.2),
+               ConfigPoint(0.5, 0.0, -0.0)]
         xyz = np.array([[getattr(c, k) for c in pts] for k in ("x", "A1", "A2")])
         blocks = ((lo, xyz[:, lo:lo + block], None) for lo in range(0, len(pts), block))
         buf = io.StringIO()
         assert cli._write_orbit(buf, blocks, params_i) == 0
         assert buf.getvalue() == oracles.scalar_orbit_csv(pts, params_i, params_i.D)
-        assert buf.getvalue().splitlines()[1].endswith(",")
+        lines = buf.getvalue().splitlines()
+        assert lines[1].endswith(",") and lines[6].startswith("5,inf,")
+        assert lines[8].startswith("7,-0,") and lines[9].startswith("8,9.9999999999999992e+249,")
+
+    @pytest.mark.parametrize("n", [1, cli._ORBIT_SLICE - 1, cli._ORBIT_SLICE,
+                                   cli._ORBIT_SLICE + 1, 4 * cli._ORBIT_SLICE])
+    def test_writer_slice_edges(self, params_ii_plus, n):
+        # one block of n rows, written cli._ORBIT_SLICE rows per csv_rows call
+        orbit = iterate_orbit(sample_level_set(params_ii_plus, 1, 4)[0], params_ii_plus, n - 1)
+        buf = io.StringIO()
+        assert cli._write_orbit(buf, [(0, np.array([orbit.x, orbit.A1, orbit.A2]), None)],
+                                params_ii_plus) == 0
+        assert_same_text(buf.getvalue(),
+                         oracles.scalar_orbit_csv(orbit.points, params_ii_plus, params_ii_plus.D))
 
     def test_svg_output(self, capsys):
         code, out = run_cli(capsys, "orbit", "--D", "1.5", "--E", "-0.2",
@@ -475,6 +492,74 @@ code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     print(code, next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
 """
+
+
+def powers_of_ten(lo: int, hi: int) -> list:
+    """The double nearest 10**k, for k in [lo, hi]."""
+    return [float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(lo, hi + 1)]
+
+
+def neighbours(values, steps: int = 1) -> list:
+    """Each value, the `steps` doubles on either side of it, and their negatives."""
+    out = []
+    for v in values:
+        below = above = v
+        out.append(v)
+        for _ in range(steps):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            out += [float(below), float(above)]
+    return out + [-v for v in out]
+
+
+class TestCsvRows:
+    """csvtext.csv_rows: each field is the "%.17g" of its value, a NaN is empty."""
+
+    @staticmethod
+    def assert_rows(values, k: int = 7):
+        vals = np.asarray(values, dtype=float)
+        vals = np.concatenate([vals, np.full(-len(vals) % k, 0.5)]).reshape(-1, k)
+        for lo in range(0, len(vals), cli._ORBIT_SLICE):
+            block = vals[lo:lo + cli._ORBIT_SLICE]
+            assert_same_text(csvtext.csv_rows(block), oracles.scalar_csv_rows(block))
+
+    def test_random_bit_patterns(self):
+        # every sign, exponent and mantissa: NaN payloads, subnormals, both sides of the range
+        bits = np.random.default_rng(20261019).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+        self.assert_rows(bits.view(np.float64))
+
+    def test_powers_of_ten(self):
+        # the exponent correction next to 10**k, over the kernel's range and past both ends
+        k = round(math.log10(csvtext._RANGE))
+        self.assert_rows(neighbours(powers_of_ten(-k - 2, k + 2)))
+
+    @pytest.mark.parametrize("bias", [-1e-9, 1e-9])
+    def test_exponent_from_a_rough_log10(self, monkeypatch, bias):
+        # floor(log10 |v|) is corrected by one either way, for a numpy whose log10 errs
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+        self.assert_rows(neighbours(powers_of_ten(-229, 229), steps=2))
+
+    def test_notation_switches_and_carries(self):
+        # fixed below 1e17 and from 1e-4 on, and digits that round up to the next power
+        switches = [1e-5, 1e-4, 1e16, 1e17, 1e-200, 9.9999999999999995e-5, 9.9999999999999999e-5,
+                    99999999999999999.0, 9999999999999999.0, 0.00099999999999999999, 0.5, 1.0]
+        self.assert_rows(neighbours(switches, steps=8))
+
+    def test_special_values(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+        subnormals = [5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0)]
+        powers_of_two = [2.0 ** k for k in range(-1074, 1024)]
+        values = [0.0, -0.0, np.inf, -np.inf, *nans, *neighbours(subnormals), *powers_of_two,
+                  *(-p for p in powers_of_two)]
+        self.assert_rows(values)
+        text = csvtext.csv_rows(np.array([[0.0, -0.0, np.inf, -np.inf, *nans]]))
+        assert text == "0,-0,inf,-inf,,,,\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40), st.integers(1, 7))
+    def test_matches_percent_g(self, values, k):
+        self.assert_rows(values, k)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
