@@ -35,16 +35,9 @@ from .svgplot import level_set_figure, orbit_figure
 from .selftest import run_selftest
 from .uniformize import _grid_codes, rotation_number
 
-_F = "%.17g"
 _GRID_BLOCK = 4096  # cells per block of grid rows, so grid memory does not grow with n^2
 _ORBIT_SLICE = 1024  # orbit rows per csv_rows call; 4096 ran no faster and peaked 3.4 MB higher
 _CLASS_FIELDS = np.array([cls.value + "," for cls in RealLocusClass], dtype=object)  # by class code
-
-
-def _fnum(v: float) -> str:
-    if v != v:
-        return ""
-    return _F % v
 
 
 def _open_out(out_path: str | None):
@@ -56,14 +49,6 @@ def _open_out(out_path: str | None):
 def _emit(text: str, out_path: str | None) -> None:
     with _open_out(out_path) as fh:
         fh.write(text)
-
-
-def _csv_row(row) -> str:
-    return ",".join(_fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-
-
-def _csv(rows: list[list], header: list[str]) -> str:
-    return ",".join(header) + "\n" + "".join(map(_csv_row, rows))
 
 
 def _sanitize(obj):
@@ -129,8 +114,8 @@ def _write_orbit(fh, blocks, params) -> int:
     Each block is written as it arrives, _ORBIT_SLICE rows per csv_rows
     call, so no row or column outlives its block.  csv_rows writes every
     field as "%.17g" does (the step as a float: exact below 2**53) and a
-    NaN as an empty field, as _csv writes them.  Returns the exit code: 1
-    after an OrbitAbort, whose good rows are written first.
+    NaN as an empty field.  Returns the exit code: 1 after an OrbitAbort,
+    whose good rows are written first.
     """
     fh.write("step,x,A1,A2,L,D_resid,E_check\n")
     try:
@@ -192,24 +177,23 @@ def _write_grid(fh, Ds, Es) -> None:
     """CSV rows D,E,class,alpha, computed and written a block of D rows at a time.
 
     Each cell's line is four fields of an object array: "D", ",E,",
-    "class," and "alpha\n" ("\n" alone where alpha is NaN).  The D and E
-    strings are formatted once per row and column, the class field is
-    looked up by class code, so the only per-cell Python work is the %.17g
-    of a finite alpha; one join makes the block's text.
+    "class," and "alpha\n".  csv_rows writes the numbers (a NaN alpha as
+    an empty field), each D once per row and each E once per column; the
+    class field is looked up by class code, and one join makes the
+    block's text.
     """
     fh.write("D,E,class,alpha\n")
-    e_fields = np.array(["," + _F % E + "," for E in Es.tolist()], dtype=object)
+    e_fields = np.array(["," + E + "," for E in csv_rows(Es[:, None]).splitlines()], dtype=object)
     per_block = max(1, _GRID_BLOCK // len(Es))
     for lo in range(0, len(Ds), per_block):
         block = Ds[lo:lo + per_block]
         codes, alpha = _grid_codes(block[:, None], Es)
         fields = np.empty(alpha.shape + (4,), dtype=object)
-        fields[..., 0] = np.array([_F % D for D in block.tolist()], dtype=object)[:, None]
+        fields[..., 0] = np.array(csv_rows(block[:, None]).splitlines(), dtype=object)[:, None]
         fields[..., 1] = e_fields
         fields[..., 2] = _CLASS_FIELDS[codes]
-        fields[..., 3] = "\n"
-        has_alpha = ~np.isnan(alpha)
-        fields[has_alpha, 3] = [_F % a + "\n" for a in alpha[has_alpha].tolist()]
+        alpha_lines = csv_rows(alpha.reshape(-1, 1)).splitlines(keepends=True)
+        fields[..., 3] = np.array(alpha_lines, dtype=object).reshape(alpha.shape)
         fh.write("".join(fields.ravel().tolist()))
 
 
@@ -245,14 +229,12 @@ def cmd_period_scan(args: argparse.Namespace) -> int:
         raise ValueError(f"--p-list must be comma-separated integers (got {args.p_list!r})") from None
     if min(p_list) < 1:
         raise ValueError(f"--p-list periods must be positive (got {args.p_list!r})")
-    lo, hi = args.D_range
-    rows = []
-    for p in p_list:
-        roots = find_periodic_locus(args.E, p, (lo, hi))
-        for D_root in roots:
-            rows.append([args.E, p, D_root, float(period3_residual(D_root, args.E))])
-    text = _csv(rows, ["E", "p", "D_root", "period3_residual"])
-    _emit(text, args.out)
+    if max(p_list) > 2**53:
+        raise ValueError(f"--p-list periods must be at most 2**53 (got {args.p_list!r})")
+    rows = np.array([[args.E, p, D_root, period3_residual(D_root, args.E)]
+                     for p in p_list for D_root in find_periodic_locus(args.E, p, args.D_range)],
+                    dtype=float).reshape(-1, 4)  # p as a float: exact up to 2**53
+    _emit("E,p,D_root,period3_residual\n" + csv_rows(rows), args.out)
     return 0
 
 

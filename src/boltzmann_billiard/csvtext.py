@@ -6,7 +6,7 @@ available precision", 1971), exact to about 1e-14.  Values within _UNSURE of a r
 +-inf and the values outside the range are formatted by "%.17g" one at a time.  Each field is
 four little-endian 8-byte words, NUL where its text is shorter: comma, sign and "0.000"
 prefix, then the digits with the dot and the exponent; one bytes.translate drops the NULs.
-The lookup tables are built on first use, so a command that writes no orbit CSV never builds them.
+The lookup tables are built on first use, so a command that writes no CSV never builds them.
 """
 
 from functools import lru_cache

@@ -660,12 +660,24 @@ def _fnum(v) -> str:
     return "" if v != v else "%.17g" % v
 
 
+def _csv_line(row) -> str:
+    """One CSV line, one field at a time: "%.17g" of a float (NaN empty), str of anything else."""
+    return ",".join(_fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
 def scalar_orbit_csv(points, params, D: float) -> str:
     """The orbit command's CSV, one row and one field at a time."""
-    out = ["step,x,A1,A2,L,D_resid,E_check\n"]
-    for row in scalar_orbit_rows(points, params, D):
-        out.append(",".join(_fnum(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    return "".join(out)
+    rows = scalar_orbit_rows(points, params, D)
+    return "step,x,A1,A2,L,D_resid,E_check\n" + "".join(map(_csv_line, rows))
+
+
+def scalar_period_scan_csv(E: float, p_list, D_range) -> str:
+    """The period-scan command's CSV, one row and one field at a time (the period p by str)."""
+    from boltzmann_billiard import find_periodic_locus, period3_residual
+
+    rows = [[E, p, D_root, float(period3_residual(D_root, E))]
+            for p in p_list for D_root in find_periodic_locus(E, p, D_range)]
+    return "E,p,D_root,period3_residual\n" + "".join(map(_csv_line, rows))
 
 
 def scalar_csv_rows(vals) -> str:

@@ -804,6 +804,29 @@ class TestPeriodScan:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: --p-list periods must be positive (got {p_list!r})\n")
 
+    @pytest.mark.parametrize("p_list", ["9007199254740993", "3,18446744073709551616"])
+    def test_period_above_2_53_names_option(self, p_list):
+        # the p field is written as a float, exact only up to 2**53; such a period used to
+        # exit 0 with the header and no rows
+        code, out, err = run_quiet(["period-scan", "--E", "-0.2", f"--p-list={p_list}"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: --p-list periods must be at most 2**53 (got {p_list!r})\n")
+
+    def test_period_2_53_is_accepted(self, capsys):
+        assert run_cli(capsys, "period-scan", "--E", "-0.2", f"--p-list={2**53}") == (
+            0, oracles.scalar_period_scan_csv(-0.2, [2**53], (0.0, 2.0)))
+
+    @pytest.mark.parametrize("D_range", [(0.0, 2.0), (-6.0, 6.0), (2.0, -2.0), (1.99, 2.01)])
+    @pytest.mark.parametrize("p_list", ["3", "3,4,5,6,7,8"])
+    @pytest.mark.parametrize("E", [-5.0 / 24.0, -0.2, -0.0, 0.3, 1e300])
+    def test_matches_field_writer(self, capsys, E, p_list, D_range):
+        # the rows come from csv_rows, the period p as a float; the oracle writes p by str
+        code, out = run_cli(capsys, "period-scan", f"--E={E!r}", "--p-list", p_list,
+                            "--D-range", *map(repr, D_range))
+        assert code == 0
+        want = oracles.scalar_period_scan_csv(E, [int(p) for p in p_list.split(",")], D_range)
+        assert_same_text(out, want)
+
     def test_overflowing_energy_warns_nothing(self):
         # R^2 overflows at every scan point: no alpha, so no root, and no numpy warning
         with warnings.catch_warnings():
