@@ -39,6 +39,9 @@ def _each(fn, *arrays) -> np.ndarray:
     converged element where the scalar loop stops.  Where numpy may differ
     from math in the last bit, they call math's own through this function:
     sin and cos in _sncndn_array, hypot in poincare.orbit_drift_columns.
+    Over a few elements it also stands in for a twin whose numpy calls cost
+    more than the work: carlson_rf at the two ends of
+    periods.empirical_rotation.
     """
     return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import _each, carlson_rf
 from .errors import BilliardError
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _max, derive_params
 from .poincare import _sample_xyz, _walk, map_t, map_t_array, sample_level_set
@@ -97,17 +98,19 @@ def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray, params: Lev
     n = len(x0)
     found: list = [None] * n
     dist = [math.nan] * n
-    idx = np.arange(n)
+    idx = np.arange(n)  # the starts still searching; x0, A10 and A20 shrink with it
     x, A1, A2 = x0, A10, A20
     for p in range(1, _P_MAX + 1):
         if not idx.size:
             break
         x, A1, A2 = map_t_array(x, A1, A2, params)
-        d = config_distance_array(x, A1, A2, x0[idx], A10[idx], A20[idx])
+        d = config_distance_array(x, A1, A2, x0, A10, A20)
         hit = d < _RETURN_TOL
-        for i, di in zip(idx[hit].tolist(), d[hit].tolist()):
-            found[i], dist[i] = p, di
-        idx, x, A1, A2 = idx[~hit], x[~hit], A1[~hit], A2[~hit]
+        if hit.any():  # at a period p, p - 1 of the p steps have no return
+            for i, di in zip(idx[hit].tolist(), d[hit].tolist()):
+                found[i], dist[i] = p, di
+            keep = ~hit
+            idx, x0, A10, A20, x, A1, A2 = (a[keep] for a in (idx, x0, A10, A20, x, A1, A2))
     return found, dist
 
 
@@ -154,7 +157,9 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
     if pole is not None:
         raise pole
     # the ends from the same amplitudes, unreduced, so each is on the turns' side of the cut
-    theta0, theta_n = _lift(sn[[0, -1]], cn[[0, -1]], *modulus).tolist()
+    # with R_F per element: numpy's per-call cost would outweigh two points' work
+    rf = functools.partial(_each, carlson_rf)
+    theta0, theta_n = _lift(rf, sn[[0, -1]], cn[[0, -1]], *modulus).tolist()
     return ((_turns(sn, cn) + theta_n - theta0) / n_steps) % 1.0
 
 
@@ -243,17 +248,17 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     Ds, classes, alpha = _scan(*(float(v).hex() for v in (E, lo, hi)))
     if p % 2 == 1:
         alpha = np.where(classes == RealLocusClass.II_PLUS, math.nan, alpha)
-    grid = Ds.tolist()
-    vals = ((p * alpha + 0.5) % 1.0 - 0.5).tolist()  # defect() at every grid point
+    vals = (p * alpha + 0.5) % 1.0 - 0.5  # defect() at every grid point
+    f0, f1 = vals[:-1], vals[1:]
+    with np.errstate(invalid="ignore"):  # a NaN end fails each test, with no warning
+        # a sign change that is not two zeros, and not a wrap-around jump of the
+        # recentred defect (both ends near 1/2)
+        brackets = np.flatnonzero((f0 * f1 <= 0.0) & ~((f0 == 0.0) & (f1 == 0.0))
+                                  & ~(np.minimum(np.abs(f0), np.abs(f1)) > 0.45))
+    grid, vals = Ds.tolist(), vals.tolist()
     roots = []
-    for (D0, f0), (D1, f1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        # a NaN end fails the sign test
-        if not f0 * f1 <= 0.0 or f0 == 0.0 and f1 == 0.0:
-            continue
-        # drop wrap-around jumps of the recentred defect (both ends near 1/2)
-        if min(abs(f0), abs(f1)) > 0.45:
-            continue
-        root, f = _illinois(defect, D0, f0, D1, f1)
+    for i in brackets.tolist():
+        root, f = _illinois(defect, grid[i], vals[i], grid[i + 1], vals[i + 1])
         if abs(f) < 1e-8 and not any(abs(root - r) < 1e-7 for r in roots):
             roots.append(root)
     return sorted(roots)

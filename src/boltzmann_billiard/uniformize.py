@@ -41,8 +41,8 @@ from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _classes, _c
                        _k2_s0_inv, _require_nondegenerate, _z, derive_params)
 
 # Orientation of the analytic rotation number relative to the forward
-# collision map in the uniformizing angle theta; anchored per class against
-# the empirical winding (matches to 1e-12 on all tested parameter points).
+# collision map in the uniformizing angle theta, per class; pinned by
+# tests/test_uniformize.py::test_translation_and_j_laws_per_point.
 _ALPHA_SIGN = {
     RealLocusClass.I: -1.0,
     RealLocusClass.II_PLUS: 1.0,
@@ -171,10 +171,14 @@ def _unfold(r, sn, cn, at_pi):
     return np.where(sn < 0.0, 2.0 * at_pi - r, r)
 
 
-def _lift(sn, cn, mc, K, period) -> np.ndarray:
-    """theta in [0, 1] of the amplitudes from _amplitudes, not reduced mod 1."""
+def _lift(rf, sn, cn, mc, K, period) -> np.ndarray:
+    """theta in [0, 1] of the amplitudes from _amplitudes, not reduced mod 1.
+
+    rf is R_F over arrays, with the bits of carlson_rf: _carlson_rf_array for
+    many points, carlson_rf per element (elliptic._each) for a few.
+    """
     # F(phi | m) = |sn| R_F(cn^2, dn^2, 1) at the reference angle, with no 1 - sn^2 to cancel
-    f = np.abs(sn) * _carlson_rf_array(cn * cn, cn * cn + mc * (sn * sn), 1.0)
+    f = np.abs(sn) * rf(cn * cn, cn * cn + mc * (sn * sn), np.ones_like(cn))
     return _unfold(f, sn, cn, 2.0 * K) / period
 
 
@@ -187,7 +191,7 @@ def _turns(sn, cn) -> int:
 def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                 params: LevelSetParams) -> np.ndarray:
     """Angle theta in [0, 1) of every real-locus point (x, A1, A2): _amplitudes, then _lift."""
-    return _lift(*_amplitudes(x, A1, A2, params)) % 1.0
+    return _lift(_carlson_rf_array, *_amplitudes(x, A1, A2, params)) % 1.0
 
 
 def angle_of(c: ConfigPoint, params: LevelSetParams) -> AngleCoord:
@@ -206,7 +210,7 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     Class I integrates the one-component path from -1 to 1/s0 and divides
     by the circle period 4K''; classes II integrate from 1 (or -1) to s0
     and divide by 2K'.  The overall sign per class is the orientation
-    constant anchored against the empirical winding.
+    constant _ALPHA_SIGN.
     """
     _require_nondegenerate(params)
     sign = _ALPHA_SIGN[params.cls]

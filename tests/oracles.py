@@ -608,6 +608,48 @@ def scalar_poncelet_check(params, seed: int = 0):
                                 predicted == unanimous, residual)
 
 
+def scalar_find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
+    """find_periodic_locus with its brackets tested one scan interval at a time.
+
+    Reads the cached D scan (periods._scan) and refines with
+    periods._illinois, so a test that replaces either there gives both
+    paths the same; the brackets are selected per interval, in Python
+    floats.
+    """
+    from boltzmann_billiard import BilliardError, RealLocusClass, derive_params, periods
+
+    if p < 1:
+        raise ValueError("period must be positive")
+    if p == 1:
+        return []
+
+    def defect(D: float) -> float:
+        try:
+            a = periods.rotation_number(derive_params(D, E)).alpha
+        except BilliardError:
+            return math.nan
+        return (p * a + 0.5) % 1.0 - 0.5
+
+    lo, hi = D_range
+    Ds, classes, alpha = periods._scan(*(float(v).hex() for v in (E, lo, hi)))
+    if p % 2 == 1:
+        alpha = np.where(classes == RealLocusClass.II_PLUS, math.nan, alpha)
+    grid = Ds.tolist()
+    vals = ((p * alpha + 0.5) % 1.0 - 0.5).tolist()
+    roots = []
+    for (D0, f0), (D1, f1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
+        # a NaN end fails the sign test
+        if not f0 * f1 <= 0.0 or f0 == 0.0 and f1 == 0.0:
+            continue
+        # drop wrap-around jumps of the recentred defect (both ends near 1/2)
+        if min(abs(f0), abs(f1)) > 0.45:
+            continue
+        root, f = periods._illinois(defect, D0, f0, D1, f1)
+        if abs(f) < 1e-8 and not any(abs(root - r) < 1e-7 for r in roots):
+            roots.append(root)
+    return sorted(roots)
+
+
 # ---------------------------------------------------------------------------
 # scalar references for the columnar orbit path
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Periodicity: prediction from alpha, direct detection, Poncelet locus."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +236,41 @@ class TestLocusScan:
         fresh_scans()  # else the scans cached by the batched run are compared with themselves
         assert [find_periodic_locus(E, p) for E, p in cases] == batched
 
+    def test_brackets_match_interval_loop(self, monkeypatch):
+        # the array selection of the brackets against the per-interval loop: the brackets
+        # refined and the roots, on seeded cases and on a grid of energies, periods and D
+        # ranges (IIplus roots included), then on a scan of exact zeros, NaNs and wrap-arounds
+        refined = []
+        illinois = periods._illinois
+        monkeypatch.setattr(periods, "_illinois",
+                            lambda f, *ends: refined.append(ends) or illinois(f, *ends))
+
+        def brackets_and_roots(locus, case):
+            refined.clear()
+            roots = [r.hex() for r in locus(*case)]
+            return [tuple(map(float.hex, ends)) for ends in refined], roots
+
+        rng = random.Random(20261018)
+        cases = []
+        for _ in range(300):
+            E, p, lo = rng.uniform(-0.5, 1.0), rng.randint(2, 9), rng.uniform(-3.0, 2.5)
+            cases.append((E, p, (lo, lo + rng.uniform(0.2, 4.0))))
+        cases += [(E, p, D_range) for E in (-0.3, -0.2, -0.0436, 0.0136, 0.2427, 0.5)
+                  for p in range(2, 10) for D_range in ((-1.99, 3.5), (-6.0, 6.0), (0.0, 2.0))]
+        got = [brackets_and_roots(find_periodic_locus, case) for case in cases]
+        assert got == [brackets_and_roots(oracles.scalar_find_periodic_locus, case)
+                       for case in cases]
+        assert sum(len(roots) for _, roots in got) == 565
+        # with p = 2 these alphas give the defects 0.2, 0, 0, 0.2, 0.48, -0.48, NaN, -0.4, -0.1,
+        # 0, 0, 0.4, -0.4, -0.48, 0.48, 0.2
+        alpha = np.array([0.1, 0.0, 0.0, 0.1, 0.24, 0.26, math.nan, 0.3, 0.95, 0.5, 0.5, 0.2,
+                          0.3, 0.26, 0.24, 0.1])
+        scan = (np.linspace(0.2, 1.8, alpha.size), np.full(alpha.size, RealLocusClass.I), alpha)
+        monkeypatch.setattr(periods, "_scan", lambda *key: scan)
+        got = brackets_and_roots(find_periodic_locus, (-0.2, 2))
+        assert len(got[0]) == 5
+        assert got == brackets_and_roots(oracles.scalar_find_periodic_locus, (-0.2, 2))
+
     def test_scan_reused_across_periods(self, fresh_scans):
         # IIplus cells lie past D = 2: odd p masks them, even p finds roots there
         E, D_range, ps = -0.12, (0.0, 3.5), range(3, 9)
@@ -305,6 +342,11 @@ def outcome(fn, *args, shown=float.hex, **kwargs):
         return type(exc), str(exc)
 
 
+# just off the period-3 locus through (7/4, -5/24): 43 of the 100 starts of seed 2 come
+# within _RETURN_TOL at step 3, the other 57 never return
+MIXED_RETURNS = (derive_params(1.75 + 3e-9, -5.0 / 24.0), 2)
+
+
 class TestBatchedMatchesScalar:
     """poncelet_check and empirical_rotation against their point-by-point references."""
 
@@ -321,9 +363,17 @@ class TestBatchedMatchesScalar:
 
     @given(oracles.level_sets(), st.integers(0, 2**16))
     @example(derive_params(0.0, 1e-8), 1)  # start 20 meets A1^2 = 1 at step 11: a PoleError
+    @example(*MIXED_RETURNS)  # some starts return at step 3, the rest never
     def test_poncelet_check_repr(self, params, seed):
         got = outcome(poncelet_check, params, seed=seed, shown=repr)
         assert got == outcome(oracles.scalar_poncelet_check, params, seed=seed, shown=repr)
+
+    def test_mixed_returns_split(self):
+        # the example above drops the returned starts on a step where others search on
+        params, seed = MIXED_RETURNS
+        found, _ = periods._first_returns(*periods._sample_xyz(params, periods._N_STARTS, seed),
+                                          params)
+        assert Counter(found) == {3: 43, None: 57}
 
     @pytest.mark.parametrize("fixture,detected", [("params_i", None), ("params_period3", 3),
                                                   ("params_ii_plus", None)])

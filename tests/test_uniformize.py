@@ -1,7 +1,10 @@
 """Angle coordinates on the level set and the rotation number of t."""
 
 import dataclasses
+import itertools
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,13 +20,16 @@ from boltzmann_billiard import (
     dalpha_dD,
     derive_params,
     empirical_rotation,
+    i_fixed_point,
     level_set_residual,
     map_t,
     rotation_number,
     sample_level_set,
     uniformize,
 )
+from boltzmann_billiard.levelset import _reflect
 from boltzmann_billiard.periods import config_distance
+from boltzmann_billiard.poincare import _sample_xyz, map_t_array
 from boltzmann_billiard.uniformize import theta_array
 
 import oracles
@@ -152,6 +158,49 @@ def test_single_step_conjugacy(D, E):
         if params.cls is not RealLocusClass.I:
             expected_eps = (eps + 1) % 2 if rot.flips_component else eps
             assert a_next.eps == expected_eps
+
+
+# the sampled (D, E) where theta(t c) - theta(c) - alpha misses 1e-12, both by the float
+# rounding of the step, which theta amplifies: at the first a start's image lies 4.6e5 out
+# along the wall, where 1 - A1^2 cancels; the second is in IIminus next to D = -2
+LAW_BREAKS = {(1.524873287205999, 0.10518444534189131), (-2.00015914644669, 1.0504038791622308)}
+
+
+def test_translation_and_j_laws_per_point():
+    # the proof's mechanism at single points: t translates theta by alpha, and j reflects
+    # it, theta(c) + theta(j c) = alpha - a with a = 1/2 in class I and 0 in classes II;
+    # a wrong _ALPHA_SIGN breaks both laws
+    rng = random.Random(20261019)
+    counts, breaks = Counter(), set()
+    for seed in itertools.count():  # one (D, E) per draw, and the seed of its starts
+        if counts.total() == 2000:
+            break
+        D, E = rng.uniform(-6.0, 6.0), rng.uniform(-0.5, 3.0)
+        params = derive_params(D, E)
+        if not params.nondegenerate:
+            continue
+        counts[params.cls] += 1
+        alpha = rotation_number(params).alpha
+        a = 0.5 if params.cls is RealLocusClass.I else 0.0
+        x, A1, A2 = _sample_xyz(params, 20, seed)
+        theta = theta_array(x, A1, A2, params)
+        t_law = theta_array(*map_t_array(x, A1, A2, params), params) - theta - alpha
+        j_law = theta + theta_array(x, *_reflect(x, A1, A2, E), params) + a - alpha
+        assert np.abs((j_law + 0.5) % 1.0 - 0.5).max() <= 1e-12, (D, E)
+        if np.abs((t_law + 0.5) % 1.0 - 0.5).max() > 1e-12:
+            breaks.add((D, E))
+    assert breaks == LAW_BREAKS
+    assert set(counts) == {RealLocusClass.I, RealLocusClass.II_PLUS, RealLocusClass.II_MINUS}
+    assert min(counts.values()) >= 250, counts
+
+
+@pytest.mark.parametrize("D,E", [(1.5, -0.2), (0.5, -0.2), (0.3, 0.4), (-1.9, 1.2)])
+def test_i_fixed_points_at_quarter_turns(D, E):
+    # class I: i is theta -> 1/2 - theta, so it fixes theta = 1/4 and 3/4, the radial conics
+    params = derive_params(D, E)
+    assert params.cls is RealLocusClass.I
+    for theta, fixed in ((0.25, True), (0.75, True), (0.0, False), (0.5, False), (0.1, False)):
+        assert i_fixed_point(uniformize(AngleCoord(theta), params), params) is fixed
 
 
 @pytest.mark.parametrize("D,E", [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)])
