@@ -16,14 +16,11 @@ from .elliptic import (
     complete_K,
     complete_Kp,
     complete_Kpp,
-    jacobi_sn_cn_dn,
     legendre_F,
-    legendre_F_phi,
 )
 from .errors import (
     ArcUnsupportedError,
     BilliardError,
-    ClassChangeError,
     DomainError,
     EmptyLocusError,
     EndpointSingularityError,
@@ -74,7 +71,6 @@ from .uniformize import (
     AngleCoord,
     RotationData,
     angle_of,
-    dalpha_dD,
     rotation_grid,
     rotation_number,
     uniformize,
@@ -87,7 +83,6 @@ __all__ = [
     "ArcUnsupportedError",
     "BilliardError",
     "BOUNDARY_TOL",
-    "ClassChangeError",
     "ConfigPoint",
     "ConservedSet",
     "DomainError",
@@ -109,7 +104,6 @@ __all__ = [
     "complete_Kpp",
     "component_curve",
     "conserved_quantities",
-    "dalpha_dD",
     "derive_params",
     "detect_period_direct",
     "empirical_rotation",
@@ -119,9 +113,7 @@ __all__ = [
     "involution_i",
     "involution_j",
     "iterate_orbit",
-    "jacobi_sn_cn_dn",
     "legendre_F",
-    "legendre_F_phi",
     "level_set_residual",
     "map_t",
     "other_wall_root",

@@ -7,8 +7,9 @@ arithmetic-geometric mean, incomplete ones go through Carlson's symmetric
 form R_F evaluated with the duplication theorem, and Jacobi sn, cn, dn on
 the real axis use the AGM descent with a backward recurrence.
 
-The AGM, K, R_F and sn cn dn have array twins named *_array for the
-batched kernels of uniformize; _each says how each twin agrees.
+The AGM, K and R_F have array twins named *_array for the batched kernels
+of uniformize; _each says how each twin agrees.  sn, cn, dn exist only as
+the array kernel _sncndn_array, for 0 <= m < 1.
 
 Everything here is a pure function of its arguments and thread-safe.
 """
@@ -236,107 +237,45 @@ def seg_case_ii_plus(x: float, m) -> float:
     return legendre_F(min(1.0, sn), mc)
 
 
-def _jacobi_descent(emc: float):
-    """AGM descent of the Jacobi functions for emc = 1 - m in (0, 1).
-
-    Returns the argument scale c and the (a, sqrt(emc)) pairs of the
-    descent in the order the backward recurrence consumes them.  It depends
-    on the modulus only, so batched evaluations run it once.
-    """
-    a = 1.0
-    em = []
-    en = []
-    c = 0.0
-    for _ in range(16):
-        em.append(a)
-        emc = math.sqrt(emc)
-        en.append(emc)
-        c = 0.5 * (a + emc)
-        if abs(a - emc) <= _JACOBI_CA * a:
-            break
-        emc = emc * a
-        a = c
-    return c, tuple(zip(reversed(em), reversed(en)))
-
-
-def _sncndn_core(u: float, emc: float):
-    """sn, cn, dn on the real axis for emc = 1 - m in (0, 1].
+def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobi sn, cn, dn at every real element of u, for emc = 1 - m in (0, 1].
 
     AGM descent with backward recurrence; final accuracy is of order
-    _JACOBI_CA squared, i.e. close to double rounding.
-    """
-    if emc == 1.0:  # m = 0
-        return math.sin(u), math.cos(u), 1.0
-    if abs(u) < 1e-8:
-        # the backward recurrence divides by sn; series it out instead
-        return _sncndn_series(u, 1.0 - emc)
-    c, steps = _jacobi_descent(emc)
-    dn = 1.0
-    u = c * u
-    sn = math.sin(u)
-    cn = math.cos(u)
-    if sn != 0.0:
-        c, dn = _backward(c, sn, cn, dn, steps)
-        a = 1.0 / math.sqrt(c * c + 1.0)
-        sn = a if sn >= 0.0 else -a
-        cn = c * sn
-    return sn, cn, dn
-
-
-def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_sncndn_core(u, emc) at every element of u.
-
-    The AGM descent depends on emc only, so it runs once, in scalar code;
-    only the backward recurrence runs over the array.
+    _JACOBI_CA squared, i.e. close to double rounding.  The descent depends
+    on emc only, so it runs once, in scalar code; only the recurrence runs
+    over the array.  Where |u| < 1e-8 the recurrence would divide by sn, and
+    the leading terms of the series in u stand in.  This is the package's
+    only sn, cn, dn; tests/oracles.py keeps a scalar twin that agrees bit
+    for bit.
     """
     if emc == 1.0:  # m = 0
         return _each(math.sin, u), _each(math.cos, u), np.ones_like(u)
-    c, steps = _jacobi_descent(emc)
+    a, e, steps = 1.0, emc, []
+    for _ in range(16):
+        e = math.sqrt(e)
+        steps.append((a, e))
+        c = 0.5 * (a + e)
+        if abs(a - e) <= _JACOBI_CA * a:
+            break
+        e = e * a
+        a = c
     v = c * u
-    sn, cn = _each(math.sin, v), _each(math.cos, v)
-    # sn = 0 only at u = 0, whose elements the series mask below overwrites
+    sn, cn, dn = _each(math.sin, v), _each(math.cos, v), np.ones_like(u)
+    # sn = 0 only at u = 0, whose elements the series below overwrites
     with np.errstate(all="ignore"):
-        c, dn = _backward(c, sn, cn, np.ones_like(u), steps)
+        a = cn / sn
+        c = c * a
+        for b, e in reversed(steps):
+            a = c * a
+            c = c * dn
+            dn = (e + a) / (b + a)
+            a = c / b
         a = 1.0 / np.sqrt(c * c + 1.0)
         sn = np.where(sn >= 0.0, a, -a)
         cn = c * sn
     small = np.abs(u) < 1e-8
     if small.any():
-        series = _sncndn_series(u, 1.0 - emc)
+        m, u2 = 1.0 - emc, u * u
+        series = u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
         sn, cn, dn = (np.where(small, t, v) for t, v in zip(series, (sn, cn, dn)))
     return sn, cn, dn
-
-
-def _sncndn_series(u, m):
-    """The leading terms of the series of sn, cn, dn in u, on floats or arrays."""
-    u2 = u * u
-    return u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
-
-
-def _backward(c, sn, cn, dn, steps):
-    """The backward recurrence of the descent, on floats or arrays; returns the last c and dn."""
-    a = cn / sn
-    c = c * a
-    for b, e in steps:
-        a = c * a
-        c = c * dn
-        dn = (e + a) / (b + a)
-        a = c / b
-    return c, dn
-
-
-def jacobi_sn_cn_dn(u: float, m: float):
-    """Jacobi sn, cn, dn for real argument u and squared modulus m < 1.
-
-    Negative m is routed through the imaginary-modulus transformation,
-    which maps to the modulus m1 = -m/(1-m) in (0, 1); dn of that modulus
-    is bounded away from zero, so the transformed values are pole-free.
-    """
-    if not m < 1.0:
-        raise DomainError(f"squared modulus must be < 1 (got {float(m)!r})")
-    if m < 0.0:
-        kap = math.sqrt(1.0 / (1.0 - m))
-        m1 = -m / (1.0 - m)
-        s, c, d = _sncndn_core(u / kap, 1.0 - m1)
-        return kap * s / d, c / d, 1.0 / d
-    return _sncndn_core(u, 1.0 - m)

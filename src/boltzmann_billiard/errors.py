@@ -25,10 +25,6 @@ class NearDegenerateError(BilliardError):
     """Parameters too close to a degenerate locus for reliable evaluation."""
 
 
-class ClassChangeError(BilliardError):
-    """A parameter perturbation crossed a classification boundary."""
-
-
 class ArcUnsupportedError(BilliardError):
     """Trajectory arc passes through infinity (only possible for E >= 0)."""
 

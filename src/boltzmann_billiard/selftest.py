@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import complete_K, complete_Kp, jacobi_sn_cn_dn, legendre_F_phi
+from .elliptic import _sncndn_array, complete_K, complete_Kp, legendre_F_phi
 from .errors import BilliardError
 from .kepler import conserved_quantities, phase_from_config
 from .levelset import RealLocusClass, derive_params, level_set_residual
@@ -67,11 +67,16 @@ def check_special_functions() -> CheckResult:
     n = 400
     for i in range(n):
         m = -3.0 + 3.9 * i / (n - 1)          # spans negative and 0 < m < 0.9
-        K = complete_K(m)
-        for j in range(7):
-            u = (j / 6.0 - 0.5) * 3.8 * K
-            s, c, d = jacobi_sn_cn_dn(u, m)
-            worst = max(worst, abs(s * s + c * c - 1.0), abs(d * d + m * s * s - 1.0))
+        u = (np.arange(7) / 6.0 - 0.5) * 3.8 * complete_K(m)
+        if m < 0.0:  # the imaginary-modulus step to the modulus m1 in (0, 1)
+            kap = math.sqrt(1.0 / (1.0 - m))
+            m1 = -m / (1.0 - m)
+            s, c, d = _sncndn_array(u / kap, 1.0 - m1)
+            s, c, d = kap * s / d, c / d, 1.0 / d
+        else:
+            s, c, d = _sncndn_array(u, 1.0 - m)
+        worst = max(worst, float(np.abs(s * s + c * c - 1.0).max()),
+                    float(np.abs(d * d + m * s * s - 1.0).max()))
         worst = max(worst, abs(legendre_F_phi(math.pi / 2.0, min(m, 0.9)) -
                                complete_K(min(m, 0.9))))
     worst = max(worst, abs(complete_Kp(0.5) - complete_K(0.5)))

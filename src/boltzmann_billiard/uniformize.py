@@ -24,6 +24,17 @@ modulus mc = 1 - k2 and v = 2 K' theta,
     z = (-1)^eps C dn(v)   (component eps = 0 is the z > 0 circle).
 
 The wall abscissa follows from z = (1 - A1^2) x + A1 (A2 + D).
+
+In theta the involutions i and j are reflections of the circle, and
+t = j o i is their composite:
+
+    class   i                     j                             components swapped by
+    I       theta -> 1/2 - theta  theta -> alpha - 1/2 - theta  neither
+    II+     theta -> -theta       theta -> alpha - theta        i
+    II-     theta -> -theta       theta -> alpha - theta        i and j
+
+so t swaps components (RotationData.flips_component) exactly when one of
+i, j does; tests/test_uniformize.py pins the j law and the swaps.
 """
 
 from __future__ import annotations
@@ -36,9 +47,9 @@ import numpy as np
 from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K_array,
                        _sncndn_array, complete_K, complete_Kp, complete_Kpp, seg_case_i,
                        seg_case_ii_plus)
-from .errors import ClassChangeError, DomainError, NearDegenerateError, PoleError
+from .errors import DomainError, NearDegenerateError, PoleError
 from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _classes, _classify, _columns,
-                       _k2_s0_inv, _require_nondegenerate, _z, derive_params)
+                       _k2_s0_inv, _require_nondegenerate, _z)
 
 # Orientation of the analytic rotation number relative to the forward
 # collision map in the uniformizing angle theta, per class; pinned by
@@ -50,7 +61,6 @@ _ALPHA_SIGN = {
 }
 
 _ENDPOINT_GUARD = 1e-10  # distance of s0 from a branch point below which alpha is refused
-_DALPHA_STEP = 1e-5  # step in D of the central difference in dalpha_dD
 
 
 @dataclass(frozen=True)
@@ -294,19 +304,3 @@ def rotation_grid(D, E) -> tuple[np.ndarray, np.ndarray]:
     """
     code, alpha = _grid_codes(D, E)
     return _classes(code), alpha
-
-
-def dalpha_dD(params: LevelSetParams) -> float:
-    """Central-difference derivative of the rotation number in D.
-
-    Raises ClassChangeError when D +/- _DALPHA_STEP crosses a class boundary.
-    """
-    _require_nondegenerate(params)
-    lo = derive_params(params.D - _DALPHA_STEP, params.E)
-    hi = derive_params(params.D + _DALPHA_STEP, params.E)
-    if lo.cls is not params.cls or hi.cls is not params.cls:
-        raise ClassChangeError(f"D +/- {_DALPHA_STEP!r} crosses a class boundary at D={params.D!r}")
-    a_lo = rotation_number(lo).alpha
-    a_hi = rotation_number(hi).alpha
-    d = (a_hi - a_lo + 0.5) % 1.0 - 0.5  # shortest circular increment
-    return d / (2.0 * _DALPHA_STEP)

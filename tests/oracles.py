@@ -186,10 +186,78 @@ def carlson_rf_ref(x: float, y: float, z: float) -> float:
     return float(special.elliprf(x, y, z))
 
 
-def _sncndn_real(u: float, m: float):
-    """The package's real-axis sn, cn, dn, extended to m = 1 by the tanh limit."""
-    from boltzmann_billiard import jacobi_sn_cn_dn
+# ---------------------------------------------------------------------------
+# scalar Jacobi sn, cn, dn: the twin of elliptic._sncndn_array, written out in
+# full so that the two share no helper
+# ---------------------------------------------------------------------------
 
+_JACOBI_CA = 1e-9  # AGM descent cutoff of elliptic._sncndn_array
+
+
+def _sncndn_core(u: float, emc: float):
+    """sn, cn, dn on the real axis for emc = 1 - m in (0, 1], in Python floats.
+
+    AGM descent with backward recurrence, and the leading series terms where
+    |u| < 1e-8, op for op as elliptic._sncndn_array does them over arrays.
+    """
+    if emc == 1.0:  # m = 0
+        return math.sin(u), math.cos(u), 1.0
+    if abs(u) < 1e-8:
+        # the backward recurrence divides by sn; series it out instead
+        m, u2 = 1.0 - emc, u * u
+        return u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
+    a = 1.0
+    em = []
+    en = []
+    c = 0.0
+    for _ in range(16):
+        em.append(a)
+        emc = math.sqrt(emc)
+        en.append(emc)
+        c = 0.5 * (a + emc)
+        if abs(a - emc) <= _JACOBI_CA * a:
+            break
+        emc = emc * a
+        a = c
+    dn = 1.0
+    u = c * u
+    sn = math.sin(u)
+    cn = math.cos(u)
+    if sn != 0.0:
+        a = cn / sn
+        c = c * a
+        for b, e in zip(reversed(em), reversed(en)):
+            a = c * a
+            c = c * dn
+            dn = (e + a) / (b + a)
+            a = c / b
+        a = 1.0 / math.sqrt(c * c + 1.0)
+        sn = a if sn >= 0.0 else -a
+        cn = c * sn
+    return sn, cn, dn
+
+
+def jacobi_sn_cn_dn(u: float, m: float):
+    """Jacobi sn, cn, dn for real argument u and squared modulus m < 1.
+
+    Negative m is routed through the imaginary-modulus transformation,
+    which maps to the modulus m1 = -m/(1-m) in (0, 1); dn of that modulus
+    is bounded away from zero, so the transformed values are pole-free.
+    """
+    from boltzmann_billiard import DomainError
+
+    if not m < 1.0:
+        raise DomainError(f"squared modulus must be < 1 (got {float(m)!r})")
+    if m < 0.0:
+        kap = math.sqrt(1.0 / (1.0 - m))
+        m1 = -m / (1.0 - m)
+        s, c, d = _sncndn_core(u / kap, 1.0 - m1)
+        return kap * s / d, c / d, 1.0 / d
+    return _sncndn_core(u, 1.0 - m)
+
+
+def _sncndn_real(u: float, m: float):
+    """jacobi_sn_cn_dn, extended to m = 1 by the tanh limit."""
     if m == 1.0:
         sn = math.tanh(u)
         cn = 1.0 / math.cosh(u)
@@ -226,7 +294,7 @@ def jacobi_sn_cn_dn_complex(u, m: float, line_tol: float = 1e-9):
     translates of the supported lines work too.  Off-line arguments raise
     DomainError.
     """
-    from boltzmann_billiard import DomainError, complete_K, jacobi_sn_cn_dn
+    from boltzmann_billiard import DomainError, complete_K
 
     if not m < 1.0:
         raise DomainError(f"squared modulus must be < 1 (got {float(m)!r})")
@@ -308,7 +376,7 @@ def scalar_uniformize(a, params):
     Raises PoleError where the wall abscissa is at infinity (A1^2 = 1).
     """
     from boltzmann_billiard import (AngleCoord, ConfigPoint, DomainError, RealLocusClass,
-                                    complete_K, jacobi_sn_cn_dn)
+                                    complete_K)
 
     _require_nondegenerate(params)
     if not isinstance(a, AngleCoord):
@@ -460,6 +528,15 @@ def scalar_project_onto_level_set(c, params):
 
 def central_diff(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def alpha_slope(D: float, E: float, h: float = 1e-5) -> float:
+    """Central difference of the rotation number in D, by its shortest circular increment."""
+    from boltzmann_billiard import derive_params, rotation_number
+
+    lo = rotation_number(derive_params(D - h, E)).alpha
+    hi = rotation_number(derive_params(D + h, E)).alpha
+    return ((hi - lo + 0.5) % 1.0 - 0.5) / (2.0 * h)
 
 
 def wrapped_diff(a: float, b: float) -> float:

@@ -951,6 +951,13 @@ class TestSelftest:
         assert "all checks passed" in out
         assert out.count("ok") >= 7
 
+    def test_output_pinned(self):
+        # the whole report, residual lines included, so a changed worst residual shows
+        code, out, err = run_quiet(["selftest"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9e1b75a9dc40c2c55d0f46d0b45ebcc6d08241bee49db32ff098ada2f74a0f1f")
+
     def test_forced_failure(self, capsys, monkeypatch):
         def always_fails():
             return selftest.CheckResult("forced-failure", False, "always fails")

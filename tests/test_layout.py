@@ -1,8 +1,9 @@
 """Static checks of the source tree: its imports (place, use, graph), its one
-degenerate-set refusal and the tracer names."""
+degenerate-set refusal, the callers of its public functions and the tracer names."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -93,6 +94,43 @@ def test_one_degenerate_set_refusal():
                   if isinstance(node, ast.Raise)
                   and "degenerate level set" in ast.get_source_segment(text, node)]
     assert [name for name, _ in sites] == ["levelset.py"], sites
+
+
+# the README's single-point API: documented for users, so it needs no caller in the tree
+SINGLE_POINT_API = {"detect_period_direct", "i_fixed_point", "project_onto_level_set",
+                    "reflect_at_wall"}
+
+
+def references(path: pathlib.Path) -> set:
+    """Names a file uses (loaded names, attributes, string literals), outside the def of each."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            found.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            found.update({node.attr} - inside)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update({node.value} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(parse(path), frozenset())
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # a public function is called by another package module, a script or the benchmark,
+    # or is part of the documented single-point API
+    package = importlib.import_module("boltzmann_billiard")
+    functions = {name for name in package.__all__ if inspect.isfunction(getattr(package, name))}
+    assert SINGLE_POINT_API <= functions
+    files = [PACKAGE / f"{name}.py" for name in MODULES if name != "__init__"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*map(references, files))
+    assert sorted(functions - used - SINGLE_POINT_API) == []
 
 
 def tracer_table(name: str):

@@ -11,16 +11,16 @@ import pytest
 
 from boltzmann_billiard import (
     AngleCoord,
-    ClassChangeError,
     DomainError,
     NearDegenerateError,
     RealLocusClass,
     angle_of,
     component_curve,
-    dalpha_dD,
     derive_params,
     empirical_rotation,
     i_fixed_point,
+    involution_i,
+    involution_j,
     level_set_residual,
     map_t,
     rotation_number,
@@ -203,6 +203,23 @@ def test_i_fixed_points_at_quarter_turns(D, E):
         assert i_fixed_point(uniformize(AngleCoord(theta), params), params) is fixed
 
 
+@pytest.mark.parametrize("D,E,i_swaps,j_swaps", [
+    (2.5, -0.1, True, False), (3.2, 0.4, True, False),    # II+
+    (-2.5, 1.5, True, True), (-3.0, 2.0, True, True),     # II-
+])
+def test_flips_component_is_i_xor_j(D, E, i_swaps, j_swaps):
+    # classes II: the component is the sign of z; i and j swap it at every start or at none, as
+    # the table in the uniformize docstring says, and t = j o i swaps it when exactly one does
+    params = derive_params(D, E)
+    starts = sample_level_set(params, 50, seed=0)
+
+    def swaps(f):
+        return {(f(c, params).z(params) > 0.0) != (c.z(params) > 0.0) for c in starts}
+
+    assert (swaps(involution_i), swaps(involution_j)) == ({i_swaps}, {j_swaps})
+    assert swaps(map_t) == {rotation_number(params).flips_component} == {i_swaps != j_swaps}
+
+
 @pytest.mark.parametrize("D,E", [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)])
 def test_analytic_equals_empirical(D, E):
     params = derive_params(D, E)
@@ -254,21 +271,9 @@ class TestAlphaDerivative:
 
     @pytest.mark.parametrize("D,E,slope", FIXTURES)
     def test_frozen_values(self, D, E, slope):
-        got = dalpha_dD(derive_params(D, E))
+        got = oracles.alpha_slope(D, E)
         assert got == pytest.approx(slope, abs=5e-5)
         assert abs(got) > 1e-6  # alpha moves with D: the map is a twist
-
-    def test_matches_external_difference(self, params_i):
-        h = 1e-5
-        lo = rotation_number(derive_params(params_i.D - h, params_i.E)).alpha
-        hi = rotation_number(derive_params(params_i.D + h, params_i.E)).alpha
-        ref = ((hi - lo + 0.5) % 1.0 - 0.5) / (2.0 * h)
-        assert dalpha_dD(params_i) == pytest.approx(ref, rel=1e-12)
-
-    def test_class_change_detected(self):
-        p = derive_params(2.0 + 2e-6, -0.1)
-        with pytest.raises(ClassChangeError):
-            dalpha_dD(p)
 
 
 def test_component_curve_on_set(params_i, params_ii_plus):
