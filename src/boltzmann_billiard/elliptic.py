@@ -243,10 +243,11 @@ def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np
     AGM descent with backward recurrence; final accuracy is of order
     _JACOBI_CA squared, i.e. close to double rounding.  The descent depends
     on emc only, so it runs once, in scalar code; only the recurrence runs
-    over the array.  Where |u| < 1e-8 the recurrence would divide by sn, and
-    the leading terms of the series in u stand in.  This is the package's
-    only sn, cn, dn; tests/oracles.py keeps a scalar twin that agrees bit
-    for bit.
+    over the array.  Where |u| < 1e-8 the recurrence would divide by sn,
+    and (u, 1, 1) stands in: there the next terms of the series in u, of
+    relative size (1 + m) u^2 / 6, u^2 / 2 and m u^2 / 2, are below half an
+    ulp of 1 (5.5e-17) and round away.  This is the package's only sn, cn,
+    dn; tests/oracles.py keeps a scalar twin that agrees bit for bit.
     """
     if emc == 1.0:  # m = 0
         return _each(math.sin, u), _each(math.cos, u), np.ones_like(u)
@@ -261,7 +262,7 @@ def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np
         a = c
     v = c * u
     sn, cn, dn = _each(math.sin, v), _each(math.cos, v), np.ones_like(u)
-    # sn = 0 only at u = 0, whose elements the series below overwrites
+    # sn = 0 only at u = 0, whose elements are overwritten below
     with np.errstate(all="ignore"):
         a = cn / sn
         c = c * a
@@ -275,7 +276,5 @@ def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np
         cn = c * sn
     small = np.abs(u) < 1e-8
     if small.any():
-        m, u2 = 1.0 - emc, u * u
-        series = u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
-        sn, cn, dn = (np.where(small, t, v) for t, v in zip(series, (sn, cn, dn)))
+        sn, cn, dn = np.where(small, u, sn), np.where(small, 1.0, cn), np.where(small, 1.0, dn)
     return sn, cn, dn

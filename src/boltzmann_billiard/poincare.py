@@ -105,6 +105,7 @@ def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
 
 _CHECK_BLOCK = 4096  # map steps between the array checks of an orbit
 _CURVE_POINTS = 257  # points of a component_curve, the first and last both at theta = 0
+_last_sample = (None, np.empty((3, 0)), 0)  # _sample_xyz's key, read-only points, candidates tried
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,14 +256,25 @@ def _theta_candidates(params: LevelSetParams, rng, k: int) -> np.ndarray:
 
 
 def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
-    """sample_level_set's points as the rows x, A1, A2 of a (3, m) array."""
+    """sample_level_set's points as the rows x, A1, A2 of a read-only (3, m) array.
+
+    The last draw is kept, keyed on repr(params) (exact in every float, signed
+    zeros too) and an integer seed (other seeds draw afresh); a request for m
+    of its points gets them when it has m and tried no more candidates than
+    a draw of m may.
+    """
+    global _last_sample
     if params.cls is RealLocusClass.EMPTY:
         raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
     _require_nondegenerate(params)
     if m < 0:
         raise ValueError(f"sampling needs m >= 0 points (got {m})")
-    rng = np.random.default_rng(seed)
     limit = 100 * m + 1000  # candidates tried before giving up
+    key = (repr(params), int(seed)) if isinstance(seed, (int, np.integer)) else object()
+    last_key, last, last_tried = _last_sample
+    if key == last_key and m <= last.shape[1] and last_tried <= limit:
+        return last[:, :m]
+    rng = np.random.default_rng(seed)
     blocks = [np.empty((3, 0))]
     got = tried = 0
     while got < m:
@@ -272,7 +284,10 @@ def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
         blocks.append(_theta_candidates(params, rng, k))
         got += blocks[-1].shape[1]
         tried += k
-    return np.concatenate(blocks, axis=1)
+    xyz = np.concatenate(blocks, axis=1)
+    xyz.flags.writeable = False
+    _last_sample = key, xyz, tried
+    return xyz
 
 
 def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
@@ -287,7 +302,8 @@ def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
 
     The candidates are evaluated in blocks, as many at a time as points are
     still missing; the draws do not depend on the outcomes, so the points
-    are those of a one-at-a-time loop.
+    are those of a one-at-a-time loop.  For the same reason the last draw
+    is kept: m points of it are those of a fresh draw of m.
     """
     return list(map(ConfigPoint, *_sample_xyz(params, m, seed).tolist()))
 

@@ -15,7 +15,23 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-from boltzmann_billiard import derive_params  # noqa: E402
+from boltzmann_billiard import derive_params, poincare  # noqa: E402
+
+_NO_SAMPLE = poincare._last_sample  # the sampling memo before any draw
+
+
+@pytest.fixture(autouse=True)
+def fresh_samples():
+    """Clear poincare's memo of the last draw before each test, and hand out the clearing.
+
+    A test that patches uniformize_array or level_set_residual_array then
+    draws afresh, instead of reading points an earlier test drew unpatched.
+    """
+    def clear():
+        poincare._last_sample = _NO_SAMPLE
+
+    clear()
+    return clear
 
 
 @pytest.fixture(scope="session")

@@ -197,15 +197,14 @@ _JACOBI_CA = 1e-9  # AGM descent cutoff of elliptic._sncndn_array
 def _sncndn_core(u: float, emc: float):
     """sn, cn, dn on the real axis for emc = 1 - m in (0, 1], in Python floats.
 
-    AGM descent with backward recurrence, and the leading series terms where
-    |u| < 1e-8, op for op as elliptic._sncndn_array does them over arrays.
+    AGM descent with backward recurrence, and (u, 1, 1) where |u| < 1e-8, op
+    for op as elliptic._sncndn_array does them over arrays.
     """
     if emc == 1.0:  # m = 0
         return math.sin(u), math.cos(u), 1.0
     if abs(u) < 1e-8:
-        # the backward recurrence divides by sn; series it out instead
-        m, u2 = 1.0 - emc, u * u
-        return u * (1.0 - (1.0 + m) * u2 / 6.0), 1.0 - 0.5 * u2, 1.0 - 0.5 * m * u2
+        # the backward recurrence divides by sn; the series in u rounds to u, 1, 1
+        return u, 1.0, 1.0
     a = 1.0
     em = []
     en = []

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -374,3 +375,21 @@ class TestArrayTwins:
                             [0.0, -0.0, 5e-324, 1e-8, -1e-8, math.nextafter(1e-8, 0.0)]])
         got = list(zip(*map(hexes, elliptic._sncndn_array(u, emc))))
         assert got == [tuple(hexes(oracles._sncndn_core(v, emc))) for v in u.tolist()]
+
+    @pytest.mark.parametrize("emc", [0.5, 1e-12])
+    def test_sncndn_small_u_exact(self, emc):
+        # m = 0.5 and m = 1 - 1e-12: below |u| = 1e-8, sn, cn, dn are u, 1, 1
+        # correctly rounded, by 40-digit values where u is not near 0 (there
+        # mpmath's own error, about 1e-47, is larger than u)
+        rng = np.random.default_rng(9)
+        edge = math.nextafter(1e-8, 0.0)
+        u = np.concatenate([1e-8 * rng.uniform(-1.0, 1.0, 200),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e-300, edge, -edge]])
+        sn, cn, dn = elliptic._sncndn_array(u, emc)
+        assert hexes(sn) == hexes(u)
+        assert hexes(cn) == hexes(dn) == hexes(np.ones_like(u))
+        with mpmath.workdps(40):
+            m = 1 - mpmath.mpf(emc)
+            for v in u[:200:10].tolist() + [edge, -edge]:
+                want = [float(mpmath.ellipfun(kind, v, m)) for kind in ("sn", "cn", "dn")]
+                assert hexes(want) == hexes([v, 1.0, 1.0])

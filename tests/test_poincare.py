@@ -18,6 +18,7 @@ from boltzmann_billiard import (
     RealLocusClass,
     conserved_quantities,
     derive_params,
+    empirical_rotation,
     i_fixed_point,
     implied_invariants,
     involution_i,
@@ -26,6 +27,7 @@ from boltzmann_billiard import (
     level_set_residual,
     map_t,
     phase_from_config,
+    poncelet_check,
     reflect_at_wall,
     component_curve,
     sample_level_set,
@@ -554,6 +556,134 @@ class TestBlockSampling:
         assert sample_level_set(params_i, 0) == []
         with pytest.raises(ValueError, match=r"m >= 0 points \(got -2\)"):
             sample_level_set(params_i, -2)
+
+
+def xyz_hexes(xyz):
+    return [[v.hex() for v in row] for row in xyz.tolist()]
+
+
+def counted_candidates(monkeypatch):
+    """Record the size of each block of candidates that uniformize_array evaluates."""
+    kernel, blocks = poincare.uniformize_array, []
+
+    def counted(theta, eps, params):
+        blocks.append(len(theta))
+        return kernel(theta, eps, params)
+
+    monkeypatch.setattr(poincare, "uniformize_array", counted)
+    return blocks
+
+
+class TestSampleMemo:
+    """_sample_xyz keeps its last draw, and a request it answers gets the bits of a fresh draw."""
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("D,E", ALL_CLASS_FIXTURES)
+    def test_prefix_of_a_longer_draw(self, monkeypatch, fresh_samples, D, E, forced):
+        # forced rejections leave blocks short, so the two draws split the stream differently
+        params = derive_params(D, E)
+        if forced:
+            poles_at_positive_x(monkeypatch)
+        blocks = counted_candidates(monkeypatch)
+        for seed, m, M in [(0, 1, 100), (5, 23, 57), (9, 57, 57)]:
+            fresh_samples()
+            short = poincare._sample_xyz(params, m, seed)
+            fresh_samples()
+            blocks.clear()
+            assert xyz_hexes(short) == xyz_hexes(poincare._sample_xyz(params, M, seed)[:, :m])
+            assert (len(blocks) > 1) == forced
+
+    @given(oracles.level_sets(), st.integers(0, 2**32 - 1), st.integers(0, 60), st.integers(0, 60))
+    def test_hits_match_scalar_loop(self, params, seed, m, extra):
+        sampled(sample_level_set, params, m + extra, seed)
+        got = sampled(sample_level_set, params, m, seed)  # a hit, unless the draw failed
+        assert got == sampled(oracles.scalar_sample_level_set, params, m, seed)
+
+    def test_hit_is_a_fresh_draw(self, monkeypatch, fresh_samples, params_ii_plus):
+        for m, seed in [(0, 4), (1, 4), (30, 4), (100, 4), (30, np.int64(4))]:
+            fresh_samples()
+            want = xyz_hexes(poincare._sample_xyz(params_ii_plus, m, 4))
+            fresh_samples()
+            poincare._sample_xyz(params_ii_plus, 100, 4)
+            with monkeypatch.context() as patch:
+                blocks = counted_candidates(patch)
+                assert xyz_hexes(poincare._sample_xyz(params_ii_plus, m, seed)) == want
+            assert blocks == []
+
+    def test_no_hit_past_a_smaller_draws_limit(self, monkeypatch, params_i):
+        # the first 1200 candidates of a draw are poles: 7 points take 1207 of the
+        # 1700 candidates they may, 1 point may take 1100 and 2 points 1200, so
+        # those draws fail, and 3 points (1300) are the first 3 of the 7
+        kernel, seen = poincare.uniformize_array, [0]
+
+        def late(theta, eps, params):
+            x, A1, A2, pole = kernel(theta, eps, params)
+            first = seen[0] + np.arange(len(theta))
+            seen[0] += len(theta)
+            return x, A1, A2, pole | (first < 1200)
+
+        monkeypatch.setattr(poincare, "uniformize_array", late)
+        seven = poincare._sample_xyz(params_i, 7, 0)
+        for m in (1, 2):
+            seen[0] = 0
+            with pytest.raises(DomainError, match="sampling failed"):
+                poincare._sample_xyz(params_i, m, 0)
+            poincare._sample_xyz(params_i, 7, 0)
+        seen[0] = 0
+        assert xyz_hexes(poincare._sample_xyz(params_i, 3, 0)) == xyz_hexes(seven[:, :3])
+        assert seen[0] == 0
+
+    def test_refusals_come_first(self, params_i):
+        poincare._sample_xyz(params_i, 100, 0)
+        with pytest.raises(ValueError, match=r"m >= 0 points \(got -1\)"):
+            poincare._sample_xyz(params_i, -1, 0)
+        points = poincare._last_sample[1]
+        for params, error in [(derive_params(6.0, -0.1), EmptyLocusError),
+                              (derive_params(1.0, -0.5), DomainError)]:
+            # no draw stores such an entry, so plant one that matches
+            poincare._last_sample = ((repr(params), 0), points, 0)
+            with pytest.raises(error):
+                poincare._sample_xyz(params, 1, 0)
+
+    def test_signed_zeros_are_two_keys(self, monkeypatch):
+        plus, minus = derive_params(0.0, 0.5), derive_params(-0.0, 0.5)
+        poincare._sample_xyz(plus, 10, 0)
+        blocks = counted_candidates(monkeypatch)
+        poincare._sample_xyz(minus, 10, 0)
+        assert blocks == [10]
+        poincare._sample_xyz(minus, 3, 0)
+        assert blocks == [10]
+
+    def test_other_seeds_draw_afresh(self, monkeypatch, params_i):
+        poincare._sample_xyz(params_i, 10, 0)
+        blocks = counted_candidates(monkeypatch)
+        poincare._sample_xyz(params_i, 5, 1)
+        assert blocks == [5]
+        rng = np.random.default_rng(0)
+        a, b = (xyz_hexes(poincare._sample_xyz(params_i, 5, rng)) for _ in range(2))
+        assert blocks == [5, 5, 5] and a != b  # a Generator goes on with its stream
+
+    def test_points_are_read_only(self, params_i):
+        fresh = poincare._sample_xyz(params_i, 10, 0)
+        want = xyz_hexes(fresh)
+        for points in (fresh, poincare._sample_xyz(params_i, 4, 0)):
+            assert not points.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                points[0, 0] = 1.0
+        assert xyz_hexes(poincare._sample_xyz(params_i, 10, 0)) == want
+
+    @pytest.mark.parametrize("D,E", [(1.75, -5.0 / 24.0), *ALL_CLASS_FIXTURES])
+    def test_poncelet_check_then_empirical_rotation(self, monkeypatch, fresh_samples, D, E):
+        # the start of empirical_rotation is the first of poncelet_check's starts
+        params = derive_params(D, E)
+        want = repr(poncelet_check(params, 3))
+        fresh_samples()
+        want_alpha = empirical_rotation(params, 500, 3).hex()
+        fresh_samples()
+        assert repr(poncelet_check(params, 3)) == want
+        blocks = counted_candidates(monkeypatch)
+        assert empirical_rotation(params, 500, 3).hex() == want_alpha
+        assert blocks == []
 
 
 class TestComponentCurve:
