@@ -11,12 +11,16 @@ shortest round-trip repr.  Either form reads back as the same float.
 Exit codes: 0 success, 1 check failure or aborted orbit, 2 usage or
 numeric error.  Each error is one line on stderr: "error: ..." for exit
 2 and "orbit aborted: step k: ..." for an aborted orbit.
+
+main keeps the heap it frees (glibc's top pad, _TOP_PAD_BYTES), so each CSV
+block reuses the pages of the last; importing the package leaves malloc alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import logging
 import math
@@ -38,6 +42,10 @@ from .uniformize import _grid_codes, rotation_number
 _GRID_BLOCK = 4096  # cells per block of grid rows, so grid memory does not grow with n^2
 _ORBIT_SLICE = 1024  # orbit rows per csv_rows call; 4096 ran no faster and peaked 3.4 MB higher
 _CLASS_FIELDS = np.array([cls.value + "," for cls in RealLocusClass], dtype=object)  # by class code
+# glibc gives freed top-of-heap memory beyond M_TOP_PAD (128 KiB) back to the system, so each CSV
+# block would fault the last one's temporaries in again; 16 MiB keeps them (64 MiB ran no faster)
+_M_TOP_PAD, _TOP_PAD_BYTES = -2, 16 << 20  # mallopt's parameter number (<malloc.h>) and value
+log = logging.getLogger(__name__)
 
 
 def _open_out(out_path: str | None):
@@ -343,6 +351,12 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("BOLTZMANN_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
+    pad_set = None  # mallopt's return value, 1 on success; None where there is no mallopt
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        pad_set = mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+    log.debug("mallopt(M_TOP_PAD, %d) returned %s", _TOP_PAD_BYTES, pad_set)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,9 +5,11 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import warnings
@@ -576,6 +578,59 @@ def test_orbit_csv_memory_does_not_grow_with_steps(tmp_path):
         assert code == 0, done.stderr
         peak_kb.append(kb)
     assert peak_kb[1] - peak_kb[0] < 6 * 1024, peak_kb
+
+
+SECOND_CALL_FAULTS = """
+import resource, sys
+from boltzmann_billiard.cli import main
+assert main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+KEPT_HEAP_FAULTS = 300  # SECOND_CALL_FAULTS of a 20 000-step orbit: 2 600-2 900 unpadded, 32 padded
+
+
+class TestKeptHeap:
+    """main keeps the heap it frees (glibc's M_TOP_PAD), and skips that where it cannot."""
+
+    RUNS = [["orbit", "--D", "1.5", "--E", "-0.2", "--steps", "5000"],
+            ["rotation", "--grid", "0.5:3.5:-0.4:-0.1:60"]]
+
+    @pytest.mark.skipif(not ON_GLIBC, reason="the top pad is a glibc malloc setting")
+    def test_second_orbit_does_not_refault(self, tmp_path):
+        # without the pad glibc trimmed each 1024-row CSV slice's temporaries off the heap,
+        # and the next slice faulted them in again
+        done = subprocess.run(
+            [sys.executable, "-c", SECOND_CALL_FAULTS, "orbit", "--D", "1.5", "--E", "-0.2",
+             "--steps", "20000", "--out", str(tmp_path / "orbit.csv")],
+            env=process_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < KEPT_HEAP_FAULTS
+
+    @pytest.mark.skipif(not ON_GLIBC, reason="the top pad is a glibc malloc setting")
+    def test_pad_set_on_glibc(self, caplog):
+        caplog.set_level(logging.DEBUG, logger=cli.__name__)
+        assert main(["classify", "--D", "1.5", "--E", "-0.2", "--out", os.devnull]) == 0
+        assert f"mallopt(M_TOP_PAD, {16 << 20}) returned 1" in caplog.text
+
+    @pytest.mark.parametrize("argv", RUNS, ids=["orbit", "grid"])
+    @pytest.mark.parametrize("guard", ["darwin", "no_mallopt"])
+    def test_guard_writes_same_bytes(self, monkeypatch, caplog, tmp_path, argv, guard):
+        assert main([*argv, "--out", str(tmp_path / "want")]) == 0
+        loaded = []
+        with monkeypatch.context() as m:
+            if guard == "darwin":
+                m.setattr(sys, "platform", "darwin")
+                m.setattr(cli.ctypes, "CDLL", lambda name: loaded.append(name))
+            else:
+                m.setattr(cli.ctypes, "CDLL", lambda name: loaded.append(name) or object())
+            caplog.set_level(logging.DEBUG, logger=cli.__name__)
+            assert main([*argv, "--out", str(tmp_path / "got")]) == 0
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+        assert loaded == ([] if guard == "darwin" else [None])  # darwin never loads libc
+        assert f"mallopt(M_TOP_PAD, {16 << 20}) returned None" in caplog.text
 
 
 class TestRotation:
