@@ -9,7 +9,9 @@ orbits need no renormalization.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -240,7 +242,68 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
     return prefix(n + 1)
 
 
-def _theta_candidates(params: LevelSetParams, rng, k: int) -> np.ndarray:
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _PCG64:
+    """The stream of np.random.default_rng(seed), drawn in Python, for an integer seed >= 0.
+
+    numpy's first default_rng imports numpy.random, and with it hashlib,
+    secrets and OpenSSL: 10-14 ms and 6 MB per process, for a sample that may
+    need one double.  The seed is mixed as SeedSequence mixes it: its 32-bit
+    words, least significant first, fill a pool of four, and each pool word,
+    then each seed word past the fourth, is hashed into the other pool words.
+    The pool, read twice through and hashed word by word, gives eight 32-bit
+    words, read as four little-endian 64-bit ones: the PCG64 state's high
+    and low halves, then the increment's.  The state steps as PCG64 (XSL-RR 128/64) does; random
+    is Generator.random and coin Generator.integers(0, 2), the top bit of a
+    32-bit half-word, low half first, the high half kept for the next coin.
+    A negative seed raises ValueError and a non-integer one TypeError, as
+    numpy's do.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        h, mult = 0x43B0D7E5, 0x931E8875
+
+        def hashmix(v):
+            nonlocal h
+            v = (v ^ h) * (h := h * mult & _M32) & _M32
+            return v ^ v >> 16
+
+        pool = [hashmix(v) for v in (words + [0, 0, 0])[:4]]
+        for src, dst in itertools.product(range(max(4, len(words))), range(4)):
+            if src != dst:
+                r = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool + words[4:])[src]) & _M32
+                pool[dst] = r ^ r >> 16
+        h, mult = 0x8B51F9DD, 0x58F38DED  # generate_state's hash
+        bits = sum(hashmix(v) << 32 * (i ^ 2) for i, v in enumerate(pool * 2))
+        inc = (bits >> 127 | 1) & _M128
+        self._words = self._stream(((inc + bits) * _PCG_MULT + inc) & _M128, inc)
+        self._coins = (w >> b & 1 for w in self._words for b in (31, 63))
+
+    @staticmethod
+    def _stream(s: int, inc: int):
+        """The 64-bit outputs of the steps after state s."""
+        while True:
+            s = (s * _PCG_MULT + inc) & _M128
+            x = (s >> 64 ^ s) & _M64
+            yield (x | x << 64) >> (s >> 122) & _M64  # x rotated right by the top 6 bits of s
+
+    def random(self, k: int) -> list:
+        """The next k doubles in [0, 1)."""
+        return [(w >> 11) * 2.0**-53 for w in itertools.islice(self._words, k)]
+
+    def coin(self) -> int:
+        """The next fair bit, 0 or 1."""
+        return next(self._coins)
+
+
+def _theta_candidates(params: LevelSetParams, rng: _PCG64, k: int) -> np.ndarray:
     """Rows x, A1, A2 of the accepted points among k candidates drawn uniformly in the angle.
 
     The candidates are drawn in the scalar order (theta, then a fair-coin
@@ -249,7 +312,7 @@ def _theta_candidates(params: LevelSetParams, rng, k: int) -> np.ndarray:
     if params.cls is RealLocusClass.I:
         theta, eps = rng.random(k), 0
     else:
-        theta, eps = np.array([(rng.random(), rng.integers(0, 2)) for _ in range(k)]).T
+        theta, eps = np.array([(*rng.random(1), rng.coin()) for _ in range(k)]).T
     x, A1, A2, pole = uniformize_array(theta, eps, params)
     xyz = np.array(project_onto_level_set_array(x, A1, A2, params))
     return xyz[:, ~pole & ~(level_set_residual_array(*xyz, params) > 1e-12)]
@@ -258,10 +321,11 @@ def _theta_candidates(params: LevelSetParams, rng, k: int) -> np.ndarray:
 def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
     """sample_level_set's points as the rows x, A1, A2 of a read-only (3, m) array.
 
-    The last draw is kept, keyed on repr(params) (exact in every float, signed
-    zeros too) and an integer seed (other seeds draw afresh); a request for m
-    of its points gets them when it has m and tried no more candidates than
-    a draw of m may.
+    The seed is an integer >= 0, taken through operator.index, and the
+    points are those of np.random.default_rng(seed).  The last draw is kept,
+    keyed on repr(params) (exact in every float, signed zeros too) and the
+    seed; a request for m of its points gets them when it has m and tried no
+    more candidates than a draw of m may.
     """
     global _last_sample
     if params.cls is RealLocusClass.EMPTY:
@@ -270,11 +334,11 @@ def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
     if m < 0:
         raise ValueError(f"sampling needs m >= 0 points (got {m})")
     limit = 100 * m + 1000  # candidates tried before giving up
-    key = (repr(params), int(seed)) if isinstance(seed, (int, np.integer)) else object()
+    key = (repr(params), operator.index(seed))
     last_key, last, last_tried = _last_sample
     if key == last_key and m <= last.shape[1] and last_tried <= limit:
         return last[:, :m]
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     blocks = [np.empty((3, 0))]
     got = tried = 0
     while got < m:
@@ -292,6 +356,11 @@ def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
 
 def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
     """Draw m points of the real locus, deterministically for a fixed seed.
+
+    The seed is an integer >= 0 (a negative one raises ValueError, a float,
+    None or a numpy Generator TypeError), and the draws are those of
+    np.random.default_rng(seed), made in Python without importing
+    numpy.random.
 
     The points are uniform in the uniformizing angle theta, with the
     component chosen by a fair coin on two-component sets.  A candidate is

@@ -459,6 +459,34 @@ def process_env() -> dict:
     return env
 
 
+SAMPLING_IMPORTS = """
+import contextlib, io, sys
+import numpy
+loaded = 'numpy.random' in sys.modules
+from boltzmann_billiard import derive_params, empirical_rotation, poncelet_check
+from boltzmann_billiard.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["orbit", "--D", "1.5", "--E", "-0.2", "--steps", "10"],
+                 ["orbit", "--D", "1.5", "--E", "-0.2", "--steps", "10", "--format", "svg"],
+                 ["rotation", "--D", "1.5", "--E", "-0.2", "--steps", "10"],
+                 ["selftest"]):
+        assert main(argv) == 0, argv
+params = derive_params(1.75, -5 / 24)
+poncelet_check(params)
+empirical_rotation(params)
+print(loaded, 'numpy.random' in sys.modules)
+"""
+
+
+def test_sampling_imports_no_numpy_random():
+    # default_rng imported numpy.random (hashlib, secrets, OpenSSL) at the first draw
+    done = subprocess.run([sys.executable, "-c", SAMPLING_IMPORTS], env=process_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_numpy, after_commands = done.stdout.split()
+    assert after_commands == after_numpy
+
+
 class TestProcessStderr:
     """Each error is one stderr line of a real process.
 

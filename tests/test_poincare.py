@@ -659,9 +659,18 @@ class TestSampleMemo:
         blocks = counted_candidates(monkeypatch)
         poincare._sample_xyz(params_i, 5, 1)
         assert blocks == [5]
-        rng = np.random.default_rng(0)
-        a, b = (xyz_hexes(poincare._sample_xyz(params_i, 5, rng)) for _ in range(2))
-        assert blocks == [5, 5, 5] and a != b  # a Generator goes on with its stream
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_seed_refusals(self, monkeypatch, params_i, m):
+        # a numpy Generator used to be drawn from and go on with its stream
+        poincare._sample_xyz(params_i, 10, 0)
+        blocks = counted_candidates(monkeypatch)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            poincare._sample_xyz(params_i, m, -1)
+        for seed in (0.0, 1.5, None, np.random.default_rng(0), np.random.SeedSequence(0)):
+            with pytest.raises(TypeError):
+                poincare._sample_xyz(params_i, m, seed)
+        assert blocks == []
 
     def test_points_are_read_only(self, params_i):
         fresh = poincare._sample_xyz(params_i, 10, 0)
@@ -684,6 +693,44 @@ class TestSampleMemo:
         blocks = counted_candidates(monkeypatch)
         assert empirical_rotation(params, 500, 3).hex() == want_alpha
         assert blocks == []
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, np.uint64(2**64 - 1), np.int64(4),
+                2**128 + 1, 2**200 + 12345]  # the last two mix more than four 32-bit words
+
+
+def assert_same_stream(seed, calls):
+    """_PCG64(seed) and default_rng(seed) give the same values for each numpy call
+    named in calls: True for random(), False for integers(0, 2), an int k for random(k)."""
+    ours, numpys = poincare._PCG64(seed), np.random.default_rng(seed)
+    for call in calls:
+        if call is True:
+            got, want = ours.random(1)[0], float(numpys.random())
+        elif call is False:
+            got, want = ours.coin(), int(numpys.integers(0, 2))
+        else:
+            got, want = ours.random(call), numpys.random(call).tolist()
+        assert (got, type(got)) == (want, type(want)), (seed, call)
+
+
+class TestSampleStream:
+    """_PCG64 draws np.random.default_rng's stream bit for bit."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+    def test_random_k(self, seed):
+        assert_same_stream(seed, [0, 1, 100, 0, 1])
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+    def test_interleaved(self, seed):
+        # runs of coins of both parities test the buffered high half-word
+        rand = np.random.default_rng(int(seed) % 977)
+        assert_same_stream(seed, (rand.random(300) < 0.5).tolist())
+
+    # hypothesis seldom draws more than four words from the first range alone
+    @given(st.integers(0, 2**256) | st.integers(2**128, 2**256),
+           st.lists(st.booleans() | st.integers(0, 5), max_size=40))
+    def test_matches_default_rng(self, seed, calls):
+        assert_same_stream(seed, calls)
 
 
 class TestComponentCurve:
