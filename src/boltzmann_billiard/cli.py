@@ -45,7 +45,7 @@ _CLASS_FIELDS = np.array([cls.value + "," for cls in RealLocusClass], dtype=obje
 # glibc gives freed top-of-heap memory beyond M_TOP_PAD (128 KiB) back to the system, so each CSV
 # block would fault the last one's temporaries in again; 16 MiB keeps them (64 MiB ran no faster)
 _M_TOP_PAD, _TOP_PAD_BYTES = -2, 16 << 20  # mallopt's parameter number (<malloc.h>) and value
-log = logging.getLogger(__name__)
+log = logging.getLogger("boltzmann_billiard.cli")  # not __name__, which is __main__ under -m
 
 
 def _open_out(out_path: str | None):
@@ -116,25 +116,31 @@ def _aborted(exc: OrbitAbort) -> int:
     return 1
 
 
+def _log_law(law_max: float, step: int) -> None:
+    log.debug("one-step law: max %r at step %d", law_max, step)
+
+
 def _write_orbit(fh, blocks, params) -> int:
-    """CSV rows step,x,A1,A2,L,D_resid,E_check of the orbit blocks (lo, xyz, res).
+    """CSV rows step,x,A1,A2,L,D_resid,E_check of the orbit blocks (lo, xyz, res, law).
 
     Each block is written as it arrives, _ORBIT_SLICE rows per csv_rows
     call, so no row or column outlives its block.  csv_rows writes every
     field as "%.17g" does (the step as a float: exact below 2**53) and a
-    NaN as an empty field.  Returns the exit code: 1 after an OrbitAbort,
-    whose good rows are written first.
+    NaN as an empty field.  The last block's law is logged.  Returns the
+    exit code: 1 after an OrbitAbort, whose good rows are written first.
     """
     fh.write("step,x,A1,A2,L,D_resid,E_check\n")
+    law, code = (0.0, 0), 0
     try:
-        for lo, xyz, _ in blocks:
+        for lo, xyz, _, law in blocks:
             L, D_impl, E_impl = orbit_drift_columns(*xyz, params)
             rows = np.column_stack((np.arange(lo, lo + len(L)), *xyz, L, D_impl - params.D, E_impl))
             for i in range(0, len(rows), _ORBIT_SLICE):
                 fh.write(csv_rows(rows[i:i + _ORBIT_SLICE]))
     except OrbitAbort as exc:
-        return _aborted(exc)
-    return 0
+        code = _aborted(exc)
+    _log_law(*law)
+    return code
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
@@ -150,6 +156,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         orbit = iterate_orbit(c0, params, args.steps, **limits)
     except OrbitAbort as exc:
         orbit, code = exc.orbit, _aborted(exc)
+    _log_law(orbit.one_step_law_max, orbit.one_step_law_step)
     if args.format == "svg":
         _emit(orbit_figure(orbit.points, params), args.out)
         return code
@@ -159,7 +166,9 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     L, D_impl, E_impl = orbit_drift_columns(orbit.x, orbit.A1, orbit.A2, params)
     cols = (orbit.x, orbit.A1, orbit.A2, L, D_impl - args.D, E_impl)
     rows = list(zip(range(len(L)), *(c.tolist() for c in cols)))
-    _emit(_json({"D": args.D, "E": args.E, "class": params.cls.value, "rows": rows}), args.out)
+    _emit(_json({"D": args.D, "E": args.E, "class": params.cls.value, "rows": rows,
+                 "one_step_law_max": orbit.one_step_law_max,
+                 "one_step_law_step": orbit.one_step_law_step}), args.out)
     return code
 
 

@@ -18,8 +18,9 @@ import numpy as np
 
 from .elliptic import _each, carlson_rf
 from .errors import BilliardError
-from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _max, derive_params
-from .poincare import _sample_xyz, _walk, map_t, map_t_array, sample_level_set
+from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
+from .poincare import (_sample_xyz, _walk, config_distance, config_distance_array, map_t,
+                       map_t_array, sample_level_set)
 from .uniformize import _amplitudes, _lift, _turns, rotation_grid, rotation_number
 
 log = logging.getLogger(__name__)
@@ -41,21 +42,6 @@ class PeriodReport:
     alpha: float
     method_agreement: bool
     residual: float
-
-
-def _chart(x):
-    """Bounded chart of the wall abscissa (floats or arrays), so far points compare fairly."""
-    return x / (1.0 + abs(x))
-
-
-def config_distance(a: ConfigPoint, b: ConfigPoint) -> float:
-    return max(abs(_chart(a.x) - _chart(b.x)), abs(a.A1 - b.A1), abs(a.A2 - b.A2))
-
-
-def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
-    """config_distance between the points (x, A1, A2) and (x0, A10, A20)."""
-    with np.errstate(all="ignore"):
-        return _max(np.abs(_chart(x) - _chart(x0)), np.abs(A1 - A10), np.abs(A2 - A20))
 
 
 def _dist_to_int(x: float) -> float:

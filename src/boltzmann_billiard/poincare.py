@@ -3,8 +3,14 @@
 The map from one bounce to the next factors as t = j o i, where i keeps
 the conic and exchanges the two wall intersections, and j keeps the wall
 point and reflects the conic.  Both act on configuration points by
-rational formulas and preserve the level-set equations exactly, so long
-orbits need no renormalization.
+rational formulas and preserve the level-set equations exactly.
+
+On a nondegenerate level set t is the translation by the rotation number
+in the uniformizing angle, so orbits (iterate_orbit and the orbit
+command) are not walked: point k is uniformize_array at theta_0 + k alpha,
+and one map_t_array step from each point's predecessor checks the
+translation law along the way.  The float walk _walk is kept for
+empirical_rotation, which measures the winding of the map itself.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .csvtext import _two_product
 from .elliptic import _each
 from .errors import DomainError, EmptyLocusError, OrbitAbort, PoleError
 from .levelset import (
@@ -25,6 +32,7 @@ from .levelset import (
     RealLocusClass,
     _AT_INFINITY,
     _L,
+    _max,
     _reflect,
     _require_nondegenerate,
     _z,
@@ -32,7 +40,7 @@ from .levelset import (
     other_wall_root,
     project_onto_level_set_array,
 )
-from .uniformize import uniformize_array
+from .uniformize import angle_of, rotation_number, uniformize_array
 
 
 def involution_i(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
@@ -86,6 +94,21 @@ def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
         return (x, *_reflect(x, A1, A2, params.E))
 
 
+def _chart(x):
+    """Bounded chart of the wall abscissa (floats or arrays), so far points compare fairly."""
+    return x / (1.0 + abs(x))
+
+
+def config_distance(a: ConfigPoint, b: ConfigPoint) -> float:
+    return max(abs(_chart(a.x) - _chart(b.x)), abs(a.A1 - b.A1), abs(a.A2 - b.A2))
+
+
+def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
+    """config_distance between the points (x, A1, A2) and (x0, A10, A20)."""
+    with np.errstate(all="ignore"):
+        return _max(np.abs(_chart(x) - _chart(x0)), np.abs(A1 - A10), np.abs(A2 - A20))
+
+
 def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                         params: LevelSetParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ConfigPoint.L and implied_invariants at every point (x, A1, A2).
@@ -105,23 +128,28 @@ def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     return L, D_impl, E_impl
 
 
-_CHECK_BLOCK = 4096  # map steps between the array checks of an orbit
+_CHECK_BLOCK = 4096  # orbit points computed and checked together
 _CURVE_POINTS = 257  # points of a component_curve, the first and last both at theta = 0
 _last_sample = (None, np.empty((3, 0)), 0)  # _sample_xyz's key, read-only points, candidates tried
 
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """A finite orbit with per-point level-set residuals.
+    """A finite orbit with per-point level-set residuals and its one-step law.
 
     x, A1, A2 and residuals are float arrays over the visited points;
     points gives them as a tuple of ConfigPoint, built on first access.
+    one_step_law_max is the largest config_distance(map_t(c[k-1]), c[k])
+    over the steps k, and one_step_law_step the first step that reaches
+    it (0.0 and 0 for an orbit with no step).
     """
 
     x: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
     residuals: np.ndarray
+    one_step_law_max: float
+    one_step_law_step: int
 
     @cached_property
     def points(self) -> tuple:
@@ -135,7 +163,8 @@ def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
     the same float operations in the same order, so the points are bit for
     bit those of a map_t loop.  Returns the lists x, A1, A2 of the new
     points and the PoleError that stopped the walk early, or None; the
-    points before the pole are kept.
+    points before the pole are kept.  Its caller is empirical_rotation:
+    orbits come from the translation (_checked_blocks).
     """
     xs, A1s, A2s = [0.0] * n, [0.0] * n, [0.0] * n
     E4 = 4.0 * E
@@ -164,18 +193,40 @@ def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
     return xs, A1s, A2s, PoleError(_AT_INFINITY)
 
 
+def _translated_angles(theta0: float, alpha: float, ks: np.ndarray) -> np.ndarray:
+    """(theta0 + k alpha) mod 1 at the integers k of ks, to about an ulp of 1.
+
+    k alpha is Dekker's exact product p + e, so the split sum
+    ((p mod 1 + theta0) mod 1 + e) mod 1 rounds only its two additions;
+    (theta0 + k alpha) % 1 would lose the bits of k alpha below its own ulp.
+    """
+    p, e = _two_product(ks.astype(float), alpha)
+    return ((p % 1.0 + theta0) % 1.0 + e) % 1.0
+
+
 def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
                     residual_ceiling: float, abort_abscissa: float):
-    """The n+1 points of the orbit from c0, checked and yielded a block at a time.
+    """The n+1 points of the orbit from c0, from the translation, yielded a block at a time.
 
-    The arguments are checked at the call; the points as the blocks are
-    drawn.  Yields (lo, xyz, res): the rows x, A1, A2 of points lo, lo+1,
-    ... and their residuals.  The first block is the start point alone,
-    which is not checked.  Each later block holds up to _CHECK_BLOCK new
-    points, made by _walk on plain floats and checked together.  At the
-    first point that fails a check, or at a pole, the points before it in
+    On the level set t is the translation by the rotation number alpha in
+    the angle of the uniformize module, so point k is uniformize_array at
+    theta_0 + k alpha (_translated_angles), with theta_0 and the component
+    those of c0 (angle_of) and the component flipped at each step where t
+    swaps them; no map step is taken to make it.  The arguments are checked
+    at the call: a start whose residual is not <= residual_ceiling (off the
+    level set, or not finite) has no angle to translate and raises
+    ValueError, and the errors of angle_of and rotation_number (such as
+    NearDegenerateError) are raised there too.
+
+    Yields (lo, xyz, res, law): the rows x, A1, A2 of points lo, lo+1, ...,
+    their residuals, and the one-step law so far, (max, step) of
+    config_distance(map_t(c[k-1]), c[k]) over the steps k yielded.  The
+    first block is c0 alone, which is not checked further; each later block
+    holds up to _CHECK_BLOCK points, checked together and each stepped from
+    its predecessor by map_t_array for the law.  At the first point that
+    fails a check or is a pole of uniformize_array, the points before it in
     its block are yielded and OrbitAbort is raised with that step and no
-    orbit.
+    orbit.  A start whose own image is at infinity aborts at step 1.
     """
     _require_nondegenerate(params)
     if n < 0:
@@ -183,57 +234,69 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     for name, limit in (("residual_ceiling", residual_ceiling), ("abort_abscissa", abort_abscissa)):
         if not limit >= 0.0:
             raise ValueError(f"{name} must be >= 0 (got {limit!r})")
+    start = np.array([[c0.x], [c0.A1], [c0.A2]], dtype=float)
+    res0 = level_set_residual_array(*start, params)
+    if not res0[0] <= residual_ceiling:
+        raise ValueError(f"orbit start is off the level set (residual {res0[0]:.3e})")
+    a0, rot = angle_of(c0, params), rotation_number(params)
 
     def blocks():
-        xyz, pole = np.array([[c0.x], [c0.A1], [c0.A2]], dtype=float), None
-        lo = 0  # step of the first point of xyz; point i is reached after i steps
-        while True:
+        lo, last, law = 1, start, (0.0, 0)  # the next step, the point before it, the law so far
+        yield 0, start, res0, law
+        while lo <= n:
+            ks = np.arange(lo, min(lo + _CHECK_BLOCK, n + 1))
+            *xyz, pole = uniformize_array(_translated_angles(a0.theta, rot.alpha, ks),
+                                          a0.eps ^ (ks & rot.flips_component), params)
+            xyz = np.array(xyz)
             res = level_set_residual_array(*xyz, params)
             with np.errstate(invalid="ignore"):
                 ok = np.isfinite(xyz).all(axis=0) & (np.abs(xyz[0]) <= abort_abscissa)
             r = np.where(ok, res, math.inf)  # a non-finite or far point reports residual inf
             bad = ~ok | (r > residual_ceiling)
-            bad[:1] &= lo > 0  # the start point is not checked
             k = int(np.argmax(bad)) if bad.any() else len(bad)
             if k:
-                yield lo, xyz[:, :k], res[:k]
+                try:
+                    stepped = map_t_array(*np.concatenate((last, xyz[:, :k - 1]), axis=1), params)
+                except PoleError as exc:  # the later points are not poles, so this is the start's
+                    raise OrbitAbort(f"step 1: {exc}", None, 1) from exc
+                gap = config_distance_array(*stepped, *xyz[:, :k])
+                # a NaN gap (an off-set start stepped to infinity) never raises the running maximum
+                j = int(np.argmax(np.where(np.isnan(gap), -1.0, gap)))
+                law = (float(gap[j]), lo + j) if gap[j] > law[0] else law
+                del stepped, gap  # free the law's temporaries while the block is used
+                yield lo, xyz[:, :k], res[:k], law
             if k < len(bad):
-                raise OrbitAbort(f"step {lo + k}: orbit left the level set (residual {r[k]:.3e})",
-                                 None, lo + k)
-            lo += k
-            if pole is not None:
-                raise OrbitAbort(f"step {lo}: {pole}", None, lo) from pole
-            if lo > n:
-                return
-            *walked, pole = _walk(*xyz[:, -1].tolist(), min(_CHECK_BLOCK, n + 1 - lo),
-                                  params.D, params.E)
-            xyz = np.array(walked)
-            del walked  # free the float objects while the block is checked and used
+                why = _AT_INFINITY if pole[k] else f"orbit left the level set (residual {r[k]:.3e})"
+                raise OrbitAbort(f"step {lo + k}: {why}", None, lo + k)
+            lo, last = lo + k, xyz[:, -1:].copy()  # not a view that keeps the block
 
     return blocks()
 
 
 def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
                   residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12) -> Orbit:
-    """Iterate the collision map n times from c0.
+    """The orbit of n collision steps from c0, from the translation by the rotation number.
 
-    Returns the n+1 visited points with residuals.  Raises OrbitAbort
-    (carrying the valid prefix) if a point stops being finite, drifts off
-    the level set beyond residual_ceiling, or |x| exceeds abort_abscissa.
-
-    The map runs on plain floats, _CHECK_BLOCK steps at a time.  The new
-    points of each block are checked together, and the abort names the
-    first failing step, as a check after every step would.
+    Returns the n+1 points with residuals and the one-step law.  Point k is
+    uniformize_array at theta_0 + k alpha, not k map steps (_checked_blocks),
+    so the rounding of the steps does not pile up along the orbit; only
+    alpha's own rounding does, k times over.  Raises ValueError if c0 is
+    off the level set by more than residual_ceiling, and OrbitAbort
+    (carrying the valid prefix) if a point is a pole (A1^2 = 1), stops being
+    finite, drifts off the level set beyond residual_ceiling, or |x|
+    exceeds abort_abscissa.  The points are computed and checked
+    _CHECK_BLOCK at a time, and the abort names the first failing step.
     """
     blocks = _checked_blocks(c0, params, n, residual_ceiling, abort_abscissa)
     xyz = np.empty((3, n + 1))  # x, A1, A2 of the points made so far
     res = np.empty(n + 1)
+    law = (0.0, 0)
 
     def prefix(k: int) -> Orbit:
-        return Orbit(xyz[0, :k], xyz[1, :k], xyz[2, :k], res[:k])
+        return Orbit(xyz[0, :k], xyz[1, :k], xyz[2, :k], res[:k], *law)
 
     try:
-        for lo, block, r in blocks:
+        for lo, block, r, law in blocks:
             xyz[:, lo:lo + len(r)] = block
             res[lo:lo + len(r)] = r
     except OrbitAbort as exc:
@@ -244,6 +307,28 @@ def iterate_orbit(c0: ConfigPoint, params: LevelSetParams, n: int, *,
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@lru_cache(maxsize=16)
+def _seeded(seed: int) -> tuple:
+    """The PCG64 state and increment of an integer seed >= 0, mixed as _PCG64 describes."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(v):
+        nonlocal h
+        v = (v ^ h) * (h := h * mult & _M32) & _M32
+        return v ^ v >> 16
+
+    pool = [hashmix(v) for v in (words + [0, 0, 0])[:4]]
+    for src, dst in itertools.product(range(max(4, len(words))), range(4)):
+        if src != dst:
+            r = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool + words[4:])[src]) & _M32
+            pool[dst] = r ^ r >> 16
+    h, mult = 0x8B51F9DD, 0x58F38DED  # generate_state's hash
+    bits = sum(hashmix(v) << 32 * (i ^ 2) for i, v in enumerate(pool * 2))
+    inc = (bits >> 127 | 1) & _M128
+    return ((inc + bits) * _PCG_MULT + inc) & _M128, inc
 
 
 class _PCG64:
@@ -260,30 +345,15 @@ class _PCG64:
     is Generator.random and coin Generator.integers(0, 2), the top bit of a
     32-bit half-word, low half first, the high half kept for the next coin.
     A negative seed raises ValueError and a non-integer one TypeError, as
-    numpy's do.
+    numpy's do.  The mixing is kept per seed (_seeded), so a seed drawn
+    from again, one generator per poncelet_check, is not mixed again.
     """
 
     def __init__(self, seed: int):
         seed = operator.index(seed)
         if seed < 0:
             raise ValueError("expected non-negative integer")
-        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-        h, mult = 0x43B0D7E5, 0x931E8875
-
-        def hashmix(v):
-            nonlocal h
-            v = (v ^ h) * (h := h * mult & _M32) & _M32
-            return v ^ v >> 16
-
-        pool = [hashmix(v) for v in (words + [0, 0, 0])[:4]]
-        for src, dst in itertools.product(range(max(4, len(words))), range(4)):
-            if src != dst:
-                r = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool + words[4:])[src]) & _M32
-                pool[dst] = r ^ r >> 16
-        h, mult = 0x8B51F9DD, 0x58F38DED  # generate_state's hash
-        bits = sum(hashmix(v) << 32 * (i ^ 2) for i, v in enumerate(pool * 2))
-        inc = (bits >> 127 | 1) & _M128
-        self._words = self._stream(((inc + bits) * _PCG_MULT + inc) & _M128, inc)
+        self._words = self._stream(*_seeded(seed))
         self._coins = (w >> b & 1 for w in self._words for b in (31, 63))
 
     @staticmethod

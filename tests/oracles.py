@@ -727,7 +727,8 @@ def scalar_find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) ->
 
 
 # ---------------------------------------------------------------------------
-# scalar references for the columnar orbit path
+# scalar references for the orbit: the map_t walk (_walk's oracle) and the
+# translation (iterate_orbit's and the orbit command's)
 # ---------------------------------------------------------------------------
 
 class ScalarOrbit(NamedTuple):
@@ -737,7 +738,7 @@ class ScalarOrbit(NamedTuple):
 
 def scalar_iterate_orbit(c0, params, n: int, *,
                          residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12):
-    """iterate_orbit one ConfigPoint at a time, checking each step as it is made.
+    """The map_t walk from c0, one ConfigPoint at a time, each step checked as it is made.
 
     Raises OrbitAbort carrying a ScalarOrbit prefix.
     """
@@ -761,6 +762,95 @@ def scalar_iterate_orbit(c0, params, n: int, *,
         pts.append(c)
         res.append(r)
     return ScalarOrbit(tuple(pts), tuple(res))
+
+
+class TranslatedOrbit(NamedTuple):
+    points: tuple
+    residuals: tuple
+    one_step_law_max: float
+    one_step_law_step: int
+
+
+def two_product(a: float, b: float):
+    """Dekker's exact product of two floats: p = fl(a b) and e = a b - p."""
+    split = 134217729.0  # 2**27 + 1
+    p = a * b
+    ah, bh = a * split, b * split
+    ah = ah - (ah - a)
+    bh = bh - (bh - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def translated_angle(theta0: float, alpha: float, k: int) -> float:
+    """(theta0 + k alpha) mod 1 by the split sum of the orbit: k alpha as Dekker's p + e."""
+    p, e = two_product(float(k), alpha)
+    return ((p % 1.0 + theta0) % 1.0 + e) % 1.0
+
+
+def scalar_translated_orbit(c0, params, n: int, *,
+                            residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12):
+    """iterate_orbit one point at a time: point k is uniformize at theta_0 + k alpha.
+
+    The start's angle by scalar_angle_of, one scalar_uniformize per step,
+    the checks of each point as it is made, and the one-step law
+    config_distance(map_t(c[k-1]), c[k]) by scalar map_t.  Raises
+    ValueError for a start off the level set and OrbitAbort carrying a
+    TranslatedOrbit prefix.
+    """
+    from boltzmann_billiard import AngleCoord, OrbitAbort, PoleError, map_t, rotation_number
+    from boltzmann_billiard.periods import config_distance
+
+    _require_nondegenerate(params)
+    r0 = scalar_level_set_residual(c0, params)
+    if not r0 <= residual_ceiling:
+        raise ValueError(f"orbit start is off the level set (residual {r0:.3e})")
+    a0, rot = scalar_angle_of(c0, params), rotation_number(params)
+    pts, res, law = [c0], [r0], (0.0, 0)
+
+    def abort(step, why):
+        return OrbitAbort(f"step {step}: {why}", TranslatedOrbit(tuple(pts), tuple(res), *law), step)
+
+    for k in range(1, n + 1):
+        a = AngleCoord(translated_angle(a0.theta, rot.alpha, k), a0.eps ^ (k & rot.flips_component))
+        try:
+            c = scalar_uniformize(a, params)
+        except PoleError:
+            raise abort(k, "second wall intersection at infinity (A1^2 = 1)") from None
+        ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
+        r = scalar_level_set_residual(c, params) if ok else math.inf
+        if not ok or r > residual_ceiling:
+            raise abort(k, f"orbit left the level set (residual {r:.3e})")
+        try:
+            gap = config_distance(map_t(pts[-1], params), c)
+        except PoleError as exc:  # a start whose image is at infinity
+            raise abort(k, exc) from exc
+        law = (gap, k) if gap > law[0] else law
+        pts.append(c)
+        res.append(r)
+    return TranslatedOrbit(tuple(pts), tuple(res), *law)
+
+
+def mp_walk(c0, params, steps, dps: int = 40) -> list:
+    """The points at the increasing steps of the map_t walk from c0 at dps digits, as floats.
+
+    Steps by levelset.other_wall_root and _reflect on mpmath numbers, with
+    the float start and parameters taken as exact.
+    """
+    from boltzmann_billiard import ConfigPoint
+    from boltzmann_billiard.levelset import _reflect, other_wall_root
+
+    out, k = [], 0
+    with mpmath.workdps(dps):
+        x, A1, A2 = map(mpmath.mpf, (c0.x, c0.A1, c0.A2))
+        D, E = mpmath.mpf(params.D), mpmath.mpf(params.E)
+        for step in steps:
+            for k in range(k, step):
+                x = other_wall_root(x, A1, A2, D)
+                A1, A2 = _reflect(x, A1, A2, E)
+            k = step
+            out.append(ConfigPoint(float(x), float(A1), float(A2)))
+    return out
 
 
 def scalar_orbit_rows(points, params, D: float) -> list:

@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -27,8 +28,10 @@ from boltzmann_billiard import (
     ConfigPoint,
     OrbitAbort,
     PoleError,
+    angle_of,
     derive_params,
     iterate_orbit,
+    rotation_number,
     sample_level_set,
     trajectory_arc,
 )
@@ -235,7 +238,7 @@ class TestOrbit:
                ConfigPoint(1e250, 0.1, 0.2), ConfigPoint(0.5, -1e250, 0.2),
                ConfigPoint(0.5, 0.0, -0.0)]
         xyz = np.array([[getattr(c, k) for c in pts] for k in ("x", "A1", "A2")])
-        blocks = ((lo, xyz[:, lo:lo + block], None) for lo in range(0, len(pts), block))
+        blocks = ((lo, xyz[:, lo:lo + block], None, (0.0, 0)) for lo in range(0, len(pts), block))
         buf = io.StringIO()
         assert cli._write_orbit(buf, blocks, params_i) == 0
         assert buf.getvalue() == oracles.scalar_orbit_csv(pts, params_i, params_i.D)
@@ -249,8 +252,8 @@ class TestOrbit:
         # one block of n rows, written cli._ORBIT_SLICE rows per csv_rows call
         orbit = iterate_orbit(sample_level_set(params_ii_plus, 1, 4)[0], params_ii_plus, n - 1)
         buf = io.StringIO()
-        assert cli._write_orbit(buf, [(0, np.array([orbit.x, orbit.A1, orbit.A2]), None)],
-                                params_ii_plus) == 0
+        block = (0, np.array([orbit.x, orbit.A1, orbit.A2]), None, (0.0, 0))
+        assert cli._write_orbit(buf, [block], params_ii_plus) == 0
         assert_same_text(buf.getvalue(),
                          oracles.scalar_orbit_csv(orbit.points, params_ii_plus, params_ii_plus.D))
 
@@ -295,14 +298,15 @@ def scalar_orbit_output(params, seed, steps, fmt, **kwargs):
     c0 = sample_level_set(params, 1, seed)[0]
     code = 0
     try:
-        orbit = oracles.scalar_iterate_orbit(c0, params, steps, **kwargs)
+        orbit = oracles.scalar_translated_orbit(c0, params, steps, **kwargs)
     except OrbitAbort as exc:
         orbit, code = exc.orbit, 1
     if fmt == "csv":
         return code, oracles.scalar_orbit_csv(orbit.points, params, params.D)
     rows = oracles.scalar_orbit_rows(orbit.points, params, params.D)
     return code, cli._json({"D": params.D, "E": params.E, "class": params.cls.value,
-                            "rows": rows})
+                            "rows": rows, "one_step_law_max": orbit.one_step_law_max,
+                            "one_step_law_step": orbit.one_step_law_step})
 
 
 @settings(max_examples=30)
@@ -320,7 +324,7 @@ def scalar_abort(params, seed, steps, **kwargs):
     """The step and message of the scalar references' OrbitAbort, or None."""
     c0 = sample_level_set(params, 1, seed)[0]
     try:
-        oracles.scalar_iterate_orbit(c0, params, steps, **kwargs)
+        oracles.scalar_translated_orbit(c0, params, steps, **kwargs)
     except OrbitAbort as exc:
         return exc.step, str(exc)
     return None
@@ -374,7 +378,7 @@ class TestStreamedOrbitCsv:
     def test_residual_ceiling_abort(self, capsys, tmp_path, monkeypatch, where):
         params = derive_params(2.5, -0.1)
         c0 = sample_level_set(params, 1, 5)[0]
-        res = oracles.scalar_iterate_orbit(c0, params, 400, residual_ceiling=1.0).residuals
+        res = oracles.scalar_translated_orbit(c0, params, 400, residual_ceiling=1.0).residuals
         step = next(j for j in range(30, 401) if res[j] > max(res[1:j]))  # a record
         limit = {"residual_ceiling": max(res[1:step])}
         self.place(monkeypatch, step, where)
@@ -384,32 +388,29 @@ class TestStreamedOrbitCsv:
 
     @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
     def test_pole_abort(self, capsys, tmp_path, monkeypatch, where):
-        # the second wall intersection of point 36 is put at infinity, for the
-        # scalar references in other_wall_root and for the CLI in its float walk
+        # the point of step 36 is put at infinity through its angle: for the scalar
+        # references in scalar_uniformize, for the CLI in uniformize_array
         params = derive_params(1.5, -0.2)
         c0 = sample_level_set(params, 1, 2)[0]
-        before = oracles.scalar_iterate_orbit(c0, params, 35).points[-1].x
-        wall_root, fused_walk = poincare.other_wall_root, poincare._walk
-        message = "second wall intersection at infinity (test)"
+        pole_theta = oracles.translated_angle(angle_of(c0, params).theta,
+                                              rotation_number(params).alpha, 36)
+        scalar_uniformize, uniformize_array = oracles.scalar_uniformize, poincare.uniformize_array
 
-        def other_wall_root(x, A1, A2, D):
-            if x == before:
-                raise PoleError(message)
-            return wall_root(x, A1, A2, D)
+        def scalar_pole(a, params):
+            if a.theta == pole_theta:
+                raise PoleError("wall abscissa at infinity (test)")
+            return scalar_uniformize(a, params)
 
-        def walk(x, A1, A2, n, D, E):
-            xs, A1s, A2s, pole = fused_walk(x, A1, A2, n, D, E)
-            starts = [x, *xs][:len(xs)]  # the points the walk stepped from
-            if before not in starts:
-                return xs, A1s, A2s, pole
-            k = starts.index(before)
-            return xs[:k], A1s[:k], A2s[:k], PoleError(message)
+        def columnar_pole(theta, eps, params):
+            x, A1, A2, pole = uniformize_array(theta, eps, params)
+            pole = pole | (np.asarray(theta) == pole_theta)
+            return np.where(pole, np.nan, x), A1, A2, pole
 
-        monkeypatch.setattr(poincare, "other_wall_root", other_wall_root)
-        monkeypatch.setattr(poincare, "_walk", walk)
+        monkeypatch.setattr(oracles, "scalar_uniformize", scalar_pole)
+        monkeypatch.setattr(poincare, "uniformize_array", columnar_pole)
         self.place(monkeypatch, 36, where)
         got = assert_streamed_csv(capsys, tmp_path, 1.5, -0.2, 2, 100)
-        assert got == (36, "step 36: second wall intersection at infinity (test)")
+        assert got == (36, "step 36: second wall intersection at infinity (A1^2 = 1)")
 
     def test_blocks_bound_the_columns(self, capsys, monkeypatch):
         # three blocks of map steps: no drift column spans more than one block,
@@ -513,6 +514,18 @@ class TestProcessStderr:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "orbit aborted: step 29: orbit left the level set (residual inf)\n"
         assert len(target.read_text().splitlines()) == 30
+
+    def test_debug_lines_name_the_cli(self):
+        # under -m the module's __name__ is __main__; the logger keeps the package name
+        env = {**process_env(), "BOLTZMANN_LOG": "debug"}
+        done = subprocess.run([sys.executable, "-m", "boltzmann_billiard.cli", "orbit", "--D", "1.5",
+                               "--E", "-0.2", "--steps", "10"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        first, *_, last = done.stderr.splitlines()
+        assert first.startswith(
+            "DEBUG boltzmann_billiard.cli: mallopt(M_TOP_PAD, 16777216) returned ")
+        assert re.fullmatch(r"DEBUG boltzmann_billiard.cli: one-step law: max \S+ at step \d+", last)
 
 
 ORBIT_PEAK_RSS = """
@@ -1039,7 +1052,7 @@ class TestSelftest:
         code, out, err = run_quiet(["selftest"])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9e1b75a9dc40c2c55d0f46d0b45ebcc6d08241bee49db32ff098ada2f74a0f1f")
+            "897aa99a615006bf37f13ad8262178166dda05d3d4bc0fa3f7de16d3971b12a9")
 
     def test_forced_failure(self, capsys, monkeypatch):
         def always_fails():
@@ -1134,16 +1147,13 @@ def test_diverging_integral_outcomes(D, E, point_msg, orbit_msg):
 
 
 def test_class_ii_sliver_outcomes():
-    # 1 - k2 < 1e-12 in class IIplus: K(k2) is not needed, so the point and
-    # rotation commands meet the branch-point guard and the orbit runs
+    # 1 - k2 < 1e-12 in class IIplus: K(k2) is not needed, so the point and rotation
+    # commands meet the branch-point guard, and so does the orbit, whose points need alpha
     point = ["--D", "382690741.9356395", "--E=-1.3065380068237316e-09"]
-    for cmd in ("classify", "rotation"):
-        code, out, err = run_quiet([cmd, *point])
-        assert (code, out) == (2, "")
+    for argv in (["classify"], ["rotation"], ["orbit", "--steps", "4"]):
+        code, out, err = run_quiet([*argv, *point])
+        assert (code, out) == (2, ""), argv
         assert err.endswith("error: s0 within guard of a branch point (near-degenerate set)\n")
-    code, out, err = run_quiet(["orbit", *point, "--steps", "4"])
-    assert (code, err) == (0, "")
-    assert len(out.splitlines()) == 6
 
 
 def test_class_ii_k2_rounding_to_one():

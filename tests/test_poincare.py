@@ -1,6 +1,8 @@
 """The two involutions, their composition t, and orbit iteration."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,34 +244,41 @@ class TestOrbit:
         c0 = sample_level_set(params_i, 1, seed=8)[0]
         assert len(iterate_orbit(c0, params_i, 3, residual_ceiling=math.inf,
                                  abort_abscissa=math.inf).residuals) == 4
-        with pytest.raises(OrbitAbort):  # 0 is a valid, if strict, threshold
+        # 0 is a valid, if strict, threshold; the start must meet it, so take one of residual 0
+        orbit = iterate_orbit(c0, params_i, 200)
+        c0 = orbit.points[orbit.residuals.tolist().index(0.0)]
+        with pytest.raises(OrbitAbort):
             iterate_orbit(c0, params_i, 3, residual_ceiling=0.0, abort_abscissa=0.0)
 
 
 def orbit_bits(orbit):
-    """Points and residuals of an orbit as float hex strings (NaN-safe)."""
+    """Points, residuals and one-step law of an orbit, floats as hex strings (NaN-safe)."""
     return ([tuple(v.hex() for v in (c.x, c.A1, c.A2)) for c in orbit.points],
-            [r.hex() for r in orbit.residuals])
+            [r.hex() for r in orbit.residuals],
+            orbit.one_step_law_max.hex(), orbit.one_step_law_step)
 
 
 def orbit_outcome(fn, *args, **kwargs):
-    """The orbit's bits, or the abort's type, message, step and prefix bits."""
+    """The orbit's bits; the abort's type, message, step and prefix bits; or a refusal's
+    type and message."""
     try:
         return orbit_bits(fn(*args, **kwargs))
     except OrbitAbort as exc:
         return type(exc), str(exc), exc.step, orbit_bits(exc.orbit)
+    except (ValueError, DomainError) as exc:
+        return type(exc), str(exc)
 
 
 def assert_matches_scalar(c0, params, n, **kwargs):
     got = orbit_outcome(iterate_orbit, c0, params, n, **kwargs)
-    assert got == orbit_outcome(oracles.scalar_iterate_orbit, c0, params, n, **kwargs)
+    assert got == orbit_outcome(oracles.scalar_translated_orbit, c0, params, n, **kwargs)
     return got
 
 
 def residual_records(params, seed, n):
     """Steps whose residual exceeds that of every earlier step past the start."""
     c0 = sample_level_set(params, 1, seed)[0]
-    res = oracles.scalar_iterate_orbit(c0, params, n, residual_ceiling=1.0).residuals
+    res = oracles.scalar_translated_orbit(c0, params, n, residual_ceiling=1.0).residuals
     records, top = [], -1.0
     for step in range(1, n + 1):
         if res[step] > top:
@@ -278,8 +287,16 @@ def residual_records(params, seed, n):
     return c0, res, records
 
 
+def on_set_pole_start(params):
+    """A point of the level set with A1 = 1 exactly: its second wall intersection is at infinity."""
+    D, E = params.D, params.E
+    A2 = 2.0 * E + math.sqrt(4.0 * E * E + 2.0 * D * E)  # the circle at A1 = 1
+    w = A2 + D
+    return ConfigPoint((w * w - 1.0) / (2.0 * w), 1.0, A2)  # the finite root of the wall
+
+
 class TestColumnarMatchesScalar:
-    """iterate_orbit against the step-by-step loop in oracles, bit for bit."""
+    """iterate_orbit against the point-by-point translation in oracles, bit for bit."""
 
     @given(oracles.level_sets(), st.integers(0, 2**16), st.integers(0, 3000))
     def test_points_and_residuals(self, params, seed, n):
@@ -325,29 +342,79 @@ class TestColumnarMatchesScalar:
         assert got[0] is OrbitAbort and got[2] == step
 
     def test_pole_at_start(self, params_i):
-        # A1^2 = 1 puts the second wall intersection at infinity at step 1
+        # a start with A1^2 = 1 off the level set has no angle and is refused at the call;
+        # one on the level set has its image at infinity, so the orbit aborts at step 1
         got = assert_matches_scalar(ConfigPoint(0.3, 1.0, 0.2), params_i, 10)
+        assert got[0] is ValueError and got[1].startswith("orbit start is off the level set")
+        params = derive_params(0.3, 0.4)  # a class I set whose real locus meets A1^2 = 1
+        c0 = on_set_pole_start(params)
+        assert level_set_residual(c0, params) < 1e-12
+        got = assert_matches_scalar(c0, params, 10)
         assert got[:3] == (OrbitAbort, "step 1: second wall intersection at infinity (A1^2 = 1)", 1)
 
     @pytest.mark.parametrize("block", [1, 2, 4096])
     def test_nan_start(self, monkeypatch, params_i, block):
-        # step 1 is all NaN and step 2 meets a pole; the non-finite step 1 wins
+        # a NaN start has no angle to translate: it is refused at the call, whatever the block
         monkeypatch.setattr(poincare, "_CHECK_BLOCK", block)
         got = assert_matches_scalar(ConfigPoint(math.nan, 0.1, 0.2), params_i, 10)
-        assert got[:3] == (OrbitAbort, "step 1: orbit left the level set (residual inf)", 1)
+        assert got[0] is ValueError and got[1].startswith("orbit start is off the level set")
 
     def test_nan_conic_start(self, params_i):
         got = assert_matches_scalar(ConfigPoint(0.3, math.nan, 0.2), params_i, 10)
-        assert got[0] is OrbitAbort and got[2] == 1
+        assert got[0] is ValueError and got[1].startswith("orbit start is off the level set")
 
     @given(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3),
            st.sampled_from([1e-6, math.inf]), st.sampled_from([1e12, math.inf]),
            st.integers(0, 50))
     def test_arbitrary_starts(self, params_ii_plus, start, ceiling, abscissa, n):
-        # starts off the level set, huge or not finite: overflowing and NaN
-        # residuals (a NaN passes the ceiling test), poles, non-finite steps
+        # starts off the level set, huge or not finite: refused at the call, given an angle
+        # (a ceiling of inf admits any start with an angle), or aborted at a pole
         assert_matches_scalar(ConfigPoint(*start), params_ii_plus, n,
                               residual_ceiling=ceiling, abort_abscissa=abscissa)
+
+
+class TestTranslatedOrbit:
+    """The orbit from the translation: its angle sum and its distance from an exact walk."""
+
+    def test_split_sum_within_two_ulps(self):
+        # k alpha by Dekker's product keeps theta_k within 2 ulps of 1 of the exact value for
+        # every k < 2**29; (theta0 + k alpha) % 1 loses the low bits of k alpha
+        rng = random.Random(20261019)
+        ulp = 2.0**-52
+        worst_split = worst_naive = Fraction(0)
+        for _ in range(400):
+            alpha, theta0 = rng.random(), rng.random()
+            ks = [2**29 - 1, 1] + [rng.randrange(2**29) for _ in range(6)]
+            split = poincare._translated_angles(theta0, alpha, np.array(ks)).tolist()
+            for k, got in zip(ks, split):
+                assert 0.0 <= got <= 1.0
+                exact = (Fraction(theta0) + k * Fraction(alpha)) % 1
+                for value, worst in ((got, "split"), ((theta0 + k * alpha) % 1.0, "naive")):
+                    gap = abs(Fraction(value) - exact)
+                    gap = min(gap, 1 - gap)
+                    if worst == "split":
+                        worst_split = max(worst_split, gap)
+                    else:
+                        worst_naive = max(worst_naive, gap)
+        assert worst_split <= 2 * ulp
+        assert worst_naive > 2 * ulp
+
+    @pytest.mark.parametrize("D, E, cls", [
+        (1.5, -0.2, RealLocusClass.I),
+        (2.5, -0.1, RealLocusClass.II_PLUS),
+        (-2.5, 1.5, RealLocusClass.II_MINUS),
+    ])
+    def test_tracks_a_40_digit_walk(self, D, E, cls):
+        # every 1000th point of 10**4 steps and the (odd) point after it, where IIplus has
+        # changed component, against a walk of the same float start at 40 digits
+        params = derive_params(D, E)
+        assert params.cls is cls
+        c0 = sample_level_set(params, 1, 7)[0]
+        orbit = iterate_orbit(c0, params, 10_000)
+        steps = [k + j for k in range(0, 10_001, 1000) for j in (0, 1) if k + j <= 10_000]
+        walk = oracles.mp_walk(c0, params, steps)
+        gaps = [config_distance(orbit.points[k], c) for k, c in zip(steps, walk)]
+        assert len(gaps) == 21 and max(gaps) <= 1e-10
 
 
 def point_bits(points) -> list:
@@ -725,6 +792,17 @@ class TestSampleStream:
         # runs of coins of both parities test the buffered high half-word
         rand = np.random.default_rng(int(seed) % 977)
         assert_same_stream(seed, (rand.random(300) < 0.5).tolist())
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+    def test_seeding_kept_per_seed(self, seed):
+        # a second generator of the seed takes the mixed state from the cache, and the stream
+        # is still default_rng's
+        poincare._seeded.cache_clear()
+        first = poincare._PCG64(seed).random(50)
+        assert poincare._seeded.cache_info().misses == 1
+        assert poincare._PCG64(seed).random(50) == first
+        assert poincare._seeded.cache_info().hits == 1
+        assert_same_stream(seed, [50, True, False, 3])
 
     # hypothesis seldom draws more than four words from the first range alone
     @given(st.integers(0, 2**256) | st.integers(2**128, 2**256),
