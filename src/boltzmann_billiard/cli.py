@@ -194,10 +194,11 @@ def _write_grid(fh, Ds, Es) -> None:
     """CSV rows D,E,class,alpha, computed and written a block of D rows at a time.
 
     Each cell's line is four fields of an object array: "D", ",E,",
-    "class," and "alpha\n".  csv_rows writes the numbers (a NaN alpha as
-    an empty field), each D once per row and each E once per column; the
-    class field is looked up by class code, and one join makes the
-    block's text.
+    "class," and "alpha\n".  csv_rows writes the numbers, each D once per
+    row and each E once per column, and of the alphas only those that are
+    not NaN: a NaN alpha is the empty field "\n", as csv_rows would write
+    it.  The class field is looked up by class code, and one join makes
+    the block's text.
     """
     fh.write("D,E,class,alpha\n")
     e_fields = np.array(["," + E + "," for E in csv_rows(Es[:, None]).splitlines()], dtype=object)
@@ -209,8 +210,10 @@ def _write_grid(fh, Ds, Es) -> None:
         fields[..., 0] = np.array(csv_rows(block[:, None]).splitlines(), dtype=object)[:, None]
         fields[..., 1] = e_fields
         fields[..., 2] = _CLASS_FIELDS[codes]
-        alpha_lines = csv_rows(alpha.reshape(-1, 1)).splitlines(keepends=True)
-        fields[..., 3] = np.array(alpha_lines, dtype=object).reshape(alpha.shape)
+        known = ~np.isnan(alpha)
+        fields[..., 3] = "\n"
+        alpha_lines = csv_rows(alpha[known].reshape(-1, 1)).splitlines(keepends=True)
+        fields[..., 3][known] = np.array(alpha_lines, dtype=object)
         fh.write("".join(fields.ravel().tolist()))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ _RETURN_TOL = 1e-8  # config_distance below which a start counts as returned
 _INTEGRAL_TOL = 1e-9  # distance of p * alpha from an integer below which p is a period
 _P_MAX = 60  # longest period the searches look for
 _N_STARTS = 100  # sampled starts of poncelet_check
+_CHECK_CACHE = 16  # checked level sets kept; a p = 3..8 scan meets a root again within 7 others
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,22 @@ def poncelet_check(params: LevelSetParams, seed: int = 0) -> PeriodReport:
     and compares with the analytic prediction.  Disagreement is reported
     in the result, not raised.  The starts are sampled and iterated
     together as arrays, with the result of detect_period_direct on each.
+
+    The report is a function of the level set and the seed alone (the
+    Poncelet property), so the last _CHECK_CACHE reports are kept for the
+    life of the process, keyed on repr(params), exact in every float and
+    signed zeros too, and the seed taken through operator.index.  A period
+    scan meets every root whose period divides two of its p (6 alpha is an
+    integer where 3 alpha is) a second time, and checks it once.  Errors
+    are not kept: they are raised again on every call.
     """
+    return _poncelet_check(repr(params), operator.index(seed), params)
+
+
+@functools.lru_cache(maxsize=_CHECK_CACHE)
+def _poncelet_check(key: str, seed: int, params: LevelSetParams) -> PeriodReport:
+    """poncelet_check computed afresh; key, repr(params), tells apart what params' own
+    equality merges (D = 0.0 and -0.0)."""
     rot = rotation_number(params)
     predicted = smallest_period(rot.alpha, rot.flips_component)
     found, dist = _first_returns(*_sample_xyz(params, _N_STARTS, seed), params)
@@ -129,7 +146,20 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
     plain floats, the turns are counted on the Jacobi amplitudes of all its
     points, and only its ends are integrated; errors come in the order of a
     point-by-point evaluation.  Raises ValueError if n_steps < 1.
+
+    As in poncelet_check, the last _CHECK_CACHE windings are kept, keyed on
+    repr(params), n_steps (of its own type) and the start: repr(c0) where
+    one is given, else the seed through operator.index.  Errors are not kept.
     """
+    seed = operator.index(seed) if c0 is None else None  # a given c0 leaves the seed unused
+    return _empirical_rotation(repr(params), repr(c0), params, n_steps, seed, c0)
+
+
+@functools.lru_cache(maxsize=_CHECK_CACHE, typed=True)
+def _empirical_rotation(key: str, start: str, params: LevelSetParams, n_steps: int,
+                        seed: int | None, c0: ConfigPoint | None) -> float:
+    """empirical_rotation computed afresh; key and start, repr(params) and repr(c0), tell
+    apart what the equality of params and c0 merges (0.0 and -0.0)."""
     if n_steps < 1:
         raise ValueError(f"empirical rotation needs n_steps >= 1 (got {n_steps})")
     if c0 is None:

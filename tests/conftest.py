@@ -15,20 +15,26 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-from boltzmann_billiard import derive_params, poincare  # noqa: E402
+from boltzmann_billiard import derive_params, periods, poincare  # noqa: E402
 
 _NO_SAMPLE = poincare._last_sample  # the sampling memo before any draw
 
 
 @pytest.fixture(autouse=True)
 def fresh_samples():
-    """Clear poincare's memo of the last draw before each test, and hand out the clearing.
+    """Clear poincare's memo of the last draw and the periods checks' caches before each test,
+    and hand out the clearing.
 
     A test that patches uniformize_array or level_set_residual_array then
-    draws afresh, instead of reading points an earlier test drew unpatched.
+    draws afresh, instead of reading points an earlier test drew unpatched;
+    one that patches _sample_xyz, map_t_array or _walk runs poncelet_check
+    and empirical_rotation afresh, instead of reading a report or winding an
+    earlier test computed unpatched.
     """
     def clear():
         poincare._last_sample = _NO_SAMPLE
+        periods._poncelet_check.cache_clear()
+        periods._empirical_rotation.cache_clear()
 
     clear()
     return clear

@@ -598,6 +598,7 @@ class TestCsvRows:
         self.assert_rows(values)
         text = csvtext.csv_rows(np.array([[0.0, -0.0, np.inf, -np.inf, *nans]]))
         assert text == "0,-0,inf,-inf,,,,\n"
+        assert csvtext.csv_rows(np.empty((0, 1))) == ""  # the grid's block with no alpha
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(width=64), min_size=1, max_size=40), st.integers(1, 7))
@@ -731,6 +732,9 @@ class TestRotation:
         ("-0.0:0.0:-0.0:1:3", cli._GRID_BLOCK),
         ("0.5:3.5:-0.4:-0.1:60", 59),  # below n: each block holds one row
         ("-3.5:3.5:-0.5:1.5:9", 1),
+        ("1.0:1.5:-0.3:-0.2:4", cli._GRID_BLOCK),  # every alpha formatted
+        ("-3.5:-3:0.5:1:3", cli._GRID_BLOCK),  # every alpha blank: no alpha formatted
+        ("0.5:3.5:-0.4:-0.1:60", 120),  # blocks of two rows, some with no blank alpha
     ])
     def test_grid_matches_cell_writer(self, monkeypatch, spec, block):
         monkeypatch.setattr(cli, "_GRID_BLOCK", block)

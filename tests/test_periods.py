@@ -334,6 +334,78 @@ class TestEmpiricalRotation:
         assert spread < 1e-8
 
 
+class TestCheckCache:
+    """poncelet_check and empirical_rotation keep their results per level set and arguments."""
+
+    def test_winding_repeat_is_the_fresh_one(self, fresh_samples, params_ii_plus):
+        emp = empirical_rotation(params_ii_plus, n_steps=300, seed=3)
+        again = empirical_rotation(params_ii_plus, n_steps=300, seed=3)
+        assert periods._empirical_rotation.cache_info()[:2] == (1, 1)  # hits, misses
+        fresh_samples()
+        assert again.hex() == emp.hex()
+        assert again.hex() == oracles.scalar_empirical_rotation(params_ii_plus, 300, 3).hex()
+
+    def test_signed_zeros_have_their_own_entries(self):
+        plus, minus = derive_params(0.0, 0.5), derive_params(-0.0, 0.5)
+        assert plus == minus and repr(plus) != repr(minus)
+        for params in (plus, minus, plus, minus):
+            poncelet_check(params, seed=1)
+            empirical_rotation(params, n_steps=40, seed=1)
+        assert periods._poncelet_check.cache_info()[:2] == (2, 2)
+        assert periods._empirical_rotation.cache_info()[:2] == (2, 2)
+
+    def test_winding_key(self, params_i):
+        cache = periods._empirical_rotation
+        emp = empirical_rotation(params_i, n_steps=100, seed=2)
+        empirical_rotation(params_i, n_steps=101, seed=2)
+        assert cache.cache_info()[:2] == (0, 2)  # n_steps is in the key
+        with pytest.raises(TypeError):  # 100.0 == 100, but the float is not served the int's
+            empirical_rotation(params_i, n_steps=100.0, seed=2)
+        c = sample_level_set(params_i, 2, seed=2)
+        starts = [c[0], c[1], ConfigPoint(c[0].x, 0.0, c[0].A2), ConfigPoint(c[0].x, -0.0, c[0].A2)]
+        for c0 in starts * 2:  # the start is in the key, signed zeros apart; the seed is unused
+            assert (empirical_rotation(params_i, n_steps=100, seed=5, c0=c0).hex()
+                    == empirical_rotation(params_i, n_steps=100, seed=9, c0=c0).hex())
+        assert cache.cache_info()[:2] == (12, 7)  # the float's miss is counted, not kept
+        # c0 = the seed's start: the same winding, from its own entry
+        assert empirical_rotation(params_i, n_steps=100, c0=c[0]) == emp
+
+    def test_seed_through_index(self, params_period3):
+        report = poncelet_check(params_period3, seed=7)
+        assert poncelet_check(params_period3, seed=np.int64(7)) is report
+        emp = empirical_rotation(params_period3, n_steps=30, seed=7)
+        assert empirical_rotation(params_period3, n_steps=30, seed=np.int64(7)) == emp
+        assert periods._poncelet_check.cache_info()[:2] == (1, 1)
+        assert periods._empirical_rotation.cache_info()[:2] == (1, 1)
+        for bad, error in ((7.0, TypeError), (-1, ValueError), (-1, ValueError)):
+            with pytest.raises(error):
+                poncelet_check(params_period3, seed=bad)
+            with pytest.raises(error):
+                empirical_rotation(params_period3, n_steps=30, seed=bad)
+
+    def test_scan_checks_each_root_once(self, monkeypatch):
+        # 6 alpha is an integer where 3 alpha is, and 8 alpha where 4 alpha is: the scan
+        # finds those roots again, as the same doubles, and their checks are kept
+        checked = []
+        first_returns = periods._first_returns
+        monkeypatch.setattr(periods, "_first_returns",
+                            lambda *args: checked.append(args[-1]) or first_returns(*args))
+        roots = {}
+        for p in range(3, 9):
+            for D in find_periodic_locus(-0.2, p):
+                params = derive_params(D, -0.2)
+                found = (D, poncelet_check(params), empirical_rotation(params, n_steps=1000))
+                roots.setdefault(round(D, 6), []).append(found)
+        repeated = [found for found in roots.values() if len(found) > 1]
+        assert len(repeated) == 2 and sum(map(len, roots.values())) == 11
+        for (D, report, emp), *later in repeated:
+            assert all(d.hex() == D.hex() and r is report and e == emp for d, r, e in later)
+        assert len(checked) == len(roots) == 9
+        assert [c.D for c in checked] == [found[0][0] for found in roots.values()]
+        assert periods._poncelet_check.cache_info()[:2] == (2, 9)
+        assert periods._empirical_rotation.cache_info()[:2] == (2, 9)
+
+
 def outcome(fn, *args, shown=float.hex, **kwargs):
     """(type, message) of the exception fn raises, or shown(its result): float.hex by default."""
     try:
@@ -377,12 +449,15 @@ class TestBatchedMatchesScalar:
 
     @pytest.mark.parametrize("fixture,detected", [("params_i", None), ("params_period3", 3),
                                                   ("params_ii_plus", None)])
-    def test_poncelet_check_fixtures(self, request, fixture, detected):
+    def test_poncelet_check_fixtures(self, request, fresh_samples, fixture, detected):
         # params_i is generic: every start runs all 60 steps without returning
         params = request.getfixturevalue(fixture)
         got = poncelet_check(params, seed=2)
         assert got.detected == detected
-        assert repr(got) == repr(oracles.scalar_poncelet_check(params, seed=2))
+        again = poncelet_check(params, seed=2)
+        assert again is got and periods._poncelet_check.cache_info()[:2] == (1, 1)  # hits, misses
+        fresh_samples()  # the kept report is the one the reference computes from a fresh draw
+        assert repr(again) == repr(oracles.scalar_poncelet_check(params, seed=2))
 
     def test_poncelet_check_pole_start(self, monkeypatch, params_period3):
         # a start with A1^2 = 1 has its second wall intersection at infinity
@@ -393,8 +468,10 @@ class TestBatchedMatchesScalar:
                             lambda *args: np.array([(c.x, c.A1, c.A2) for c in starts]).T)
         with pytest.raises(PoleError):
             oracles.scalar_poncelet_check(params_period3)
-        with pytest.raises(PoleError):
-            poncelet_check(params_period3)
+        for _ in range(2):  # an error is not kept: the second call raises it afresh
+            with pytest.raises(PoleError):
+                poncelet_check(params_period3)
+        assert periods._poncelet_check.cache_info()[:2] == (0, 2)
 
     @pytest.mark.parametrize("fixture", ["params_i", "params_ii_plus", "params_ii_minus"])
     @pytest.mark.parametrize("start", ["pole", "nan_x", "dn_zero", "no_angle"])
@@ -412,5 +489,6 @@ class TestBatchedMatchesScalar:
         }[start]
         want = outcome(oracles.scalar_empirical_rotation, params, 50, c0=c0)
         assert outcome(empirical_rotation, params, 50, c0=c0) == want
+        assert outcome(empirical_rotation, params, 50, c0=c0) == want  # kept, or raised again
         if params.cls is RealLocusClass.I or start in ("pole", "nan_x"):
             assert isinstance(want, tuple)
