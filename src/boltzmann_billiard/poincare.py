@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .csvtext import _two_product
-from .elliptic import _each
 from .errors import DomainError, EmptyLocusError, OrbitAbort, PoleError
 from .levelset import (
     ConfigPoint,
@@ -120,7 +119,7 @@ def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     D, E = params.D, params.E
     with np.errstate(all="ignore"):
         L = _L(_z(x, A1, A2, D), D, E)
-        r = _each(math.hypot, x, np.ones_like(x))
+        r = np.fromiter(map(math.hypot, x.tolist(), itertools.repeat(1.0)), float, x.size)
         D_impl = np.copysign(r, A2 + D - A1 * x) + A1 * x - A2
         L2 = D + 2.0 * A2
         E_impl = np.where(np.abs(L2) < 1e-15, np.nan,

@@ -86,10 +86,13 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
     eps is a component index or an array of them, broadcast against theta
     (see the uniformize module for the formulas).  Returns x, A1, A2 and a
     mask of the points where the wall abscissa is at infinity
-    (|1 - A1^2| < 1e-12); x is NaN there.
+    (|1 - A1^2| < 1e-12); x is NaN there.  Raises DomainError for an
+    infinite or NaN angle.
     """
     _require_nondegenerate(params)
     theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise DomainError("theta must be finite")
     eps = np.broadcast_to(eps, theta.shape)
     R, E, D, C = params.R, params.E, params.D, params.C
     if params.cls is RealLocusClass.I:
@@ -122,7 +125,8 @@ def uniformize(a: AngleCoord, params: LevelSetParams) -> ConfigPoint:
     """Point of the real locus at angle coordinate a: uniformize_array at one angle.
 
     Raises PoleError when the wall abscissa is at infinity there (A1^2 = 1);
-    callers that sample may retry with a perturbed angle.
+    callers that sample may retry with a perturbed angle.  Raises
+    DomainError for an infinite or NaN angle.
     """
     x, A1, A2, pole = uniformize_array(np.array([a.theta]), a.eps, params)
     if pole[0]:

@@ -1044,6 +1044,23 @@ def test_svg_bytes_pinned(argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    # the CI points' orbits and the CI grid: a one-ulp change of any point or alpha shows
+    ("orbit --D 1.5 --E -0.2 --steps 2000 --seed 3",
+     "c5216cb2b6da50a9299226424784a8a9b02b5849cc372c6e414d2dc7173b85ec"),
+    ("orbit --D 2.5 --E -0.1 --steps 2000 --seed 3",
+     "46dc075ad895f3144066147b4f2a975c298b51c16553ed7e344bdd6ec365f3c6"),
+    ("orbit --D -2.5 --E 1.5 --steps 2000 --seed 3",
+     "b6d835f86cd1f622752e86088370ad81862feb856c41133e976ad2aa02c15391"),
+    ("rotation --grid 0.5:3.5:-0.4:-0.1:60",
+     "c20a3c2822a09ed9190a136a143616d5adfd2a7cdcb3d5805f4314bf1ee8905f"),
+])
+def test_csv_bytes_pinned(argv, sha256):
+    code, out, err = run_quiet(argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out = run_cli(capsys, "selftest")

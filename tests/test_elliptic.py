@@ -1,5 +1,6 @@
 """Elliptic integrals and Jacobi functions against independent oracles."""
 
+import cmath
 import math
 
 import mpmath
@@ -372,9 +373,31 @@ class TestArrayTwins:
         rng = np.random.default_rng(7)
         tiny = 1e-8 * rng.uniform(-1.0, 1.0, 40)
         u = np.concatenate([rng.uniform(-20.0, 20.0, 300), tiny, 1e-8 + np.abs(tiny),
-                            [0.0, -0.0, 5e-324, 1e-8, -1e-8, math.nextafter(1e-8, 0.0)]])
+                            [0.0, -0.0, 5e-324, 1e-8, -1e-8, math.nextafter(1e-8, 0.0)],
+                            [1e6, -1e6, 1e15, -1e15, 1e22, -1e22]])
         got = list(zip(*map(hexes, elliptic._sncndn_array(u, emc))))
         assert got == [tuple(hexes(oracles._sncndn_core(v, emc))) for v in u.tolist()]
+        assert [v.shape for v in elliptic._sncndn_array(np.empty(0), emc)] == [(0,)] * 3
+
+    def test_rect_rounds_as_math(self):
+        # _sncndn_array reads cos v and sin v from cmath.rect(1, v): bit for bit
+        # math.cos and math.sin, from |v| = 5e-324 to 1e300, signed zeros and
+        # subnormals included
+        rng = np.random.default_rng(10)
+        mags = np.concatenate([rng.uniform(0.0, 20.0, 2000), 10.0 ** rng.uniform(-323.5, 300.0, 6000),
+                               [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, math.pi, 1e22, 1e300]])
+        v = np.concatenate([mags, -mags])
+        z = elliptic._rect(v)
+        assert hexes(z.real) == hexes(map(math.cos, v.tolist()))
+        assert hexes(z.imag) == hexes(map(math.sin, v.tolist()))
+        assert hexes(elliptic._rect(np.array([0.0, -0.0])).imag) == hexes([0.0, -0.0])
+        for bad in (math.inf, -math.inf):
+            for fn in (math.cos, math.sin, lambda v: cmath.rect(1.0, v)):
+                with pytest.raises(ValueError, match="math domain error"):
+                    fn(bad)
+        z = cmath.rect(1.0, math.nan)
+        assert math.isnan(z.real) and math.isnan(z.imag)
+        assert math.isnan(math.cos(math.nan)) and math.isnan(math.sin(math.nan))
 
     @pytest.mark.parametrize("emc", [0.5, 1e-12])
     def test_sncndn_small_u_exact(self, emc):

@@ -1,5 +1,6 @@
 """The batched kernels against the scalar functions and references they repeat."""
 
+import cmath
 import math
 
 import numpy as np
@@ -372,10 +373,14 @@ def test_uniformize_array_random_angles(params, thetas, seed):
 
 def test_uniformize_array_rounds_as_math(monkeypatch, params_i, params_ii_plus):
     # numpy's sin and cos may round differently from math's on some builds;
-    # moving math's results by one ulp shows the kernel follows math's
-    sin, cos = math.sin, math.cos
+    # the kernel reads math's cos and sin from cmath.rect, and the oracle
+    # calls math.sin and math.cos: moving all of them by the same ulp shows
+    # the kernel follows math's
+    sin, cos, rect = math.sin, math.cos, cmath.rect
     monkeypatch.setattr(math, "sin", lambda v: math.nextafter(sin(v), math.inf))
     monkeypatch.setattr(math, "cos", lambda v: math.nextafter(cos(v), -math.inf))
+    monkeypatch.setattr(cmath, "rect", lambda r, v: complex(
+        math.nextafter(rect(r, v).real, -math.inf), math.nextafter(rect(r, v).imag, math.inf)))
     thetas = np.linspace(0.0, 1.0, 101)[:-1].tolist()
     for params in (params_i, params_ii_plus):
         for eps in components(params):
@@ -391,6 +396,12 @@ def test_uniformize_array_errors(params_i, params_ii_plus):
     for params, eps in [(params_i, 1), (params_ii_plus, 2), (derive_params(1.0, -0.5), 0)]:
         assert (message(uniformize_array, [0.3], eps, params)
                 == message(oracles.scalar_uniformize, AngleCoord(0.3, eps), params))
+    # a non-finite angle: a typed error, not libm's bare ValueError or a NaN point
+    for params in (params_i, params_ii_plus):
+        for eps in components(params):
+            for theta in (math.inf, -math.inf, math.nan):
+                assert message(uniformize_array, [0.3, theta], eps, params) == "theta must be finite"
+                assert message(uniformize, AngleCoord(theta, eps), params) == "theta must be finite"
 
 
 def projection_points(params, seed):
