@@ -41,14 +41,16 @@ def _each(fn, *arrays) -> np.ndarray:
     Array twins repeat the scalar +, -, *, /, sqrt, abs, comparisons and
     mod one for one, which numpy rounds as math does, and freeze each
     converged element where the scalar loop stops.  Where numpy may differ
-    from math in the last bit, they map math's own over the elements'
-    tolist(), as this function does, and fill the result by np.fromiter
-    with no list in between: cos and sin in _sncndn_array (one cmath.rect
-    call for both), hypot in poincare.orbit_drift_columns.  Over a few
-    elements it also stands in for a twin whose numpy calls cost more than
-    the work: carlson_rf at the two ends of periods.empirical_rotation.
+    from math in the last bit, they map math's own over the elements of
+    ravel().tolist(), as this function does, fill the result by np.fromiter
+    with no list in between and give it the shape of the first array: cos
+    and sin in _sncndn_array (one cmath.rect call for both), hypot in
+    poincare.orbit_drift_columns.  Over a few elements it also stands in
+    for a twin whose numpy calls cost more than the work: carlson_rf in
+    uniformize._lift, whose callers pass one or two points.
     """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
+    return np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float,
+                       arrays[0].size).reshape(arrays[0].shape)
 
 
 def _agm(a: float, b: float) -> float:
@@ -242,7 +244,7 @@ def seg_case_ii_plus(x: float, m) -> float:
 
 
 def _rect(v: np.ndarray) -> np.ndarray:
-    """cos v + i sin v per element, each part bit for bit math.cos and math.sin.
+    """cos v + i sin v per element, in v's shape, each part bit for bit math.cos and math.sin.
 
     CPython's cmath.rect(r, phi) is r cos(phi) + i r sin(phi) from the same
     libm cos and sin that math calls, and both products are exact at r = 1;
@@ -251,7 +253,8 @@ def _rect(v: np.ndarray) -> np.ndarray:
     _sncndn_array: 437-440 against 679-706 us on 4096 angles (best of 7,
     2-vCPU x86_64 VM, Python 3.11).
     """
-    return np.fromiter(map(cmath.rect, itertools.repeat(1.0), v.tolist()), complex, v.size)
+    return np.fromiter(map(cmath.rect, itertools.repeat(1.0), v.ravel().tolist()), complex,
+                       v.size).reshape(v.shape)
 
 
 def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _each, carlson_rf
 from .errors import BilliardError
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
-from .poincare import (_sample_xyz, _walk, config_distance, config_distance_array, map_t,
-                       map_t_array, sample_level_set)
+from .poincare import _sample_xyz, _walk, config_distance, config_distance_array, map_t, map_t_array
 from .uniformize import _amplitudes, _lift, _turns, rotation_grid, rotation_number
 
 log = logging.getLogger(__name__)
@@ -102,13 +100,26 @@ def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray, params: Lev
     return found, dist
 
 
+@functools.lru_cache(maxsize=1)
+def _starts(key: str, seed: int, params: LevelSetParams) -> np.ndarray:
+    """The _N_STARTS starts of poncelet_check: _sample_xyz's read-only rows x, A1, A2.
+
+    The one draw read twice: a winding with no c0 starts at the first of
+    them, and in a period scan it runs right after the check on the same
+    level set.  So the last draw is kept, keyed as the checks are (key is
+    repr(params), the seed an int); an error is not kept.
+    """
+    return _sample_xyz(params, _N_STARTS, seed)
+
+
 def poncelet_check(params: LevelSetParams, seed: int = 0) -> PeriodReport:
     """All-or-nothing periodicity over seeded starting points.
 
     Detects the direct period from _N_STARTS starts, requires unanimity,
     and compares with the analytic prediction.  Disagreement is reported
     in the result, not raised.  The starts are sampled and iterated
-    together as arrays, with the result of detect_period_direct on each.
+    together as arrays, with the result of detect_period_direct on each;
+    the draw is kept for the winding that follows (_starts).
 
     The report is a function of the level set and the seed alone (the
     Poncelet property), so the last _CHECK_CACHE reports are kept for the
@@ -127,7 +138,7 @@ def _poncelet_check(key: str, seed: int, params: LevelSetParams) -> PeriodReport
     equality merges (D = 0.0 and -0.0)."""
     rot = rotation_number(params)
     predicted = smallest_period(rot.alpha, rot.flips_component)
-    found, dist = _first_returns(*_sample_xyz(params, _N_STARTS, seed), params)
+    found, dist = _first_returns(*_starts(key, seed, params), params)
     detected = set(found)
     unanimous = detected.pop() if len(detected) == 1 else None
     # with a unanimous period, t^p(c) is the point each start returned at
@@ -145,7 +156,9 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
     (where theta decreases), alpha per step on average.  The orbit runs on
     plain floats, the turns are counted on the Jacobi amplitudes of all its
     points, and only its ends are integrated; errors come in the order of a
-    point-by-point evaluation.  Raises ValueError if n_steps < 1.
+    point-by-point evaluation.  Raises ValueError if n_steps < 1.  With no
+    c0, the orbit starts at the first of poncelet_check's starts for the
+    seed, read from the draw the check keeps (_starts) or drawn afresh.
 
     As in poncelet_check, the last _CHECK_CACHE windings are kept, keyed on
     repr(params), n_steps (of its own type) and the start: repr(c0) where
@@ -163,7 +176,7 @@ def _empirical_rotation(key: str, start: str, params: LevelSetParams, n_steps: i
     if n_steps < 1:
         raise ValueError(f"empirical rotation needs n_steps >= 1 (got {n_steps})")
     if c0 is None:
-        c0 = sample_level_set(params, 1, seed)[0]
+        c0 = ConfigPoint(*_starts(key, seed, params)[:, 0].tolist())
     xs, A1s, A2s, pole = _walk(c0.x, c0.A1, c0.A2, n_steps, params.D, params.E)
     xyz = np.empty((3, len(xs) + 1))
     xyz[:, 0] = c0.x, c0.A1, c0.A2
@@ -173,9 +186,7 @@ def _empirical_rotation(key: str, start: str, params: LevelSetParams, n_steps: i
     if pole is not None:
         raise pole
     # the ends from the same amplitudes, unreduced, so each is on the turns' side of the cut
-    # with R_F per element: numpy's per-call cost would outweigh two points' work
-    rf = functools.partial(_each, carlson_rf)
-    theta0, theta_n = _lift(rf, sn[[0, -1]], cn[[0, -1]], *modulus).tolist()
+    theta0, theta_n = _lift(sn[[0, -1]], cn[[0, -1]], *modulus).tolist()
     return ((_turns(sn, cn) + theta_n - theta0) / n_steps) % 1.0
 
 

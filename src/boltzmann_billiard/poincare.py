@@ -129,7 +129,6 @@ def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
 
 _CHECK_BLOCK = 4096  # orbit points computed and checked together
 _CURVE_POINTS = 257  # points of a component_curve, the first and last both at theta = 0
-_last_sample = (None, np.empty((3, 0)), 0)  # _sample_xyz's key, read-only points, candidates tried
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +309,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 @lru_cache(maxsize=16)
 def _seeded(seed: int) -> tuple:
-    """The PCG64 state and increment of an integer seed >= 0, mixed as _PCG64 describes."""
+    """The PCG64 state and increment of an integer seed >= 0, mixed as _pcg64 describes."""
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     h, mult = 0x43B0D7E5, 0x931E8875
 
@@ -330,8 +329,8 @@ def _seeded(seed: int) -> tuple:
     return ((inc + bits) * _PCG_MULT + inc) & _M128, inc
 
 
-class _PCG64:
-    """The stream of np.random.default_rng(seed), drawn in Python, for an integer seed >= 0.
+def _pcg64(seed: int) -> tuple:
+    """The 64-bit words and the coins of np.random.default_rng(seed), for an int seed >= 0.
 
     numpy's first default_rng imports numpy.random, and with it hashlib,
     secrets and OpenSSL: 10-14 ms and 6 MB per process, for a sample that may
@@ -340,108 +339,84 @@ class _PCG64:
     then each seed word past the fourth, is hashed into the other pool words.
     The pool, read twice through and hashed word by word, gives eight 32-bit
     words, read as four little-endian 64-bit ones: the PCG64 state's high
-    and low halves, then the increment's.  The state steps as PCG64 (XSL-RR 128/64) does; random
-    is Generator.random and coin Generator.integers(0, 2), the top bit of a
-    32-bit half-word, low half first, the high half kept for the next coin.
-    A negative seed raises ValueError and a non-integer one TypeError, as
-    numpy's do.  The mixing is kept per seed (_seeded), so a seed drawn
-    from again, one generator per poncelet_check, is not mixed again.
+    and low halves, then the increment's.  The state steps as PCG64 (XSL-RR
+    128/64) does, one word per step.  Generator.random is the top 53 bits
+    of the next word, and Generator.integers(0, 2) the next coin: the top bit
+    of a 32-bit half-word, low half first, the high half kept for the next
+    coin; the coins draw their words from the same iterator.  The mixing is
+    kept per seed (_seeded), so a seed drawn from again is not mixed again.
     """
-
-    def __init__(self, seed: int):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
-        self._words = self._stream(*_seeded(seed))
-        self._coins = (w >> b & 1 for w in self._words for b in (31, 63))
-
-    @staticmethod
-    def _stream(s: int, inc: int):
-        """The 64-bit outputs of the steps after state s."""
+    def stream(s: int, inc: int):
         while True:
             s = (s * _PCG_MULT + inc) & _M128
             x = (s >> 64 ^ s) & _M64
             yield (x | x << 64) >> (s >> 122) & _M64  # x rotated right by the top 6 bits of s
 
-    def random(self, k: int) -> list:
-        """The next k doubles in [0, 1)."""
-        return [(w >> 11) * 2.0**-53 for w in itertools.islice(self._words, k)]
-
-    def coin(self) -> int:
-        """The next fair bit, 0 or 1."""
-        return next(self._coins)
-
-
-def _theta_candidates(params: LevelSetParams, rng: _PCG64, k: int) -> np.ndarray:
-    """Rows x, A1, A2 of the accepted points among k candidates drawn uniformly in the angle.
-
-    The candidates are drawn in the scalar order (theta, then a fair-coin
-    component on two-component sets) and evaluated together.
-    """
-    if params.cls is RealLocusClass.I:
-        theta, eps = rng.random(k), 0
-    else:
-        theta, eps = np.array([(*rng.random(1), rng.coin()) for _ in range(k)]).T
-    x, A1, A2, pole = uniformize_array(theta, eps, params)
-    xyz = np.array(project_onto_level_set_array(x, A1, A2, params))
-    return xyz[:, ~pole & ~(level_set_residual_array(*xyz, params) > 1e-12)]
+    words = stream(*_seeded(seed))
+    return words, (w >> b & 1 for w in words for b in (31, 63))
 
 
 def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
     """sample_level_set's points as the rows x, A1, A2 of a read-only (3, m) array.
 
-    The seed is an integer >= 0, taken through operator.index, and the
-    points are those of np.random.default_rng(seed).  The last draw is kept,
-    keyed on repr(params) (exact in every float, signed zeros too) and the
-    seed; a request for m of its points gets them when it has m and tried no
-    more candidates than a draw of m may.
+    A pure function of the level set, m and the seed.  m and the seed are
+    integers >= 0, taken through operator.index: a negative one raises
+    ValueError and a non-integer one TypeError, in every class.  The points
+    are those of np.random.default_rng(seed) (_pcg64).  Each block draws its
+    candidates in the scalar order (theta, then a fair-coin component on
+    two-component sets) and evaluates them together.
     """
-    global _last_sample
     if params.cls is RealLocusClass.EMPTY:
         raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
     _require_nondegenerate(params)
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"sampling needs m >= 0 points (got {m})")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words, coins = _pcg64(seed)
     limit = 100 * m + 1000  # candidates tried before giving up
-    key = (repr(params), operator.index(seed))
-    last_key, last, last_tried = _last_sample
-    if key == last_key and m <= last.shape[1] and last_tried <= limit:
-        return last[:, :m]
-    rng = _PCG64(seed)
     blocks = [np.empty((3, 0))]
     got = tried = 0
     while got < m:
         if tried == limit:
             raise DomainError("sampling failed to find real points (locus nearly degenerate?)")
         k = min(m - got, limit - tried)
-        blocks.append(_theta_candidates(params, rng, k))
+        if params.cls is RealLocusClass.I:
+            theta, eps = [(w >> 11) * 2.0**-53 for w in itertools.islice(words, k)], 0
+        else:
+            theta, eps = np.array([((next(words) >> 11) * 2.0**-53, next(coins))
+                                   for _ in range(k)]).T
+        x, A1, A2, pole = uniformize_array(theta, eps, params)
+        xyz = np.array(project_onto_level_set_array(x, A1, A2, params))
+        blocks.append(xyz[:, ~pole & ~(level_set_residual_array(*xyz, params) > 1e-12)])
         got += blocks[-1].shape[1]
         tried += k
     xyz = np.concatenate(blocks, axis=1)
     xyz.flags.writeable = False
-    _last_sample = key, xyz, tried
     return xyz
 
 
 def sample_level_set(params: LevelSetParams, m: int, seed: int = 0) -> list:
     """Draw m points of the real locus, deterministically for a fixed seed.
 
-    The seed is an integer >= 0 (a negative one raises ValueError, a float,
-    None or a numpy Generator TypeError), and the draws are those of
-    np.random.default_rng(seed), made in Python without importing
-    numpy.random.
+    m is an integer >= 0 and the seed an integer >= 0: a negative one
+    raises ValueError, a float, None or a numpy Generator TypeError.  The
+    draws are those of np.random.default_rng(seed), made in Python without
+    importing numpy.random.
 
     The points are uniform in the uniformizing angle theta, with the
     component chosen by a fair coin on two-component sets.  A candidate is
     dropped where the wall abscissa is at infinity or where its projection
     onto the level set leaves a residual above 1e-12; after 100 m + 1000
-    candidates the sampling gives up with DomainError.  m < 0 raises
-    ValueError.
+    candidates the sampling gives up with DomainError.
 
     The candidates are evaluated in blocks, as many at a time as points are
     still missing; the draws do not depend on the outcomes, so the points
-    are those of a one-at-a-time loop.  For the same reason the last draw
-    is kept: m points of it are those of a fresh draw of m.
+    are those of a one-at-a-time loop, and the first m points of a draw of
+    M >= m are those of a draw of m when that draw does not give up.
+    Nothing is kept between calls.
     """
     return list(map(ConfigPoint, *_sample_xyz(params, m, seed).tolist()))
 

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K_array,
-                       _sncndn_array, complete_K, complete_Kp, complete_Kpp, seg_case_i,
-                       seg_case_ii_plus)
+from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K_array, _each,
+                       _sncndn_array, carlson_rf, complete_K, complete_Kp, complete_Kpp,
+                       seg_case_i, seg_case_ii_plus)
 from .errors import DomainError, NearDegenerateError, PoleError
 from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _classes, _classify, _columns,
                        _k2_s0_inv, _require_nondegenerate, _z)
@@ -83,10 +83,11 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Points of the real locus at the angles theta, by the Jacobi parametrization.
 
-    eps is a component index or an array of them, broadcast against theta
-    (see the uniformize module for the formulas).  Returns x, A1, A2 and a
-    mask of the points where the wall abscissa is at infinity
-    (|1 - A1^2| < 1e-12); x is NaN there.  Raises DomainError for an
+    theta may have any shape, and eps is a component index or an array of
+    them, broadcast against theta (see the uniformize module for the
+    formulas).  Returns x, A1, A2 and a mask of the points where the wall
+    abscissa is at infinity (|1 - A1^2| < 1e-12), in theta's shape; x is
+    NaN there.  Raises DomainError for an
     infinite or NaN angle.
     """
     _require_nondegenerate(params)
@@ -175,7 +176,7 @@ def _amplitudes(x: np.ndarray, A1: np.ndarray, A2: np.ndarray, params: LevelSetP
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():  # the first failing point, and the first check it fails
         i = int(np.argmax(bad))
-        raise DomainError(next(msg for mask, msg in checks if mask[i]))
+        raise DomainError(next(msg for mask, msg in checks if mask.flat[i]))
     return sn, cn, mc, K, (4.0 if params.cls is RealLocusClass.I else 2.0) * K
 
 
@@ -185,14 +186,15 @@ def _unfold(r, sn, cn, at_pi):
     return np.where(sn < 0.0, 2.0 * at_pi - r, r)
 
 
-def _lift(rf, sn, cn, mc, K, period) -> np.ndarray:
+def _lift(sn, cn, mc, K, period) -> np.ndarray:
     """theta in [0, 1] of the amplitudes from _amplitudes, not reduced mod 1.
 
-    rf is R_F over arrays, with the bits of carlson_rf: _carlson_rf_array for
-    many points, carlson_rf per element (elliptic._each) for a few.
+    R_F is carlson_rf per element (elliptic._each): the callers, angle_of and
+    the two ends of periods.empirical_rotation, pass one or two points, where
+    _carlson_rf_array's numpy calls would cost more than the work.
     """
     # F(phi | m) = |sn| R_F(cn^2, dn^2, 1) at the reference angle, with no 1 - sn^2 to cancel
-    f = np.abs(sn) * rf(cn * cn, cn * cn + mc * (sn * sn), np.ones_like(cn))
+    f = np.abs(sn) * _each(carlson_rf, cn * cn, cn * cn + mc * (sn * sn), np.ones_like(cn))
     return _unfold(f, sn, cn, 2.0 * K) / period
 
 
@@ -204,8 +206,11 @@ def _turns(sn, cn) -> int:
 
 def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                 params: LevelSetParams) -> np.ndarray:
-    """Angle theta in [0, 1) of every real-locus point (x, A1, A2): _amplitudes, then _lift."""
-    return _lift(_carlson_rf_array, *_amplitudes(x, A1, A2, params)) % 1.0
+    """Angle theta in [0, 1) of every real-locus point (x, A1, A2): _amplitudes, then _lift.
+
+    x, A1 and A2 share one shape, any, and theta has it.
+    """
+    return _lift(*_amplitudes(x, A1, A2, params)) % 1.0
 
 
 def angle_of(c: ConfigPoint, params: LevelSetParams) -> AngleCoord:

@@ -15,24 +15,22 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-from boltzmann_billiard import derive_params, periods, poincare  # noqa: E402
-
-_NO_SAMPLE = poincare._last_sample  # the sampling memo before any draw
+from boltzmann_billiard import derive_params, periods  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
 def fresh_samples():
-    """Clear poincare's memo of the last draw and the periods checks' caches before each test,
-    and hand out the clearing.
+    """Clear the periods checks' kept draw and caches before each test, and hand out the
+    clearing.
 
     A test that patches uniformize_array or level_set_residual_array then
-    draws afresh, instead of reading points an earlier test drew unpatched;
-    one that patches _sample_xyz, map_t_array or _walk runs poncelet_check
-    and empirical_rotation afresh, instead of reading a report or winding an
-    earlier test computed unpatched.
+    draws the checks' starts afresh, instead of reading points an earlier
+    test drew unpatched; one that patches _sample_xyz, map_t_array or _walk
+    runs poncelet_check and empirical_rotation afresh, instead of reading a
+    report or winding an earlier test computed unpatched.
     """
     def clear():
-        poincare._last_sample = _NO_SAMPLE
+        periods._starts.cache_clear()
         periods._poncelet_check.cache_clear()
         periods._empirical_rotation.cache_clear()
 

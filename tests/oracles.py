@@ -661,14 +661,14 @@ def scalar_empirical_rotation(params, n_steps: int = 10_000, seed: int = 0, c0=N
 def scalar_poncelet_check(params, seed: int = 0):
     """poncelet_check one start at a time, with a separate residual pass.
 
-    The starts come from periods.sample_level_set, so a test that replaces
-    it there gives both paths the same starts.
+    The starts come from periods._sample_xyz, so a test that replaces it
+    there gives both paths the same starts.
     """
-    from boltzmann_billiard import map_t, periods
+    from boltzmann_billiard import ConfigPoint, map_t, periods
 
     rot = periods.rotation_number(params)
     predicted = periods.smallest_period(rot.alpha, rot.flips_component)
-    pts = periods.sample_level_set(params, periods._N_STARTS, seed)
+    pts = list(map(ConfigPoint, *periods._sample_xyz(params, periods._N_STARTS, seed).tolist()))
     detected = {periods.detect_period_direct(c, params) for c in pts}
     unanimous = detected.pop() if len(detected) == 1 else None
     residual = math.nan

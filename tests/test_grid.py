@@ -404,6 +404,29 @@ def test_uniformize_array_errors(params_i, params_ii_plus):
                 assert message(uniformize, AngleCoord(theta, eps), params) == "theta must be finite"
 
 
+@pytest.mark.parametrize("fixture", ["params_i", "params_ii_plus"])
+def test_kernels_keep_any_shape(request, fixture):
+    # a 0-d, (2, 2) or (3, 1) angle, or point, gives the 1-D results bit for bit, in its
+    # own shape; the first failing point of a (2, 2) point array raises as in 1-D
+    params = request.getfixturevalue(fixture)
+    flat = np.array([0.3, 0.05, 0.71, 0.9])
+    eps = 0 if params.cls is RealLocusClass.I else 1
+    want = uniformize_array(flat, eps, params)
+    want_theta = theta_array(*want[:3], params)
+    for shape in [(), (2, 2), (3, 1)]:
+        n = math.prod(shape)
+        got = uniformize_array(flat[:n].reshape(shape), eps, params)
+        for g, w in zip(got, want):
+            assert np.shape(g) == shape and np.ravel(g).tolist() == w[:n].tolist()
+        theta = theta_array(*(np.reshape(v[:n], shape) for v in want[:3]), params)
+        assert np.shape(theta) == shape
+        assert list(map(float.hex, np.ravel(theta).tolist())) == list(
+            map(float.hex, want_theta[:n].tolist()))
+    x, A1, A2 = (np.reshape(v, (2, 2)).copy() for v in want[:3])
+    x[1, 0] = math.nan
+    assert outcome(theta_array, x, A1, A2, params) == NAN_ANGLE
+
+
 def projection_points(params, seed):
     """Points on the level set, pushed off it at every scale, and the special cases."""
     rng = np.random.default_rng(seed)

@@ -30,7 +30,7 @@ from boltzmann_billiard import (
     uniformize,
 )
 
-from boltzmann_billiard import periods
+from boltzmann_billiard import periods, poincare
 from boltzmann_billiard.uniformize import theta_array
 
 import oracles
@@ -406,6 +406,49 @@ class TestCheckCache:
         assert periods._empirical_rotation.cache_info()[:2] == (2, 9)
 
 
+def counted_candidates(monkeypatch, poles=0):
+    """Record the size of each block of sampling candidates; the first `poles` are poles."""
+    kernel, blocks = poincare.uniformize_array, []
+
+    def counted(theta, eps, params):
+        first = sum(blocks) + np.arange(len(theta))
+        blocks.append(len(theta))
+        x, A1, A2, pole = kernel(theta, eps, params)
+        return x, A1, A2, pole | (first < poles)
+
+    monkeypatch.setattr(poincare, "uniformize_array", counted)
+    return blocks
+
+
+class TestKeptStarts:
+    """periods._starts: the check's draw, kept for the winding that follows it."""
+
+    def test_keeps_no_error(self, monkeypatch, params_i):
+        # a failed draw is not kept: it raises again, and the draw kept before stays
+        poncelet_check(params_i)
+        blocks = counted_candidates(monkeypatch, poles=math.inf)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="sampling failed"):
+                empirical_rotation(params_i, n_steps=100, seed=1)
+        assert sum(blocks) == 2 * (100 * periods._N_STARTS + 1000)
+        assert periods._starts.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, kept
+        empirical_rotation(params_i, n_steps=100)
+        assert periods._starts.cache_info()[:2] == (1, 3)
+
+    def test_start_past_a_one_point_limit(self, monkeypatch, params_i):
+        # the winding's start is the first of _N_STARTS points, so its draw may try
+        # 100 * _N_STARTS + 1000 candidates where a draw of one point gives up at 1100
+        blocks = counted_candidates(monkeypatch, poles=1100)
+        with pytest.raises(DomainError, match="sampling failed"):
+            sample_level_set(params_i, 1)
+        blocks.clear()
+        got = empirical_rotation(params_i, n_steps=100)
+        blocks.clear()
+        start = poincare._sample_xyz(params_i, periods._N_STARTS, 0)[:, 0].tolist()
+        want = oracles.scalar_empirical_rotation(params_i, 100, c0=ConfigPoint(*start))
+        assert got.hex() == want.hex()
+
+
 def outcome(fn, *args, shown=float.hex, **kwargs):
     """(type, message) of the exception fn raises, or shown(its result): float.hex by default."""
     try:
@@ -463,7 +506,6 @@ class TestBatchedMatchesScalar:
         # a start with A1^2 = 1 has its second wall intersection at infinity
         starts = sample_level_set(params_period3, 5, seed=1)
         starts[3] = ConfigPoint(0.4, 1.0, 0.2)
-        monkeypatch.setattr(periods, "sample_level_set", lambda *args: list(starts))
         monkeypatch.setattr(periods, "_sample_xyz",
                             lambda *args: np.array([(c.x, c.A1, c.A2) for c in starts]).T)
         with pytest.raises(PoleError):

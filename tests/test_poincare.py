@@ -1,6 +1,8 @@
 """The two involutions, their composition t, and orbit iteration."""
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
-from boltzmann_billiard import poincare
+from boltzmann_billiard import periods, poincare
 from boltzmann_billiard import (
     ConfigPoint,
     DomainError,
@@ -642,7 +644,8 @@ def counted_candidates(monkeypatch):
 
 
 class TestSampleMemo:
-    """_sample_xyz keeps its last draw, and a request it answers gets the bits of a fresh draw."""
+    """Draws are pure: a draw of m is the first m points of a longer one, and the one draw
+    that is kept, periods._starts, holds the bits of a fresh draw."""
 
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("D,E", ALL_CLASS_FIXTURES)
@@ -662,25 +665,34 @@ class TestSampleMemo:
 
     @given(oracles.level_sets(), st.integers(0, 2**32 - 1), st.integers(0, 60), st.integers(0, 60))
     def test_hits_match_scalar_loop(self, params, seed, m, extra):
-        sampled(sample_level_set, params, m + extra, seed)
-        got = sampled(sample_level_set, params, m, seed)  # a hit, unless the draw failed
-        assert got == sampled(oracles.scalar_sample_level_set, params, m, seed)
+        # what periods._starts relies on: the first m points of a longer draw are the
+        # scalar loop's m, where neither draw gives up
+        longer = sampled(sample_level_set, params, m + extra, seed)
+        want = sampled(oracles.scalar_sample_level_set, params, m, seed)
+        assert sampled(sample_level_set, params, m, seed) == want
+        if isinstance(longer, list) and isinstance(want, list):
+            assert longer[:m] == want
 
     def test_hit_is_a_fresh_draw(self, monkeypatch, fresh_samples, params_ii_plus):
-        for m, seed in [(0, 4), (1, 4), (30, 4), (100, 4), (30, np.int64(4))]:
+        # a hit of the checks' kept draw evaluates no candidate, and its first m points
+        # are those of a fresh draw of m
+        key = repr(params_ii_plus)
+        for seed in (4, np.int64(4)):
             fresh_samples()
-            want = xyz_hexes(poincare._sample_xyz(params_ii_plus, m, 4))
-            fresh_samples()
-            poincare._sample_xyz(params_ii_plus, 100, 4)
+            periods._starts(key, 4, params_ii_plus)
             with monkeypatch.context() as patch:
                 blocks = counted_candidates(patch)
-                assert xyz_hexes(poincare._sample_xyz(params_ii_plus, m, seed)) == want
+                kept = periods._starts(key, seed, params_ii_plus)
             assert blocks == []
+            for m in (0, 1, 30, periods._N_STARTS):
+                want = xyz_hexes(poincare._sample_xyz(params_ii_plus, m, 4))
+                assert xyz_hexes(kept[:, :m]) == want
 
     def test_no_hit_past_a_smaller_draws_limit(self, monkeypatch, params_i):
         # the first 1200 candidates of a draw are poles: 7 points take 1207 of the
         # 1700 candidates they may, 1 point may take 1100 and 2 points 1200, so
-        # those draws fail, and 3 points (1300) are the first 3 of the 7
+        # those draws fail after their own limit, and 3 points (1300) are the first 3
+        # of the 7; a draw made before changes none of it
         kernel, seen = poincare.uniformize_array, [0]
 
         def late(theta, eps, params):
@@ -691,35 +703,42 @@ class TestSampleMemo:
 
         monkeypatch.setattr(poincare, "uniformize_array", late)
         seven = poincare._sample_xyz(params_i, 7, 0)
+        assert seen[0] == 1207
         for m in (1, 2):
             seen[0] = 0
             with pytest.raises(DomainError, match="sampling failed"):
                 poincare._sample_xyz(params_i, m, 0)
-            poincare._sample_xyz(params_i, 7, 0)
+            assert seen[0] == 100 * m + 1000
         seen[0] = 0
         assert xyz_hexes(poincare._sample_xyz(params_i, 3, 0)) == xyz_hexes(seven[:, :3])
-        assert seen[0] == 0
+        assert seen[0] == 1203
 
-    def test_refusals_come_first(self, params_i):
-        poincare._sample_xyz(params_i, 100, 0)
-        with pytest.raises(ValueError, match=r"m >= 0 points \(got -1\)"):
-            poincare._sample_xyz(params_i, -1, 0)
-        points = poincare._last_sample[1]
+    def test_refusals_come_first(self, monkeypatch, params_i, params_ii_plus):
+        # a refused request evaluates no candidate; a count that is not an integer
+        # raises one TypeError in every class
+        blocks = counted_candidates(monkeypatch)
+        for params in (params_i, params_ii_plus):
+            with pytest.raises(ValueError, match=r"m >= 0 points \(got -1\)"):
+                poincare._sample_xyz(params, -1, 0)
+            for m in (5.0, 2.5):
+                with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an "
+                                                    "integer$"):
+                    sample_level_set(params, m)
         for params, error in [(derive_params(6.0, -0.1), EmptyLocusError),
                               (derive_params(1.0, -0.5), DomainError)]:
-            # no draw stores such an entry, so plant one that matches
-            poincare._last_sample = ((repr(params), 0), points, 0)
             with pytest.raises(error):
                 poincare._sample_xyz(params, 1, 0)
+        assert blocks == []
 
     def test_signed_zeros_are_two_keys(self, monkeypatch):
+        # the checks' kept draw is keyed on repr(params), which tells D = 0.0 and -0.0 apart
         plus, minus = derive_params(0.0, 0.5), derive_params(-0.0, 0.5)
-        poincare._sample_xyz(plus, 10, 0)
+        periods._starts(repr(plus), 0, plus)
         blocks = counted_candidates(monkeypatch)
-        poincare._sample_xyz(minus, 10, 0)
-        assert blocks == [10]
-        poincare._sample_xyz(minus, 3, 0)
-        assert blocks == [10]
+        periods._starts(repr(minus), 0, minus)
+        assert blocks == [periods._N_STARTS]
+        periods._starts(repr(minus), 0, minus)
+        assert blocks == [periods._N_STARTS]
 
     def test_other_seeds_draw_afresh(self, monkeypatch, params_i):
         poincare._sample_xyz(params_i, 10, 0)
@@ -750,38 +769,50 @@ class TestSampleMemo:
 
     @pytest.mark.parametrize("D,E", [(1.75, -5.0 / 24.0), *ALL_CLASS_FIXTURES])
     def test_poncelet_check_then_empirical_rotation(self, monkeypatch, fresh_samples, D, E):
-        # the start of empirical_rotation is the first of poncelet_check's starts
+        # the start of empirical_rotation is the first of poncelet_check's starts: a winding
+        # with no check before it gives the bits of one after the check, which evaluates no
+        # candidate of its own
         params = derive_params(D, E)
-        want = repr(poncelet_check(params, 3))
-        fresh_samples()
-        want_alpha = empirical_rotation(params, 500, 3).hex()
-        fresh_samples()
-        assert repr(poncelet_check(params, 3)) == want
-        blocks = counted_candidates(monkeypatch)
-        assert empirical_rotation(params, 500, 3).hex() == want_alpha
-        assert blocks == []
+        for seed, n_steps in [(3, 500), (5, 2000), (2**40, 2000)]:
+            fresh_samples()
+            want = repr(poncelet_check(params, seed))
+            fresh_samples()
+            want_alpha = empirical_rotation(params, n_steps, seed).hex()
+            fresh_samples()
+            assert repr(poncelet_check(params, seed)) == want
+            with monkeypatch.context() as patch:
+                blocks = counted_candidates(patch)
+                assert empirical_rotation(params, n_steps, seed).hex() == want_alpha
+            assert blocks == []
+            assert periods._starts.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, np.uint64(2**64 - 1), np.int64(4),
                 2**128 + 1, 2**200 + 12345]  # the last two mix more than four 32-bit words
 
 
+def doubles(words, k: int) -> list:
+    """Generator.random(k) from the next k PCG64 words: the top 53 bits of each."""
+    return [(w >> 11) * 2.0**-53 for w in itertools.islice(words, k)]
+
+
 def assert_same_stream(seed, calls):
-    """_PCG64(seed) and default_rng(seed) give the same values for each numpy call
-    named in calls: True for random(), False for integers(0, 2), an int k for random(k)."""
-    ours, numpys = poincare._PCG64(seed), np.random.default_rng(seed)
+    """The words and coins of _pcg64(seed) and default_rng(seed) give the same values for each
+    numpy call named in calls: True for random(), False for integers(0, 2), an int k for
+    random(k)."""
+    (words, coins), numpys = poincare._pcg64(operator.index(seed)), np.random.default_rng(seed)
     for call in calls:
         if call is True:
-            got, want = ours.random(1)[0], float(numpys.random())
+            got, want = doubles(words, 1)[0], float(numpys.random())
         elif call is False:
-            got, want = ours.coin(), int(numpys.integers(0, 2))
+            got, want = next(coins), int(numpys.integers(0, 2))
         else:
-            got, want = ours.random(call), numpys.random(call).tolist()
+            got, want = doubles(words, call), numpys.random(call).tolist()
         assert (got, type(got)) == (want, type(want)), (seed, call)
 
 
 class TestSampleStream:
-    """_PCG64 draws np.random.default_rng's stream bit for bit."""
+    """_pcg64 draws np.random.default_rng's stream bit for bit."""
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
     def test_random_k(self, seed):
@@ -798,9 +829,9 @@ class TestSampleStream:
         # a second generator of the seed takes the mixed state from the cache, and the stream
         # is still default_rng's
         poincare._seeded.cache_clear()
-        first = poincare._PCG64(seed).random(50)
+        first = doubles(poincare._pcg64(operator.index(seed))[0], 50)
         assert poincare._seeded.cache_info().misses == 1
-        assert poincare._PCG64(seed).random(50) == first
+        assert doubles(poincare._pcg64(operator.index(seed))[0], 50) == first
         assert poincare._seeded.cache_info().hits == 1
         assert_same_stream(seed, [50, True, False, 3])
 
