@@ -10,7 +10,10 @@ shortest round-trip repr.  Either form reads back as the same float.
 
 Exit codes: 0 success, 1 check failure or aborted orbit, 2 usage or
 numeric error.  Each error is one line on stderr: "error: ..." for exit
-2 and "orbit aborted: step k: ..." for an aborted orbit.
+2 and "orbit aborted: step k: ..." for an aborted orbit.  The parser's
+refusals raise ValueError (_Parser.error), as main's own checks and the
+commands do, so all of them leave main through one handler; --help prints
+the usage and exits 0.
 
 main keeps the heap it frees (glibc's top pad, _TOP_PAD_BYTES), so each CSV
 block reuses the pages of the last; importing the package leaves malloc alone.
@@ -272,16 +275,21 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes every negative float literal as an option value.
+    """ArgumentParser that takes every negative float literal as an option value
+    and raises its refusals.
 
     argparse treats only -<digits> and -<digits>.<digits> as negative
     numbers, so a value that repr() of a float prints, such as -2e-05 or
     -inf, would otherwise read as an option, and so would a grid spec of
     colon-separated literals such as -3.5:3.5:-0.5:1.5:50.  Subparsers
     inherit the class.  The override sets argparse's private
-    _negative_number_matcher (checked against Python 3.10 to 3.13); if argparse
-    stops reading that attribute, the override does nothing, and
+    _negative_number_matcher (checked on Python 3.11); if argparse stops
+    reading that attribute, the override does nothing, and
     tests/test_cli.py::TestNegativeValues fails.
+
+    error, argparse's documented hook for a refusal, raises ValueError in
+    place of printing the usage and exiting, so main writes it as every other
+    exit-2 error: one "error: ..." line.
     """
 
     _FLOAT = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
@@ -290,6 +298,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = self._NEGATIVE_FLOAT
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _add_common(p: argparse.ArgumentParser, *, seed: bool, formats: tuple) -> None:
@@ -369,29 +380,22 @@ def main(argv: list[str] | None = None) -> int:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         pad_set = mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
     log.debug("mallopt(M_TOP_PAD, %d) returned %s", _TOP_PAD_BYTES, pad_set)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    if args.command == "rotation":
-        if args.grid and args.format == "json":
-            sys.stderr.write("rotation --grid writes CSV only (got --format json)\n")
-            return 2
-        if args.grid and (args.D is not None or args.E is not None):
-            sys.stderr.write("rotation --grid takes no --D or --E (the grid spec sets both)\n")
-            return 2
-        if args.grid and (args.steps is not None or args.seed is not None):
-            sys.stderr.write("rotation --grid takes no --steps or --seed (it runs no orbit)\n")
-            return 2
-        if not args.grid and (args.D is None or args.E is None):
-            sys.stderr.write("rotation needs --D and --E or --grid\n")
-            return 2
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        sys.stderr.write(f"--seed must be >= 0 (got {args.seed})\n")
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
+        if args.command == "rotation":
+            if args.grid and args.format == "json":
+                raise ValueError("rotation --grid writes CSV only (got --format json)")
+            if args.grid and (args.D is not None or args.E is not None):
+                raise ValueError("rotation --grid takes no --D or --E (the grid spec sets both)")
+            if args.grid and (args.steps is not None or args.seed is not None):
+                raise ValueError("rotation --grid takes no --steps or --seed (it runs no orbit)")
+            if not args.grid and (args.D is None or args.E is None):
+                raise ValueError("rotation needs --D and --E or --grid")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0 (got {args.seed})")
         return args.func(args)
+    except SystemExit as exc:  # --help; argparse's refusals raise ValueError (_Parser.error)
+        return 0 if exc.code in (0, None) else 2
     except (BilliardError, ValueError, ZeroDivisionError, OverflowError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -68,9 +68,8 @@ def involution_j(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
 
 
 def map_t(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
-    """One collision step: exchange wall intersections, then reflect the conic."""
-    x = other_wall_root(c.x, c.A1, c.A2, params.D)
-    return ConfigPoint(x, *_reflect(x, c.A1, c.A2, params.E))
+    """One collision step, t = j o i: exchange wall intersections, then reflect the conic."""
+    return involution_j(involution_i(c, params), params)
 
 
 def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,

@@ -15,10 +15,10 @@ import numpy as np
 from .elliptic import _sncndn_array, complete_K, complete_Kp, legendre_F_phi
 from .errors import BilliardError
 from .kepler import conserved_quantities, phase_from_config
-from .levelset import RealLocusClass, derive_params, level_set_residual
-from .periods import empirical_rotation, period3_residual, predict_period
-from .poincare import involution_i, involution_j, iterate_orbit, map_t, sample_level_set
-from .uniformize import AngleCoord, rotation_grid, rotation_number, uniformize
+from .levelset import RealLocusClass, derive_params, level_set_residual, level_set_residual_array
+from .periods import empirical_rotation, period3_residual, poncelet_check, predict_period
+from .poincare import involution_i, involution_j, iterate_orbit, sample_level_set
+from .uniformize import rotation_grid, rotation_number, uniformize_array
 
 
 @dataclass(frozen=True)
@@ -111,34 +111,32 @@ def check_rotation_conjugacy() -> CheckResult:
 
 
 def check_period3() -> CheckResult:
-    """The exact rational period-3 fixture closes after three bounces."""
+    """poncelet_check finds every start closing after three bounces on the exact fixture."""
     D, E = Fraction(7, 4), Fraction(-5, 24)
     if period3_residual(D, E) != 0:
         return CheckResult("period-3", False, "rational fixture off the period-3 curve")
     params = derive_params(float(D), float(E))
     if predict_period(params) != 3:
         return CheckResult("period-3", False, "predicted period is not 3")
-    worst = 0.0
-    for c in sample_level_set(params, 25, seed=11):
-        cp = c
-        for _ in range(3):
-            cp = map_t(cp, params)
-        worst = max(worst, abs(cp.x - c.x), abs(cp.A1 - c.A1), abs(cp.A2 - c.A2))
-    return _check("period-3", worst, 1e-8)
+    report = poncelet_check(params, seed=11)
+    if not report.predicted == report.detected == 3:
+        return CheckResult("period-3", False, f"poncelet_check predicted {report.predicted}, "
+                                              f"detected {report.detected}")
+    return _check("period-3", report.residual, 1e-8)
 
 
 def check_uniformize_roundtrip() -> CheckResult:
-    """theta -> point -> residual stays pinned to the level set."""
-    worst = 0.0
+    """theta -> point -> residual stays pinned to the level set, at 40 angles off the poles."""
+    worst, points = 0.0, 0
+    theta = (np.arange(40) + 0.5) / 40.0
     for D, E in ((1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)):
         params = derive_params(D, E)
-        for j in range(40):
-            theta = (j + 0.5) / 40.0
-            try:
-                c = uniformize(AngleCoord(theta), params)
-            except Exception:
-                continue
-            worst = max(worst, level_set_residual(c, params))
+        x, A1, A2, pole = uniformize_array(theta, 0, params)
+        on = ~pole
+        points += int(on.sum())
+        worst = max(worst, float(level_set_residual_array(x, A1, A2, params)[on].max(initial=0.0)))
+    if not points:
+        return CheckResult("uniformize", False, "no angle gave a point")
     return _check("uniformize", worst, 1e-9)
 
 
@@ -148,7 +146,7 @@ def check_grid_matches_scalar() -> CheckResult:
     Ds = [-3.0 + 6.0 * i / (n - 1) for i in range(n)]
     Es = [-0.6 + 2.1 * j / (n - 1) for j in range(n)]
     classes, alphas = rotation_grid(np.array(Ds)[:, None], np.array(Es))
-    bad = 0
+    bad = both = 0
     for D, cls_row, alpha_row in zip(Ds, classes, alphas.tolist()):
         for E, cls, alpha in zip(Es, cls_row, alpha_row):
             params = derive_params(D, E)
@@ -157,6 +155,10 @@ def check_grid_matches_scalar() -> CheckResult:
             except BilliardError:
                 want = math.nan
             bad += cls is not params.cls or repr(alpha) != repr(want)
+            both += not (math.isnan(alpha) or math.isnan(want))
+    if not both:
+        return CheckResult("grid-matches-scalar", False,
+                           f"no cell of {n * n} has an alpha on both sides")
     return CheckResult("grid-matches-scalar", bad == 0, f"{bad} of {n * n} cells differ")
 
 

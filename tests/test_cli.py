@@ -1,5 +1,6 @@
 """Command line surface: formats, determinism, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -776,7 +777,8 @@ class TestRotation:
     def test_grid_with_point_exit_2(self, extra):
         # --D and --E next to --grid used to be ignored without a word
         code, out, err = run_quiet(["rotation", "--grid", "0:1:0:1:2", *extra])
-        assert (code, out, err) == (2, "", "rotation --grid takes no --D or --E (the grid spec sets both)\n")
+        assert (code, out, err) == (2, "", "error: rotation --grid takes no --D or --E "
+                                           "(the grid spec sets both)\n")
 
     def test_grid_blank_where_curve_data_fails(self, capsys):
         # at D = 2 + 2e-9, E = 20 the squared modulus falls below the floor
@@ -820,7 +822,7 @@ class TestRotation:
     def test_grid_json_exit_2(self):
         # the grid is CSV only; --format json used to be accepted and ignored
         code, out, err = run_quiet(["rotation", "--grid", "0.5:3.5:-0.4:-0.1:5", "--format", "json"])
-        assert (code, out, err) == (2, "", "rotation --grid writes CSV only (got --format json)\n")
+        assert (code, out, err) == (2, "", "error: rotation --grid writes CSV only (got --format json)\n")
         assert run_quiet(["rotation", "--grid", "0.5:3.5:-0.4:-0.1:5", "--format", "text"])[0] == 0
 
     def test_single_point_csv_exit_2(self):
@@ -840,7 +842,7 @@ class TestRotation:
     def test_grid_refuses_winding_options(self, extra):
         # both options used to be accepted and ignored by the grid
         code, out, err = run_quiet(["rotation", "--grid", "0:1:0:1:2", *extra])
-        assert (code, out, err) == (2, "", "rotation --grid takes no --steps or --seed "
+        assert (code, out, err) == (2, "", "error: rotation --grid takes no --steps or --seed "
                                            "(it runs no orbit)\n")
 
     def test_single_point_defaults(self):
@@ -1073,7 +1075,7 @@ class TestSelftest:
         code, out, err = run_quiet(["selftest"])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "897aa99a615006bf37f13ad8262178166dda05d3d4bc0fa3f7de16d3971b12a9")
+            "b4ef0873ae7d17c360e4a9e850182aa1cb1e429deaf9e4e29690091ca638665d")
 
     def test_forced_failure(self, capsys, monkeypatch):
         def always_fails():
@@ -1084,6 +1086,49 @@ class TestSelftest:
         assert code == 1
         assert "forced-failure           FAIL always fails\n" in out
         assert out.endswith("FAILURES present\n")
+
+    @staticmethod
+    def run_one(check):
+        """(exit code, stdout) of selftest running the one check."""
+        with mock.patch.object(selftest, "ALL_CHECKS", (check,)):
+            code, out, _ = run_quiet(["selftest"])
+        return code, out
+
+    def test_uniformize_fails_with_every_angle_a_pole(self, monkeypatch):
+        # the check used to skip each angle whose uniformize call raised, and pass
+        uniformize_array = selftest.uniformize_array
+
+        def poles_only(theta, eps, params):
+            x, A1, A2, pole = uniformize_array(theta, eps, params)
+            return np.full_like(x, np.nan), A1, A2, np.ones_like(pole)
+
+        monkeypatch.setattr(selftest, "uniformize_array", poles_only)
+        assert self.run_one(selftest.check_uniformize_roundtrip) == (
+            1, "uniformize               FAIL no angle gave a point\nFAILURES present\n")
+
+    def test_period3_fails_with_no_detected_period(self, monkeypatch):
+        def no_period(params, seed):
+            return periods.PeriodReport(3, None, 1.0 / 3.0, False, math.nan)
+
+        monkeypatch.setattr(selftest, "poncelet_check", no_period)
+        assert self.run_one(selftest.check_period3) == (
+            1, "period-3                 FAIL poncelet_check predicted 3, detected None\n"
+               "FAILURES present\n")
+
+    def test_grid_fails_with_no_alpha_to_compare(self, monkeypatch):
+        # every cell blank on both sides: the classes agree, and no alpha is compared
+        rotation_grid = selftest.rotation_grid
+
+        def blank_grid(Ds, Es):
+            classes, alphas = rotation_grid(Ds, Es)
+            return classes, np.full_like(alphas, np.nan)
+
+        monkeypatch.setattr(selftest, "rotation_grid", blank_grid)
+        monkeypatch.setattr(selftest, "rotation_number",
+                            mock.Mock(side_effect=selftest.BilliardError("no alpha")))
+        assert self.run_one(selftest.check_grid_matches_scalar) == (
+            1, "grid-matches-scalar      FAIL no cell of 144 has an alpha on both sides\n"
+               "FAILURES present\n")
 
     def test_force_fail_option_removed(self):
         code, out, err = run_quiet(["selftest", "--force-fail"])
@@ -1119,7 +1164,52 @@ def run_quiet(argv):
 ])
 def test_negative_seed_names_option(argv):
     # numpy's default_rng used to refuse it with "expected non-negative integer"
-    assert run_quiet(argv + ["--seed", "-5"]) == (2, "", "--seed must be >= 0 (got -5)\n")
+    assert run_quiet(argv + ["--seed", "-5"]) == (2, "", "error: --seed must be >= 0 (got -5)\n")
+
+
+def _argparse_choice_message() -> str:
+    """argparse's own refusal of --format csv among text, json, svg; its wording varies by Python."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("--format", choices=("text", "json", "svg"))
+    with pytest.raises(argparse.ArgumentError) as refused:
+        parser.parse_args(["--format", "csv"])
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # refused by argparse, which used to print a usage block and "<prog>: error: ..."
+    (["orbit", "--D", "1.5", "--E", "-0.2", "--samples", "3"], "unrecognized arguments: --samples 3"),
+    (["orbit", "--D", "1.5"], "the following arguments are required: --E"),
+    (["classify", "--D", "x", "--E", "-0.2"], "argument --D: invalid float value: 'x'"),
+    (["classify", "--D", "1.5", "--E", "-0.2", "--format", "csv"], None),  # argparse's wording
+    ([], "the following arguments are required: command"),
+    # refused by main, which used to write the bare message
+    (["orbit", "--D", "1.5", "--E", "-0.2", "--seed", "-5"], "--seed must be >= 0 (got -5)"),
+    (["rotation", "--grid", "0:1:0:1:2", "--format", "json"],
+     "rotation --grid writes CSV only (got --format json)"),
+    (["rotation", "--grid", "0:1:0:1:2", "--D", "5"],
+     "rotation --grid takes no --D or --E (the grid spec sets both)"),
+    (["rotation", "--grid", "0:1:0:1:2", "--steps", "5"],
+     "rotation --grid takes no --steps or --seed (it runs no orbit)"),
+    (["rotation", "--D", "1.5"], "rotation needs --D and --E or --grid"),
+    # refused by a command
+    (["rotation", "--D", "1.5", "--E", "-0.2", "--steps", "0"],
+     "empirical rotation needs n_steps >= 1 (got 0)"),
+    (["rotation", "--grid", "1:2:3"], "--grid must be Dmin:Dmax:Emin:Emax:n, integer n (got '1:2:3')"),
+    (["period-scan", "--E", "-0.2", "--p-list", "0"], "--p-list periods must be positive (got '0')"),
+    (["orbit", "--D", "1.0", "--E", "-0.5"],
+     "operation needs a nondegenerate level set (class DegenerateTangent)"),
+])
+def test_every_refusal_is_one_error_line(argv, message):
+    message = _argparse_choice_message() if message is None else message
+    assert run_quiet(argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["", "classify", "orbit", "rotation", "period-scan", "selftest"])
+def test_help_is_not_a_refusal(command):
+    code, out, err = run_quiet([*command.split(), "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: boltzmann-billiard {command}".rstrip() + " [-h]")
 
 
 @pytest.mark.parametrize("option, value", [
