@@ -393,10 +393,16 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("rotation needs --D and --E or --grid")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0 (got {args.seed})")
+        if getattr(args, "steps", None) is not None and args.steps > sys.maxsize:
+            raise ValueError(f"--steps must be at most {sys.maxsize} (got {args.steps})")
+        if args.command == "period-scan" and not math.isfinite(args.D_range[1] - args.D_range[0]):
+            raise ValueError("--D-range needs finite DMIN, DMAX and DMAX - DMIN "
+                             f"(got {args.D_range[0]!r} {args.D_range[1]!r})")
         return args.func(args)
     except SystemExit as exc:  # --help; argparse's refusals raise ValueError (_Parser.error)
         return 0 if exc.code in (0, None) else 2
-    except (BilliardError, ValueError, ZeroDivisionError, OverflowError, MemoryError) as exc:
+    except (BilliardError, ValueError, ZeroDivisionError, OverflowError, MemoryError,
+            OSError) as exc:  # OSError: an --out that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

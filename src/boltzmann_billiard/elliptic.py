@@ -7,6 +7,13 @@ arithmetic-geometric mean, incomplete ones go through Carlson's symmetric
 form R_F evaluated with the duplication theorem, and Jacobi sn, cn, dn on
 the real axis use the AGM descent with a backward recurrence.
 
+The AGM kernel _complete_K and the Jacobi kernel take the complementary
+parameter mc = 1 - m, as K(m) = pi / (2 agm(1, sqrt(mc))) (DLMF 19.8.5)
+does, and each caller passes the mc it holds: complete_K(m) passes 1 - m,
+complete_Kp(k2) passes k2 and class I's modulus kappa^2 = 1/(1 - k2)
+passes -k2 kappa^2 (_kappa).  No caller forms 1 - (1 - k2) or 1 - kappa^2,
+which cancel as k2 -> 0.
+
 The AGM, K and R_F have array twins named *_array for the batched kernels
 of uniformize; _each says how each twin agrees.  sn, cn, dn exist only as
 the array kernel _sncndn_array, for 0 <= m < 1; its sin and cos per
@@ -72,31 +79,42 @@ def _agm_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _complete_K(m: float) -> float:
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
+def _complete_K(mc: float) -> float:
+    """K of the complementary parameter mc = 1 - m, mc > 0 (DLMF 19.8.5)."""
+    return math.pi / (2.0 * _agm(1.0, math.sqrt(mc)))
 
 
-def _complete_K_array(m: np.ndarray) -> np.ndarray:
+def _complete_K_array(mc: np.ndarray) -> np.ndarray:
     """_complete_K per element."""
-    return np.pi / (2.0 * _agm_array(np.ones_like(m), np.sqrt(1.0 - m)))
+    return np.pi / (2.0 * _agm_array(np.ones_like(mc), np.sqrt(mc)))
+
+
+def _kappa(m):
+    """kappa^2 = 1/(1 - m) of a squared modulus m < 0, and its complement mc = -m kappa^2.
+
+    Plain arithmetic on floats or arrays.  Every class I reader of K(kappa^2)
+    passes this mc to _complete_K, so none of them forms 1 - kappa^2.
+    """
+    kap2 = 1.0 / (1.0 - m)
+    return kap2, -m * kap2
 
 
 def complete_K(m) -> float:
-    """Complete integral K of the squared modulus m < 1, via the AGM."""
+    """Complete integral K of the squared modulus m < 1: the AGM at mc = 1 - m."""
     if not m < 1.0 - _MODULUS_FLOOR:
         raise DomainError(f"complete_K diverges as m -> 1 (got m={float(m)!r})")
-    return _complete_K(m)
+    return _complete_K(1.0 - m)
 
 
 def complete_Kp(m) -> float:
-    """Complementary complete integral K' = K(1 - k2), for 0 < k2 < 1."""
+    """Complementary complete integral K' = K(1 - k2), for 0 < k2 < 1: the AGM at mc = k2."""
     if m < 0.0:
         raise DomainError("complete_Kp needs 0 < k2 < 1; use complete_Kpp for k2 < 0")
     if m < _MODULUS_FLOOR:
         raise DomainError(f"complete_Kp diverges logarithmically as k2 -> 0 (got k2={float(m)!r})")
     if not m < 1.0:
         raise DomainError(f"complete_Kp needs k2 < 1 (got k2={float(m)!r})")
-    return _complete_K(1.0 - m)
+    return _complete_K(m)
 
 
 def _Kp_domain(m: np.ndarray) -> np.ndarray:
@@ -108,23 +126,20 @@ def complete_Kpp(m) -> float:
     """Companion period K'' for squared modulus k2 = -ell^2 < 0.
 
     K'' is the integral of 1/sqrt((1+v^2)(1-ell^2 v^2)) over 0 <= v <= 1/ell.
-    Rescaling v reduces it to kappa * K(kappa^2) with kappa^2 = 1/(1+ell^2).
+    Rescaling v reduces it to kappa * K(kappa^2) with kappa^2 = 1/(1+ell^2),
+    and K(kappa^2) is the AGM at the complement mc = ell^2 kappa^2 (_kappa).
     """
     if m >= 0.0:
         raise DomainError("complete_Kpp is defined for k2 < 0 only")
-    ell = math.sqrt(-m)
-    if ell < _MODULUS_FLOOR:
-        raise DomainError(f"complete_Kpp diverges as ell -> 0 (got ell={ell!r})")
-    kap2 = 1.0 / (1.0 - m)
-    if not kap2 < 1.0:
-        # ell is below half an ulp of 1: the AGM would start from b = 0 and never converge
-        raise DomainError(f"complete_Kpp: 1/(1 - k2) rounds to 1 (got k2={float(m)!r})")
-    return math.sqrt(kap2) * _complete_K(kap2)
+    if math.sqrt(-m) < _MODULUS_FLOOR:
+        raise DomainError(f"complete_Kpp diverges as k2 -> 0 (got k2={float(m)!r})")
+    kap2, mc = _kappa(m)
+    return math.sqrt(kap2) * _complete_K(mc)
 
 
 def _Kpp_domain(m: np.ndarray) -> np.ndarray:
     """Where complete_Kpp(m) returns a value, per element."""
-    return (m < 0.0) & ~(np.sqrt(-m) < _MODULUS_FLOOR) & (1.0 / (1.0 - m) < 1.0)
+    return (m < 0.0) & ~(np.sqrt(-m) < _MODULUS_FLOOR)
 
 
 def carlson_rf(x: float, y: float, z: float) -> float:
@@ -217,20 +232,21 @@ def seg_case_i(x: float, m) -> float:
     if abs(x) > 1.0 + 1e-12:
         raise EndpointSingularityError(f"seg_case_i argument x={x!r} beyond the branch point 1")
     x = max(-1.0, min(1.0, x))
-    kap2 = 1.0 / (1.0 - m)
-    ell2 = -m
+    kap2, mc = _kappa(m)
+    ell2, x2 = -m, x * x
     # the half path from 0 to x in Carlson form, odd in x; the Legendre form
     # kap*(K - F(sqrt(1-x^2))) cancels catastrophically near x = 0
-    half = x * carlson_rf(ell2 * (1.0 - x * x), ell2 + x * x, ell2)
-    return math.sqrt(kap2) * _complete_K(kap2) + half
+    half = x * carlson_rf(ell2 * (1.0 - x2), ell2 + x2, ell2)
+    return math.sqrt(kap2) * _complete_K(mc) + half
 
 
 def seg_case_ii_plus(x: float, m) -> float:
     """Integral of 1/sqrt((s^2-1)(1-m s^2)) from 1 to x, for 0 < m < 1.
 
     Needs 1 <= x <= 1/k.  The substitution s = 1/dn(w, k') turns the path
-    into a plain first-kind integral with the complementary modulus, so both
-    endpoints are regular here; x = 1/k gives exactly K'.
+    into a first-kind integral of the complementary parameter mc = 1 - m,
+    sqrt((x^2 - 1)/mc) R_F((1 - m x^2)/mc, 1, x^2) in Carlson form, so both
+    endpoints are regular here and no 1 - sn^2 cancels; x = 1/k gives K'.
     """
     if not 0.0 < m < 1.0:
         raise DomainError("seg_case_ii_plus needs 0 < k2 < 1")
@@ -238,9 +254,8 @@ def seg_case_ii_plus(x: float, m) -> float:
     if x < 1.0 - 1e-12 or x > 1.0 / k + 1e-12:
         raise EndpointSingularityError(f"seg_case_ii_plus argument x={x!r} outside [1, 1/k]")
     x = max(1.0, min(1.0 / k, x))
-    mc = 1.0 - m
-    sn = math.sqrt(max(0.0, (x * x - 1.0) / (mc * x * x)))
-    return legendre_F(min(1.0, sn), mc)
+    mc, x2 = 1.0 - m, x * x
+    return math.sqrt((x - 1.0) * (x + 1.0) / mc) * carlson_rf(max(0.0, 1.0 - m * x2) / mc, 1.0, x2)
 
 
 def _rect(v: np.ndarray) -> np.ndarray:

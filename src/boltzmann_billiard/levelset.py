@@ -100,8 +100,12 @@ def _classes(code: np.ndarray) -> np.ndarray:
 
 
 def _k2_s0_inv(D, E, s, R, den):
-    """Squared modulus k2 and inverse branch value 1/s0 from _curve_terms."""
-    return (D + 4.0 * E - 2.0 * R) / den, (s - R) / (s + R)
+    """Squared modulus k2 and inverse branch value 1/s0 from _curve_terms.
+
+    k2 = (D + 4E - 2R)/den is written as (D - 2)(D + 2)/den^2, since
+    (D + 4E)^2 - 4R^2 = D^2 - 4: the difference cancels as |D| -> 2, the product does not.
+    """
+    return (D - 2.0) * (D + 2.0) / (den * den), (s - R) / (s + R)
 
 
 def _z(x, A1, A2, D):

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K_array, _each,
-                       _sncndn_array, carlson_rf, complete_K, complete_Kp, complete_Kpp,
+from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K, _complete_K_array,
+                       _each, _kappa, _sncndn_array, carlson_rf, complete_Kp, complete_Kpp,
                        seg_case_i, seg_case_ii_plus)
 from .errors import DomainError, NearDegenerateError, PoleError
 from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _classes, _classify, _columns,
@@ -99,17 +99,15 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
     if params.cls is RealLocusClass.I:
         if (eps != 0).any():
             raise DomainError("class I has a single component (eps = 0)")
-        kap2 = 1.0 / (1.0 - params.k2)
-        kap = math.sqrt(kap2)
-        s, c, d = _sncndn_array(4.0 * complete_K(kap2) * theta, 1.0 - kap2)
-        A1 = -2.0 * R * kap * s * d
+        kap2, mc = _kappa(params.k2)
+        s, c, d = _sncndn_array(4.0 * _complete_K(mc) * theta, mc)
+        A1 = -2.0 * R * math.sqrt(kap2) * s * d
         A2 = 2.0 * E - R + 2.0 * R * d * d
         z = C * c
     else:
         if not ((eps == 0) | (eps == 1)).all():
             raise DomainError("component index eps must be 0 or 1")
-        mc = 1.0 - params.k2
-        s, c, d = _sncndn_array(2.0 * complete_Kp(params.k2) * theta, 1.0 - mc)
+        s, c, d = _sncndn_array(2.0 * complete_Kp(params.k2) * theta, params.k2)
         sgn = np.where(eps == 0, -1.0, 1.0)
         A1 = sgn * 2.0 * R * s * c
         A2 = 2.0 * E - R + 2.0 * R * c * c
@@ -149,8 +147,8 @@ def _amplitudes(x: np.ndarray, A1: np.ndarray, A2: np.ndarray, params: LevelSetP
         z = _z(x, A1, A2, params.D)
         c2 = (A2 - 2.0 * E + R) / (2.0 * R)  # dn^2 in class I, cn^2 in classes II
         if params.cls is RealLocusClass.I:
-            m = 1.0 / (1.0 - params.k2)
-            K, mc = complete_K(m), -params.k2 * m
+            m, mc = _kappa(params.k2)
+            K = _complete_K(mc)
             d = np.sqrt(np.maximum(c2, 0.0))
             checks = [(d <= 0.0, "point is off the real locus (dn = 0)")]
             p, q = -A1 / (2.0 * R * math.sqrt(m) * d), z / C  # (sn, cn) times a factor > 0
@@ -262,21 +260,18 @@ def _alpha(D, E, s, R, den):
         _Kp_domain(k2) & ~(s0a - 1.0 < _ENDPOINT_GUARD)
         & ~(1.0 / np.sqrt(k2) - s0a < _ENDPOINT_GUARD))
     alpha = np.full(D.shape, np.nan)
-    one, D, k2, x, s0a = one[ok], D[ok], k2[ok], s0_inv[ok], s0a[ok]
-    # past the guards the clamps and range checks of seg_case_i and
-    # seg_case_ii_plus never act, so they are left out
-    kap2 = 1.0 / (1.0 - k2)
-    ell2 = -k2
-    mc = 1.0 - k2
-    # seg_case_ii_plus(s0a): legendre_F(t, mc) with t = min(1, sn)
-    t = np.minimum(1.0, np.sqrt(np.maximum(0.0, (s0a * s0a - 1.0) / (mc * s0a * s0a))))
-    s2 = t * t
-    K = _complete_K_array(np.where(one, kap2, mc))  # K(kappa^2) for class I, K' for class II
-    rf = _carlson_rf_array(np.where(one, ell2 * (1.0 - x * x), 1.0 - s2),
-                           np.where(one, ell2 + x * x, 1.0 - mc * s2),
-                           np.where(one, ell2, 1.0))
+    x = np.where(one, s0_inv, s0a)[ok]  # the end of the segment
+    one, D, k2 = one[ok], D[ok], k2[ok]
+    # past the guards the range checks of seg_case_i and seg_case_ii_plus never act, nor
+    # does the clamp of x to [-1, 1] or [1, 1/k], so they are left out; 1 - k2 x^2 can
+    # still round below 0 within 1e-10 of 1/k when k2 < 5e-12, so its clamp stays
+    kap2, mc = _kappa(k2)
+    ell2, x2, mc2 = -k2, x * x, 1.0 - k2  # mc2: the parameter of the class II segment
+    K = _complete_K_array(np.where(one, mc, k2))  # K(kappa^2) for class I, K' for class II
+    rf = _carlson_rf_array(np.where(one, ell2 * (1.0 - x2), np.maximum(0.0, 1.0 - k2 * x2) / mc2),
+                           np.where(one, ell2 + x2, 1.0), np.where(one, ell2, x2))
     Kpp = np.sqrt(kap2) * K
-    seg = np.where(one, Kpp + x * rf, t * rf)
+    seg = np.where(one, Kpp + x * rf, np.sqrt((x - 1.0) * (x + 1.0) / mc2) * rf)
     period = np.where(one, 4.0 * Kpp, 2.0 * K)
     sign = np.where(one, _ALPHA_SIGN[RealLocusClass.I],
                     np.where(D > 2.0, _ALPHA_SIGN[RealLocusClass.II_PLUS],

@@ -11,7 +11,9 @@ implementation.  Production modules must never import this file.
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from typing import NamedTuple
 
 import mpmath
@@ -180,6 +182,88 @@ def mp_seg_case_i(x: float, m: float) -> float:
         ell2 = -mpmath.mpf(m)
         return float(mpmath.quad(lambda s: 1 / mpmath.sqrt((1 - s * s) * (ell2 + s * s)),
                                  [-1, 0, mpmath.mpf(x)]))
+
+
+def mp_alpha(D: float, E: float):
+    """Rotation number of the level set (D, E) at 40 digits, as an mpf in [0, 1).
+
+    D and E are taken as exact, and k2 and 1/s0 are formed from them in
+    40-digit arithmetic, so the float curve data play no part.
+    """
+    with mpmath.workdps(40):
+        D, E = mpmath.mpf(D), mpmath.mpf(E)
+        s = D + 2 * E
+        R = mpmath.sqrt(1 + 2 * D * E + 4 * E * E)
+        return mp_alpha_of_curve(D, (D + 4 * E - 2 * R) / (D + 4 * E + 2 * R), (s - R) / (s + R))
+
+
+def mp_alpha_of_curve(D, k2, s0_inv):
+    """Rotation number at 40 digits of the curve data k2, 1/s0, taken as exact; D picks the class.
+
+    The integrals are mpmath's Legendre F and K, not the Carlson and AGM
+    forms of the package:
+        class I:  alpha = -F(arccos(-1/s0) | kap2) / (4 K(kap2)),  kap2 = 1/(1 - k2);
+        class II: alpha = +-F(arccos(1/|s0|) | 1/mc) / (2 sqrt(mc) K(mc)),  mc = 1 - k2,
+    with + on IIplus and - on IIminus.
+    """
+    with mpmath.workdps(40):
+        k2, s0_inv = mpmath.mpf(k2), mpmath.mpf(s0_inv)
+        if abs(D) < 2:
+            kap2 = 1 / (1 - k2)
+            a = -mpmath.ellipf(mpmath.acos(-s0_inv), kap2) / (4 * mpmath.ellipk(kap2))
+        else:
+            mc = 1 - k2
+            seg = mpmath.ellipf(mpmath.acos(abs(s0_inv)), 1 / mc) / mpmath.sqrt(mc)
+            a = (1 if D > 2 else -1) * seg / (2 * mpmath.ellipk(mc))
+        return mpmath.re(a) % 1
+
+
+def alpha_error_units(alpha: float, ref) -> float:
+    """Circle distance of a float alpha from an mpf reference, in units of 2^-53."""
+    with mpmath.workdps(40):
+        d = abs(mpmath.mpf(alpha) - ref)
+        return float(min(d, 1 - d) * 2 ** 53)
+
+
+ALPHA_SAMPLE_SEED = 20261019
+
+
+@functools.lru_cache(maxsize=1)
+def alpha_sample(per_class: int = 1500) -> dict:
+    """(D, E) points of each nondegenerate class with a rotation number, by class value.
+
+    per_class points from random.Random(ALPHA_SAMPLE_SEED), D uniform on the
+    class's part of [-6, 6] and E uniform on [-1, 3], then the points
+    D = +-2 +- 10^-k, k = 1..8, at three energies on each side of each
+    nodal line: E in {-0.3, 0.5, 2} next to D = 2, E in {1.1, 1.5, 3} next
+    to D = -2.  The classes come from derive_params, and a point where
+    rotation_number raises is drawn again.
+    """
+    from boltzmann_billiard import BilliardError, derive_params, rotation_number
+
+    rng = random.Random(ALPHA_SAMPLE_SEED)
+    boxes = {"I": (-2.0, 2.0), "IIplus": (2.0, 6.0), "IIminus": (-6.0, -2.0)}
+    out = {name: [] for name in boxes}
+    for name, (lo, hi) in boxes.items():
+        while len(out[name]) < per_class:
+            D, E = rng.uniform(lo, hi), rng.uniform(-1.0, 3.0)
+            params = derive_params(D, E)
+            if params.cls.value != name:
+                continue
+            try:
+                rotation_number(params)
+            except BilliardError:
+                continue
+            out[name].append((D, E))
+    for k in range(1, 9):
+        t = 10.0 ** -k
+        for E in (-0.3, 0.5, 2.0):
+            out["I"].append((2.0 - t, E))
+            out["IIplus"].append((2.0 + t, E))
+        for E in (1.1, 1.5, 3.0):
+            out["I"].append((-2.0 + t, E))
+            out["IIminus"].append((-2.0 - t, E))
+    return out
 
 
 def carlson_rf_ref(x: float, y: float, z: float) -> float:
@@ -375,7 +459,8 @@ def scalar_uniformize(a, params):
     Raises PoleError where the wall abscissa is at infinity (A1^2 = 1).
     """
     from boltzmann_billiard import (AngleCoord, ConfigPoint, DomainError, RealLocusClass,
-                                    complete_K)
+                                    complete_Kp)
+    from boltzmann_billiard.elliptic import _complete_K
 
     _require_nondegenerate(params)
     if not isinstance(a, AngleCoord):
@@ -384,19 +469,20 @@ def scalar_uniformize(a, params):
     if params.cls is RealLocusClass.I:
         if a.eps != 0:
             raise DomainError("class I has a single component (eps = 0)")
+        # modulus kappa^2 = 1/(1 - k2), passed as its complement -k2 kappa^2
         kap2 = 1.0 / (1.0 - params.k2)
-        kap = math.sqrt(kap2)
-        w = 4.0 * complete_K(kap2) * a.theta
-        s, c, d = jacobi_sn_cn_dn(w, kap2)
-        A1 = -2.0 * R * kap * s * d
+        mc = -params.k2 * kap2
+        w = 4.0 * _complete_K(mc) * a.theta
+        s, c, d = _sncndn_core(w, mc)
+        A1 = -2.0 * R * math.sqrt(kap2) * s * d
         A2 = 2.0 * E - R + 2.0 * R * d * d
         z = C * c
     else:
         if a.eps not in (0, 1):
             raise DomainError("component index eps must be 0 or 1")
-        mc = 1.0 - params.k2
-        v = 2.0 * complete_K(mc) * a.theta
-        s, c, d = jacobi_sn_cn_dn(v, mc)
+        # modulus 1 - k2, passed as its complement k2
+        v = 2.0 * complete_Kp(params.k2) * a.theta
+        s, c, d = _sncndn_core(v, params.k2)
         sgn = -1.0 if a.eps == 0 else 1.0
         A1 = sgn * 2.0 * R * s * c
         A2 = 2.0 * E - R + 2.0 * R * c * c
@@ -412,7 +498,8 @@ def scalar_amplitude(c, params):
     normalized (sn, cn) of modulus kappa^2; in classes II the half angle of
     (2 sn cn, 2 cn^2 - 1) of modulus 1 - k2, with sn >= 0.
     """
-    from boltzmann_billiard import DomainError, RealLocusClass, complete_K, complete_Kp
+    from boltzmann_billiard import DomainError, RealLocusClass, complete_Kp
+    from boltzmann_billiard.elliptic import _complete_K
 
     _require_nondegenerate(params)
     R, E = params.R, params.E
@@ -420,8 +507,8 @@ def scalar_amplitude(c, params):
     c2 = (c.A2 - 2.0 * E + R) / (2.0 * R)  # dn^2 in class I, cn^2 in classes II
     if params.cls is RealLocusClass.I:
         m = 1.0 / (1.0 - params.k2)
-        K = complete_K(m)
         mc = -params.k2 * m
+        K = _complete_K(mc)
         period = 4.0 * K
         d = math.sqrt(max(c2, 0.0))
         if d <= 0.0:

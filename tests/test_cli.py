@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -378,12 +379,12 @@ class TestStreamedOrbitCsv:
     @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
     def test_residual_ceiling_abort(self, capsys, tmp_path, monkeypatch, where):
         params = derive_params(2.5, -0.1)
-        c0 = sample_level_set(params, 1, 5)[0]
+        c0 = sample_level_set(params, 1, 6)[0]
         res = oracles.scalar_translated_orbit(c0, params, 400, residual_ceiling=1.0).residuals
         step = next(j for j in range(30, 401) if res[j] > max(res[1:j]))  # a record
         limit = {"residual_ceiling": max(res[1:step])}
         self.place(monkeypatch, step, where)
-        got = assert_streamed_csv(capsys, tmp_path, 2.5, -0.1, 5, 400,
+        got = assert_streamed_csv(capsys, tmp_path, 2.5, -0.1, 6, 400,
                                   f"--residual-ceiling={limit['residual_ceiling']!r}", **limit)
         assert got[0] == step and "left the level set" in got[1]
 
@@ -1049,13 +1050,13 @@ def test_svg_bytes_pinned(argv, sha256):
 @pytest.mark.parametrize("argv, sha256", [
     # the CI points' orbits and the CI grid: a one-ulp change of any point or alpha shows
     ("orbit --D 1.5 --E -0.2 --steps 2000 --seed 3",
-     "c5216cb2b6da50a9299226424784a8a9b02b5849cc372c6e414d2dc7173b85ec"),
+     "bb7b443fd8b7fcd8c3622fa7e467f0493ea0af3fbbbce3f95b4f6f04991a736e"),
     ("orbit --D 2.5 --E -0.1 --steps 2000 --seed 3",
-     "46dc075ad895f3144066147b4f2a975c298b51c16553ed7e344bdd6ec365f3c6"),
+     "63915eb2fad3244cd9af70d5ff72c21550d85cbfb859d3ef99bbaf9623d407b7"),
     ("orbit --D -2.5 --E 1.5 --steps 2000 --seed 3",
-     "b6d835f86cd1f622752e86088370ad81862feb856c41133e976ad2aa02c15391"),
+     "bd4cd79a401d72f613948bf55aaf2fa15c369f0a5a72cd891e7026753caeddb8"),
     ("rotation --grid 0.5:3.5:-0.4:-0.1:60",
-     "c20a3c2822a09ed9190a136a143616d5adfd2a7cdcb3d5805f4314bf1ee8905f"),
+     "d301d1d69501aeaaf642d2b03f3da1185251c565b99ae6ab9a83e995ff109f91"),
 ])
 def test_csv_bytes_pinned(argv, sha256):
     code, out, err = run_quiet(argv.split())
@@ -1075,7 +1076,7 @@ class TestSelftest:
         code, out, err = run_quiet(["selftest"])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b4ef0873ae7d17c360e4a9e850182aa1cb1e429deaf9e4e29690091ca638665d")
+            "db1e03d1dd91671e9b54ff5c886d916f94ed14d3800cf86abc46ed4ad0dd53b9")
 
     def test_forced_failure(self, capsys, monkeypatch):
         def always_fails():
@@ -1199,6 +1200,20 @@ def _argparse_choice_message() -> str:
     (["period-scan", "--E", "-0.2", "--p-list", "0"], "--p-list periods must be positive (got '0')"),
     (["orbit", "--D", "1.0", "--E", "-0.5"],
      "operation needs a nondegenerate level set (class DegenerateTangent)"),
+    # refused by main with the option named; a command used to refuse these naming none
+    (["rotation", "--D", "1.5", "--E", "-0.2", "--steps", "100000000000000000000"],
+     f"--steps must be at most {sys.maxsize} (got 100000000000000000000)"),
+    (["orbit", "--D", "1.5", "--E", "-0.2", "--steps", str(sys.maxsize + 1)],
+     f"--steps must be at most {sys.maxsize} (got {sys.maxsize + 1})"),
+    (["period-scan", "--E", "-0.2", "--D-range", "nan", "2"],
+     "--D-range needs finite DMIN, DMAX and DMAX - DMIN (got nan 2.0)"),
+    (["period-scan", "--E", "-0.2", "--D-range", "-1e308", "1e308"],
+     "--D-range needs finite DMIN, DMAX and DMAX - DMIN (got -1e+308 1e+308)"),
+    # an --out that cannot be opened, which used to end in a traceback and exit 1
+    (["classify", "--D", "1.5", "--E", "-0.2", "--out", "/nonexistent/x.txt"],
+     f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '/nonexistent/x.txt'"),
+    (["orbit", "--D", "1.5", "--E", "-0.2", "--out", "."],
+     f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '.'"),
 ])
 def test_every_refusal_is_one_error_line(argv, message):
     message = _argparse_choice_message() if message is None else message
@@ -1237,11 +1252,8 @@ SLIVER_K_ERRORS = [
     # (D, E, message of classify and rotation, message of the orbit and the figures); in class II
     # the uniformization takes its quarter period from complete_Kp, as rotation_number does
     ("2.000000002", "20", "complete_Kp diverges logarithmically as k2 -> 0 "
-     "(got k2=2.974747819275188e-13)", "complete_Kp diverges logarithmically as k2 -> 0 "
-     "(got k2=2.974747819275188e-13)"),
-    # class I: the uniformization needs K(m) at m = 1/(1 - k2), which rounds to 1
-    ("-1.8", "1e7", "complete_Kpp: 1/(1 - k2) rounds to 1 (got k2=-9.313226165249962e-17)",
-     "complete_K diverges as m -> 1 (got m=1.0)"),
+     "(got k2=2.9744202355508183e-13)", "complete_Kp diverges logarithmically as k2 -> 0 "
+     "(got k2=2.9744202355508183e-13)"),
 ]
 
 
@@ -1255,6 +1267,27 @@ def test_diverging_integral_outcomes(D, E, point_msg, orbit_msg):
         code, out, err = run_quiet([*argv, "--D", D, f"--E={E}"])
         assert (code, out) == (2, ""), argv
         assert err.endswith(f"error: {msg}\n"), argv
+
+
+def test_kappa_rounding_to_one_outcomes():
+    # class I with k2 ~ -1.2e-16: kappa^2 = 1/(1 - k2) rounds to 1, but K(kappa^2) is the AGM
+    # at the complement -k2 kappa^2, so the point commands give alpha, to a few units of 2^-53
+    # from the curve data, and the figure draws the level set.  The orbit aborts at step 1:
+    # the circle defect is absolute, and at E = 1e7 it reads 1.9e-2 on every point of the set
+    point = ["--D", "-1.8", "--E=1e7"]
+    params = derive_params(-1.8, 1e7)
+    ref = oracles.mp_alpha_of_curve(params.D, params.k2, params.s0_inv)
+    for argv, key in ((["classify"], "alpha"), (["rotation", "--steps", "10"], "alpha_analytic")):
+        code, out, err = run_quiet([*argv, *point])
+        assert (code, err) == (0, ""), argv
+        alpha = float(dict(line.split(" = ") for line in out.splitlines())[key])
+        assert oracles.alpha_error_units(alpha, ref) <= 8.0, argv
+    code, out, err = run_quiet(["classify", "--format", "svg", *point])
+    assert (code, err) == (0, "") and out.startswith("<svg")
+    for argv in (["orbit"], ["orbit", "--format", "levelset"]):
+        code, out, err = run_quiet([*argv, *point])
+        assert code == 1, argv
+        assert err == "orbit aborted: step 1: orbit left the level set (residual 1.861e-02)\n"
 
 
 def test_class_ii_sliver_outcomes():

@@ -92,9 +92,14 @@ class TestCompleteIntegrals:
             complete_Kpp(0.2)
         with pytest.raises(DomainError):
             complete_Kpp(0.0)
-        # above the ell floor, but 1/(1 - k2) rounds to 1: the AGM would start from b = 0
-        with pytest.raises(DomainError):
-            complete_Kpp(-1e-17)
+        # 1/(1 - k2) rounds to 1, but the AGM starts from the complement -k2 kappa^2 > 0
+        with mpmath.workdps(40):
+            kap2 = 1 / (1 - mpmath.mpf(-1e-17))
+            ref = mpmath.sqrt(kap2) * mpmath.ellipk(kap2)
+            assert abs(complete_Kpp(-1e-17) - ref) <= 8 * 2.0 ** -53 * ref
+        # below the ell floor
+        with pytest.raises(DomainError, match="diverges"):
+            complete_Kpp(-1e-30)
 
 
 class TestCarlsonRF:
@@ -326,7 +331,7 @@ class TestJacobi:
     (complete_K, (1.0,)),
     (complete_Kp, (1e-13,)),
     (complete_Kp, (1.5,)),
-    (complete_Kpp, (-1e-17,)),
+    (complete_Kpp, (-1e-30,)),
     (legendre_F, (0.5, 1.5)),
     (jacobi_sn_cn_dn, (0.5, 1.2)),
 ])
@@ -355,7 +360,8 @@ class TestArrayTwins:
         b = np.sqrt(1.0 - m)
         assert hexes(elliptic._agm_array(np.ones_like(b), b)) == hexes(
             elliptic._agm(1.0, v) for v in b.tolist())
-        assert hexes(elliptic._complete_K_array(m)) == hexes(map(elliptic._complete_K, m.tolist()))
+        mc = 1.0 - m  # the kernels take the complementary parameter
+        assert hexes(elliptic._complete_K_array(mc)) == hexes(map(elliptic._complete_K, mc.tolist()))
 
     def test_carlson_rf(self):
         # spreads of the arguments up to 1e12, and one zero argument in each place

@@ -121,6 +121,9 @@ def test_fixture_points():
     assert {c.value for c in classes} >= {"I", "IIplus", "IIminus", "DegenerateTangent",
                                           "NodalD", "NegativeAngularMomentumSide"}
     assert_matches_scalar(D, E)
+    # the seeded points of the alpha accuracy test, nodal-line points included
+    D, E = np.array([pt for pts in oracles.alpha_sample().values() for pt in pts]).T
+    assert_matches_scalar(D, E)
 
 
 # Each edge of the class table as (D, E) of an offset q from it, with the
@@ -181,13 +184,19 @@ def test_blank_where_complete_Kp_raises():
     assert cls is RealLocusClass.II_PLUS and math.isnan(want)
 
 
-def test_blank_where_kappa_rounds_to_one():
-    # class I with k2 ~ -9.3e-17: kappa^2 = 1/(1 - k2) rounds to 1 and complete_Kpp raises
+def test_alpha_where_kappa_rounds_to_one():
+    # class I with k2 ~ -1.2e-16: kappa^2 = 1/(1 - k2) rounds to 1, but K(kappa^2) is
+    # the AGM at the complement -k2 kappa^2, so the cell has its alpha, to a few units
+    # of 2^-53 from the curve data.  Those carry the cancellation of s - R at E = 1e7
+    # (1/s0 is 1.3e-9 relative off), which moves alpha by 1.5e-11
     classes, alpha = rotation_grid(-1.8, 1e7)
     assert classes[()] is RealLocusClass.I
-    assert math.isnan(alpha)
+    params = derive_params(-1.8, 1e7)
+    ref = oracles.mp_alpha_of_curve(params.D, params.k2, params.s0_inv)
+    assert oracles.alpha_error_units(float(alpha), ref) <= 8.0
+    assert oracles.alpha_error_units(float(alpha), oracles.mp_alpha(-1.8, 1e7)) < 2e5
     cls, want = oracles.scalar_rotation_cell(-1.8, 1e7)
-    assert cls is RealLocusClass.I and math.isnan(want)
+    assert cls is RealLocusClass.I and float(alpha).hex() == want.hex()
 
 
 def test_broadcast_shapes():

@@ -174,8 +174,9 @@ def test_overflowing_curve_data_rejected(monkeypatch, D, E):
         derive_params(D, E)
 
 
-# points where a complete integral diverges: the floor of complete_Kp (k2 ~ 3e-13),
-# kappa^2 = 1/(1 - k2) rounding to 1 in class I, and the class II sliver 1 - k2 < 1e-12
+# points next to a divergent complete integral: the floor of complete_Kp (k2 ~ 3e-13),
+# kappa^2 = 1/(1 - k2) rounding to 1 in class I (K(kappa^2) still has a value there, from the
+# complement -k2 kappa^2), and the class II sliver 1 - k2 < 1e-12
 SLIVER_POINTS = [
     (2.000000002, 20.0, RealLocusClass.II_PLUS),
     (-1.8, 1e7, RealLocusClass.I),

@@ -323,7 +323,7 @@ class TestColumnarMatchesScalar:
     @pytest.mark.parametrize("first_block", [False, True])
     def test_residual_ceiling_mid_block(self, first_block):
         params = derive_params(2.5, -0.1)
-        c0, res, records = residual_records(params, 5, 10_000)
+        c0, res, records = residual_records(params, 6, 10_000)
         block = poincare._CHECK_BLOCK
         step = next(j for j in records
                     if (20 < j < block if first_block else j > block and j % block))

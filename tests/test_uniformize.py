@@ -117,6 +117,19 @@ def test_rotation_number_frozen_values(D, E, alpha):
     assert rot.alpha == pytest.approx(alpha, abs=1e-9)
 
 
+@pytest.mark.parametrize("cls", ["I", "IIplus", "IIminus"])
+def test_alpha_within_eight_units_of_40_digits(cls):
+    # the seeded sample of oracles.alpha_sample, nodal-line points included: K from its
+    # complementary parameter, k2 as (D - 2)(D + 2)/den^2 and the class II segment in
+    # Carlson form leave alpha a few units of 2^-53 from alpha(D, E) itself
+    points = oracles.alpha_sample()[cls]
+    assert len(points) >= 1500
+    errors = [oracles.alpha_error_units(rotation_number(derive_params(D, E)).alpha,
+                                        oracles.mp_alpha(D, E)) for D, E in points]
+    worst = max(range(len(points)), key=errors.__getitem__)
+    assert errors[worst] <= 8.0, (points[worst], errors[worst])
+
+
 def test_rotation_flips_component_flag():
     assert rotation_number(derive_params(2.5, -0.1)).flips_component is True
     assert rotation_number(derive_params(1.5, -0.2)).flips_component is False
