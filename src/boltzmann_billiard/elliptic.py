@@ -119,7 +119,7 @@ def complete_Kp(m) -> float:
 
 def _Kp_domain(m: np.ndarray) -> np.ndarray:
     """Where complete_Kp(m) returns a value, per element."""
-    return ~(m < 0.0) & ~(m < _MODULUS_FLOOR) & (m < 1.0)
+    return ~(m < _MODULUS_FLOOR) & (m < 1.0)
 
 
 def complete_Kpp(m) -> float:
@@ -225,19 +225,17 @@ def seg_case_i(x: float, m) -> float:
 
     This is the one-component rotation path after the substitution that maps
     the unbounded segment onto (-1, 1).  The endpoint x = -1 gives 0 and
-    x = +1 gives 2 K''.
+    x = +1 gives 2 K'': the path from -1 to 0 is K'' (complete_Kpp, whose
+    refusals are this function's for m).
     """
-    if m >= 0.0:
-        raise DomainError("seg_case_i is defined for k2 < 0 only")
+    Kpp = complete_Kpp(m)
     if abs(x) > 1.0 + 1e-12:
         raise EndpointSingularityError(f"seg_case_i argument x={x!r} beyond the branch point 1")
     x = max(-1.0, min(1.0, x))
-    kap2, mc = _kappa(m)
     ell2, x2 = -m, x * x
     # the half path from 0 to x in Carlson form, odd in x; the Legendre form
     # kap*(K - F(sqrt(1-x^2))) cancels catastrophically near x = 0
-    half = x * carlson_rf(ell2 * (1.0 - x2), ell2 + x2, ell2)
-    return math.sqrt(kap2) * _complete_K(mc) + half
+    return Kpp + x * carlson_rf(ell2 * (1.0 - x2), ell2 + x2, ell2)
 
 
 def seg_case_ii_plus(x: float, m) -> float:

@@ -12,9 +12,10 @@ which cut out a genus-one curve.  This module classifies the real locus
 by one class table and derives the curve data (radius R, squared modulus
 k2, branch value s0, scale C), shared by points and grids as plain
 arithmetic on floats or numpy arrays; it computes no elliptic integral.
-The residual of the two equations and the projection onto them are
-array kernels; the single-point functions call them with one-element
-arrays.
+The residual of the two equations (each defect relative to the size of
+its terms, so that it reads rounding at any x and E) and the projection
+onto them are array kernels; the single-point functions call them with
+one-element arrays.
 """
 
 from __future__ import annotations
@@ -207,12 +208,15 @@ def level_set_residual_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                              params: LevelSetParams) -> np.ndarray:
     """Level-set residual at every point (x, A1, A2).
 
-    The larger of the absolute defect of the circle equation and the
-    relative defect of the wall equation (scaled so large x stays fair).
+    The larger of the defects of the circle and the wall equations, each
+    relative to the largest of 1 and the magnitudes of its terms (A1^2,
+    A2^2, |4 E A2| and |2 D E|; x^2 + 1 and w^2), so that large x and
+    large E read the rounding of their terms, not its absolute size.
     """
     D, E = params.D, params.E
     with np.errstate(all="ignore"):
-        circle = np.abs(A1 * A1 + A2 * A2 - 4.0 * E * A2 - 1.0 - 2.0 * D * E)
+        a1, a2, e4, de2 = A1 * A1, A2 * A2, 4.0 * E * A2, 2.0 * D * E
+        circle = np.abs(a1 + a2 - e4 - 1.0 - de2) / _max(max(1.0, abs(de2)), a1, a2, np.abs(e4))
         w = A2 + D - A1 * x
         q = x * x + 1.0
         wall = np.abs(q - w * w) / _max(1.0, q, w * w)

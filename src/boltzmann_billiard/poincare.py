@@ -31,6 +31,7 @@ from .levelset import (
     RealLocusClass,
     _AT_INFINITY,
     _L,
+    _columns,
     _max,
     _reflect,
     _require_nondegenerate,
@@ -231,7 +232,7 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     for name, limit in (("residual_ceiling", residual_ceiling), ("abort_abscissa", abort_abscissa)):
         if not limit >= 0.0:
             raise ValueError(f"{name} must be >= 0 (got {limit!r})")
-    start = np.array([[c0.x], [c0.A1], [c0.A2]], dtype=float)
+    start = _columns(c0)
     res0 = level_set_residual_array(*start, params)
     if not res0[0] <= residual_ceiling:
         raise ValueError(f"orbit start is off the level set (residual {res0[0]:.3e})")

@@ -1,7 +1,10 @@
 """Built-in consistency checks, runnable without the test suite installed.
 
 Each check exercises a closed-form identity or an exactly known fixture,
-so the suite needs no external oracle and is deterministic.
+so the suite needs no external oracle and is deterministic.  The checks
+call the kernels the commands run, over the arguments the commands pass:
+the Jacobi kernel at complements mc = 1 - m down to the modulus floor,
+the uniformization and the period check as arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import _sncndn_array, complete_K, complete_Kp, legendre_F_phi
+from .elliptic import _complete_K, _sncndn_array, complete_K, complete_Kp, legendre_F_phi
 from .errors import BilliardError
 from .kepler import conserved_quantities, phase_from_config
 from .levelset import RealLocusClass, derive_params, level_set_residual, level_set_residual_array
@@ -62,23 +65,20 @@ def check_conservation() -> CheckResult:
 
 
 def check_special_functions() -> CheckResult:
-    """Pythagorean identities for sn, cn, dn and the addition-free F checks."""
+    """Pythagorean identities of sn, cn, dn as the commands call them, and F(pi/2 | m) = K(m).
+
+    _sncndn_array takes the complement mc = 1 - m, and class I sets next to
+    |D| = 2 pass it down to the modulus floor, so mc runs from 1 to 1e-12.
+    """
     worst = 0.0
     n = 400
     for i in range(n):
-        m = -3.0 + 3.9 * i / (n - 1)          # spans negative and 0 < m < 0.9
-        u = (np.arange(7) / 6.0 - 0.5) * 3.8 * complete_K(m)
-        if m < 0.0:  # the imaginary-modulus step to the modulus m1 in (0, 1)
-            kap = math.sqrt(1.0 / (1.0 - m))
-            m1 = -m / (1.0 - m)
-            s, c, d = _sncndn_array(u / kap, 1.0 - m1)
-            s, c, d = kap * s / d, c / d, 1.0 / d
-        else:
-            s, c, d = _sncndn_array(u, 1.0 - m)
+        mc = 10.0 ** (-12.0 * i / (n - 1))
+        s, c, d = _sncndn_array((np.arange(7) / 6.0 - 0.5) * 3.8 * _complete_K(mc), mc)
         worst = max(worst, float(np.abs(s * s + c * c - 1.0).max()),
-                    float(np.abs(d * d + m * s * s - 1.0).max()))
-        worst = max(worst, abs(legendre_F_phi(math.pi / 2.0, min(m, 0.9)) -
-                               complete_K(min(m, 0.9))))
+                    float(np.abs(d * d + (1.0 - mc) * s * s - 1.0).max()))
+        m = -3.0 + 3.9 * i / (n - 1)  # spans negative and 0 < m < 0.9
+        worst = max(worst, abs(legendre_F_phi(math.pi / 2.0, m) - complete_K(m)))
     worst = max(worst, abs(complete_Kp(0.5) - complete_K(0.5)))
     return _check("special-functions", worst, 1e-11)
 

@@ -48,8 +48,8 @@ from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K, 
                        _each, _kappa, _sncndn_array, carlson_rf, complete_Kp, complete_Kpp,
                        seg_case_i, seg_case_ii_plus)
 from .errors import DomainError, NearDegenerateError, PoleError
-from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _classes, _classify, _columns,
-                       _k2_s0_inv, _require_nondegenerate, _z)
+from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _AT_INFINITY, _classes,
+                       _classify, _columns, _k2_s0_inv, _require_nondegenerate, _z)
 
 # Orientation of the analytic rotation number relative to the forward
 # collision map in the uniformizing angle theta, per class; pinned by
@@ -129,7 +129,7 @@ def uniformize(a: AngleCoord, params: LevelSetParams) -> ConfigPoint:
     """
     x, A1, A2, pole = uniformize_array(np.array([a.theta]), a.eps, params)
     if pole[0]:
-        raise PoleError("wall abscissa at infinity (A1^2 = 1)")
+        raise PoleError(_AT_INFINITY)
     return ConfigPoint(float(x[0]), float(A1[0]), float(A2[0]))
 
 

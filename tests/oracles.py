@@ -449,7 +449,7 @@ def _wall_abscissa_from_z(z: float, A1: float, A2: float, D: float) -> float:
 
     den = 1.0 - A1 * A1
     if abs(den) < 1e-12:
-        raise PoleError("wall abscissa at infinity (A1^2 = 1)")
+        raise PoleError("second wall intersection at infinity (A1^2 = 1)")
     return (z - A1 * (A2 + D)) / den
 
 
@@ -563,9 +563,10 @@ def scalar_angle_of(c, params):
 
 
 def scalar_circle_residual(c, params) -> float:
-    """Absolute defect of the eccentricity-circle equation."""
-    return abs(c.A1 * c.A1 + c.A2 * c.A2 - 4.0 * params.E * c.A2
-               - 1.0 - 2.0 * params.D * params.E)
+    """Relative defect of the eccentricity-circle equation (scaled so large E stays fair)."""
+    terms = (c.A1 * c.A1, c.A2 * c.A2, 4.0 * params.E * c.A2, 2.0 * params.D * params.E)
+    num = abs(terms[0] + terms[1] - terms[2] - 1.0 - terms[3])
+    return num / max(1.0, *map(abs, terms))
 
 
 def scalar_wall_residual(c, params) -> float:

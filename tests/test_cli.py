@@ -1076,7 +1076,7 @@ class TestSelftest:
         code, out, err = run_quiet(["selftest"])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "db1e03d1dd91671e9b54ff5c886d916f94ed14d3800cf86abc46ed4ad0dd53b9")
+            "741dcf6e44e129b1a77ea195b1c53d1278037532455b3b0aaa050008b8a0690e")
 
     def test_forced_failure(self, capsys, monkeypatch):
         def always_fails():
@@ -1094,6 +1094,15 @@ class TestSelftest:
         with mock.patch.object(selftest, "ALL_CHECKS", (check,)):
             code, out, _ = run_quiet(["selftest"])
         return code, out
+
+    def test_special_functions_reach_the_modulus_floor(self, monkeypatch):
+        # class I sets next to |D| = 2 pass complements mc down to 1e-12 to the Jacobi
+        # kernel, so a kernel wrong only there must fail the check
+        sncndn = selftest._sncndn_array
+        monkeypatch.setattr(selftest, "_sncndn_array", lambda u, mc: sncndn(u, max(mc, 1e-6)))
+        code, out = self.run_one(selftest.check_special_functions)
+        assert code == 1
+        assert out.startswith("special-functions        FAIL worst residual ")
 
     def test_uniformize_fails_with_every_angle_a_pole(self, monkeypatch):
         # the check used to skip each angle whose uniformize call raised, and pass
@@ -1272,8 +1281,8 @@ def test_diverging_integral_outcomes(D, E, point_msg, orbit_msg):
 def test_kappa_rounding_to_one_outcomes():
     # class I with k2 ~ -1.2e-16: kappa^2 = 1/(1 - k2) rounds to 1, but K(kappa^2) is the AGM
     # at the complement -k2 kappa^2, so the point commands give alpha, to a few units of 2^-53
-    # from the curve data, and the figure draws the level set.  The orbit aborts at step 1:
-    # the circle defect is absolute, and at E = 1e7 it reads 1.9e-2 on every point of the set
+    # from the curve data, and the figures draw the level set and the orbit.  The orbit runs:
+    # the circle defect is relative to its terms, which are of size 1e15 at E = 1e7
     point = ["--D", "-1.8", "--E=1e7"]
     params = derive_params(-1.8, 1e7)
     ref = oracles.mp_alpha_of_curve(params.D, params.k2, params.s0_inv)
@@ -1282,12 +1291,26 @@ def test_kappa_rounding_to_one_outcomes():
         assert (code, err) == (0, ""), argv
         alpha = float(dict(line.split(" = ") for line in out.splitlines())[key])
         assert oracles.alpha_error_units(alpha, ref) <= 8.0, argv
-    code, out, err = run_quiet(["classify", "--format", "svg", *point])
-    assert (code, err) == (0, "") and out.startswith("<svg")
-    for argv in (["orbit"], ["orbit", "--format", "levelset"]):
+    for argv in (["classify", "--format", "svg"], ["orbit", "--format", "levelset"]):
         code, out, err = run_quiet([*argv, *point])
-        assert code == 1, argv
-        assert err == "orbit aborted: step 1: orbit left the level set (residual 1.861e-02)\n"
+        assert (code, err) == (0, "") and out.startswith("<svg"), argv
+    code, out, err = run_quiet(["orbit", *point])
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 7, out
+
+
+def test_large_energy_orbit_runs():
+    # at E = 1e7 the circle's terms are of size 1e15, and its defect is read relative to them,
+    # so the orbit runs.  D_resid stays within the rounding of the points: uniformize's
+    # A2 = 2E - R + 2R dn^2 sums terms of size 4E, so A2 is a few ulps of 4E off, and
+    # 112 of the 2001 rows exceed 1e-9 max(1, |x|) (worst 9.2 ulps of 4E times max(1, |x|))
+    E = 1e7
+    code, out, err = run_quiet(["orbit", "--D", "-1.8", f"--E={E!r}", "--steps", "2000"])
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert header[1] == "x" and header[5] == "D_resid" and len(rows) == 2001
+    bound = 32.0 * math.ulp(4.0 * E)
+    bad = [r for r in rows if not abs(float(r[5])) <= bound * max(1.0, abs(float(r[1])))]
+    assert not bad, bad[:3]
 
 
 def test_class_ii_sliver_outcomes():

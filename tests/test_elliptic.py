@@ -79,6 +79,16 @@ class TestCompleteIntegrals:
         with pytest.raises(DomainError):
             complete_Kp(1.0)
 
+    def test_Kp_domain_mask_is_where_Kp_returns(self):
+        # the mask of the grid's class II cells at the edges of complete_Kp's domain
+        for m in (math.nan, 0.0, -0.0, math.nextafter(1e-12, 0.0), 1e-12,
+                  math.nextafter(1e-12, 1.0), 1.0 - 2.0 ** -53, 1.0):
+            try:
+                returns = math.isfinite(complete_Kp(m))
+            except DomainError:
+                returns = False
+            assert elliptic._Kp_domain(np.array([m])).tolist() == [returns], m
+
     def test_Kpp_matches_quadrature(self):
         for m in -np.geomspace(1e-3, 50.0, 25):
             ref = oracles.Kpp_quad(float(m))

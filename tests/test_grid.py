@@ -28,6 +28,7 @@ from boltzmann_billiard import (
     uniformize,
 )
 from boltzmann_billiard.levelset import (
+    _AT_INFINITY,
     NONDEGENERATE,
     level_set_residual_array,
     project_onto_level_set_array,
@@ -370,6 +371,20 @@ def test_uniformize_array_marks_the_poles(D, E):
         assert pole.any() and not pole.all()
 
 
+@pytest.mark.parametrize("D,E", POLE_SETS)
+def test_uniformize_pole_message(D, E):
+    # a single-point uniformize at a pole raises the PoleError of a map step
+    params = derive_params(D, E)
+    for eps in components(params):
+        thetas = np.array(pole_thetas(params, eps))
+        poles = thetas[uniformize_array(thetas, eps, params)[3]].tolist()
+        assert poles
+        for theta in poles:
+            with pytest.raises(PoleError) as info:
+                uniformize(AngleCoord(theta, eps), params)
+            assert str(info.value) == _AT_INFINITY
+
+
 @given(oracles.level_sets(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
        st.integers(0, 2**16))
 def test_uniformize_array_random_angles(params, thetas, seed):
@@ -488,7 +503,7 @@ def test_single_point_functions_match_references(D, E):
     got = [outcome(uniformize, a, params) for a in angles]
     assert got == [outcome(oracles.scalar_uniformize, a, params) for a in angles]
     if (D, E) in POLE_SETS:
-        assert (PoleError, "wall abscissa at infinity (A1^2 = 1)") in got
+        assert (PoleError, "second wall intersection at infinity (A1^2 = 1)") in got
 
 
 NAN_ANGLE = (DomainError, "angle inversion gives NaN (point not finite?)")
