@@ -79,7 +79,7 @@ def _class_tests(D, s, R2, den):
 
 _CLASSES = np.array(list(RealLocusClass), dtype=object)  # class code -> class
 _CODE = {cls: code for code, cls in enumerate(RealLocusClass)}
-_NONDEGENERATE = [_CODE[cls] for cls in NONDEGENERATE]
+_NONDEGENERATE = np.array([cls in NONDEGENERATE for cls in RealLocusClass])  # by class code
 
 
 def _classify(D, E):
@@ -91,7 +91,7 @@ def _classify(D, E):
     s, R2, R, den = _curve_terms(D, E)
     code = np.select(_class_tests(D, s, R2, den), [_CODE[cls] for cls in _TABLE_CLASSES],
                      _CODE[RealLocusClass.II_MINUS])
-    return code, np.isin(code, _NONDEGENERATE), s, R, den
+    return code, _NONDEGENERATE[code], s, R, den
 
 
 def _classes(code: np.ndarray) -> np.ndarray:

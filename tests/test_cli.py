@@ -17,6 +17,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -583,6 +584,27 @@ class TestCsvRows:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
         self.assert_rows(neighbours(powers_of_ten(-229, 229), steps=2))
+
+    def test_power_table_build(self):
+        # hi the double nearest 10**k, lo the double nearest the rest, and the least double >= 10**k
+        ks = range(csvtext._K_LO, csvtext._K_HI + 1)
+        hi, lo, ceiling = (column.tolist() for column in csvtext._powers_of_ten())
+        assert len(hi) == len(lo) == len(ceiling) == len(ks)
+        for k, h, l, c in zip(ks, hi, lo, ceiling):
+            p = Fraction(10) ** k
+            assert (h, l) == (float(p), float(p - Fraction(h))), k
+            assert Fraction(math.nextafter(c, -math.inf)) < p <= Fraction(c), k
+
+    def test_digit_split(self):
+        # the three words spell "%017d"; nsig counts up to the last nonzero digit, 1 for zero
+        edges = [0, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8, 10 ** 16 - 1, 10 ** 16, 10 ** 17 - 1]
+        seeded = np.random.default_rng(20261020).integers(10 ** 16, 10 ** 17, 10 ** 5)
+        n = np.concatenate([np.array(edges, np.int64), seeded])
+        words, nsig = csvtext._ascii17(n)
+        text = np.stack(words, axis=1).astype("<u8").view("S24").ravel()  # NULs past byte 16
+        want = [b"%017d" % i for i in n.tolist()]
+        assert text.tolist() == want
+        assert nsig.tolist() == [max(1, len(t.rstrip(b"0"))) for t in want]
 
     def test_notation_switches_and_carries(self):
         # fixed below 1e17 and from 1e-4 on, and digits that round up to the next power

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -20,7 +21,8 @@ from boltzmann_billiard import (
     project_onto_level_set,
     sample_level_set,
 )
-from boltzmann_billiard import elliptic
+from boltzmann_billiard import elliptic, levelset
+from boltzmann_billiard.levelset import NONDEGENERATE
 
 import oracles
 
@@ -48,6 +50,19 @@ CLASS_FIXTURES = [
 @pytest.mark.parametrize("D,E,cls", CLASS_FIXTURES)
 def test_classification(D, E, cls):
     assert derive_params(D, E).cls is cls
+
+
+def test_nondegenerate_mask():
+    # the array class table's mask, by class code and on a grid of all eight classes
+    for code, cls in enumerate(RealLocusClass):
+        assert levelset._NONDEGENERATE[code] == (cls in NONDEGENERATE), cls
+    Ds, Es = (sorted({pt[i] for pt in CLASS_FIXTURES}) for i in (0, 1))
+    D, E = (a.ravel() for a in np.meshgrid(Ds, Es))
+    with np.errstate(invalid="ignore"):  # R is NaN where R^2 < 0
+        code, nondegenerate, *_ = levelset._classify(D, E)
+    assert sorted(set(code.tolist())) == list(range(len(RealLocusClass)))
+    assert nondegenerate.tolist() == [derive_params(*pt).nondegenerate
+                                      for pt in zip(D.tolist(), E.tolist())]
 
 
 def test_boundary_band_width():
