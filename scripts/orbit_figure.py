@@ -3,13 +3,15 @@
 
 Writes one orbit SVG and one level-set SVG for each of the three
 nondegenerate classes, plus the closed period-3 triangle, into --out-dir.
+Each figure is `boltzmann-billiard orbit --format svg|levelset` at its
+(D, E), steps and --seed, so its bytes are the command's.
 """
 
 import argparse
 import pathlib
+import sys
 
-from boltzmann_billiard import derive_params, iterate_orbit, sample_level_set
-from boltzmann_billiard.svgplot import level_set_figure, orbit_figure
+from boltzmann_billiard import cli
 
 GALLERY = [
     ("class_i", 1.5, -0.2, 12),
@@ -19,26 +21,21 @@ GALLERY = [
 ]
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("figures"))
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
-
     for name, D, E, steps in GALLERY:
-        params = derive_params(D, E)
-        c0 = sample_level_set(params, 1, seed=args.seed)[0]
-        orbit = iterate_orbit(c0, params, steps)
-
-        path = args.out_dir / f"{name}_orbit.svg"
-        path.write_text(orbit_figure(orbit.points, params))
-        print(f"wrote {path} ({steps} bounces, residual {max(orbit.residuals):.2e})")
-
-        path = args.out_dir / f"{name}_levelset.svg"
-        path.write_text(level_set_figure(params, orbit.points))
-        print(f"wrote {path}")
+        for kind, fmt in (("orbit", "svg"), ("levelset", "levelset")):
+            path = args.out_dir / f"{name}_{kind}.svg"
+            if code := cli.main(["orbit", "--D", repr(D), "--E", repr(E), "--steps", str(steps),
+                                 "--seed", str(args.seed), "--format", fmt, "--out", str(path)]):
+                return code  # main wrote the "error: ..." or "orbit aborted: ..." line
+            print(f"wrote {path} ({steps} bounces)" if kind == "orbit" else f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -52,7 +52,7 @@ def _each(fn, *arrays) -> np.ndarray:
     ravel().tolist(), as this function does, fill the result by np.fromiter
     with no list in between and give it the shape of the first array: cos
     and sin in _sncndn_array (one cmath.rect call for both), hypot in
-    poincare.orbit_drift_columns.  Over a few elements it also stands in
+    levelset.implied_invariants_array.  Over a few elements it also stands in
     for a twin whose numpy calls cost more than the work: carlson_rf in
     uniformize._lift, whose callers pass one or two points.
     """
@@ -129,7 +129,7 @@ def complete_Kpp(m) -> float:
     Rescaling v reduces it to kappa * K(kappa^2) with kappa^2 = 1/(1+ell^2),
     and K(kappa^2) is the AGM at the complement mc = ell^2 kappa^2 (_kappa).
     """
-    if m >= 0.0:
+    if not m < 0.0:
         raise DomainError("complete_Kpp is defined for k2 < 0 only")
     if math.sqrt(-m) < _MODULUS_FLOOR:
         raise DomainError(f"complete_Kpp diverges as k2 -> 0 (got k2={float(m)!r})")
@@ -147,7 +147,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
 
     Arguments must be non-negative with at most one of them zero.
     """
-    if min(x, y, z) < 0.0 or (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
+    if not (x >= 0.0 and y >= 0.0 and z >= 0.0) or (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
         raise DomainError("carlson_rf needs non-negative arguments, at most one zero")
     A0 = (x + y + z) / 3.0
     A = A0
@@ -202,7 +202,7 @@ def legendre_F(x: float, m) -> float:
     if not m < 1.0:
         raise DomainError(f"legendre_F needs k2 < 1 (got k2={float(m)!r})")
     ax = abs(x)
-    if ax > 1.0 + 1e-12:
+    if not ax <= 1.0 + 1e-12:
         raise EndpointSingularityError(f"legendre_F argument |x|={ax!r} beyond the branch point 1")
     ax = min(ax, 1.0)
     s2 = ax * ax
@@ -229,7 +229,7 @@ def seg_case_i(x: float, m) -> float:
     refusals are this function's for m).
     """
     Kpp = complete_Kpp(m)
-    if abs(x) > 1.0 + 1e-12:
+    if not abs(x) <= 1.0 + 1e-12:
         raise EndpointSingularityError(f"seg_case_i argument x={x!r} beyond the branch point 1")
     x = max(-1.0, min(1.0, x))
     ell2, x2 = -m, x * x
@@ -249,7 +249,7 @@ def seg_case_ii_plus(x: float, m) -> float:
     if not 0.0 < m < 1.0:
         raise DomainError("seg_case_ii_plus needs 0 < k2 < 1")
     k = math.sqrt(m)
-    if x < 1.0 - 1e-12 or x > 1.0 / k + 1e-12:
+    if not 1.0 - 1e-12 <= x <= 1.0 / k + 1e-12:
         raise EndpointSingularityError(f"seg_case_ii_plus argument x={x!r} outside [1, 1/k]")
     x = max(1.0, min(1.0 / k, x))
     mc, x2 = 1.0 - m, x * x

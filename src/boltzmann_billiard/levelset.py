@@ -13,9 +13,9 @@ by one class table and derives the curve data (radius R, squared modulus
 k2, branch value s0, scale C), shared by points and grids as plain
 arithmetic on floats or numpy arrays; it computes no elliptic integral.
 The residual of the two equations (each defect relative to the size of
-its terms, so that it reads rounding at any x and E) and the projection
-onto them are array kernels; the single-point functions call them with
-one-element arrays.
+its terms, so that it reads rounding at any x and E), the projection
+onto them and the invariants a point implies are array kernels; the
+single-point functions call them with one-element arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -228,21 +228,27 @@ def level_set_residual(c: ConfigPoint, params: LevelSetParams) -> float:
     return float(level_set_residual_array(*_columns(c), params)[0])
 
 
-def implied_invariants(c: ConfigPoint, params: LevelSetParams) -> tuple[float, float]:
-    """Recompute (D, E) from the point alone, via the wall and circle equations.
+def implied_invariants_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                             params: LevelSetParams) -> tuple[np.ndarray, np.ndarray]:
+    """(D, E) recomputed from every point (x, A1, A2) alone, via the wall and circle equations.
 
     The wall equation is quadratic in D (two sheets for hyperbolic conics);
     the sheet is resolved toward the reference parameters, so the returned
-    values measure drift, not sheet jumps.
+    values measure drift, not sheet jumps.  E is NaN where |D + 2 A2| < 1e-15.
+    hypot(x, 1) is math's, mapped over the elements (elliptic._each says why).
     """
-    r = math.hypot(c.x, 1.0)
-    w_ref = c.A2 + params.D - c.A1 * c.x
-    D_impl = math.copysign(r, w_ref) + c.A1 * c.x - c.A2
-    L2 = params.D + 2.0 * c.A2
-    if abs(L2) < 1e-15:
-        return D_impl, math.nan
-    E_impl = (c.A1 * c.A1 + c.A2 * c.A2 - 1.0) / (2.0 * L2)
+    D = params.D
+    with np.errstate(all="ignore"):
+        r = np.fromiter(map(math.hypot, x.tolist(), repeat(1.0)), float, x.size)
+        D_impl = np.copysign(r, A2 + D - A1 * x) + A1 * x - A2
+        L2 = D + 2.0 * A2
+        E_impl = np.where(np.abs(L2) < 1e-15, np.nan, (A1 * A1 + A2 * A2 - 1.0) / (2.0 * L2))
     return D_impl, E_impl
+
+
+def implied_invariants(c: ConfigPoint, params: LevelSetParams) -> tuple[float, float]:
+    """implied_invariants_array at the single point c."""
+    return tuple(float(v[0]) for v in implied_invariants_array(*_columns(c), params))
 
 
 _AT_INFINITY = "second wall intersection at infinity (A1^2 = 1)"  # PoleError of a step

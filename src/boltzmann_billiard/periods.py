@@ -18,15 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BilliardError
-from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, derive_params
-from .poincare import _sample_xyz, _walk, config_distance, config_distance_array, map_t, map_t_array
+from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _columns, derive_params
+from .poincare import _sample_xyz, _walk, config_distance_array, map_t_array
 from .uniformize import _amplitudes, _lift, _turns, rotation_grid, rotation_number
 
 log = logging.getLogger(__name__)
 
 _SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_locus
 _SCAN_CACHE = 16  # D scans kept, one per (E, D_range); find_periodic_locus reuses them across p
-_RETURN_TOL = 1e-8  # config_distance below which a start counts as returned
+_RETURN_TOL = 1e-8  # config_distance_array below which a start counts as returned
 _INTEGRAL_TOL = 1e-9  # distance of p * alpha from an integer below which p is a period
 _P_MAX = 60  # longest period the searches look for
 _N_STARTS = 100  # sampled starts of poncelet_check
@@ -64,22 +64,20 @@ def predict_period(params: LevelSetParams) -> int | None:
 
 
 def detect_period_direct(c0: ConfigPoint, params: LevelSetParams) -> int | None:
-    """Smallest p <= _P_MAX with t^p(c0) back at c0 in the bounded metric."""
-    c = c0
-    for p in range(1, _P_MAX + 1):
-        c = map_t(c, params)
-        if config_distance(c, c0) < _RETURN_TOL:
-            return p
-    return None
+    """Smallest p <= _P_MAX with t^p(c0) back at c0 in the bounded metric: _first_returns
+    at the single start c0."""
+    return _first_returns(*_columns(c0), params)[0][0]
 
 
 def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray, params: LevelSetParams):
-    """detect_period_direct for the starts (x0, A10, A20) at once, with the distance at the return.
+    """The first return of each start (x0, A10, A20) within _P_MAX map steps, all at once.
 
-    Only the starts still searching take a step, so each start takes the
-    steps its scalar search takes, and PoleError comes exactly where one of
-    those would raise.  Returns per start the period (None if not found)
-    and config_distance(t^p(c), c) at that period.
+    The starts step together by map_t_array, and a start has returned at
+    the first p where config_distance_array of t^p(c) and c is below
+    _RETURN_TOL.  Only the starts still searching take a step, so each
+    start takes the steps a search of its own would take, and PoleError
+    comes exactly where one of those would raise.  Returns per start the
+    period (None if not found) and the distance at that period.
     """
     n = len(x0)
     found: list = [None] * n
@@ -118,8 +116,8 @@ def poncelet_check(params: LevelSetParams, seed: int = 0) -> PeriodReport:
     Detects the direct period from _N_STARTS starts, requires unanimity,
     and compares with the analytic prediction.  Disagreement is reported
     in the result, not raised.  The starts are sampled and iterated
-    together as arrays, with the result of detect_period_direct on each;
-    the draw is kept for the winding that follows (_starts).
+    together as arrays (_first_returns, which detect_period_direct runs on
+    one start); the draw is kept for the winding that follows (_starts).
 
     The report is a function of the level set and the seed alone (the
     Poncelet property), so the last _CHECK_CACHE reports are kept for the

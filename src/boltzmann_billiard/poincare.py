@@ -36,6 +36,7 @@ from .levelset import (
     _reflect,
     _require_nondegenerate,
     _z,
+    implied_invariants_array,
     level_set_residual_array,
     other_wall_root,
     project_onto_level_set_array,
@@ -98,33 +99,23 @@ def _chart(x):
     return x / (1.0 + abs(x))
 
 
-def config_distance(a: ConfigPoint, b: ConfigPoint) -> float:
-    return max(abs(_chart(a.x) - _chart(b.x)), abs(a.A1 - b.A1), abs(a.A2 - b.A2))
-
-
 def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:
-    """config_distance between the points (x, A1, A2) and (x0, A10, A20)."""
+    """Distance between the points (x, A1, A2) and (x0, A10, A20): the largest of the
+    gaps in the bounded chart of x, in A1 and in A2 (Python's max, _max)."""
     with np.errstate(all="ignore"):
         return _max(np.abs(_chart(x) - _chart(x0)), np.abs(A1 - A10), np.abs(A2 - A20))
 
 
 def orbit_drift_columns(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                         params: LevelSetParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ConfigPoint.L and implied_invariants at every point (x, A1, A2).
+    """ConfigPoint.L and implied_invariants_array at every point (x, A1, A2).
 
-    Returns the arrays L, D_impl and E_impl; E_impl is NaN where
-    |D + 2 A2| < 1e-15, as in the scalar function.  Raises DomainError
-    where ConfigPoint.L does (D + 2E <= 0).
+    Returns the arrays L, D_impl and E_impl.  Raises DomainError where
+    ConfigPoint.L does (D + 2E <= 0).
     """
-    D, E = params.D, params.E
     with np.errstate(all="ignore"):
-        L = _L(_z(x, A1, A2, D), D, E)
-        r = np.fromiter(map(math.hypot, x.tolist(), itertools.repeat(1.0)), float, x.size)
-        D_impl = np.copysign(r, A2 + D - A1 * x) + A1 * x - A2
-        L2 = D + 2.0 * A2
-        E_impl = np.where(np.abs(L2) < 1e-15, np.nan,
-                          (A1 * A1 + A2 * A2 - 1.0) / (2.0 * L2))
-    return L, D_impl, E_impl
+        L = _L(_z(x, A1, A2, params.D), params.D, params.E)
+    return (L, *implied_invariants_array(x, A1, A2, params))
 
 
 _CHECK_BLOCK = 4096  # orbit points computed and checked together
@@ -137,9 +128,9 @@ class Orbit:
 
     x, A1, A2 and residuals are float arrays over the visited points;
     points gives them as a tuple of ConfigPoint, built on first access.
-    one_step_law_max is the largest config_distance(map_t(c[k-1]), c[k])
-    over the steps k, and one_step_law_step the first step that reaches
-    it (0.0 and 0 for an orbit with no step).
+    one_step_law_max is the largest config_distance_array between
+    map_t_array of c[k-1] and c[k] over the steps k, and one_step_law_step
+    the first step that reaches it (0.0 and 0 for an orbit with no step).
     """
 
     x: np.ndarray
@@ -217,8 +208,9 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     NearDegenerateError) are raised there too.
 
     Yields (lo, xyz, res, law): the rows x, A1, A2 of points lo, lo+1, ...,
-    their residuals, and the one-step law so far, (max, step) of
-    config_distance(map_t(c[k-1]), c[k]) over the steps k yielded.  The
+    their residuals, and the one-step law so far, (max, step) of the
+    config_distance_array between map_t_array of c[k-1] and c[k] over the
+    steps k yielded.  The
     first block is c0 alone, which is not checked further; each later block
     holds up to _CHECK_BLOCK points, checked together and each stepped from
     its predecessor by map_t_array for the law.  At the first point that

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ArcUnsupportedError
+from .errors import BilliardError
 from .kepler import trajectory_arc
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _require_nondegenerate
 from .poincare import component_curve
@@ -80,8 +80,10 @@ def _render(shapes) -> str:
 def orbit_figure(points: list[ConfigPoint], params: LevelSetParams) -> str:
     """Physical-plane figure: the wall, the centre, and a marker and a Kepler arc per bounce.
 
-    An arc that trajectory_arc refuses (through infinity or below the wall) is left out.
+    An arc that trajectory_arc refuses (radial or tangent, through infinity, below the
+    wall, or with its far wall point at infinity) is left out.
     """
+    _require_nondegenerate(params)  # before the arcs, whose refusals are left out
     xs = [c.x for c in points]
     lo, hi = min(xs + [-1.0]), max(xs + [1.0])
     pad = 0.25 * (hi - lo) + 0.25
@@ -90,7 +92,7 @@ def orbit_figure(points: list[ConfigPoint], params: LevelSetParams) -> str:
     for c in points[:-1]:
         try:
             shapes.append(("path", "arc", trajectory_arc(c, params)))
-        except ArcUnsupportedError:
+        except BilliardError:
             continue
     shapes += [("circle", "orbit", (c.x, 1.0, 2.5)) for c in points]
     return _render(shapes)

@@ -432,8 +432,9 @@ def uniformize_complex_oracle(a, params):
 
 # ---------------------------------------------------------------------------
 # scalar references for the curve kernels (uniformize_array, theta_array,
-# level_set_residual_array, project_onto_level_set_array), one point at a
-# time in Python floats
+# level_set_residual_array, project_onto_level_set_array,
+# implied_invariants_array, config_distance_array), one point at a time in
+# Python floats
 # ---------------------------------------------------------------------------
 
 def _require_nondegenerate(params):
@@ -609,6 +610,25 @@ def scalar_project_onto_level_set(c, params):
     return ConfigPoint(x, A1, A2)
 
 
+def scalar_implied_invariants(c, params) -> tuple:
+    """(D, E) recomputed from the point alone, the wall sheet resolved toward params.D;
+    E is NaN where |D + 2 A2| < 1e-15."""
+    r = math.hypot(c.x, 1.0)
+    w_ref = c.A2 + params.D - c.A1 * c.x
+    D_impl = math.copysign(r, w_ref) + c.A1 * c.x - c.A2
+    L2 = params.D + 2.0 * c.A2
+    if abs(L2) < 1e-15:
+        return D_impl, math.nan
+    E_impl = (c.A1 * c.A1 + c.A2 * c.A2 - 1.0) / (2.0 * L2)
+    return D_impl, E_impl
+
+
+def config_distance(a, b) -> float:
+    """Largest of the gaps in the bounded chart x / (1 + |x|), in A1 and in A2."""
+    chart_a, chart_b = a.x / (1.0 + abs(a.x)), b.x / (1.0 + abs(b.x))
+    return max(abs(chart_a - chart_b), abs(a.A1 - b.A1), abs(a.A2 - b.A2))
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -746,6 +766,19 @@ def scalar_empirical_rotation(params, n_steps: int = 10_000, seed: int = 0, c0=N
     return ((turns + scalar_lift(*last) - scalar_lift(*first)) / n_steps) % 1.0
 
 
+def scalar_detect_period(c0, params):
+    """detect_period_direct as a map_t loop: the smallest p <= periods._P_MAX with
+    config_distance(t^p(c0), c0) below periods._RETURN_TOL, else None."""
+    from boltzmann_billiard import map_t, periods
+
+    c = c0
+    for p in range(1, periods._P_MAX + 1):
+        c = map_t(c, params)
+        if config_distance(c, c0) < periods._RETURN_TOL:
+            return p
+    return None
+
+
 def scalar_poncelet_check(params, seed: int = 0):
     """poncelet_check one start at a time, with a separate residual pass.
 
@@ -757,7 +790,7 @@ def scalar_poncelet_check(params, seed: int = 0):
     rot = periods.rotation_number(params)
     predicted = periods.smallest_period(rot.alpha, rot.flips_component)
     pts = list(map(ConfigPoint, *periods._sample_xyz(params, periods._N_STARTS, seed).tolist()))
-    detected = {periods.detect_period_direct(c, params) for c in pts}
+    detected = {scalar_detect_period(c, params) for c in pts}
     unanimous = detected.pop() if len(detected) == 1 else None
     residual = math.nan
     if unanimous is not None:
@@ -766,7 +799,7 @@ def scalar_poncelet_check(params, seed: int = 0):
             cp = c
             for _ in range(unanimous):
                 cp = map_t(cp, params)
-            worst = max(worst, periods.config_distance(cp, c))
+            worst = max(worst, config_distance(cp, c))
         residual = worst
     return periods.PeriodReport(predicted, unanimous, rot.alpha,
                                 predicted == unanimous, residual)
@@ -887,7 +920,6 @@ def scalar_translated_orbit(c0, params, n: int, *,
     TranslatedOrbit prefix.
     """
     from boltzmann_billiard import AngleCoord, OrbitAbort, PoleError, map_t, rotation_number
-    from boltzmann_billiard.periods import config_distance
 
     _require_nondegenerate(params)
     r0 = scalar_level_set_residual(c0, params)
@@ -943,11 +975,9 @@ def mp_walk(c0, params, steps, dps: int = 40) -> list:
 
 def scalar_orbit_rows(points, params, D: float) -> list:
     """The orbit command's rows, one point at a time."""
-    from boltzmann_billiard import implied_invariants
-
     rows = []
     for step, c in enumerate(points):
-        D_impl, E_impl = implied_invariants(c, params)
+        D_impl, E_impl = scalar_implied_invariants(c, params)
         rows.append([step, c.x, c.A1, c.A2, c.L(params), D_impl - D, E_impl])
     return rows
 

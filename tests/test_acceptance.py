@@ -34,10 +34,9 @@ from boltzmann_billiard import (
     uniformize,
 )
 from boltzmann_billiard.cli import main
-from boltzmann_billiard.periods import config_distance
 
 import oracles
-from oracles import jacobi_sn_cn_dn
+from oracles import config_distance, jacobi_sn_cn_dn
 
 
 CLASS_POINTS = [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)]

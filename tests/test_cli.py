@@ -27,16 +27,20 @@ from hypothesis import strategies as st
 
 import oracles
 from boltzmann_billiard import (
+    AngleCoord,
     ArcUnsupportedError,
     ConfigPoint,
+    DomainError,
     OrbitAbort,
     PoleError,
     angle_of,
     derive_params,
     iterate_orbit,
+    map_t,
     rotation_number,
     sample_level_set,
     trajectory_arc,
+    uniformize,
 )
 from boltzmann_billiard import cli, csvtext, periods, poincare, selftest, svgplot
 from boltzmann_billiard.cli import main
@@ -1012,6 +1016,21 @@ class TestFigures:
         assert (code, err) == (1, f"orbit aborted: {info.value}\n")
         assert out == svgplot.level_set_figure(params, info.value.orbit.points)
         assert out.count('class="orbit"') == info.value.step
+
+    def test_radial_arc_left_out(self):
+        # at step 672 of this orbit D + 2 A2 = 8.8e-13: trajectory_arc refuses the radial
+        # conic with DomainError, and the figure leaves that arc out as it does the others
+        code, out, err = run_quiet(["orbit", "--D", "1.5", "--E", "-0.2", "--steps", "2000",
+                                    "--seed", "173", "--format", "svg"])
+        assert (code, err) == (0, "")
+        assert out.count("<path") == 1999 and out.count('class="orbit"') == 2001
+        params = derive_params(1.5, -0.2)
+        radial = uniformize(AngleCoord(0.25), params)  # D + 2 A2 = 0.0 exactly
+        with pytest.raises(DomainError, match="^radial conic"):
+            trajectory_arc(radial, params)
+        after = map_t(radial, params)
+        assert svgplot.orbit_figure([radial, after], params).count("<path") == 0
+        assert svgplot.orbit_figure([after, radial], params).count("<path") == 1
 
     @pytest.mark.parametrize("fmt", ["svg", "levelset"])
     def test_negative_steps_exit_2(self, fmt):

@@ -356,6 +356,19 @@ def test_numpy_scalar_modulus_shown_as_float(fn, args):
     assert repr(m) in str(got.value)
 
 
+@pytest.mark.parametrize("fn, args, error", [
+    (seg_case_i, (math.nan, -0.5), EndpointSingularityError),  # the clamp used to give 2 K''
+    (seg_case_ii_plus, (math.nan, 0.5), EndpointSingularityError),  # and here K'
+    (complete_Kpp, (math.nan,), DomainError),  # used to run all of the AGM's steps
+    (carlson_rf, (math.nan, 1.0, 1.0), DomainError),
+    (legendre_F, (math.nan, 0.5), EndpointSingularityError),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_nan_argument_refused(fn, args, error):
+    # each range test is a comparison that NaN fails, so NaN gets the typed refusal
+    with pytest.raises(error):
+        fn(*args)
+
+
 def hexes(values):
     return [float(v).hex() for v in values]
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from boltzmann_billiard import (
     BOUNDARY_TOL,
+    AngleCoord,
     ConfigPoint,
     DomainError,
     RealLocusClass,
@@ -20,6 +21,7 @@ from boltzmann_billiard import (
     other_wall_root,
     project_onto_level_set,
     sample_level_set,
+    uniformize,
 )
 from boltzmann_billiard import elliptic, levelset
 from boltzmann_billiard.levelset import NONDEGENERATE
@@ -277,3 +279,19 @@ class TestPointGeometry:
         off = ConfigPoint(c.x, c.A1 + 1e-4, c.A2)
         D_impl, _ = implied_invariants(off, params_i)
         assert abs(D_impl - params_i.D) > 1e-6
+
+    def test_implied_invariants_match_scalar(self, params_i, params_ii_plus, params_ii_minus):
+        # the one-point call of implied_invariants_array, bit for bit its scalar reference
+        def hexes(pair):
+            return [v.hex() for v in pair]
+
+        for params in (params_i, params_ii_plus, params_ii_minus):
+            for c in sample_level_set(params, 20, seed=3):
+                assert hexes(implied_invariants(c, params)) == hexes(
+                    oracles.scalar_implied_invariants(c, params))
+        # theta = 1/4 is a radial conic: D + 2 A2 = 0 exactly, so E is NaN
+        radial = uniformize(AngleCoord(0.25), params_i)
+        assert params_i.D + 2.0 * radial.A2 == 0.0
+        got = implied_invariants(radial, params_i)
+        assert hexes(got) == hexes(oracles.scalar_implied_invariants(radial, params_i))
+        assert math.isnan(got[1]) and abs(got[0] - params_i.D) < 1e-12

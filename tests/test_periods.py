@@ -80,6 +80,20 @@ def test_detect_generic_none(params_i):
     assert detect_period_direct(c0, params_i) is None
 
 
+def test_detect_period_direct_matches_scalar(params_period3, params_i):
+    # the one-start call of _first_returns against the map_t loop
+    for c0 in sample_level_set(params_period3, 30, seed=9):
+        assert detect_period_direct(c0, params_period3) == oracles.scalar_detect_period(
+            c0, params_period3) == 3
+    for c0 in sample_level_set(params_i, 5, seed=9):
+        assert detect_period_direct(c0, params_i) is oracles.scalar_detect_period(c0, params_i) is None
+    # A1 = 1: the second wall intersection is at infinity, so the first step raises
+    pole = ConfigPoint(0.5, 1.0, 0.2)
+    for detect in (detect_period_direct, oracles.scalar_detect_period):
+        with pytest.raises(PoleError, match=r"^second wall intersection at infinity \(A1\^2 = 1\)$"):
+            detect(pole, params_period3)
+
+
 def test_poncelet_all_or_nothing(params_period3):
     # every starting point closes after exactly 3 bounces, not just a few
     report = poncelet_check(params_period3, seed=4)
@@ -189,7 +203,7 @@ class TestLocusScan:
                 c = c0
                 for _ in range(4):
                     c = map_t(c, params)
-                assert periods.config_distance(c, c0) <= 1e-9
+                assert oracles.config_distance(c, c0) <= 1e-9
 
     def test_defect_evaluations_per_root(self, monkeypatch):
         # the refinement starts from the scanned bracket ends, so each root

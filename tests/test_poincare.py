@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
+from oracles import config_distance
 from boltzmann_billiard import periods, poincare
 from boltzmann_billiard import (
     ConfigPoint,
@@ -36,7 +37,6 @@ from boltzmann_billiard import (
     component_curve,
     sample_level_set,
 )
-from boltzmann_billiard.periods import config_distance
 
 
 ALL_CLASS_FIXTURES = [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)]

@@ -44,8 +44,17 @@ def test_rotation_heatmap_refusal(tmp_path):
 
 
 def test_orbit_figure_gallery(tmp_path):
-    done = run_script("orbit_figure.py", "--out-dir", tmp_path)
+    done = run_script("orbit_figure.py", "--out-dir", tmp_path / "gallery", "--seed", 2)
     assert done.returncode == 0, done.stderr
-    gallery = ("class_i", "class_ii_plus", "class_ii_minus", "period3_triangle")
-    want = {f"{name}_{kind}.svg" for name in gallery for kind in ("orbit", "levelset")}
-    assert {p.name for p in tmp_path.iterdir()} == want
+    gallery = (("class_i", 1.5, -0.2, 12), ("class_ii_plus", 2.5, -0.1, 12),
+               ("class_ii_minus", -2.5, 1.5, 12), ("period3_triangle", 1.75, -5.0 / 24.0, 3))
+    want = {f"{name}_{kind}.svg" for name, *_ in gallery for kind in ("orbit", "levelset")}
+    assert {p.name for p in (tmp_path / "gallery").iterdir()} == want
+    # each figure is the orbit command's, byte for byte, at the same D, E, steps and seed
+    for name, D, E, steps in gallery:
+        for kind, fmt in (("orbit", "svg"), ("levelset", "levelset")):
+            out = tmp_path / f"{name}_{kind}.svg"
+            assert cli.main(["orbit", "--D", repr(D), "--E", repr(E), "--steps", str(steps),
+                             "--seed", "2", "--format", fmt, "--out", str(out)]) == 0
+            assert (tmp_path / "gallery" / out.name).read_bytes() == out.read_bytes()
+    assert done.stdout.count("wrote ") == len(want) and "residual" not in done.stdout

@@ -28,11 +28,11 @@ from boltzmann_billiard import (
     uniformize,
 )
 from boltzmann_billiard.levelset import _reflect
-from boltzmann_billiard.periods import config_distance
 from boltzmann_billiard.poincare import _sample_xyz, map_t_array
 from boltzmann_billiard.uniformize import theta_array
 
 import oracles
+from oracles import config_distance
 
 
 # analytic rotation numbers frozen after anchoring against long empirical
