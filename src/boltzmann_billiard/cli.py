@@ -397,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--seed must be >= 0 (got {args.seed})")
         if getattr(args, "steps", None) is not None and args.steps > sys.maxsize:
             raise ValueError(f"--steps must be at most {sys.maxsize} (got {args.steps})")
+        if args.command == "period-scan" and not math.isfinite(args.E):
+            raise ValueError(f"--E must be finite (got {args.E!r})")
         if args.command == "period-scan" and not math.isfinite(args.D_range[1] - args.D_range[0]):
             raise ValueError("--D-range needs finite DMIN, DMAX and DMAX - DMIN "
                              f"(got {args.D_range[0]!r} {args.D_range[1]!r})")

@@ -211,7 +211,9 @@ def legendre_F(x: float, m) -> float:
 
 
 def legendre_F_phi(phi: float, m) -> float:
-    """Legendre F(phi | m) for any real amplitude phi, quasi-periodic in phi."""
+    """Legendre F(phi | m) for any finite amplitude phi, quasi-periodic in phi."""
+    if not math.isfinite(phi):
+        raise DomainError(f"legendre_F_phi needs a finite amplitude (got phi={float(phi)!r})")
     n = round(phi / math.pi)
     r = phi - n * math.pi
     val = legendre_F(math.sin(r), m)

@@ -216,10 +216,14 @@ def level_set_residual_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     D, E = params.D, params.E
     with np.errstate(all="ignore"):
         a1, a2, e4, de2 = A1 * A1, A2 * A2, 4.0 * E * A2, 2.0 * D * E
-        circle = np.abs(a1 + a2 - e4 - 1.0 - de2) / _max(max(1.0, abs(de2)), a1, a2, np.abs(e4))
+        # np.fmax skips a NaN as _max does, and a first term of at least 1 leaves no NaN or
+        # signed-zero tie where the two differ; the wall's 1 is left out, as q = x^2 + 1 >= 1
+        # and a NaN q makes the defect NaN too
+        scale = np.fmax(np.fmax(np.fmax(max(1.0, abs(de2)), a1), a2), np.abs(e4))
+        circle = np.abs(a1 + a2 - e4 - 1.0 - de2) / scale
         w = A2 + D - A1 * x
         q = x * x + 1.0
-        wall = np.abs(q - w * w) / _max(1.0, q, w * w)
+        wall = np.abs(q - w * w) / np.fmax(q, w * w)
         return _max(circle, wall)
 
 
@@ -240,7 +244,8 @@ def implied_invariants_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     D = params.D
     with np.errstate(all="ignore"):
         r = np.fromiter(map(math.hypot, x.tolist(), repeat(1.0)), float, x.size)
-        D_impl = np.copysign(r, A2 + D - A1 * x) + A1 * x - A2
+        a1x = A1 * x
+        D_impl = np.copysign(r, A2 + D - a1x) + a1x - A2
         L2 = D + 2.0 * A2
         E_impl = np.where(np.abs(L2) < 1e-15, np.nan, (A1 * A1 + A2 * A2 - 1.0) / (2.0 * L2))
     return D_impl, E_impl
@@ -278,13 +283,16 @@ def _reflect(x, A1, A2, E):
     """(A1, A2) of the conic reflected at wall abscissa x.
 
     This is the involution j of the collision map.  Plain arithmetic only,
-    so it serves floats and numpy arrays alike.
+    so it serves floats and numpy arrays alike.  nsi is -sin: (-2x)/q is
+    -(2x/q) and a + (-b) is a - b, exactly, so the doubles are those of
+    the reflection written with sin, save the sign of a NaN.
     """
-    q = x * x + 1.0
-    co = (x * x - 1.0) / q
-    si = 2.0 * x / q
+    x2 = x * x
+    q = x2 + 1.0
+    co = (x2 - 1.0) / q
+    nsi = -2.0 * x / q
     e4 = 4.0 * E * x / q
-    return co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
+    return co * A1 + nsi * A2 + e4, nsi * A1 - co * A2 + e4 * x
 
 
 def project_onto_level_set_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BilliardError
+from .errors import BilliardError, DomainError
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _columns, derive_params
 from .poincare import _sample_xyz, _walk, config_distance_array, map_t_array
-from .uniformize import _amplitudes, _lift, _turns, rotation_grid, rotation_number
+from .uniformize import _amplitudes, _lift, _turns, _wrap, rotation_grid, rotation_number
 
 log = logging.getLogger(__name__)
 
@@ -253,8 +253,13 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     each bracket from its scanned end values by _illinois down to adjacent
     doubles, and keeps the roots with a defect below 1e-8.  Period 1 occurs
     only on the excluded tangent boundary D = -2E and is reported (logged)
-    rather than returned.
+    rather than returned.  Raises DomainError, for every p, if E, an end of
+    D_range or its width is not finite.
     """
+    lo, hi = map(float, D_range)  # Python floats: a width that overflows warns of nothing
+    if not (math.isfinite(E) and math.isfinite(hi - lo)):
+        raise DomainError("E, D_range and its width must be finite "
+                          f"(got E={float(E)!r}, D_range=({lo!r}, {hi!r}))")
     if p < 1:
         raise ValueError("period must be positive")
     if p == 1:
@@ -269,11 +274,10 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
             return math.nan
         return (p * a + 0.5) % 1.0 - 0.5
 
-    lo, hi = D_range
     Ds, classes, alpha = _scan(*(float(v).hex() for v in (E, lo, hi)))
     if p % 2 == 1:
         alpha = np.where(classes == RealLocusClass.II_PLUS, math.nan, alpha)
-    vals = (p * alpha + 0.5) % 1.0 - 0.5  # defect() at every grid point
+    vals = _wrap(p * alpha + 0.5) - 0.5  # defect() at every grid point
     f0, f1 = vals[:-1], vals[1:]
     with np.errstate(invalid="ignore"):  # a NaN end fails each test, with no warning
         # a sign change that is not two zeros, and not a wrap-around jump of the

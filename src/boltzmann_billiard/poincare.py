@@ -41,7 +41,7 @@ from .levelset import (
     other_wall_root,
     project_onto_level_set_array,
 )
-from .uniformize import angle_of, rotation_number, uniformize_array
+from .uniformize import _wrap, angle_of, rotation_number, uniformize_array
 
 
 def involution_i(c: ConfigPoint, params: LevelSetParams) -> ConfigPoint:
@@ -149,8 +149,9 @@ def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
     """n collision steps from (x, A1, A2), on plain floats.
 
     The loop body is other_wall_root followed by _reflect, written out with
-    the same float operations in the same order, so the points are bit for
-    bit those of a map_t loop.  Returns the lists x, A1, A2 of the new
+    the same float operations in the same order (the step is _reflect's
+    formula, with nsi for -sin), so the points are bit for bit those of a
+    map_t loop.  Returns the lists x, A1, A2 of the new
     points and the PoleError that stopped the walk early, or None; the
     points before the pole are kept.  Its caller is empirical_rotation:
     orbits come from the translation (_checked_blocks).
@@ -170,11 +171,12 @@ def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
             x = (1.0 - w * w) / den / x
         else:
             x = ssum - x
-        q = x * x + 1.0
-        co = (x * x - 1.0) / q
-        si = 2.0 * x / q
+        x2 = x * x
+        q = x2 + 1.0
+        co = (x2 - 1.0) / q
+        nsi = -2.0 * x / q
         e4 = E4 * x / q
-        A1, A2 = co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
+        A1, A2 = co * A1 + nsi * A2 + e4, nsi * A1 - co * A2 + e4 * x
         xs[i], A1s[i], A2s[i] = x, A1, A2
     else:
         return xs, A1s, A2s, None
@@ -188,9 +190,10 @@ def _translated_angles(theta0: float, alpha: float, ks: np.ndarray) -> np.ndarra
     k alpha is Dekker's exact product p + e, so the split sum
     ((p mod 1 + theta0) mod 1 + e) mod 1 rounds only its two additions;
     (theta0 + k alpha) % 1 would lose the bits of k alpha below its own ulp.
+    Each mod 1 is _wrap, x - floor(x), the double numpy's % 1.0 gives.
     """
     p, e = _two_product(ks.astype(float), alpha)
-    return ((p % 1.0 + theta0) % 1.0 + e) % 1.0
+    return _wrap(_wrap(_wrap(p) + theta0) + e)
 
 
 def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,

@@ -109,9 +109,10 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
             raise DomainError("component index eps must be 0 or 1")
         s, c, d = _sncndn_array(2.0 * complete_Kp(params.k2) * theta, params.k2)
         sgn = np.where(eps == 0, -1.0, 1.0)
-        A1 = sgn * 2.0 * R * s * c
+        # sgn is +-1, so its products with the scalars 2R and -C are exact in either order
+        A1 = sgn * (2.0 * R) * s * c
         A2 = 2.0 * E - R + 2.0 * R * c * c
-        z = -sgn * C * d
+        z = sgn * -C * d
     # the wall abscissa from z = (1 - A1^2) x + A1 (A2 + D)
     den = 1.0 - A1 * A1
     pole = np.abs(den) < 1e-12
@@ -131,6 +132,16 @@ def uniformize(a: AngleCoord, params: LevelSetParams) -> ConfigPoint:
     if pole[0]:
         raise PoleError(_AT_INFINITY)
     return ConfigPoint(float(x[0]), float(A1[0]), float(A2[0]))
+
+
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """x mod 1 of an array, as x - floor(x): numpy's x % 1.0, double for double, with no fmod.
+
+    np.remainder adds 1 to a negative fmod, which is exact, so both round
+    the same exact x - floor(x) once, and both give +0.0 at integers, -0.0
+    among them, and NaN at NaN and infinities (tests/test_uniformize.py).
+    """
+    return x - np.floor(x)
 
 
 def _amplitudes(x: np.ndarray, A1: np.ndarray, A2: np.ndarray, params: LevelSetParams):
@@ -208,7 +219,7 @@ def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
 
     x, A1 and A2 share one shape, any, and theta has it.
     """
-    return _lift(*_amplitudes(x, A1, A2, params)) % 1.0
+    return _wrap(_lift(*_amplitudes(x, A1, A2, params)))
 
 
 def angle_of(c: ConfigPoint, params: LevelSetParams) -> AngleCoord:
@@ -276,7 +287,7 @@ def _alpha(D, E, s, R, den):
     sign = np.where(one, _ALPHA_SIGN[RealLocusClass.I],
                     np.where(D > 2.0, _ALPHA_SIGN[RealLocusClass.II_PLUS],
                              _ALPHA_SIGN[RealLocusClass.II_MINUS]))
-    alpha[ok] = np.mod(sign * seg / period, 1.0)
+    alpha[ok] = _wrap(sign * seg / period)
     return alpha
 
 

@@ -1054,3 +1054,79 @@ def scalar_component_curve(params, eps: int = 0, n: int = 257) -> list:
         except PoleError:
             continue
     return pts
+
+
+# ---------------------------------------------------------------------------
+# the per-point expressions of the kernels before their same-double rewrites:
+# numpy's float remainder for the wraps to [0, 1), Python's max (levelset._max)
+# for the residual scales, and the reflection j written with sin
+# ---------------------------------------------------------------------------
+
+def doubles(values) -> list:
+    """Each value as (float.hex, np.signbit), and NaN as one token whatever its sign bit."""
+    a = np.asarray(values, dtype=float).ravel()
+    return [("nan", None) if v != v else (v.hex(), s)
+            for v, s in zip(a.tolist(), np.signbit(a).tolist())]
+
+
+def same_doubles(got, want) -> bool:
+    """doubles(got) == doubles(want) for large arrays: NaN where NaN, and equal bits elsewhere
+    (one double has one float.hex and one sign bit)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(got)
+    return (got.shape == want.shape and np.array_equal(nan, np.isnan(want))
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+def remainder_wrap(x):
+    """x % 1.0 by numpy's float remainder: an fmod, plus 1 where it is negative."""
+    return np.asarray(x, dtype=float) % 1.0
+
+
+def remainder_translated_angles(theta0: float, alpha: float, ks):
+    """poincare._translated_angles with each wrap numpy's % 1.0."""
+    from boltzmann_billiard.csvtext import _two_product
+
+    p, e = _two_product(np.asarray(ks).astype(float), alpha)
+    return ((p % 1.0 + theta0) % 1.0 + e) % 1.0
+
+
+def max_scale_residual_array(x, A1, A2, params):
+    """level_set_residual_array with both scales taken by levelset._max, 1 included."""
+    from boltzmann_billiard.levelset import _max
+
+    D, E = params.D, params.E
+    with np.errstate(all="ignore"):
+        a1, a2, e4, de2 = A1 * A1, A2 * A2, 4.0 * E * A2, 2.0 * D * E
+        circle = np.abs(a1 + a2 - e4 - 1.0 - de2) / _max(max(1.0, abs(de2)), a1, a2, np.abs(e4))
+        w = A2 + D - A1 * x
+        q = x * x + 1.0
+        wall = np.abs(q - w * w) / _max(1.0, q, w * w)
+        return _max(circle, wall)
+
+
+def reflect_sin(x, A1, A2, E):
+    """levelset._reflect with si = sin and its two subtractions."""
+    q = x * x + 1.0
+    co = (x * x - 1.0) / q
+    si = 2.0 * x / q
+    e4 = 4.0 * E * x / q
+    return co * A1 - si * A2 + e4, -si * A1 - co * A2 + e4 * x
+
+
+def sin_walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
+    """poincare._walk's lists and pole, one levelset.other_wall_root and reflect_sin a step."""
+    from boltzmann_billiard import PoleError
+    from boltzmann_billiard.levelset import other_wall_root
+
+    xs, A1s, A2s = [], [], []
+    for _ in range(n):
+        try:
+            x = other_wall_root(x, A1, A2, D)
+        except PoleError as exc:
+            return xs, A1s, A2s, exc
+        A1, A2 = reflect_sin(x, A1, A2, E)
+        xs.append(x)
+        A1s.append(A1)
+        A2s.append(A2)
+    return xs, A1s, A2s, None

@@ -1264,6 +1264,9 @@ def _argparse_choice_message() -> str:
      f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '/nonexistent/x.txt'"),
     (["orbit", "--D", "1.5", "--E", "-0.2", "--out", "."],
      f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '.'"),
+    # a non-finite energy: p = 1 used to exit 0 with an empty CSV, p = 3 to name no option
+    (["period-scan", "--E", "nan", "--p-list", "1"], "--E must be finite (got nan)"),
+    (["period-scan", "--E", "inf", "--p-list", "3"], "--E must be finite (got inf)"),
 ])
 def test_every_refusal_is_one_error_line(argv, message):
     message = _argparse_choice_message() if message is None else message

@@ -362,6 +362,9 @@ def test_numpy_scalar_modulus_shown_as_float(fn, args):
     (complete_Kpp, (math.nan,), DomainError),  # used to run all of the AGM's steps
     (carlson_rf, (math.nan, 1.0, 1.0), DomainError),
     (legendre_F, (math.nan, 0.5), EndpointSingularityError),
+    (legendre_F_phi, (math.nan, 0.5), DomainError),  # round(phi / pi) raised ValueError
+    (legendre_F_phi, (math.inf, 0.5), DomainError),  # and OverflowError here
+    (legendre_F_phi, (-math.inf, 0.5), DomainError),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_nan_argument_refused(fn, args, error):
     # each range test is a comparison that NaN fails, so NaN gets the typed refusal

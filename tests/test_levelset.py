@@ -25,6 +25,7 @@ from boltzmann_billiard import (
 )
 from boltzmann_billiard import elliptic, levelset
 from boltzmann_billiard.levelset import NONDEGENERATE
+from boltzmann_billiard.poincare import _sample_xyz
 
 import oracles
 
@@ -295,3 +296,40 @@ class TestPointGeometry:
         got = implied_invariants(radial, params_i)
         assert hexes(got) == hexes(oracles.scalar_implied_invariants(radial, params_i))
         assert math.isnan(got[1]) and abs(got[0] - params_i.D) < 1e-12
+
+
+def seeded_points(params, rng, n: int) -> np.ndarray:
+    """Rows x, A1, A2: n level-set points, n of them moved off the set, and far, zero,
+    NaN and infinite coordinates; |x| reaches 1e12 and beyond."""
+    on = _sample_xyz(params, n, 11)
+    off = on * (1.0 + rng.normal(0.0, 1e-6, on.shape))
+    far = rng.choice([-1.0, 1.0], (3, n)) * 10.0 ** rng.uniform(-3.0, 12.0, (3, n))
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e12, -1e12, 1e200, math.nan, math.inf, -math.inf])
+    odd = rng.choice(special, (3, 4 * n))
+    mixed = np.where(rng.random((3, n)) < 0.3, rng.choice(special, (3, n)), on)
+    return np.concatenate([on, off, far, odd, mixed], axis=1)
+
+
+class TestSameDoubleRewrites:
+    """The residual's np.fmax scales and _reflect's nsi against their old expressions
+    (oracles.max_scale_residual_array, oracles.reflect_sin): NaN where NaN, else the same bits."""
+
+    @pytest.mark.parametrize("D, E", [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5), (0.3, 0.4),
+                                      (-1.8, 1e7)])
+    def test_residual_scales(self, D, E):
+        params = derive_params(D, E)
+        xyz = seeded_points(params, np.random.default_rng(351), 500)
+        assert oracles.doubles(levelset.level_set_residual_array(*xyz, params)) == \
+            oracles.doubles(oracles.max_scale_residual_array(*xyz, params))
+
+    @pytest.mark.parametrize("D, E", [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5), (0.3, 0.4)])
+    def test_reflect(self, D, E):
+        params = derive_params(D, E)
+        xyz = seeded_points(params, np.random.default_rng(352), 500)
+        with np.errstate(all="ignore"):
+            got, want = levelset._reflect(*xyz, E), oracles.reflect_sin(*xyz, E)
+        assert [oracles.doubles(v) for v in got] == [oracles.doubles(v) for v in want]
+        # and on Python floats, the path of involution_j
+        for x, A1, A2 in xyz[:, ::7].T.tolist():
+            assert oracles.doubles(levelset._reflect(x, A1, A2, E)) == oracles.doubles(
+                oracles.reflect_sin(x, A1, A2, E))

@@ -236,11 +236,18 @@ class TestLocusScan:
         f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5  # noqa: E731
         assert periods._illinois(f, 0.0, -0.5, 1.0, 0.5) == (0.0, -0.5)
 
-    @pytest.mark.parametrize("D_range", [(0.0, math.inf), (-1e308, 1e308)])
+    @pytest.mark.parametrize("D_range", [(0.0, math.inf), (-1e308, 1e308),
+                                         (np.float64(-1e308), np.float64(1e308))])
     def test_non_finite_range_raises(self, D_range):
         # a numpy warning from building the scan axis would be an error here
         with pytest.raises(DomainError, match="must be finite"):
             find_periodic_locus(-0.2, 3, D_range)
+
+    @pytest.mark.parametrize("E, p", [(math.nan, 1), (math.inf, 3), (-math.inf, 1)])
+    def test_non_finite_energy_raises(self, E, p):
+        # p = 1 used to return [] before any check
+        with pytest.raises(DomainError, match=r"must be finite \(got E=-?(nan|inf), "):
+            find_periodic_locus(E, p)
 
     def test_batched_scan_finds_the_scalar_roots(self, monkeypatch, fresh_scans):
         cases = [(E, p) for E in (-0.31, -5.0 / 24.0, -0.12, 0.02, 0.3) for p in range(2, 9)]

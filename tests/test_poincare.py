@@ -401,6 +401,17 @@ class TestTranslatedOrbit:
         assert worst_split <= 2 * ulp
         assert worst_naive > 2 * ulp
 
+    def test_wraps_are_remainders(self):
+        # the three wraps are x - floor(x), double for double numpy's % 1.0, at k up to 2**52
+        rng = random.Random(35)
+        for theta0, alpha in [(0.0, 0.0), (0.0, 0.5), (1.0 - 2.0**-53, 1.0 - 2.0**-53)] + [
+                (rng.random(), rng.random()) for _ in range(200)]:
+            ks = np.array([0, 1, 2, 2**52 - 1, 2**52]
+                          + [rng.randrange(2**e) for e in (8, 20, 30, 40, 52) for _ in range(20)])
+            got = poincare._translated_angles(theta0, alpha, ks)
+            assert oracles.doubles(got) == oracles.doubles(
+                oracles.remainder_translated_angles(theta0, alpha, ks))
+
     @pytest.mark.parametrize("D, E, cls", [
         (1.5, -0.2, RealLocusClass.I),
         (2.5, -0.1, RealLocusClass.II_PLUS),
@@ -490,6 +501,20 @@ class TestFusedWalk:
 
     def test_zero_steps(self, params_i):
         assert poincare._walk(0.4, 1.0, 0.2, 0, params_i.D, params_i.E) == ([], [], [], None)
+
+    @pytest.mark.parametrize("D, E", [
+        (1.5, -0.2), (2.5, -0.1), (-2.5, 1.5), (0.3, 0.4), (3.0, 0.3),
+        (1.524873287205999, 0.10518444534189131),  # start 3 reaches |x| ~ 4.6e5 near a pole
+    ])
+    def test_step_is_the_sin_reflection(self, D, E):
+        # the step's nsi = -2x/q gives the doubles of the reflection written with sin
+        params = derive_params(D, E)
+        xyz = poincare._sample_xyz(params, 20, 1373)
+        for j in range(5):
+            got = poincare._walk(*xyz[:, j].tolist(), 2000, D, E)
+            want = oracles.sin_walk(*xyz[:, j].tolist(), 2000, D, E)
+            assert [oracles.doubles(v) for v in got[:3]] == [oracles.doubles(v) for v in want[:3]]
+            assert got[3] is want[3] is None
 
 
 class TestSampling:

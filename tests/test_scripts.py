@@ -58,3 +58,17 @@ def test_orbit_figure_gallery(tmp_path):
                              "--seed", "2", "--format", fmt, "--out", str(out)]) == 0
             assert (tmp_path / "gallery" / out.name).read_bytes() == out.read_bytes()
     assert done.stdout.count("wrote ") == len(want) and "residual" not in done.stdout
+
+
+def test_output_digests():
+    # one "name sha256" line per selected entry, the same in two fresh interpreters
+    patterns = ["rotation-fx-*", "rotation-grid-60"]
+    runs = [run_script("output_digests.py", *patterns) for _ in range(2)]
+    assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [line.split() for line in runs[0].stdout.splitlines()]
+    assert [name for name, _ in lines] == ["rotation-fx-I", "rotation-fx-IIplus",
+                                           "rotation-fx-IIminus", "rotation-grid-60"]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
+    done = run_script("output_digests.py", "no-such-entry")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: no entry matches no-such-entry\n")

@@ -29,7 +29,7 @@ from boltzmann_billiard import (
 )
 from boltzmann_billiard.levelset import _reflect
 from boltzmann_billiard.poincare import _sample_xyz, map_t_array
-from boltzmann_billiard.uniformize import theta_array
+from boltzmann_billiard.uniformize import _amplitudes, _lift, _wrap, theta_array
 
 import oracles
 from oracles import config_distance
@@ -306,3 +306,36 @@ def test_angle_of_stable_under_drift(params_i):
     rough = ConfigPoint(c.x + 1e-9, c.A1 - 1e-9, c.A2 + 1e-9)
     b = angle_of(rough, params_i)
     assert abs((a.theta - b.theta + 0.5) % 1.0 - 0.5) < 1e-7
+
+
+class TestWrap:
+    """_wrap, x - floor(x), against numpy's x % 1.0 double for double (oracles.remainder_wrap)."""
+
+    def test_edge_values(self):
+        one = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+        tiny = [0.0, 1e-320, 5e-324, 1e-20]
+        big = [0.5, 2.0**52 - 0.5, 2.0**52, 2.0**52 + 1.0, 2.0**53, 2.0**60, 1e300]
+        edge = np.array([s * v for v in one + tiny + big for s in (1.0, -1.0)]
+                        + [math.nan, -math.nan, math.inf, -math.inf])
+        with np.errstate(invalid="ignore"):  # the infinities: NaN from both
+            want = oracles.remainder_wrap(edge)
+            got = _wrap(edge)
+        assert oracles.doubles(got) == oracles.doubles(want)
+        # +0.0 at every integer, -0.0 and -1 among them; 1.0 from a negative x just below 0
+        assert oracles.doubles(_wrap(np.array([-0.0, -1.0, 3.0]))) == [("0x0.0p+0", False)] * 3
+        assert _wrap(np.array([-1e-20]))[0] == 1.0
+
+    @pytest.mark.parametrize("lo, hi, n", [(-3.0, 5.0, 10**6), (0.0, 2.0**60, 10**5)],
+                             ids=["unit", "huge"])
+    def test_seeded_doubles(self, lo, hi, n):
+        x = np.random.default_rng(20261020).uniform(lo, hi, n)
+        for v in (x, -x):
+            assert oracles.same_doubles(_wrap(v), oracles.remainder_wrap(v))
+
+    def test_theta_array(self, params_i, params_ii_plus, params_ii_minus):
+        # rotation_grid's and the period scan's wraps are pinned by their scalar twins,
+        # which wrap by Python's float %, numpy's algorithm
+        for params in (params_i, params_ii_plus, params_ii_minus):
+            xyz = _sample_xyz(params, 400, 3)
+            lifted = _lift(*_amplitudes(*xyz, params))
+            assert oracles.doubles(theta_array(*xyz, params)) == oracles.doubles(lifted % 1.0)
