@@ -16,8 +16,10 @@ scan the repr of every root, report and winding:
 
 POINT is one of the three seed-7 orbit_dump starts of perfbench (s7-I,
 s7-IIplus, s7-IIminus) or a class fixture at --seed 3 (fx-I, fx-IIplus,
-fx-IIminus).  Arguments are fnmatch patterns that select entries by name;
-with none, every entry is printed.
+fx-IIminus).  The seed-7 inputs are made by the workload classes of
+perfbench/workloads.py, so they stay the benchmark's.  Arguments are
+fnmatch patterns that select entries by name; with none, every entry is
+printed.
 """
 
 import argparse
@@ -29,21 +31,15 @@ import tempfile
 
 from boltzmann_billiard import cli, derive_params, periods
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import AlphaGrid, OrbitDump, Periodicity  # noqa: E402
+
 # (D, E, seed): perfbench's seed-7 orbit_dump starts, then the class fixtures
-POINTS = {
-    "s7-I": (0.6175456771761638, 0.3488075788364548, 974200704),
-    "s7-IIplus": (2.9788269362988595, -0.11196877480215461, 108227629),
-    "s7-IIminus": (-2.388718053106049, 1.432301187896662, 339112779),
-    "fx-I": (1.5, -0.2, 3),
-    "fx-IIplus": (2.5, -0.1, 3),
-    "fx-IIminus": (-2.5, 1.5, 3),
-}
-ALPHA_GRID_S7 = "-3.4535588937156962:4.546441106284304:-1.470353169629607:2.529646830370393:280"
+POINTS = {f"s7-{cls}": (D, E, seed) for cls, D, E, seed in OrbitDump(7, False).orbits}
+POINTS.update({"fx-I": (1.5, -0.2, 3), "fx-IIplus": (2.5, -0.1, 3), "fx-IIminus": (-2.5, 1.5, 3)})
+ALPHA_GRID_S7 = AlphaGrid(7, False).spec
 # perfbench's seed-7 periodicity energies, each scanned for p = 3..8 with its checks at seed 7
-PERIODICITY_S7 = [-0.303153653522545, -0.279912088747222, -0.24311617205797223,
-                  -0.2085386260146082, -0.15777979219538643, -0.13260847238052345,
-                  -0.0904012125214437, -0.07246563789962368, -0.0418991927232884,
-                  0.011588101139575147, 0.04535605802317766, 0.06297739702837801]
+PERIODICITY_S7 = Periodicity(7, False).energies
 
 
 def command(*argv):

@@ -129,8 +129,8 @@ def complete_Kpp(m) -> float:
     Rescaling v reduces it to kappa * K(kappa^2) with kappa^2 = 1/(1+ell^2),
     and K(kappa^2) is the AGM at the complement mc = ell^2 kappa^2 (_kappa).
     """
-    if not m < 0.0:
-        raise DomainError("complete_Kpp is defined for k2 < 0 only")
+    if not -math.inf < m < 0.0:
+        raise DomainError("complete_Kpp is defined for finite k2 < 0 only")
     if math.sqrt(-m) < _MODULUS_FLOOR:
         raise DomainError(f"complete_Kpp diverges as k2 -> 0 (got k2={float(m)!r})")
     kap2, mc = _kappa(m)
@@ -145,11 +145,15 @@ def _Kpp_domain(m: np.ndarray) -> np.ndarray:
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson symmetric integral R_F(x, y, z) by the duplication theorem.
 
-    Arguments must be non-negative with at most one of them zero.
+    Arguments must be non-negative with at most one of them zero, and
+    their mean must be finite (it is not for an infinite argument, nor
+    where the sum overflows).
     """
     if not (x >= 0.0 and y >= 0.0 and z >= 0.0) or (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
         raise DomainError("carlson_rf needs non-negative arguments, at most one zero")
     A0 = (x + y + z) / 3.0
+    if A0 == math.inf:
+        raise DomainError("carlson_rf needs arguments with a finite mean")
     A = A0
     Q = _RF_Q * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
     f = 1.0

@@ -25,7 +25,6 @@ from .uniformize import _amplitudes, _lift, _turns, _wrap, rotation_grid, rotati
 log = logging.getLogger(__name__)
 
 _SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_locus
-_SCAN_CACHE = 16  # D scans kept, one per (E, D_range); find_periodic_locus reuses them across p
 _RETURN_TOL = 1e-8  # config_distance_array below which a start counts as returned
 _INTEGRAL_TOL = 1e-9  # distance of p * alpha from an integer below which p is a period
 _P_MAX = 60  # longest period the searches look for
@@ -49,7 +48,12 @@ def _dist_to_int(x: float) -> float:
 
 
 def smallest_period(alpha: float, flips_component: bool) -> int | None:
-    """Smallest p <= _P_MAX with p*alpha integral (and p even when required)."""
+    """Smallest p <= _P_MAX with p*alpha integral (and p even when required).
+
+    Raises DomainError for an alpha that is not finite.
+    """
+    if not math.isfinite(alpha):
+        raise DomainError(f"smallest_period needs a finite alpha (got {float(alpha)!r})")
     for p in range(1, _P_MAX + 1):
         if flips_component and p % 2 == 1:
             continue
@@ -154,19 +158,21 @@ def empirical_rotation(params: LevelSetParams, n_steps: int = 10_000,
     (where theta decreases), alpha per step on average.  The orbit runs on
     plain floats, the turns are counted on the Jacobi amplitudes of all its
     points, and only its ends are integrated; errors come in the order of a
-    point-by-point evaluation.  Raises ValueError if n_steps < 1.  With no
-    c0, the orbit starts at the first of poncelet_check's starts for the
-    seed, read from the draw the check keeps (_starts) or drawn afresh.
+    point-by-point evaluation.  n_steps is an integer, taken through
+    operator.index: a float raises TypeError, and n_steps < 1 raises
+    ValueError.  With no c0, the orbit starts at the first of
+    poncelet_check's starts for the seed, read from the draw the check
+    keeps (_starts) or drawn afresh.
 
     As in poncelet_check, the last _CHECK_CACHE windings are kept, keyed on
-    repr(params), n_steps (of its own type) and the start: repr(c0) where
-    one is given, else the seed through operator.index.  Errors are not kept.
+    repr(params), n_steps and the start: repr(c0) where one is given, else
+    the seed through operator.index.  Errors are not kept.
     """
     seed = operator.index(seed) if c0 is None else None  # a given c0 leaves the seed unused
-    return _empirical_rotation(repr(params), repr(c0), params, n_steps, seed, c0)
+    return _empirical_rotation(repr(params), repr(c0), params, operator.index(n_steps), seed, c0)
 
 
-@functools.lru_cache(maxsize=_CHECK_CACHE, typed=True)
+@functools.lru_cache(maxsize=_CHECK_CACHE)
 def _empirical_rotation(key: str, start: str, params: LevelSetParams, n_steps: int,
                         seed: int | None, c0: ConfigPoint | None) -> float:
     """empirical_rotation computed afresh; key and start, repr(params) and repr(c0), tell
@@ -228,12 +234,13 @@ def _illinois(f, a: float, fa: float, b: float, fb: float) -> tuple:
     return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
 
 
-@functools.lru_cache(maxsize=_SCAN_CACHE)
+@functools.lru_cache(maxsize=1)
 def _scan(E: str, lo: str, hi: str) -> tuple:
     """The D scan of find_periodic_locus: points, classes and alpha, as read-only arrays.
 
     E and the D range come in float.hex form, so that 0.0 and -0.0 are
-    different keys.
+    different keys.  The last scan is kept: its callers (period-scan, a
+    loop over p at one energy) ask for the same scan for every p in turn.
     """
     E, lo, hi = map(float.fromhex, (E, lo, hi))
     with np.errstate(invalid="ignore", over="ignore"):  # rotation_grid refuses non-finite D
@@ -254,12 +261,14 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     doubles, and keeps the roots with a defect below 1e-8.  Period 1 occurs
     only on the excluded tangent boundary D = -2E and is reported (logged)
     rather than returned.  Raises DomainError, for every p, if E, an end of
-    D_range or its width is not finite.
+    D_range or its width is not finite.  p is an integer, taken through
+    operator.index: a float raises TypeError, and p < 1 ValueError.
     """
     lo, hi = map(float, D_range)  # Python floats: a width that overflows warns of nothing
     if not (math.isfinite(E) and math.isfinite(hi - lo)):
         raise DomainError("E, D_range and its width must be finite "
                           f"(got E={float(E)!r}, D_range=({lo!r}, {hi!r}))")
+    p = operator.index(p)
     if p < 1:
         raise ValueError("period must be positive")
     if p == 1:

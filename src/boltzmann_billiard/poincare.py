@@ -205,9 +205,10 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     theta_0 + k alpha (_translated_angles), with theta_0 and the component
     those of c0 (angle_of) and the component flipped at each step where t
     swaps them; no map step is taken to make it.  The arguments are checked
-    at the call: a start whose residual is not <= residual_ceiling (off the
-    level set, or not finite) has no angle to translate and raises
-    ValueError, and the errors of angle_of and rotation_number (such as
+    at the call: n is an integer, taken through operator.index (a float
+    raises TypeError, a negative one ValueError); a start whose residual is
+    not <= residual_ceiling (off the level set, or not finite) has no angle
+    to translate and raises ValueError, and the errors of angle_of and rotation_number (such as
     NearDegenerateError) are raised there too.
 
     Yields (lo, xyz, res, law): the rows x, A1, A2 of points lo, lo+1, ...,
@@ -222,6 +223,7 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     orbit.  A start whose own image is at infinity aborts at step 1.
     """
     _require_nondegenerate(params)
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"orbit iteration needs n >= 0 steps (got {n})")
     for name, limit in (("residual_ceiling", residual_ceiling), ("abort_abscissa", abort_abscissa)):

@@ -102,8 +102,7 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
         kap2, mc = _kappa(params.k2)
         s, c, d = _sncndn_array(4.0 * _complete_K(mc) * theta, mc)
         A1 = -2.0 * R * math.sqrt(kap2) * s * d
-        A2 = 2.0 * E - R + 2.0 * R * d * d
-        z = C * c
+        z, q = C * c, d
     else:
         if not ((eps == 0) | (eps == 1)).all():
             raise DomainError("component index eps must be 0 or 1")
@@ -111,8 +110,8 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
         sgn = np.where(eps == 0, -1.0, 1.0)
         # sgn is +-1, so its products with the scalars 2R and -C are exact in either order
         A1 = sgn * (2.0 * R) * s * c
-        A2 = 2.0 * E - R + 2.0 * R * c * c
-        z = sgn * -C * d
+        z, q = sgn * -C * d, c
+    A2 = 2.0 * E - R + 2.0 * R * q * q  # q is dn in class I, cn in classes II
     # the wall abscissa from z = (1 - A1^2) x + A1 (A2 + D)
     den = 1.0 - A1 * A1
     pole = np.abs(den) < 1e-12
@@ -258,14 +257,15 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     return RotationData(alpha, params.cls is RealLocusClass.II_PLUS)
 
 
-def _alpha(D, E, s, R, den):
-    """Rotation numbers of nondegenerate cells, NaN where the scalar path raises."""
+def _alpha(D, E, s, R, den, nd):
+    """Rotation numbers of the cells that _classify's mask nd marks nondegenerate; NaN at
+    the others and where the scalar path raises."""
     k2, s0_inv = _k2_s0_inv(D, E, s, R, den)
     one = np.abs(D) < 2.0  # class I; the rest is class II
     s0a = np.abs(np.where(s0_inv == 0.0, np.inf, 1.0 / s0_inv))
     # domain checks of complete_Kpp / complete_Kp, and the guards of rotation_number (which
     # blank every class II cell with 1 - k2 < 1e-12: there (1, 1/k) is narrower than a guard)
-    ok = np.where(
+    ok = nd & np.where(
         one,
         _Kpp_domain(k2) & ~(1.0 - np.abs(s0_inv) < _ENDPOINT_GUARD),
         _Kp_domain(k2) & ~(s0a - 1.0 < _ENDPOINT_GUARD)
@@ -301,9 +301,7 @@ def _grid_codes(D, E) -> tuple[np.ndarray, np.ndarray]:
     # a cell whose curve data overflow is classified, and its alpha is blank
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         code, nd, s, R, den = _classify(D, E)
-        alpha = np.full(D.shape, np.nan)
-        nd = np.flatnonzero(nd)
-        alpha[nd] = _alpha(D[nd], E[nd], s[nd], R[nd], den[nd])
+        alpha = _alpha(D, E, s, R, den, nd)
     return code.reshape(shape), alpha.reshape(shape)
 
 

@@ -141,11 +141,6 @@ def sn_by_inversion(u: float, m: float) -> float:
     return optimize.brentq(lambda s: F_quad(s, m) - u, 0.0, 1.0, xtol=1e-14)
 
 
-def mp_K(m: float) -> float:
-    with mpmath.workdps(30):
-        return float(mpmath.ellipk(m).real)
-
-
 def mp_F_phi(phi: float, m: float) -> float:
     with mpmath.workdps(30):
         return float(mpmath.ellipf(phi, m).real)
@@ -632,10 +627,6 @@ def config_distance(a, b) -> float:
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
-
-def central_diff(f, x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
 
 def alpha_slope(D: float, E: float, h: float = 1e-5) -> float:
     """Central difference of the rotation number in D, by its shortest circular increment."""

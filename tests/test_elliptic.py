@@ -17,6 +17,7 @@ from boltzmann_billiard import (
     complete_Kp,
     complete_Kpp,
     legendre_F,
+    smallest_period,
 )
 from boltzmann_billiard import elliptic
 from boltzmann_billiard.elliptic import legendre_F_phi, seg_case_i, seg_case_ii_plus
@@ -365,6 +366,17 @@ def test_numpy_scalar_modulus_shown_as_float(fn, args):
     (legendre_F_phi, (math.nan, 0.5), DomainError),  # round(phi / pi) raised ValueError
     (legendre_F_phi, (math.inf, 0.5), DomainError),  # and OverflowError here
     (legendre_F_phi, (-math.inf, 0.5), DomainError),
+    # an infinite argument, and a mean of the R_F arguments that overflows, used to give NaN
+    (complete_Kpp, (-math.inf,), DomainError),
+    (carlson_rf, (math.inf, 1.0, 1.0), DomainError),
+    (carlson_rf, (math.inf, 0.0, 1.0), DomainError),
+    (carlson_rf, (1e308, 1e308, 1e308), DomainError),
+    (legendre_F, (0.5, -math.inf), DomainError),
+    (legendre_F_phi, (1.0, -math.inf), DomainError),
+    (seg_case_i, (0.5, -math.inf), DomainError),
+    (seg_case_i, (0.5, -1e308), DomainError),  # K''(-1e308) = 1.57e-154 is finite
+    (smallest_period, (math.nan, False), DomainError),  # round raised ValueError
+    (smallest_period, (math.inf, True), DomainError),  # and OverflowError here
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_nan_argument_refused(fn, args, error):
     # each range test is a comparison that NaN fails, so NaN gets the typed refusal

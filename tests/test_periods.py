@@ -249,6 +249,15 @@ class TestLocusScan:
         with pytest.raises(DomainError, match=r"must be finite \(got E=-?(nan|inf), "):
             find_periodic_locus(E, p)
 
+    def test_period_through_index(self):
+        # p = 3.5 used to return a root of 3.5 alpha in Z, and np.int64(3) np.float64 roots
+        for p in (3.5, 3.0):
+            with pytest.raises(TypeError):
+                find_periodic_locus(-0.2, p)
+        roots = find_periodic_locus(-0.2, np.int64(3))
+        assert roots and all(type(D) is float for D in roots)
+        assert [D.hex() for D in roots] == [D.hex() for D in find_periodic_locus(-0.2, 3)]
+
     def test_batched_scan_finds_the_scalar_roots(self, monkeypatch, fresh_scans):
         cases = [(E, p) for E in (-0.31, -5.0 / 24.0, -0.12, 0.02, 0.3) for p in range(2, 9)]
         batched = [find_periodic_locus(E, p) for E, p in cases]
@@ -312,10 +321,12 @@ class TestLocusScan:
                 a[0] = a[1]
 
     def test_scan_keys_tell_signed_zeros_apart(self, fresh_scans):
+        # one scan is kept, so each call follows the one it must not be served
         find_periodic_locus(0.0, 3)
         find_periodic_locus(-0.0, 3)
+        find_periodic_locus(-0.2, 3)
         find_periodic_locus(-0.2, 3, (-0.0, 2.0))
-        assert periods._scan.cache_info()[:2] == (0, 3)  # hits, misses
+        assert periods._scan.cache_info()[:2] == (0, 4)  # hits, misses
 
 
 class TestEmpiricalRotation:
@@ -380,14 +391,14 @@ class TestCheckCache:
         emp = empirical_rotation(params_i, n_steps=100, seed=2)
         empirical_rotation(params_i, n_steps=101, seed=2)
         assert cache.cache_info()[:2] == (0, 2)  # n_steps is in the key
-        with pytest.raises(TypeError):  # 100.0 == 100, but the float is not served the int's
+        with pytest.raises(TypeError):  # a float n_steps is refused before the cache
             empirical_rotation(params_i, n_steps=100.0, seed=2)
         c = sample_level_set(params_i, 2, seed=2)
         starts = [c[0], c[1], ConfigPoint(c[0].x, 0.0, c[0].A2), ConfigPoint(c[0].x, -0.0, c[0].A2)]
         for c0 in starts * 2:  # the start is in the key, signed zeros apart; the seed is unused
             assert (empirical_rotation(params_i, n_steps=100, seed=5, c0=c0).hex()
                     == empirical_rotation(params_i, n_steps=100, seed=9, c0=c0).hex())
-        assert cache.cache_info()[:2] == (12, 7)  # the float's miss is counted, not kept
+        assert cache.cache_info()[:2] == (12, 6)
         # c0 = the seed's start: the same winding, from its own entry
         assert empirical_rotation(params_i, n_steps=100, c0=c[0]) == emp
 
@@ -398,6 +409,9 @@ class TestCheckCache:
         assert empirical_rotation(params_period3, n_steps=30, seed=np.int64(7)) == emp
         assert periods._poncelet_check.cache_info()[:2] == (1, 1)
         assert periods._empirical_rotation.cache_info()[:2] == (1, 1)
+        # n_steps through operator.index too: np.int64 gives the int's Python float
+        emp = empirical_rotation(params_period3, n_steps=np.int64(100), seed=7)
+        assert type(emp) is float and emp == empirical_rotation(params_period3, n_steps=100, seed=7)
         for bad, error in ((7.0, TypeError), (-1, ValueError), (-1, ValueError)):
             with pytest.raises(error):
                 poncelet_check(params_period3, seed=bad)

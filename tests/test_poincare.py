@@ -231,6 +231,15 @@ class TestOrbit:
         with pytest.raises(ValueError, match="n >= 0"):
             iterate_orbit(c0, params_i, -2)
 
+    def test_steps_through_index(self, params_i):
+        c0 = sample_level_set(params_i, 1, seed=8)[0]
+        got, want = iterate_orbit(c0, params_i, np.int64(3)), iterate_orbit(c0, params_i, 3)
+        assert got.points == want.points and got.residuals.tolist() == want.residuals.tolist()
+        assert got.one_step_law_max == want.one_step_law_max
+        assert got.one_step_law_step == want.one_step_law_step
+        with pytest.raises(TypeError):  # at the call, not when the first block is made
+            poincare._checked_blocks(c0, params_i, 3.0, 1e-6, 1e12)
+
     @pytest.mark.parametrize("keyword", ["residual_ceiling", "abort_abscissa"])
     @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf])
     def test_bad_threshold_raises(self, params_i, keyword, value):
