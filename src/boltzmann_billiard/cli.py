@@ -43,8 +43,8 @@ from .selftest import run_selftest
 from .uniformize import _grid_codes, rotation_number
 
 _GRID_BLOCK = 4096  # cells per block of grid rows, so grid memory does not grow with n^2
-# orbit rows per csv_rows call; 2048 ran no faster (57.3 against 57.4 ms, median of 15, for a
-# 40 000-step orbit in process) and peaked 1.0 MB higher, 4096 ran no faster and peaked 3.4 MB higher
+# orbit rows per csv_rows call; 2048 and 4096 ran no faster and peaked higher (CHANGES.md:
+# "Orbit CSV from an exact, vectorised %.17g kernel" and "Fewer passes in the %.17g kernel")
 _ORBIT_SLICE = 1024
 _CLASS_FIELDS = np.array([cls.value + "," for cls in RealLocusClass], dtype=object)  # by class code
 # glibc gives freed top-of-heap memory beyond M_TOP_PAD (128 KiB) back to the system, so each CSV

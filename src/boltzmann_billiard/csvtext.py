@@ -10,8 +10,9 @@ division, but takes a hardware division per value in % and np.divmod.  Each fiel
 little-endian 8-byte words, NUL where its text is shorter: comma, sign and "0.000" prefix, then
 the digits with the dot and the exponent; one bytes.translate drops the NULs.  What of a field
 hangs on X alone (where the dot goes, the fewest digits written, the zeros after "0." and the
-exponent) is one take each from tables by X.  The lookup tables are built on first use, in
-about 1.5 ms, so a command that writes no CSV never builds them.
+exponent) is one take each from tables by X.  The lookup tables are built on first use (their
+cost is in CHANGES.md, "Fewer passes in the %.17g kernel"), so a command that writes no CSV
+never builds them.
 """
 
 from functools import lru_cache
@@ -157,7 +158,9 @@ def _fields(v: np.ndarray) -> np.ndarray:
     dot18, least, zeros, exponent_words = _exponent_tables()
     digits, x, exact = _decimal(v)
     unshifted, nsig = _ascii17(digits)
-    del digits  # here and below, freed once used: kept, they lift a slice's live peak 751 -> 919 kB
+    # here and below, freed once used: kept, they lift a slice's live peak (CHANGES.md,
+    # "Subtract round 8"; BENCH_csv_kernel.json, tracemalloc_live_peak)
+    del digits
     nan = v != v
     x -= _K_LO  # the exponent tables' index; x = 0 unless exact
     keep = np.take(least, x)  # digits written

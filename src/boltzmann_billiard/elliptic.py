@@ -139,7 +139,7 @@ def complete_Kpp(m) -> float:
 
 def _Kpp_domain(m: np.ndarray) -> np.ndarray:
     """Where complete_Kpp(m) returns a value, per element."""
-    return (m < 0.0) & ~(np.sqrt(-m) < _MODULUS_FLOOR)
+    return (-np.inf < m) & (m < 0.0) & ~(np.sqrt(-m) < _MODULUS_FLOOR)
 
 
 def carlson_rf(x: float, y: float, z: float) -> float:
@@ -268,9 +268,8 @@ def _rect(v: np.ndarray) -> np.ndarray:
     CPython's cmath.rect(r, phi) is r cos(phi) + i r sin(phi) from the same
     libm cos and sin that math calls, and both products are exact at r = 1;
     phi = +-0 gives (1, +-0), +-inf raises ValueError and NaN gives NaN, as
-    math does.  One call per element in place of two takes a third off
-    _sncndn_array: 437-440 against 679-706 us on 4096 angles (best of 7,
-    2-vCPU x86_64 VM, Python 3.11).
+    math does.  One call per element in place of two takes about a third off
+    _sncndn_array (BENCH_jacobi_rect.json).
     """
     return np.fromiter(map(cmath.rect, itertools.repeat(1.0), v.ravel().tolist()), complex,
                        v.size).reshape(v.shape)

@@ -109,13 +109,24 @@ def _k2_s0_inv(D, E, s, R, den):
     return (D - 2.0) * (D + 2.0) / (den * den), (s - R) / (s + R)
 
 
+def _den(A1):
+    """den = 1 - A1^2, the leading coefficient of the wall equation in x for the conic A1.
+
+    It vanishes where the conic's axis is parallel to the wall (A1^2 = 1),
+    and the wall's second intersection goes to infinity.  Plain arithmetic,
+    so it serves floats and numpy arrays alike; not the curve term
+    D + 4E + 2R that _curve_terms also calls den.
+    """
+    return 1.0 - A1 * A1
+
+
 def _z(x, A1, A2, D):
-    """Linearized wall coordinate (1 - A1^2) x + A1 (A2 + D).
+    """Linearized wall coordinate den x + A1 (A2 + D), with den = _den(A1).
 
     Its square equals A1^2 + (A2+D)^2 - 1 on the level set, and it is
     sqrt(D + 2E) times the angular momentum of the outgoing branch.
     """
-    return (1.0 - A1 * A1) * x + A1 * (A2 + D)
+    return _den(A1) * x + A1 * (A2 + D)
 
 
 def _L(z, D, E):
@@ -165,6 +176,11 @@ class LevelSetParams:
         return self.cls in NONDEGENERATE
 
 
+# R of the degenerate classes with no circle (NaN) or a point circle (0); the others keep theirs
+_DEGENERATE_R = {RealLocusClass.DEGENERATE_TANGENT: math.nan,
+                 RealLocusClass.NEGATIVE_SIDE: math.nan, RealLocusClass.NODAL_R: 0.0}
+
+
 def derive_params(D: float, E: float) -> LevelSetParams:
     """Classify (D, E) by the class table and derive the level-set curve data."""
     D, E = float(D), float(E)
@@ -173,7 +189,7 @@ def derive_params(D: float, E: float) -> LevelSetParams:
     s, R2, R, den = _curve_terms(D, E)
     cls = next(compress(_TABLE_CLASSES, _class_tests(D, s, R2, den)), RealLocusClass.II_MINUS)
     if cls not in NONDEGENERATE:
-        R = math.nan if s < BOUNDARY_TOL else 0.0 if cls is RealLocusClass.NODAL_R else R
+        R = _DEGENERATE_R.get(cls, R)
         return LevelSetParams(D, E, cls, R, *(math.nan,) * 5)
     k2, s0_inv = _k2_s0_inv(D, E, s, R, den)
     s0 = math.inf if s0_inv == 0.0 else 1.0 / s0_inv
@@ -268,7 +284,7 @@ def other_wall_root(x: float, A1: float, A2: float, D: float) -> float:
     infinity (conic axis parallel to the wall) and raises PoleError.
     """
     w = A2 + D
-    den = 1.0 - A1 * A1
+    den = _den(A1)
     if den == 0.0:
         raise PoleError(_AT_INFINITY)
     ssum = -2.0 * w * A1 / den

@@ -32,6 +32,7 @@ from .levelset import (
     _AT_INFINITY,
     _L,
     _columns,
+    _den,
     _max,
     _reflect,
     _require_nondegenerate,
@@ -84,7 +85,7 @@ def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     """
     with np.errstate(all="ignore"):
         w = A2 + params.D
-        den = 1.0 - A1 * A1
+        den = _den(A1)
         ssum = -2.0 * w * A1 / den
         # den == 0 makes ssum non-finite, so one test covers both of the scalar checks
         if not np.isfinite(ssum).all():
@@ -161,6 +162,7 @@ def _walk(x: float, A1: float, A2: float, n: int, D: float, E: float):
     isfinite = math.isfinite
     for i in range(n):
         w = A2 + D
+        # levelset._den written out: a call per step slows the walk (ROADMAP item 8 keeps it)
         den = 1.0 - A1 * A1
         if den == 0.0:
             break
@@ -330,9 +332,10 @@ def _pcg64(seed: int) -> tuple:
     """The 64-bit words and the coins of np.random.default_rng(seed), for an int seed >= 0.
 
     numpy's first default_rng imports numpy.random, and with it hashlib,
-    secrets and OpenSSL: 10-14 ms and 6 MB per process, for a sample that may
-    need one double.  The seed is mixed as SeedSequence mixes it: its 32-bit
-    words, least significant first, fill a pool of four, and each pool word,
+    secrets and OpenSSL, at a cost in time and memory per process
+    (BENCH_sample_stream.json) for a sample that may need one double.  The
+    seed is mixed as SeedSequence mixes it: its 32-bit words, least
+    significant first, fill a pool of four, and each pool word,
     then each seed word past the fourth, is hashed into the other pool words.
     The pool, read twice through and hashed word by word, gives eight 32-bit
     words, read as four little-endian 64-bit ones: the PCG64 state's high

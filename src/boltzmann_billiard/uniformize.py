@@ -49,7 +49,7 @@ from .elliptic import (_Kp_domain, _Kpp_domain, _carlson_rf_array, _complete_K, 
                        seg_case_i, seg_case_ii_plus)
 from .errors import DomainError, NearDegenerateError, PoleError
 from .levelset import (ConfigPoint, LevelSetParams, RealLocusClass, _AT_INFINITY, _classes,
-                       _classify, _columns, _k2_s0_inv, _require_nondegenerate, _z)
+                       _classify, _columns, _den, _k2_s0_inv, _require_nondegenerate, _z)
 
 # Orientation of the analytic rotation number relative to the forward
 # collision map in the uniformizing angle theta, per class; pinned by
@@ -59,8 +59,29 @@ _ALPHA_SIGN = {
     RealLocusClass.II_PLUS: 1.0,
     RealLocusClass.II_MINUS: -1.0,
 }
+# the grid's class codes are positions in RealLocusClass (levelset._classify): the code of
+# class I, and the signs by code, NaN for the degenerate classes
+_CODE_I = list(RealLocusClass).index(RealLocusClass.I)
+_SIGN = np.array([_ALPHA_SIGN.get(cls, math.nan) for cls in RealLocusClass])
 
 _ENDPOINT_GUARD = 1e-10  # distance of s0 from a branch point below which alpha is refused
+
+
+def _near_branch_i(x):
+    """Whether the class I segment end x = 1/s0 lies within the guard of a branch point, -1 or 1.
+
+    Plain arithmetic, so it serves floats and numpy arrays alike.
+    """
+    return 1.0 - abs(x) < _ENDPOINT_GUARD
+
+
+def _near_branch_ii(x, k):
+    """Whether the class II segment end x = |s0| lies within the guard of a branch point, 1 or
+    1/k with k = sqrt(k2).
+
+    Plain arithmetic, so it serves floats and numpy arrays alike.
+    """
+    return (x - 1.0 < _ENDPOINT_GUARD) | (1.0 / k - x < _ENDPOINT_GUARD)
 
 
 @dataclass(frozen=True)
@@ -113,7 +134,7 @@ def uniformize_array(theta: np.ndarray, eps, params: LevelSetParams
         z, q = sgn * -C * d, c
     A2 = 2.0 * E - R + 2.0 * R * q * q  # q is dn in class I, cn in classes II
     # the wall abscissa from z = (1 - A1^2) x + A1 (A2 + D)
-    den = 1.0 - A1 * A1
+    den = _den(A1)
     pole = np.abs(den) < 1e-12
     with np.errstate(all="ignore"):
         x = np.where(pole, np.nan, (z - A1 * (A2 + D)) / den)
@@ -237,42 +258,35 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     Class I integrates the one-component path from -1 to 1/s0 and divides
     by the circle period 4K''; classes II integrate from 1 (or -1) to s0
     and divide by 2K'.  The overall sign per class is the orientation
-    constant _ALPHA_SIGN.
+    constant _ALPHA_SIGN.  Raises NearDegenerateError where the end of the
+    segment lies within _ENDPOINT_GUARD of a branch point (_near_branch_i,
+    _near_branch_ii).
     """
     _require_nondegenerate(params)
-    sign = _ALPHA_SIGN[params.cls]
-    if params.cls is RealLocusClass.I:
-        Kpp = complete_Kpp(params.k2)
-        if 1.0 - abs(params.s0_inv) < _ENDPOINT_GUARD:
-            raise NearDegenerateError("s0 within guard of a branch point (near-degenerate set)")
-        seg = seg_case_i(params.s0_inv, params.k2)
-        alpha = (sign * seg / (4.0 * Kpp)) % 1.0
-        return RotationData(alpha, False)
-    Kp = complete_Kp(params.k2)
-    s0a = abs(params.s0)
-    if s0a - 1.0 < _ENDPOINT_GUARD or 1.0 / math.sqrt(params.k2) - s0a < _ENDPOINT_GUARD:
+    one, k2 = params.cls is RealLocusClass.I, params.k2
+    K = complete_Kpp(k2) if one else complete_Kp(k2)  # K'' or K'
+    x = params.s0_inv if one else abs(params.s0)  # the end of the segment
+    if _near_branch_i(x) if one else _near_branch_ii(x, math.sqrt(k2)):
         raise NearDegenerateError("s0 within guard of a branch point (near-degenerate set)")
-    seg = seg_case_ii_plus(s0a, params.k2)
-    alpha = (sign * seg / (2.0 * Kp)) % 1.0
+    seg = seg_case_i(x, k2) if one else seg_case_ii_plus(x, k2)
+    alpha = (_ALPHA_SIGN[params.cls] * seg / ((4.0 if one else 2.0) * K)) % 1.0
     return RotationData(alpha, params.cls is RealLocusClass.II_PLUS)
 
 
-def _alpha(D, E, s, R, den, nd):
-    """Rotation numbers of the cells that _classify's mask nd marks nondegenerate; NaN at
-    the others and where the scalar path raises."""
+def _alpha(D, E, code, nd, s, R, den):
+    """Rotation numbers of the cells from _classify's class codes, its nondegenerate mask nd
+    and its curve terms s, R, den; NaN at the degenerate cells and where the scalar path
+    raises."""
     k2, s0_inv = _k2_s0_inv(D, E, s, R, den)
-    one = np.abs(D) < 2.0  # class I; the rest is class II
+    one = code == _CODE_I  # the rest of the nondegenerate cells is class II
     s0a = np.abs(np.where(s0_inv == 0.0, np.inf, 1.0 / s0_inv))
     # domain checks of complete_Kpp / complete_Kp, and the guards of rotation_number (which
     # blank every class II cell with 1 - k2 < 1e-12: there (1, 1/k) is narrower than a guard)
-    ok = nd & np.where(
-        one,
-        _Kpp_domain(k2) & ~(1.0 - np.abs(s0_inv) < _ENDPOINT_GUARD),
-        _Kp_domain(k2) & ~(s0a - 1.0 < _ENDPOINT_GUARD)
-        & ~(1.0 / np.sqrt(k2) - s0a < _ENDPOINT_GUARD))
+    ok = nd & np.where(one, _Kpp_domain(k2) & ~_near_branch_i(s0_inv),
+                       _Kp_domain(k2) & ~_near_branch_ii(s0a, np.sqrt(k2)))
     alpha = np.full(D.shape, np.nan)
     x = np.where(one, s0_inv, s0a)[ok]  # the end of the segment
-    one, D, k2 = one[ok], D[ok], k2[ok]
+    one, code, k2 = one[ok], code[ok], k2[ok]
     # past the guards the range checks of seg_case_i and seg_case_ii_plus never act, nor
     # does the clamp of x to [-1, 1] or [1, 1/k], so they are left out; 1 - k2 x^2 can
     # still round below 0 within 1e-10 of 1/k when k2 < 5e-12, so its clamp stays
@@ -284,10 +298,7 @@ def _alpha(D, E, s, R, den, nd):
     Kpp = np.sqrt(kap2) * K
     seg = np.where(one, Kpp + x * rf, np.sqrt((x - 1.0) * (x + 1.0) / mc2) * rf)
     period = np.where(one, 4.0 * Kpp, 2.0 * K)
-    sign = np.where(one, _ALPHA_SIGN[RealLocusClass.I],
-                    np.where(D > 2.0, _ALPHA_SIGN[RealLocusClass.II_PLUS],
-                             _ALPHA_SIGN[RealLocusClass.II_MINUS]))
-    alpha[ok] = _wrap(sign * seg / period)
+    alpha[ok] = _wrap(_SIGN[code] * seg / period)
     return alpha
 
 
@@ -300,8 +311,8 @@ def _grid_codes(D, E) -> tuple[np.ndarray, np.ndarray]:
     D, E = D.ravel(), E.ravel()
     # a cell whose curve data overflow is classified, and its alpha is blank
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        code, nd, s, R, den = _classify(D, E)
-        alpha = _alpha(D, E, s, R, den, nd)
+        code, *terms = _classify(D, E)
+        alpha = _alpha(D, E, code, *terms)
     return code.reshape(shape), alpha.reshape(shape)
 
 

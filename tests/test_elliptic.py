@@ -90,6 +90,17 @@ class TestCompleteIntegrals:
                 returns = False
             assert elliptic._Kp_domain(np.array([m])).tolist() == [returns], m
 
+    def test_Kpp_domain_mask_is_where_Kpp_returns(self):
+        # the mask of the grid's class I cells at the edges of complete_Kpp's domain, -inf
+        # among them; sqrt(-m) of a positive m is NaN, which the mask's comparisons fail
+        for m in (-math.inf, -1e308, -1e-20, -1e-24, -1e-25, -0.0, 0.0, math.nan, 0.5):
+            try:
+                returns = math.isfinite(complete_Kpp(m))
+            except DomainError:
+                returns = False
+            with np.errstate(invalid="ignore"):
+                assert elliptic._Kpp_domain(np.array([m])).tolist() == [returns], m
+
     def test_Kpp_matches_quadrature(self):
         for m in -np.geomspace(1e-3, 50.0, 25):
             ref = oracles.Kpp_quad(float(m))

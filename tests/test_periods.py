@@ -329,6 +329,42 @@ class TestLocusScan:
         assert periods._scan.cache_info()[:2] == (0, 4)  # hits, misses
 
 
+# roots the scan misses (ROADMAP item 10): (E, p, D, a D range that misses it, a narrower
+# range that finds it, or None).  A scan step that holds a class edge has no sign change,
+# and next to |D| = 2 or R^2 = 0 a root can sit in the sliver between the edge and the
+# scan's first alpha.  A finder that brackets the class edges turns these strict xfails
+# into passes, and then drops the marks.
+SCAN_MISSES = [
+    (-0.0436, 6, 2.0019995253451226, (-6.0, 6.0), None),
+    (0.0136, 6, 2.001539365967026, (-6.0, 6.0), None),
+    (0.2427, 6, 2.0006208702613457, (-6.0, 6.0), None),
+    (-0.2, 7, 1.9989335222876623, (0.0, 2.0), (1.9, 2.0)),
+    (-0.2, 5, 1.98206115277638, (-6.0, 6.0), (0.0, 2.0)),
+    (-0.3514285714285714, 4, 2.120715184050603, (-6.0, 6.0), (2.0, 3.0)),
+]
+MISS_IDS = [f"E{E}-p{p}" for E, p, *_ in SCAN_MISSES]
+
+
+def _finds(E, p, D, D_range):
+    return any(abs(root - D) <= 1e-9 for root in find_periodic_locus(E, p, D_range))
+
+
+@pytest.mark.parametrize("E, p, D, missed_on, found_on", SCAN_MISSES, ids=MISS_IDS)
+def test_missed_roots_are_roots(E, p, D, missed_on, found_on):
+    # each is a root of p alpha = 0 mod 1, and the narrower range finds it where one is known
+    a = rotation_number(derive_params(D, E)).alpha
+    assert abs(p * a - round(p * a)) < 1e-12
+    assert found_on is None or _finds(E, p, D, found_on)
+
+
+@pytest.mark.parametrize("E, p, D, missed_on, found_on", [
+    pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason="the scan misses roots "
+                                                "at class edges (ROADMAP item 10)"))
+    for case in SCAN_MISSES], ids=MISS_IDS)
+def test_scan_finds_edge_roots(E, p, D, missed_on, found_on):
+    assert _finds(E, p, D, missed_on)
+
+
 class TestEmpiricalRotation:
     @pytest.mark.parametrize("D,E", [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)])
     def test_matches_analytic(self, D, E):

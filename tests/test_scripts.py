@@ -72,3 +72,15 @@ def test_output_digests():
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
     done = run_script("output_digests.py", "no-such-entry")
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: no entry matches no-such-entry\n")
+
+
+def test_code_lines():
+    # one "lines path" line per src/ module, then the total, which is their sum
+    done = run_script("code_lines.py")
+    assert done.returncode == 0, done.stderr
+    *modules, total = [line.split() for line in done.stdout.splitlines()]
+    assert {path for _, path in modules} == {
+        str(pathlib.Path("src", "boltzmann_billiard", p.name))
+        for p in (ROOT / "src" / "boltzmann_billiard").glob("*.py")}
+    assert all(int(n) > 0 for n, _ in modules)
+    assert total[0] == "total" and int(total[1]) == sum(int(n) for n, _ in modules)

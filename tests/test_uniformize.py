@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +30,8 @@ from boltzmann_billiard import (
 )
 from boltzmann_billiard.levelset import _reflect
 from boltzmann_billiard.poincare import _sample_xyz, map_t_array
-from boltzmann_billiard.uniformize import _amplitudes, _lift, _wrap, theta_array
+from boltzmann_billiard.uniformize import (_ENDPOINT_GUARD, _amplitudes, _lift, _near_branch_i,
+                                             _near_branch_ii, _wrap, theta_array)
 
 import oracles
 from oracles import config_distance
@@ -272,6 +274,72 @@ def test_near_degenerate_guard(params_i):
     p = dataclasses.replace(params_i, s0_inv=1.0 - 1e-12, s0=1.0 / (1.0 - 1e-12))
     with pytest.raises(NearDegenerateError):
         rotation_number(p)
+
+
+def _straddle(x, gap):
+    """The two adjacent doubles about x whose gap is just below and just above the guard."""
+    for a, b in ((math.nextafter(x, -math.inf), x), (x, math.nextafter(x, math.inf))):
+        if (gap(a) < _ENDPOINT_GUARD) != (gap(b) < _ENDPOINT_GUARD):
+            return (a, b) if gap(a) < _ENDPOINT_GUARD else (b, a)
+    raise AssertionError(f"no guard crossing next to {x!r}")
+
+
+class TestEndpointGuards:
+    # the segment end x is 1/s0 in class I and |s0| in classes II; rotation_number and the
+    # grid's _alpha read the guard through these two helpers only.  No double gap equals the
+    # guard (1e-10 is not a multiple of the ulp of a number next to 1 or 1/k), so the gap of
+    # exactly the guard is made at 40 digits, where the helpers' arithmetic is exact
+    K = 0.25  # sqrt(k2) of a class II segment [1, 4]
+
+    def test_class_i_helper(self):
+        for sign in (1.0, -1.0):
+            near, far = _straddle(sign * (1.0 - _ENDPOINT_GUARD), lambda x: 1.0 - abs(x))
+            assert 1.0 - abs(near) < _ENDPOINT_GUARD < 1.0 - abs(far)
+            assert _near_branch_i(near) and not _near_branch_i(far)
+            assert _near_branch_i(np.array([near, far, 0.5 * sign])).tolist() == [True, False, False]
+        with mpmath.workdps(40):
+            end = 1 - mpmath.mpf(_ENDPOINT_GUARD)
+            assert not _near_branch_i(end) and not _near_branch_i(-end)
+
+    @pytest.mark.parametrize("side", ["one", "inverse_k"])
+    def test_class_ii_helper(self, side):
+        gap = (lambda x: x - 1.0) if side == "one" else (lambda x: 1.0 / self.K - x)
+        end = 1.0 + _ENDPOINT_GUARD if side == "one" else 1.0 / self.K - _ENDPOINT_GUARD
+        near, far = _straddle(end, gap)
+        assert gap(near) < _ENDPOINT_GUARD < gap(far)
+        assert _near_branch_ii(near, self.K) and not _near_branch_ii(far, self.K)
+        got = _near_branch_ii(np.array([near, far, 2.0]), np.full(3, self.K))
+        assert got.tolist() == [True, False, False]
+        with mpmath.workdps(40):
+            g, k = mpmath.mpf(_ENDPOINT_GUARD), mpmath.mpf(self.K)
+            assert not _near_branch_ii(1 + g if side == "one" else 1 / k - g, k)
+
+    # rotation_number refuses inside each guard and answers just outside it.  The sets are
+    # built by hand: no derive_params input reaches the class I guard, which the |s| and
+    # ||D| - 2| bands of the class table shadow.  Next to the tangent line 1 - |1/s0| is
+    # about 2s, and next to |D| = 2 - delta about 2 sqrt(delta); the smallest gap over about
+    # 10^5 class I points, band edges included, was 2.0e-9.  The class table's exact-sign
+    # rework (ROADMAP item 18) removes these bands.
+    @pytest.mark.parametrize("fixture, end", [
+        ("params_i", "one"),  # class I's branch points are -1 and 1, both tried
+        ("params_ii_plus", "one"), ("params_ii_plus", "inverse_k"),
+        ("params_ii_minus", "one"), ("params_ii_minus", "inverse_k"),
+    ])
+    def test_rotation_number_refuses_inside(self, request, fixture, end):
+        params = request.getfixturevalue(fixture)
+        one = params.cls is RealLocusClass.I
+        branch = 1.0 if end == "one" else 1.0 / math.sqrt(params.k2)
+        for gap, refused in ((0.5 * _ENDPOINT_GUARD, True), (2.0 * _ENDPOINT_GUARD, False)):
+            # the end moves into the segment: below 1 in class I, above 1 or below 1/k in II
+            x = branch - gap if one or end == "inverse_k" else branch + gap
+            for sign in ((1.0, -1.0) if one else (math.copysign(1.0, params.s0),)):
+                p = (dataclasses.replace(params, s0_inv=sign * x, s0=sign / x) if one
+                     else dataclasses.replace(params, s0=sign * x, s0_inv=sign / x))
+                if refused:
+                    with pytest.raises(NearDegenerateError):
+                        rotation_number(p)
+                else:
+                    assert 0.0 <= rotation_number(p).alpha < 1.0
 
 
 class TestAlphaDerivative:
