@@ -256,6 +256,8 @@ def cmd_period_scan(args: argparse.Namespace) -> int:
         raise ValueError(f"--p-list periods must be positive (got {args.p_list!r})")
     if max(p_list) > 2**53:
         raise ValueError(f"--p-list periods must be at most 2**53 (got {args.p_list!r})")
+    if 1 in p_list:  # find_periodic_locus returns [] for p = 1 and logs nothing
+        log.info("period 1 only occurs on the tangent boundary D + 2E = 0; nothing to scan")
     rows = np.array([[args.E, p, D_root, period3_residual(D_root, args.E)]
                      for p in p_list for D_root in find_periodic_locus(args.E, p, args.D_range)],
                     dtype=float).reshape(-1, 4)  # p as a float: exact up to 2**53

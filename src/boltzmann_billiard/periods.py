@@ -10,7 +10,6 @@ period is additionally even.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ from .errors import BilliardError, DomainError
 from .levelset import ConfigPoint, LevelSetParams, RealLocusClass, _columns, derive_params
 from .poincare import _sample_xyz, _walk, config_distance_array, map_t_array
 from .uniformize import _amplitudes, _lift, _turns, _wrap, rotation_grid, rotation_number
-
-log = logging.getLogger(__name__)
 
 _SCAN_INTERVALS = 400  # steps of the D scan for sign changes in find_periodic_locus
 _RETURN_TOL = 1e-8  # config_distance_array below which a start counts as returned
@@ -259,8 +256,9 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     _scan for the other p at the same E and D_range), refines
     each bracket from its scanned end values by _illinois down to adjacent
     doubles, and keeps the roots with a defect below 1e-8.  Period 1 occurs
-    only on the excluded tangent boundary D = -2E and is reported (logged)
-    rather than returned.  Raises DomainError, for every p, if E, an end of
+    only on the excluded tangent boundary D + 2E = 0, so p = 1 returns []
+    and leaves no log record: the library logs nothing, and period-scan
+    writes that note.  Raises DomainError, for every p, if E, an end of
     D_range or its width is not finite.  p is an integer, taken through
     operator.index: a float raises TypeError, and p < 1 ValueError.
     """
@@ -272,7 +270,6 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     if p < 1:
         raise ValueError("period must be positive")
     if p == 1:
-        log.info("period 1 only occurs on the tangent boundary D + 2E = 0; nothing to scan")
         return []
 
     def defect(D: float) -> float:

@@ -534,6 +534,29 @@ class TestProcessStderr:
             "DEBUG boltzmann_billiard.cli: mallopt(M_TOP_PAD, 16777216) returned ")
         assert re.fullmatch(r"DEBUG boltzmann_billiard.cli: one-step law: max \S+ at step \d+", last)
 
+    @staticmethod
+    def period_scan(p_list, **env):
+        base = {k: v for k, v in process_env().items() if k != "BOLTZMANN_LOG"}
+        return subprocess.run([sys.executable, "-m", "boltzmann_billiard.cli", "period-scan",
+                               "--E", "-0.2", "--p-list", p_list],
+                              env={**base, **env}, capture_output=True, text=True, timeout=60)
+
+    def test_period_one_note_names_the_cli(self):
+        # find_periodic_locus(E, 1) returns [] and logs nothing; the command writes the note,
+        # once, and the rows of the other periods as without the 1
+        done = self.period_scan("1,3", BOLTZMANN_LOG="info")
+        assert done.returncode == 0
+        assert done.stderr == ("INFO boltzmann_billiard.cli: period 1 only occurs on the tangent "
+                               "boundary D + 2E = 0; nothing to scan\n")
+        without = self.period_scan("3", BOLTZMANN_LOG="info")
+        assert (without.returncode, without.stderr) == (0, "")
+        assert done.stdout == without.stdout
+        assert len(done.stdout.splitlines()) > 1
+
+    def test_period_one_note_off_by_default(self):
+        done = self.period_scan("1,3")
+        assert (done.returncode, done.stderr) == (0, "")
+
 
 ORBIT_PEAK_RSS = """
 import sys

@@ -1,10 +1,14 @@
-"""Static checks of the source tree: its imports (place, use, graph), its one
-degenerate-set refusal, the callers of its public functions and the tracer names."""
+"""Static checks of the source tree: its imports (place, use, graph, what importing it
+loads), its one degenerate-set refusal, the callers of its public functions and the
+tracer names."""
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +75,30 @@ def test_import_graph_has_no_cycle():
 
     for name in MODULES:
         visit(name)
+
+
+IMPORT_FOOTPRINT = """
+import sys
+import numpy
+base = set(sys.modules)  # numpy's own modules, logging among them if this numpy loads it
+import boltzmann_billiard
+print(sorted(set(sys.modules) - base))
+import boltzmann_billiard.cli
+print(sorted(set(sys.modules) - base))
+"""
+
+
+def test_import_loads_no_logging_or_exact_arithmetic():
+    # the library computes and the CLI logs: after numpy, the package loads no logging, and
+    # neither it nor the CLI loads fractions or decimal (selftest's fixture is two doubles)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    library, cli = map(ast.literal_eval, done.stdout.splitlines())
+    assert sorted({"logging", "fractions", "decimal"}.intersection(library)) == []
+    assert sorted({"fractions", "decimal"}.intersection(cli)) == []
 
 
 def test_levelset_computes_no_integral():

@@ -1,5 +1,6 @@
 """Periodicity: prediction from alpha, direct detection, Poncelet locus."""
 
+import logging
 import math
 import random
 from collections import Counter
@@ -173,6 +174,12 @@ class TestPeriod3Locus:
         # away from the nodal sets; neither exists
         assert find_periodic_locus(-5.0 / 24.0, 1) == []
         assert find_periodic_locus(-5.0 / 24.0, 2) == []
+
+    def test_period_one_leaves_no_record(self, caplog):
+        # the library logs nothing: period-scan writes the p = 1 note
+        caplog.set_level(logging.DEBUG)
+        assert find_periodic_locus(-0.2, 1) == []
+        assert caplog.records == []
 
     def test_higher_period_root_verified(self):
         # whatever comes out for p = 5 must actually have 5 alpha integral
