@@ -22,7 +22,6 @@ from .errors import (
     ArcUnsupportedError,
     BilliardError,
     DomainError,
-    EmptyLocusError,
     EndpointSingularityError,
     NearDegenerateError,
     OrbitAbort,
@@ -86,7 +85,6 @@ __all__ = [
     "ConfigPoint",
     "ConservedSet",
     "DomainError",
-    "EmptyLocusError",
     "EndpointSingularityError",
     "LevelSetParams",
     "NearDegenerateError",

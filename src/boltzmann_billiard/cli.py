@@ -409,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     except (BilliardError, ValueError, ZeroDivisionError, OverflowError, MemoryError,
             OSError) as exc:  # OSError: an --out that cannot be opened
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")  # a bare MemoryError()
         return 2
 
 

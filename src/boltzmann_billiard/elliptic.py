@@ -227,21 +227,22 @@ def legendre_F_phi(phi: float, m) -> float:
 
 
 def seg_case_i(x: float, m) -> float:
-    """Integral of 1/sqrt((1-s^2)(ell^2+s^2)) from -1 to x, for m = -ell^2 < 0.
+    """Integral of 1/sqrt((1-s^2)(ell^2+s^2)) from 0 to x, for m = -ell^2 < 0.
 
-    This is the one-component rotation path after the substitution that maps
-    the unbounded segment onto (-1, 1).  The endpoint x = -1 gives 0 and
-    x = +1 gives 2 K'': the path from -1 to 0 is K'' (complete_Kpp, whose
-    refusals are this function's for m).
+    This is the half of the one-component rotation path after the
+    substitution that maps the unbounded segment onto (-1, 1); the path
+    from -1 to x is complete_Kpp(m) plus this.  It is odd in x, and x = +1
+    gives K'' and x = -1 gives -K''.  An m that is not below 0, or is so far
+    below it that the mean of the Carlson arguments overflows, raises
+    carlson_rf's DomainError.
     """
-    Kpp = complete_Kpp(m)
     if not abs(x) <= 1.0 + 1e-12:
         raise EndpointSingularityError(f"seg_case_i argument x={x!r} beyond the branch point 1")
     x = max(-1.0, min(1.0, x))
     ell2, x2 = -m, x * x
-    # the half path from 0 to x in Carlson form, odd in x; the Legendre form
-    # kap*(K - F(sqrt(1-x^2))) cancels catastrophically near x = 0
-    return Kpp + x * carlson_rf(ell2 * (1.0 - x2), ell2 + x2, ell2)
+    # Carlson form; the Legendre form kap*(K - F(sqrt(1-x^2))) cancels
+    # catastrophically near x = 0
+    return x * carlson_rf(ell2 * (1.0 - x2), ell2 + x2, ell2)
 
 
 def seg_case_ii_plus(x: float, m) -> float:

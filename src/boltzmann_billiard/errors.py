@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A degenerate level set, the empty one included, is refused with one
+DomainError that names its class (levelset._require_nondegenerate).
+"""
 
 
 class BilliardError(Exception):
@@ -15,10 +19,6 @@ class EndpointSingularityError(DomainError):
 
 class PoleError(BilliardError):
     """Evaluation too close to a pole (wall point at infinity, Jacobi pole)."""
-
-
-class EmptyLocusError(BilliardError):
-    """Points requested on an empty real locus."""
 
 
 class NearDegenerateError(BilliardError):

@@ -40,10 +40,6 @@ class PeriodReport:
     residual: float
 
 
-def _dist_to_int(x: float) -> float:
-    return abs(x - round(x))
-
-
 def smallest_period(alpha: float, flips_component: bool) -> int | None:
     """Smallest p <= _P_MAX with p*alpha integral (and p even when required).
 
@@ -54,7 +50,7 @@ def smallest_period(alpha: float, flips_component: bool) -> int | None:
     for p in range(1, _P_MAX + 1):
         if flips_component and p % 2 == 1:
             continue
-        if _dist_to_int(p * alpha) < _INTEGRAL_TOL:
+        if abs(p * alpha - round(p * alpha)) < _INTEGRAL_TOL:
             return p
     return None
 
@@ -240,8 +236,7 @@ def _scan(E: str, lo: str, hi: str) -> tuple:
     loop over p at one energy) ask for the same scan for every p in turn.
     """
     E, lo, hi = map(float.fromhex, (E, lo, hi))
-    with np.errstate(invalid="ignore", over="ignore"):  # rotation_grid refuses non-finite D
-        Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
+    Ds = lo + (hi - lo) * np.arange(_SCAN_INTERVALS + 1, dtype=float) / _SCAN_INTERVALS
     scan = (Ds, *rotation_grid(Ds, E))
     for a in scan:
         a.flags.writeable = False
@@ -259,13 +254,14 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     only on the excluded tangent boundary D + 2E = 0, so p = 1 returns []
     and leaves no log record: the library logs nothing, and period-scan
     writes that note.  Raises DomainError, for every p, if E, an end of
-    D_range or its width is not finite.  p is an integer, taken through
+    D_range or its width times _SCAN_INTERVALS is not finite: the scan's
+    steps are computed from that product.  p is an integer, taken through
     operator.index: a float raises TypeError, and p < 1 ValueError.
     """
-    lo, hi = map(float, D_range)  # Python floats: a width that overflows warns of nothing
-    if not (math.isfinite(E) and math.isfinite(hi - lo)):
-        raise DomainError("E, D_range and its width must be finite "
-                          f"(got E={float(E)!r}, D_range=({lo!r}, {hi!r}))")
+    lo, hi = map(float, D_range)  # Python floats: a product that overflows warns of nothing
+    if not (math.isfinite(E) and math.isfinite((hi - lo) * _SCAN_INTERVALS)):
+        raise DomainError(f"E, D_range and its width times the {_SCAN_INTERVALS} scan steps must "
+                          f"be finite (got E={float(E)!r}, D_range=({lo!r}, {hi!r}))")
     p = operator.index(p)
     if p < 1:
         raise ValueError("period must be positive")

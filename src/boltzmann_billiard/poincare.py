@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .csvtext import _two_product
-from .errors import DomainError, EmptyLocusError, OrbitAbort, PoleError
+from .errors import DomainError, OrbitAbort, PoleError
 from .levelset import (
     ConfigPoint,
     LevelSetParams,
@@ -359,15 +359,15 @@ def _pcg64(seed: int) -> tuple:
 def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
     """sample_level_set's points as the rows x, A1, A2 of a read-only (3, m) array.
 
-    A pure function of the level set, m and the seed.  m and the seed are
-    integers >= 0, taken through operator.index: a negative one raises
-    ValueError and a non-integer one TypeError, in every class.  The points
-    are those of np.random.default_rng(seed) (_pcg64).  Each block draws its
-    candidates in the scalar order (theta, then a fair-coin component on
-    two-component sets) and evaluates them together.
+    A pure function of the level set, m and the seed.  A degenerate set,
+    Empty included, raises the one DomainError of _require_nondegenerate
+    before anything else.  m and the seed are integers >= 0, taken through
+    operator.index: a negative one raises ValueError and a non-integer one
+    TypeError, in every nondegenerate class.  The points are those of
+    np.random.default_rng(seed) (_pcg64).  Each block draws its candidates
+    in the scalar order (theta, then a fair-coin component on two-component
+    sets) and evaluates them together.
     """
-    if params.cls is RealLocusClass.EMPTY:
-        raise EmptyLocusError(f"real locus of (D={params.D}, E={params.E}) is empty")
     _require_nondegenerate(params)
     m = operator.index(m)
     if m < 0:

@@ -268,7 +268,7 @@ def rotation_number(params: LevelSetParams) -> RotationData:
     x = params.s0_inv if one else abs(params.s0)  # the end of the segment
     if _near_branch_i(x) if one else _near_branch_ii(x, math.sqrt(k2)):
         raise NearDegenerateError("s0 within guard of a branch point (near-degenerate set)")
-    seg = seg_case_i(x, k2) if one else seg_case_ii_plus(x, k2)
+    seg = K + seg_case_i(x, k2) if one else seg_case_ii_plus(x, k2)  # class I: from -1 to x
     alpha = (_ALPHA_SIGN[params.cls] * seg / ((4.0 if one else 2.0) * K)) % 1.0
     return RotationData(alpha, params.cls is RealLocusClass.II_PLUS)
 

@@ -172,7 +172,8 @@ def mp_angle(c, params) -> tuple:
 
 
 def mp_seg_case_i(x: float, m: float) -> float:
-    """seg_case_i by 30-digit tanh-sinh quadrature, split at s = 0."""
+    """The path from -1 to x, complete_Kpp(m) + seg_case_i(x, m), by 30-digit tanh-sinh
+    quadrature, split at s = 0."""
     with mpmath.workdps(30):
         ell2 = -mpmath.mpf(m)
         return float(mpmath.quad(lambda s: 1 / mpmath.sqrt((1 - s * s) * (ell2 + s * s)),

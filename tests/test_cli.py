@@ -1290,6 +1290,12 @@ def _argparse_choice_message() -> str:
     # a non-finite energy: p = 1 used to exit 0 with an empty CSV, p = 3 to name no option
     (["period-scan", "--E", "nan", "--p-list", "1"], "--E must be finite (got nan)"),
     (["period-scan", "--E", "inf", "--p-list", "3"], "--E must be finite (got inf)"),
+    # a bare MemoryError() used to print "error: " with no reason; CPython refuses the list
+    # size before allocating it
+    (["rotation", "--D", "1.5", "--E", "-0.2", "--steps", "9223372036854775807"], "MemoryError"),
+    # the empty set is refused as every degenerate set is; it used to name no class
+    (["orbit", "--D", "6", "--E", "-0.1"],
+     "operation needs a nondegenerate level set (class Empty)"),
 ])
 def test_every_refusal_is_one_error_line(argv, message):
     message = _argparse_choice_message() if message is None else message

@@ -185,7 +185,7 @@ class TestSegmentIntegrals:
         for m in (-0.05, -5.0 / 27.0, -1.0, -4.0, -20.0):
             for x in np.linspace(-1.0, 1.0, 17):
                 ref = oracles.seg_case_i_quad(float(x), m)
-                worst = max(worst, abs(seg_case_i(float(x), m) - ref))
+                worst = max(worst, abs(complete_Kpp(m) + seg_case_i(float(x), m) - ref))
         assert worst < 1e-11
 
     @pytest.mark.parametrize("m", [-0.05, -1.0, -20.0])
@@ -193,12 +193,13 @@ class TestSegmentIntegrals:
     def test_case_i_near_zero_matches_mpmath(self, x, m):
         # the one-component path crosses s = 0 where s0_inv changes sign
         ref = oracles.mp_seg_case_i(x, m)
-        assert abs(seg_case_i(x, m) - ref) <= 1e-14 * ref
+        assert abs(complete_Kpp(m) + seg_case_i(x, m) - ref) <= 1e-14 * ref
 
     def test_case_i_endpoints(self):
         for m in (-0.5, -3.0):
-            assert seg_case_i(-1.0, m) == pytest.approx(0.0, abs=1e-15)
-            assert seg_case_i(1.0, m) == pytest.approx(2.0 * complete_Kpp(m), rel=1e-13)
+            assert complete_Kpp(m) + seg_case_i(-1.0, m) == pytest.approx(0.0, abs=1e-15)
+            assert complete_Kpp(m) + seg_case_i(1.0, m) == pytest.approx(2.0 * complete_Kpp(m),
+                                                                         rel=1e-13)
         with pytest.raises(DomainError):
             seg_case_i(0.5, 0.3)
         with pytest.raises(EndpointSingularityError):

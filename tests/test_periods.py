@@ -112,6 +112,34 @@ def test_poncelet_generic_agrees_on_none(params_i):
     assert report.method_agreement
 
 
+@pytest.mark.parametrize("cls, D, E", [
+    pytest.param(cls, D, E, id=cls) for cls, D, E in [
+        ("DegenerateTangent", 1.0, -0.5),
+        ("NodalD", 2.0, -0.3),
+        ("NodalR", 2.5, -0.25),
+        ("Empty", 6.0, -0.1),
+        ("NegativeAngularMomentumSide", 1.5, -2.0),
+    ]])
+@pytest.mark.parametrize("call", [
+    lambda params: sample_level_set(params, 1),
+    lambda params: empirical_rotation(params, 10),
+    poncelet_check,
+    rotation_number,
+    poincare.component_curve,
+    lambda params: uniformize(AngleCoord(0.25, 0), params),
+    predict_period,
+], ids=["sample_level_set", "empirical_rotation", "poncelet_check", "rotation_number",
+        "component_curve", "uniformize", "predict_period"])
+def test_one_refusal_for_every_degenerate_class(cls, D, E, call):
+    # the empty set is refused as the other degenerate sets are; sampling used to refuse it
+    # with an error type of its own
+    params = derive_params(D, E)
+    assert params.cls.value == cls
+    with pytest.raises(DomainError) as exc:
+        call(params)
+    assert str(exc.value) == f"operation needs a nondegenerate level set (class {cls})"
+
+
 class TestPeriod3Locus:
     def test_exact_rational_root(self):
         assert period3_residual(Fraction(7, 4), Fraction(-5, 24)) == 0
@@ -249,6 +277,14 @@ class TestLocusScan:
         # a numpy warning from building the scan axis would be an error here
         with pytest.raises(DomainError, match="must be finite"):
             find_periodic_locus(-0.2, 3, D_range)
+
+    def test_range_too_wide_to_scan_raises(self):
+        # the width is finite but 400 steps of it are not; rotation_grid used to refuse the
+        # overflowed scan axis, naming neither E nor D_range
+        with pytest.raises(DomainError, match=r"^E, D_range and its width times the 400 scan "
+                                              r"steps must be finite \(got E=-0\.2, D_range="
+                                              r"\(0\.0, 1e\+306\)\)$"):
+            find_periodic_locus(-0.2, 3, (0.0, 1e306))
 
     @pytest.mark.parametrize("E, p", [(math.nan, 1), (math.inf, 3), (-math.inf, 1)])
     def test_non_finite_energy_raises(self, E, p):
