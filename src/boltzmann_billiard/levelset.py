@@ -211,15 +211,6 @@ def _columns(c: ConfigPoint) -> np.ndarray:
     return np.array([[c.x], [c.A1], [c.A2]], dtype=float)
 
 
-def _max(first, *rest):
-    """Python's max per element: the first of equal values wins, and a NaN
-    after the first argument is skipped."""
-    m = first
-    for v in rest:
-        m = np.where(v > m, v, m)
-    return m
-
-
 def level_set_residual_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                              params: LevelSetParams) -> np.ndarray:
     """Level-set residual at every point (x, A1, A2).
@@ -227,20 +218,22 @@ def level_set_residual_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     The larger of the defects of the circle and the wall equations, each
     relative to the largest of 1 and the magnitudes of its terms (A1^2,
     A2^2, |4 E A2| and |2 D E|; x^2 + 1 and w^2), so that large x and
-    large E read the rounding of their terms, not its absolute size.
+    large E read the rounding of their terms, not its absolute size.  A NaN
+    defect (a coordinate not finite, or x^2 overflowing) reads as +inf.
     """
     D, E = params.D, params.E
     with np.errstate(all="ignore"):
         a1, a2, e4, de2 = A1 * A1, A2 * A2, 4.0 * E * A2, 2.0 * D * E
-        # np.fmax skips a NaN as _max does, and a first term of at least 1 leaves no NaN or
-        # signed-zero tie where the two differ; the wall's 1 is left out, as q = x^2 + 1 >= 1
-        # and a NaN q makes the defect NaN too
+        # np.fmax skips a NaN as Python's max does, and a first term of at least 1 leaves no
+        # NaN or signed-zero tie where the two differ; the wall's 1 is left out, as
+        # q = x^2 + 1 >= 1 and a NaN q makes the defect NaN too
         scale = np.fmax(np.fmax(np.fmax(max(1.0, abs(de2)), a1), a2), np.abs(e4))
         circle = np.abs(a1 + a2 - e4 - 1.0 - de2) / scale
         w = A2 + D - A1 * x
         q = x * x + 1.0
         wall = np.abs(q - w * w) / np.fmax(q, w * w)
-        return _max(circle, wall)
+        res = np.maximum(circle, wall)  # both are >= +0.0 or NaN, and np.maximum keeps a NaN
+        return np.where(np.isnan(res), math.inf, res)
 
 
 def level_set_residual(c: ConfigPoint, params: LevelSetParams) -> float:

@@ -253,15 +253,18 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     doubles, and keeps the roots with a defect below 1e-8.  Period 1 occurs
     only on the excluded tangent boundary D + 2E = 0, so p = 1 returns []
     and leaves no log record: the library logs nothing, and period-scan
-    writes that note.  Raises DomainError, for every p, if E, an end of
-    D_range or its width times _SCAN_INTERVALS is not finite: the scan's
-    steps are computed from that product.  p is an integer, taken through
-    operator.index: a float raises TypeError, and p < 1 ValueError.
+    writes that note.  A high-to-low D_range is scanned from low to high.
+    Raises DomainError, for every p, if E, an end of D_range or its width
+    times _SCAN_INTERVALS is not finite: the scan's steps are computed from
+    that product.  p is an integer, taken through operator.index: a float
+    raises TypeError, and p < 1 ValueError.
     """
     lo, hi = map(float, D_range)  # Python floats: a product that overflows warns of nothing
     if not (math.isfinite(E) and math.isfinite((hi - lo) * _SCAN_INTERVALS)):
         raise DomainError(f"E, D_range and its width times the {_SCAN_INTERVALS} scan steps must "
                           f"be finite (got E={float(E)!r}, D_range=({lo!r}, {hi!r}))")
+    if hi < lo:  # scanned from low to high, so a root's double is the same either way
+        lo, hi = hi, lo
     p = operator.index(p)
     if p < 1:
         raise ValueError("period must be positive")

@@ -33,7 +33,6 @@ from .levelset import (
     _L,
     _columns,
     _den,
-    _max,
     _reflect,
     _require_nondegenerate,
     _z,
@@ -98,6 +97,15 @@ def map_t_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
 def _chart(x):
     """Bounded chart of the wall abscissa (floats or arrays), so far points compare fairly."""
     return x / (1.0 + abs(x))
+
+
+def _max(first, *rest):
+    """Python's max per element: the first of equal values wins, and a NaN
+    after the first argument is skipped."""
+    m = first
+    for v in rest:
+        m = np.where(v > m, v, m)
+    return m
 
 
 def config_distance_array(x, A1, A2, x0, A10, A20) -> np.ndarray:

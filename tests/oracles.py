@@ -574,7 +574,9 @@ def scalar_wall_residual(c, params) -> float:
 
 
 def scalar_level_set_residual(c, params) -> float:
-    return max(scalar_circle_residual(c, params), scalar_wall_residual(c, params))
+    """The larger of the two defects; a NaN defect reads as +inf."""
+    defects = scalar_circle_residual(c, params), scalar_wall_residual(c, params)
+    return math.inf if any(map(math.isnan, defects)) else max(defects)
 
 
 def scalar_project_onto_level_set(c, params):
@@ -1050,7 +1052,7 @@ def scalar_component_curve(params, eps: int = 0, n: int = 257) -> list:
 
 # ---------------------------------------------------------------------------
 # the per-point expressions of the kernels before their same-double rewrites:
-# numpy's float remainder for the wraps to [0, 1), Python's max (levelset._max)
+# numpy's float remainder for the wraps to [0, 1), Python's max (poincare._max)
 # for the residual scales, and the reflection j written with sin
 # ---------------------------------------------------------------------------
 
@@ -1084,8 +1086,9 @@ def remainder_translated_angles(theta0: float, alpha: float, ks):
 
 
 def max_scale_residual_array(x, A1, A2, params):
-    """level_set_residual_array with both scales taken by levelset._max, 1 included."""
-    from boltzmann_billiard.levelset import _max
+    """level_set_residual_array with both scales taken by poincare._max, 1 included, and a NaN
+    defect read as +inf."""
+    from boltzmann_billiard.poincare import _max
 
     D, E = params.D, params.E
     with np.errstate(all="ignore"):
@@ -1094,7 +1097,7 @@ def max_scale_residual_array(x, A1, A2, params):
         w = A2 + D - A1 * x
         q = x * x + 1.0
         wall = np.abs(q - w * w) / _max(1.0, q, w * w)
-        return _max(circle, wall)
+        return np.where(np.isnan(circle) | np.isnan(wall), np.inf, _max(circle, wall))
 
 
 def reflect_sin(x, A1, A2, E):

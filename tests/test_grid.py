@@ -292,6 +292,20 @@ def test_residual_takes_max_as_python_does(params_i):
     assert hexes(got) == hexes(oracles.scalar_level_set_residual(c, params_i) for c in pts)
 
 
+@pytest.mark.parametrize("D,E", [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)])
+def test_residual_of_a_point_not_finite_is_inf(D, E):
+    # x = +-inf or NaN, or an x whose square overflows, makes the wall defect NaN, and the
+    # maximum used to skip it: a sampled point moved to x = inf read 2.2e-16 in class I
+    params = derive_params(D, E)
+    c = sample_level_set(params, 1, seed=0)[0]
+    bad = [ConfigPoint(x, c.A1, c.A2) for x in (math.inf, -math.inf, math.nan, 1e200)]
+    bad += [ConfigPoint(c.x, math.nan, c.A2), ConfigPoint(c.x, c.A1, -math.inf)]
+    assert level_set_residual(c, params) < 1e-12
+    assert [level_set_residual(b, params) for b in bad] == [math.inf] * len(bad)
+    assert level_set_residual_array(*as_arrays(bad), params).tolist() == [math.inf] * len(bad)
+    assert [oracles.scalar_level_set_residual(b, params) for b in bad] == [math.inf] * len(bad)
+
+
 # level sets whose real locus meets A1^2 = 1, where uniformize has its poles
 POLE_SETS = [(0.3, 0.4), (-2.5, 1.5), (3.0, 0.3)]
 FIXTURE_SETS = [(1.5, -0.2), (2.5, -0.1), (-2.5, 1.5)]

@@ -1,12 +1,13 @@
 """Static checks of the source tree: its imports (place, use, graph, what importing it
-loads), its one degenerate-set refusal, the callers of its public functions and the
-tracer names."""
+loads), its one degenerate-set refusal, the callers of its public functions, the
+tracer names and the CI workflow."""
 
 import ast
 import importlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -91,7 +92,7 @@ print(sorted(set(sys.modules) - base))
 def test_import_loads_no_logging_or_exact_arithmetic():
     # the library computes and the CLI logs: after numpy, the package loads no logging, and
     # neither it nor the CLI loads fractions or decimal (selftest's fixture is two doubles)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -178,3 +179,10 @@ def test_tracer_names_exist():
     for consumer in tracer_table("CONSUMERS"):
         importlib.import_module(f"boltzmann_billiard.{consumer}")
     assert callable(importlib.import_module("boltzmann_billiard.levelset").ConfigPoint.L)
+
+
+def test_ci_runs_no_inline_python():
+    # CI runs tier-1, the installed console script and the benchmark smoke run; a check
+    # written as a python -c block in the workflow would be a second suite, so it goes here
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert re.findall(r"python3?\s+-c\b", workflow) == []

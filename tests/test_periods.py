@@ -103,6 +103,10 @@ def test_poncelet_all_or_nothing(params_period3):
     assert report.method_agreement
     assert report.residual < 1e-7
     assert report.alpha == pytest.approx(2.0 / 3.0, abs=1e-9)
+    # at the default seed, the winding from the first of the check's starts is alpha to rounding
+    report = poncelet_check(params_period3)
+    assert report.predicted == report.detected == 3
+    assert oracles.wrapped_diff(empirical_rotation(params_period3, seed=0), report.alpha) <= 1e-13
 
 
 def test_poncelet_generic_agrees_on_none(params_i):
@@ -285,6 +289,21 @@ class TestLocusScan:
                                               r"steps must be finite \(got E=-0\.2, D_range="
                                               r"\(0\.0, 1e\+306\)\)$"):
             find_periodic_locus(-0.2, 3, (0.0, 1e306))
+
+    def test_range_direction_gives_the_same_roots(self):
+        # the scan and its brackets were built from the first end of D_range, so a root's
+        # double depended on the direction: (2.0, 0.0) gave 1.7483638473660001, and 77 of
+        # these 200 seeded ranges gave another double read from their high end
+        assert find_periodic_locus(-0.2, 3, (2.0, 0.0)) == [1.7483638473660008]
+        rng = random.Random(20261020)
+        roots = 0
+        for _ in range(200):
+            E, p, lo = rng.uniform(-0.5, 1.0), rng.randint(2, 9), rng.uniform(-3.0, 2.5)
+            hi = lo + rng.uniform(0.2, 4.0)
+            up = [D.hex() for D in find_periodic_locus(E, p, (lo, hi))]
+            assert [D.hex() for D in find_periodic_locus(E, p, (hi, lo))] == up, (E, p, lo, hi)
+            roots += len(up)
+        assert roots == 180
 
     @pytest.mark.parametrize("E, p", [(math.nan, 1), (math.inf, 3), (-math.inf, 1)])
     def test_non_finite_energy_raises(self, E, p):
@@ -509,6 +528,8 @@ class TestCheckCache:
             for D in find_periodic_locus(-0.2, p):
                 params = derive_params(D, -0.2)
                 found = (D, poncelet_check(params), empirical_rotation(params, n_steps=1000))
+                assert found[1].method_agreement, found
+                assert oracles.wrapped_diff(found[2], found[1].alpha) <= 1e-9, found
                 roots.setdefault(round(D, 6), []).append(found)
         repeated = [found for found in roots.values() if len(found) > 1]
         assert len(repeated) == 2 and sum(map(len, roots.values())) == 11

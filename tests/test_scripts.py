@@ -11,7 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error")  # a warning in a script is an error
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -33,6 +33,11 @@ def test_rotation_heatmap(tmp_path):
     assert text.count('fill="#cccccc"') == sum(row.endswith(",") for row in rows[1:]) > 0
     assert done.stdout.endswith(f": {sum(not row.endswith(',') for row in rows[1:])}/64 cells "
                                 "carry a rotation number\n")
+    # and over the default window, which holds every class
+    done = run_script("rotation_heatmap.py", "--n", 20, "--csv", csv, "--svg", svg)
+    assert done.returncode == 0, done.stderr
+    assert cli.main(["rotation", "--grid=-4.0:4.0:-0.6:2.0:20", "--out", str(grid)]) == 0
+    assert csv.read_bytes() == grid.read_bytes()
 
 
 def test_rotation_heatmap_refusal(tmp_path):
