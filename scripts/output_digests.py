@@ -7,6 +7,7 @@ commands' files, written through cli.main, and for the library's period
 scan the repr of every root, report and winding:
 
   orbit-FORMAT-POINT    orbit --steps 40000 --format csv|json|svg|levelset
+  orbit-law-POINT       the one-step law line that orbit --steps 40000 (CSV) logs at DEBUG
   rotation-POINT        rotation --format json
   alpha-grid-s7         rotation --grid over perfbench's seed-7 alpha_grid window
   rotation-grid-60      rotation --grid 0.5:3.5:-0.4:-0.1:60
@@ -25,6 +26,7 @@ printed.
 import argparse
 import fnmatch
 import hashlib
+import logging
 import pathlib
 import sys
 import tempfile
@@ -53,6 +55,34 @@ def command(*argv):
     return run
 
 
+class _Lines(logging.Handler):
+    """A handler that keeps the message of every record it is given."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def law_line(*argv):
+    """The one-step law line cli.main logs for argv, caught at DEBUG by a handler of its own."""
+    def run():
+        handler, level = _Lines(), cli.log.level
+        cli.log.addHandler(handler)
+        cli.log.setLevel(logging.DEBUG)
+        cli.log.propagate = False  # not to the stderr handler main's basicConfig adds
+        try:
+            command(*argv)()
+        finally:
+            cli.log.removeHandler(handler)
+            cli.log.setLevel(level)
+            cli.log.propagate = True
+        return next(line for line in handler.lines if line.startswith("one-step law")).encode()
+    return run
+
+
 def periodicity_s7() -> bytes:
     lines = []
     for E in PERIODICITY_S7:
@@ -72,6 +102,9 @@ def entries() -> dict:
             out[f"orbit-{fmt}-{name}"] = command("orbit", "--D", repr(D), "--E", repr(E),
                                                  "--steps", "40000", "--seed", str(seed),
                                                  "--format", fmt)
+    for name, (D, E, seed) in POINTS.items():
+        out[f"orbit-law-{name}"] = law_line("orbit", "--D", repr(D), "--E", repr(E),
+                                            "--steps", "40000", "--seed", str(seed))
     for name, (D, E, seed) in POINTS.items():
         out[f"rotation-{name}"] = command("rotation", "--D", repr(D), "--E", repr(E),
                                           "--seed", str(seed), "--format", "json")

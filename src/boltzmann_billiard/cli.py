@@ -131,11 +131,13 @@ def _write_orbit(fh, blocks, params) -> int:
     Each block is written as it arrives, _ORBIT_SLICE rows per csv_rows
     call, so no row or column outlives its block.  csv_rows writes every
     field as "%.17g" does (the step as a float: exact below 2**53) and a
-    NaN as an empty field.  The last block's law is logged.  Returns the
-    exit code: 1 after an OrbitAbort, whose good rows are written first.
+    NaN as an empty field.  The last block's law is logged, unless the
+    blocks carry none (cmd_orbit asks for it only when DEBUG is logged).
+    Returns the exit code: 1 after an OrbitAbort, whose good rows are
+    written first.
     """
     fh.write("step,x,A1,A2,L,D_resid,E_check\n")
-    law, code = (0.0, 0), 0
+    law, code = None, 0
     try:
         for lo, xyz, _, law in blocks:
             L, D_impl, E_impl = orbit_drift_columns(*xyz, params)
@@ -144,7 +146,8 @@ def _write_orbit(fh, blocks, params) -> int:
                 fh.write(csv_rows(rows[i:i + _ORBIT_SLICE]))
     except OrbitAbort as exc:
         code = _aborted(exc)
-    _log_law(*law)
+    if law is not None:
+        _log_law(*law)
     return code
 
 
@@ -152,8 +155,9 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     params = derive_params(args.D, args.E)
     c0 = sample_level_set(params, 1, args.seed)[0]
     limits = {"residual_ceiling": args.residual_ceiling, "abort_abscissa": args.abort_abscissa}
-    if args.format == "csv":
-        blocks = _checked_blocks(c0, params, args.steps, **limits)
+    if args.format == "csv":  # the CSV reads the one-step law only for its DEBUG line
+        blocks = _checked_blocks(c0, params, args.steps, with_law=log.isEnabledFor(logging.DEBUG),
+                                 **limits)
         with _open_out(args.out) as fh:
             return _write_orbit(fh, blocks, params)
     code = 0

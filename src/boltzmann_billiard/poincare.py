@@ -7,9 +7,11 @@ rational formulas and preserve the level-set equations exactly.
 
 On a nondegenerate level set t is the translation by the rotation number
 in the uniformizing angle, so orbits (iterate_orbit and the orbit
-command) are not walked: point k is uniformize_array at theta_0 + k alpha,
-and one map_t_array step from each point's predecessor checks the
-translation law along the way.  The float walk _walk is kept for
+command) are not walked: point k is uniformize_array at theta_0 + k alpha.
+iterate_orbit checks the translation law along the way, with one
+map_t_array step from each point's predecessor (the one-step law); the
+CSV of the orbit command reads that law only to log it, so it asks for
+it only under BOLTZMANN_LOG=debug.  The float walk _walk is kept for
 empirical_rotation, which measures the winding of the map itself.
 """
 
@@ -207,7 +209,7 @@ def _translated_angles(theta0: float, alpha: float, ks: np.ndarray) -> np.ndarra
 
 
 def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
-                    residual_ceiling: float, abort_abscissa: float):
+                    residual_ceiling: float, abort_abscissa: float, with_law: bool = True):
     """The n+1 points of the orbit from c0, from the translation, yielded a block at a time.
 
     On the level set t is the translation by the rotation number alpha in
@@ -224,13 +226,15 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     Yields (lo, xyz, res, law): the rows x, A1, A2 of points lo, lo+1, ...,
     their residuals, and the one-step law so far, (max, step) of the
     config_distance_array between map_t_array of c[k-1] and c[k] over the
-    steps k yielded.  The
-    first block is c0 alone, which is not checked further; each later block
-    holds up to _CHECK_BLOCK points, checked together and each stepped from
-    its predecessor by map_t_array for the law.  At the first point that
-    fails a check or is a pole of uniformize_array, the points before it in
-    its block are yielded and OrbitAbort is raised with that step and no
-    orbit.  A start whose own image is at infinity aborts at step 1.
+    steps k yielded, or None when with_law is false.  The first block is c0
+    alone, which is not checked further; each later block holds up to
+    _CHECK_BLOCK points, checked together and, with the law, each stepped
+    from its predecessor by map_t_array.  Without the law only the start is
+    stepped, once, so the aborts are the same either way.  At the first
+    point that fails a check or is a pole of uniformize_array, the points
+    before it in its block are yielded and OrbitAbort is raised with that
+    step and no orbit.  A start whose own image is at infinity aborts at
+    step 1.
     """
     _require_nondegenerate(params)
     n = operator.index(n)
@@ -246,7 +250,8 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     a0, rot = angle_of(c0, params), rotation_number(params)
 
     def blocks():
-        lo, last, law = 1, start, (0.0, 0)  # the next step, the point before it, the law so far
+        # the next step, the point before it, the law so far (None when it is not computed)
+        lo, last, law = 1, start, (0.0, 0) if with_law else None
         yield 0, start, res0, law
         while lo <= n:
             ks = np.arange(lo, min(lo + _CHECK_BLOCK, n + 1))
@@ -259,16 +264,19 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
             r = np.where(ok, res, math.inf)  # a non-finite or far point reports residual inf
             bad = ~ok | (r > residual_ceiling)
             k = int(np.argmax(bad)) if bad.any() else len(bad)
-            if k:
+            if k and (with_law or lo == 1):
+                before = np.concatenate((last, xyz[:, :k - 1]), axis=1) if with_law else start
                 try:
-                    stepped = map_t_array(*np.concatenate((last, xyz[:, :k - 1]), axis=1), params)
+                    stepped = map_t_array(*before, params)
                 except PoleError as exc:  # the later points are not poles, so this is the start's
                     raise OrbitAbort(f"step 1: {exc}", None, 1) from exc
-                gap = config_distance_array(*stepped, *xyz[:, :k])
-                # a NaN gap (an off-set start stepped to infinity) never raises the running maximum
-                j = int(np.argmax(np.where(np.isnan(gap), -1.0, gap)))
-                law = (float(gap[j]), lo + j) if gap[j] > law[0] else law
-                del stepped, gap  # free the law's temporaries while the block is used
+                if with_law:
+                    gap = config_distance_array(*stepped, *xyz[:, :k])
+                    # a NaN gap (an off-set start stepped to infinity) never raises the running maximum
+                    j = int(np.argmax(np.where(np.isnan(gap), -1.0, gap)))
+                    law = (float(gap[j]), lo + j) if gap[j] > law[0] else law
+                    del before, stepped, gap  # free the law's temporaries while the block is used
+            if k:
                 yield lo, xyz[:, :k], res[:k], law
             if k < len(bad):
                 why = _AT_INFINITY if pole[k] else f"orbit left the level set (residual {r[k]:.3e})"
@@ -398,7 +406,7 @@ def _sample_xyz(params: LevelSetParams, m: int, seed: int) -> np.ndarray:
                                    for _ in range(k)]).T
         x, A1, A2, pole = uniformize_array(theta, eps, params)
         xyz = np.array(project_onto_level_set_array(x, A1, A2, params))
-        blocks.append(xyz[:, ~pole & ~(level_set_residual_array(*xyz, params) > 1e-12)])
+        blocks.append(xyz[:, ~pole & (level_set_residual_array(*xyz, params) <= 1e-12)])
         got += blocks[-1].shape[1]
         tried += k
     xyz = np.concatenate(blocks, axis=1)

@@ -903,6 +903,16 @@ def translated_angle(theta0: float, alpha: float, k: int) -> float:
     return ((p % 1.0 + theta0) % 1.0 + e) % 1.0
 
 
+def on_set_pole_start(params):
+    """A point of the level set with A1 = 1 exactly: its second wall intersection is at infinity."""
+    from boltzmann_billiard import ConfigPoint
+
+    D, E = params.D, params.E
+    A2 = 2.0 * E + math.sqrt(4.0 * E * E + 2.0 * D * E)  # the circle at A1 = 1
+    w = A2 + D
+    return ConfigPoint((w * w - 1.0) / (2.0 * w), 1.0, A2)  # the finite root of the wall
+
+
 def scalar_translated_orbit(c0, params, n: int, *,
                             residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12):
     """iterate_orbit one point at a time: point k is uniformize at theta_0 + k alpha.
@@ -1030,7 +1040,7 @@ def scalar_sample_level_set(params, m: int, seed: int = 0) -> list:
         except PoleError:
             continue
         c = scalar_project_onto_level_set(c, params)
-        if scalar_level_set_residual(c, params) > 1e-12:
+        if not scalar_level_set_residual(c, params) <= 1e-12:
             continue
         out.append(c)
     return out

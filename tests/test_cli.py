@@ -12,7 +12,6 @@ import math
 import os
 import pathlib
 import platform
-import re
 import subprocess
 import sys
 import warnings
@@ -460,6 +459,74 @@ class TestStreamedOrbitCsv:
         assert err == "error: Unable to allocate 2.18 TiB for an array\n"
 
 
+class TestLawOnlyWhenLogged:
+    """The orbit CSV reads the one-step law only for its DEBUG line, so it computes it only then."""
+
+    B = poincare._CHECK_BLOCK
+
+    @staticmethod
+    def step_sizes(monkeypatch) -> list:
+        """The number of points of each map_t_array call, as the calls are made."""
+        sizes, step = [], poincare.map_t_array
+
+        def counted(x, A1, A2, params):
+            sizes.append(len(x))
+            return step(x, A1, A2, params)
+
+        monkeypatch.setattr(poincare, "map_t_array", counted)
+        return sizes
+
+    def test_one_map_step_unless_logged(self, capsys, caplog, monkeypatch):
+        # logging off, the start alone is stepped; under DEBUG every point is, one call per block
+        sizes = self.step_sizes(monkeypatch)
+        argv = ("orbit", "--D", "2.5", "--E", "-0.1", "--steps", str(3 * self.B))
+        caplog.set_level(logging.WARNING, logger=cli.log.name)
+        off = run_cli(capsys, *argv)
+        assert off[0] == 0 and sizes == [1] and caplog.records == []
+        sizes.clear()
+        caplog.set_level(logging.DEBUG, logger=cli.log.name)
+        assert run_cli(capsys, *argv) == off  # the same bytes
+        assert sizes == [self.B] * 3
+        assert caplog.records[-1].getMessage().startswith("one-step law: max ")
+
+    @pytest.mark.parametrize("level", ["WARNING", "DEBUG"])
+    def test_aborts_keep_their_step(self, capsys, caplog, tmp_path, level):
+        # the abscissa and residual-ceiling aborts, as the scalar references make them
+        caplog.set_level(level, logger=cli.log.name)
+        got = assert_streamed_csv(capsys, tmp_path, 0.3, 0.4, 1, 200, "--abort-abscissa", "50",
+                                  abort_abscissa=50.0)
+        assert got is not None and "(residual inf)" in got[1]
+        params = derive_params(2.5, -0.1)
+        c0 = sample_level_set(params, 1, 6)[0]
+        res = oracles.scalar_translated_orbit(c0, params, 400, residual_ceiling=1.0).residuals
+        step = next(j for j in range(30, 401) if res[j] > max(res[1:j]))  # a record
+        ceiling = max(res[1:step])
+        got = assert_streamed_csv(capsys, tmp_path, 2.5, -0.1, 6, 400,
+                                  f"--residual-ceiling={ceiling!r}", residual_ceiling=ceiling)
+        assert got[0] == step and "left the level set" in got[1]
+
+    @pytest.mark.parametrize("level", ["WARNING", "DEBUG"])
+    @pytest.mark.parametrize("dA2, law_sizes", [(0.0, []), (1e-9, [10])])
+    def test_pole_start_aborts_at_step_1(self, capsys, caplog, monkeypatch, level, dA2, law_sizes):
+        # on the level set (dA2 = 0) the point of step 1 is a pole of uniformize_array and no
+        # step is taken; 1e-9 off it that point is finite, and the start's own step meets the pole
+        params = derive_params(0.3, 0.4)
+        pole = oracles.on_set_pole_start(params)
+        c0 = ConfigPoint(pole.x, pole.A1, pole.A2 + dA2)
+        sizes = self.step_sizes(monkeypatch)
+        monkeypatch.setattr(cli, "sample_level_set", lambda params, m, seed: [c0])
+        caplog.set_level(level, logger=cli.log.name)
+        code = main(["orbit", "--D", "0.3", "--E", "0.4", "--steps", "10"])
+        out, err = capsys.readouterr()
+        assert sizes == (law_sizes if level == "DEBUG" else [1] * len(law_sizes))
+        with pytest.raises(OrbitAbort) as exc:
+            iterate_orbit(c0, params, 10)
+        assert (exc.value.step, str(exc.value)) == (
+            1, "step 1: second wall intersection at infinity (A1^2 = 1)")
+        assert (code, out) == (1, oracles.scalar_orbit_csv([c0], params, params.D))
+        assert err == f"orbit aborted: {exc.value}\n"
+
+
 def process_env() -> dict:
     """The environment of a fresh interpreter that imports the package from src/ and
     turns every warning into an error."""
@@ -504,9 +571,10 @@ class TestProcessStderr:
     """
 
     @staticmethod
-    def run(*argv):
+    def run(*argv, **env):
         return subprocess.run([sys.executable, "-m", "boltzmann_billiard.cli", *argv],
-                              env=process_env(), capture_output=True, text=True, timeout=60)
+                              env={**process_env(), **env}, capture_output=True, text=True,
+                              timeout=60)
 
     def test_error_line(self):
         # it used to follow an "ERROR boltzmann_billiard: ..." copy of itself
@@ -523,18 +591,36 @@ class TestProcessStderr:
         assert done.stderr == "orbit aborted: step 29: orbit left the level set (residual inf)\n"
         assert len(target.read_text().splitlines()) == 30
 
+    @staticmethod
+    def law_line(D, E, steps, **limits) -> str:
+        """The DEBUG line of the one-step law of iterate_orbit from the seed-0 start."""
+        params = derive_params(D, E)
+        try:
+            orbit = iterate_orbit(sample_level_set(params, 1, 0)[0], params, steps, **limits)
+        except OrbitAbort as exc:
+            orbit = exc.orbit
+        return (f"DEBUG boltzmann_billiard.cli: one-step law: max {orbit.one_step_law_max!r} "
+                f"at step {orbit.one_step_law_step}")
+
     def test_debug_lines_name_the_cli(self):
         # under -m the module's __name__ is __main__; the logger keeps the package name
-        env = {**process_env(), "BOLTZMANN_LOG": "debug"}
-        done = subprocess.run([sys.executable, "-m", "boltzmann_billiard.cli", "orbit", "--D", "1.5",
-                               "--E", "-0.2", "--steps", "10"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done = self.run("orbit", "--D", "1.5", "--E", "-0.2", "--steps", "10", BOLTZMANN_LOG="debug")
         assert done.returncode == 0
         first, *_, last = done.stderr.splitlines()
         assert first.startswith(
             "DEBUG boltzmann_billiard.cli: mallopt(M_TOP_PAD, 16777216) returned ")
         assert first.endswith(" returned 1") or not ON_GLIBC  # glibc sets the pad
-        assert re.fullmatch(r"DEBUG boltzmann_billiard.cli: one-step law: max \S+ at step \d+", last)
+        assert last == self.law_line(1.5, -0.2, 10)
+
+    @pytest.mark.parametrize("D, E, steps, abscissa", [
+        (1.5, -0.2, 5000, 1e12), (2.5, -0.1, 5000, 1e12), (-2.5, 1.5, 5000, 1e12),
+        (0.3, 0.4, 2000, 50.0)])
+    def test_debug_law_is_iterate_orbits(self, D, E, steps, abscissa):
+        # the CSV's law, logged over two blocks or up to an abort, is the JSON report's
+        done = self.run("orbit", f"--D={D!r}", f"--E={E!r}", "--steps", str(steps),
+                        "--abort-abscissa", repr(abscissa), BOLTZMANN_LOG="debug")
+        assert done.returncode == (1 if abscissa == 50.0 else 0)
+        assert done.stderr.splitlines()[-1] == self.law_line(D, E, steps, abort_abscissa=abscissa)
 
     @staticmethod
     def period_scan(p_list, **env):

@@ -297,14 +297,6 @@ def residual_records(params, seed, n):
     return c0, res, records
 
 
-def on_set_pole_start(params):
-    """A point of the level set with A1 = 1 exactly: its second wall intersection is at infinity."""
-    D, E = params.D, params.E
-    A2 = 2.0 * E + math.sqrt(4.0 * E * E + 2.0 * D * E)  # the circle at A1 = 1
-    w = A2 + D
-    return ConfigPoint((w * w - 1.0) / (2.0 * w), 1.0, A2)  # the finite root of the wall
-
-
 class TestColumnarMatchesScalar:
     """iterate_orbit against the point-by-point translation in oracles, bit for bit."""
 
@@ -357,7 +349,7 @@ class TestColumnarMatchesScalar:
         got = assert_matches_scalar(ConfigPoint(0.3, 1.0, 0.2), params_i, 10)
         assert got[0] is ValueError and got[1].startswith("orbit start is off the level set")
         params = derive_params(0.3, 0.4)  # a class I set whose real locus meets A1^2 = 1
-        c0 = on_set_pole_start(params)
+        c0 = oracles.on_set_pole_start(params)
         assert level_set_residual(c0, params) < 1e-12
         got = assert_matches_scalar(c0, params, 10)
         assert got[:3] == (OrbitAbort, "step 1: second wall intersection at infinity (A1^2 = 1)", 1)
@@ -598,12 +590,12 @@ class TestBlockSampling:
         got = sampled(sample_level_set, params, m, seed)
         assert got == sampled(oracles.scalar_sample_level_set, params, m, seed)
 
-    @pytest.mark.parametrize("residual", [None, math.inf, math.nan])
+    @pytest.mark.parametrize("residual", [None, math.inf])
     @pytest.mark.parametrize("D,E", ALL_CLASS_FIXTURES)
     def test_rejections(self, monkeypatch, D, E, residual):
         # no candidate is rejected on these sets, so make those with x > 0 poles
         # or give them this residual on both paths; a rejection leaves a block
-        # short and more blocks follow, a NaN residual is accepted as in the loop
+        # short and more blocks follow
         params = derive_params(D, E)
         if residual is None:
             poles_at_positive_x(monkeypatch)
@@ -616,8 +608,7 @@ class TestBlockSampling:
         for seed in range(3):
             got = sample_level_set(params, 57, seed)
             assert len(got) == 57
-            nan_kept = residual is not None and math.isnan(residual)
-            assert any(c.x > 0.0 for c in got) == nan_kept
+            assert not any(c.x > 0.0 for c in got)
             assert point_hexes(got) == point_hexes(oracles.scalar_sample_level_set(params, 57, seed))
 
     @pytest.mark.parametrize("m", [1, 7])

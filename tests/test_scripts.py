@@ -1,11 +1,12 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
 import sys
 
-from boltzmann_billiard import cli
+from boltzmann_billiard import cli, derive_params, iterate_orbit, sample_level_set
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -67,14 +68,19 @@ def test_orbit_figure_gallery(tmp_path):
 
 def test_output_digests():
     # one "name sha256" line per selected entry, the same in two fresh interpreters
-    patterns = ["rotation-fx-*", "rotation-grid-60"]
+    patterns = ["orbit-law-fx-I", "rotation-fx-*", "rotation-grid-60"]
     runs = [run_script("output_digests.py", *patterns) for _ in range(2)]
     assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
-    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout == runs[1].stdout and runs[0].stderr == ""
     lines = [line.split() for line in runs[0].stdout.splitlines()]
-    assert [name for name, _ in lines] == ["rotation-fx-I", "rotation-fx-IIplus",
+    assert [name for name, _ in lines] == ["orbit-law-fx-I", "rotation-fx-I", "rotation-fx-IIplus",
                                            "rotation-fx-IIminus", "rotation-grid-60"]
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
+    # the law entry is the DEBUG line of the CSV run: iterate_orbit's law, as repr
+    params = derive_params(1.5, -0.2)
+    orbit = iterate_orbit(sample_level_set(params, 1, 3)[0], params, 40000)
+    law = f"one-step law: max {orbit.one_step_law_max!r} at step {orbit.one_step_law_step}"
+    assert lines[0][1] == hashlib.sha256(law.encode()).hexdigest()
     done = run_script("output_digests.py", "no-such-entry")
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: no entry matches no-such-entry\n")
 

@@ -30,8 +30,8 @@ from boltzmann_billiard import (
 )
 from boltzmann_billiard.levelset import _reflect
 from boltzmann_billiard.poincare import _sample_xyz, map_t_array
-from boltzmann_billiard.uniformize import (_ENDPOINT_GUARD, _amplitudes, _lift, _near_branch_i,
-                                             _near_branch_ii, _wrap, theta_array)
+from boltzmann_billiard.uniformize import (_ALPHA_SIGN, _ENDPOINT_GUARD, _amplitudes, _lift,
+                                             _near_branch_i, _near_branch_ii, _wrap, theta_array)
 
 import oracles
 from oracles import config_distance
@@ -207,6 +207,52 @@ def test_translation_and_j_laws_per_point():
     assert breaks == LAW_BREAKS
     assert set(counts) == {RealLocusClass.I, RealLocusClass.II_PLUS, RealLocusClass.II_MINUS}
     assert min(counts.values()) >= 250, counts
+
+
+def cayley_alpha(D: float, E: float) -> tuple:
+    """The orientation sign and the rotation number from Cayley's cubic, at 30 digits.
+
+    g(t) = (t + 1)(R^2 t^2 - (D s - 2) t + 1), s = D + 2E, is the cubic of the
+    circle C of the level set and the unit circle K (ROADMAP item 2).  The
+    real curve w^2 = g(t) is a bounded oval [e1, e2] and an unbounded branch
+    [e3, inf) (only the branch when g has one real root), and P0, over t = 0,
+    lies on one of them.  On the oval, which does not hold the point at
+    infinity, alpha = +int_e1^0 / (2 int_e1^e2) of dt / sqrt(g); on the branch,
+    alpha = 1 - int_0^inf / (2 int_e3^inf).  So the sign is +1 on the oval
+    and -1 on the branch.  mp.quad leaves an imaginary residue of about
+    1e-16 next to the roots, so the integrand is its real part.
+    """
+    with mpmath.workdps(30):
+        D, E = mpmath.mpf(D), mpmath.mpf(E)
+        R2, b = 1 + 2 * D * E + 4 * E * E, D * (D + 2 * E) - 2
+        disc = b * b - 4 * R2
+        roots = sorted([mpmath.mpf(-1)] + ([(b + r * mpmath.sqrt(disc)) / (2 * R2) for r in (-1, 1)]
+                                           if disc > 0 else []))
+
+        def quad(lo, hi):
+            return mpmath.quad(lambda t: mpmath.re(1 / mpmath.sqrt((t + 1) * (R2 * t * t - b * t + 1))),
+                               [lo, hi])
+
+        if len(roots) == 3 and roots[1] >= 0:  # P0 on the oval
+            return 1, quad(roots[0], 0) / (2 * quad(roots[0], roots[1]))
+        return -1, 1 - quad(0, mpmath.inf) / (2 * quad(roots[-1], mpmath.inf))
+
+
+@pytest.mark.parametrize("cls", list(_ALPHA_SIGN), ids=lambda cls: cls.value)
+def test_alpha_sign_from_cayleys_cubic(cls):
+    # the oval of P0 gives _ALPHA_SIGN (-1, +1, -1 for I, IIplus, IIminus), and the cubic's
+    # integrals give rotation_number's alpha, at seeded points of each class
+    rng = random.Random(20261021)
+    (dlo, dhi), (elo, ehi) = oracles._class_boxes()[cls]
+    points = []
+    while len(points) < 4:
+        D, E = rng.uniform(dlo, dhi), rng.uniform(elo, ehi)
+        if derive_params(D, E).cls is cls:
+            points.append((D, E))
+    for D, E in points:
+        sign, alpha = cayley_alpha(D, E)
+        assert sign == _ALPHA_SIGN[cls], (D, E)
+        assert oracles.wrapped_diff(float(alpha), rotation_number(derive_params(D, E)).alpha) <= 1e-12
 
 
 @pytest.mark.parametrize("D,E", [(1.5, -0.2), (0.5, -0.2), (0.3, 0.4), (-1.9, 1.2)])
