@@ -4,6 +4,7 @@
 The CSV is `boltzmann-billiard rotation --grid` over the window, whose ends
 are grid points, and the SVG heatmap draws its rows: grey where alpha is blank,
 else a hue of alpha mod 1, so the period-3 locus is where the hue crosses 2/3.
+A window the command refuses is its one "error: ..." line and exit 2.
 """
 
 import argparse

@@ -17,6 +17,14 @@ the usage and exits 0.
 
 main keeps the heap it frees (glibc's top pad, _TOP_PAD_BYTES), so each CSV
 block reuses the pages of the last; importing the package leaves malloc alone.
+Only glibc honours the pad: elsewhere the call is skipped, with the same bytes.
+
+The library logs nothing; the CLI logs as boltzmann_billiard.cli, under
+python -m too, at the level BOLTZMANN_LOG names (warning for any other
+value).  Its lines: mallopt's return value at every start (DEBUG; 1 when
+the pad is set, None when skipped), each orbit's one-step law maximum and
+its step (DEBUG, every format), and period-scan's note that period 1
+occurs only on the tangent boundary D + 2E = 0 (INFO).
 """
 
 from __future__ import annotations
@@ -379,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("BOLTZMANN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    level = getattr(logging, os.environ.get("BOLTZMANN_LOG", "warning").upper(), None)
+    # logging's upper-case names include non-levels (BASIC_FORMAT), which basicConfig rejects
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     pad_set = None  # mallopt's return value, 1 on success; None where there is no mallopt
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None

@@ -20,6 +20,8 @@ the array kernel _sncndn_array, for 0 <= m < 1; its sin and cos per
 element come from cmath.rect, which rounds as math.sin and math.cos do.
 
 Everything here is a pure function of its arguments and thread-safe.
+The layer is self-contained: scipy and mpmath appear only in the test
+suite, as independent oracles.
 """
 
 from __future__ import annotations

@@ -66,6 +66,10 @@ def phase_from_config(c: ConfigPoint, params: LevelSetParams) -> PhaseState:
     The squared angular momentum is D + 2 A2; the sign of L is fixed by
     requiring p2 >= 0.  Its time reverse, with both momentum components
     negated, is the state arriving at this wall point along the same conic.
+    On class I sets at E >= 0 and on IIminus sets the level set also holds
+    wall points of the far branch of a hyperbola, where no physical state
+    exists; they are refused here, while the algebraic collision map passes
+    through them (at E >= 0 successive bounces connect through infinity).
     """
     L2 = params.D + 2.0 * c.A2
     if L2 < -1e-10:

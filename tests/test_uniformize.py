@@ -28,6 +28,7 @@ from boltzmann_billiard import (
     sample_level_set,
     uniformize,
 )
+from boltzmann_billiard import elliptic
 from boltzmann_billiard.levelset import _reflect
 from boltzmann_billiard.poincare import _sample_xyz, map_t_array
 from boltzmann_billiard.uniformize import (_ALPHA_SIGN, _ENDPOINT_GUARD, _amplitudes, _lift,
@@ -238,10 +239,8 @@ def cayley_alpha(D: float, E: float) -> tuple:
         return -1, 1 - quad(0, mpmath.inf) / (2 * quad(roots[-1], mpmath.inf))
 
 
-@pytest.mark.parametrize("cls", list(_ALPHA_SIGN), ids=lambda cls: cls.value)
-def test_alpha_sign_from_cayleys_cubic(cls):
-    # the oval of P0 gives _ALPHA_SIGN (-1, +1, -1 for I, IIplus, IIminus), and the cubic's
-    # integrals give rotation_number's alpha, at seeded points of each class
+def cayley_points(cls) -> list:
+    """Four seeded (D, E) points of the class, from the box of oracles._class_boxes."""
     rng = random.Random(20261021)
     (dlo, dhi), (elo, ehi) = oracles._class_boxes()[cls]
     points = []
@@ -249,10 +248,34 @@ def test_alpha_sign_from_cayleys_cubic(cls):
         D, E = rng.uniform(dlo, dhi), rng.uniform(elo, ehi)
         if derive_params(D, E).cls is cls:
             points.append((D, E))
-    for D, E in points:
+    return points
+
+
+@pytest.mark.parametrize("cls", list(_ALPHA_SIGN), ids=lambda cls: cls.value)
+def test_alpha_sign_from_cayleys_cubic(cls):
+    # the oval of P0 gives _ALPHA_SIGN (-1, +1, -1 for I, IIplus, IIminus), and the cubic's
+    # integrals give rotation_number's alpha, at seeded points of each class
+    for D, E in cayley_points(cls):
         sign, alpha = cayley_alpha(D, E)
         assert sign == _ALPHA_SIGN[cls], (D, E)
         assert oracles.wrapped_diff(float(alpha), rotation_number(derive_params(D, E)).alpha) <= 1e-12
+
+
+def test_class_i_modulus_from_cayleys_cubic():
+    # class I: the cubic has the real root a = -1 and the complex pair b1 +- i a1, the roots
+    # of R^2 t^2 - (D s - 2) t + 1.  Byrd-Friedman's reduction (one real root, a complex
+    # pair) has A = sqrt((b1 - a)^2 + a1^2), kappa^2 = (A + b1 - a)/(2A) and
+    # cos phi = (A - 1)/(A + 1): the package's kappa^2 = den/(4R) and 1/s0
+    for D, E in cayley_points(RealLocusClass.I):
+        params = derive_params(D, E)
+        R2, b = 1.0 + 2.0 * D * E + 4.0 * E * E, D * (D + 2.0 * E) - 2.0
+        b1, a1 = b / (2.0 * R2), math.sqrt(4.0 * R2 - b * b) / (2.0 * R2)
+        A = math.hypot(b1 + 1.0, a1)
+        kappa2 = elliptic._kappa(params.k2)[0]
+        assert kappa2 == pytest.approx((A + b1 + 1.0) / (2.0 * A), rel=1e-12, abs=0.0), (D, E)
+        den = D + 4.0 * E + 2.0 * params.R
+        assert kappa2 == pytest.approx(den / (4.0 * params.R), rel=1e-12, abs=0.0), (D, E)
+        assert params.s0_inv == pytest.approx((A - 1.0) / (A + 1.0), rel=1e-12, abs=0.0), (D, E)
 
 
 @pytest.mark.parametrize("D,E", [(1.5, -0.2), (0.5, -0.2), (0.3, 0.4), (-1.9, 1.2)])
