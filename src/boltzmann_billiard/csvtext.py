@@ -12,27 +12,19 @@ the digits with the dot and the exponent; one bytes.translate drops the NULs.  W
 hangs on X alone (where the dot goes, the fewest digits written, the zeros after "0." and the
 exponent) is one take each from tables by X.  The lookup tables are built on first use (their
 cost is in CHANGES.md, "Fewer passes in the %.17g kernel"), so a command that writes no CSV
-never builds them.
+never builds them.  The Dekker product is levelset._two_product, which the library uses too;
+cli is the one module that imports this one, so importing the library does not load it.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
+from .levelset import _two_product
+
 _RANGE = 1e230  # the kernel formats 1/_RANGE < |v| < _RANGE; "%.17g" formats the rest
 _K_LO, _K_HI = -231, 246  # exponents of the tabled powers of ten
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 _UNSURE = 1e-6  # scaled values this close to a half go to "%.17g"
-
-
-def _two_product(a, b):
-    """p = fl(a * b) and e = a * b - p exactly, by Dekker's split (barring over- and underflow)."""
-    p = a * b
-    ah, bh = a * _SPLIT, b * _SPLIT
-    ah -= ah - a
-    bh -= bh - b
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 @lru_cache(maxsize=None)

@@ -290,11 +290,11 @@ def _sncndn_array(u: np.ndarray, emc: float) -> tuple[np.ndarray, np.ndarray, np
     ulp of 1 (5.5e-17) and round away.  This is the package's only sn, cn,
     dn; tests/oracles.py keeps a scalar twin that agrees bit for bit.  The
     sin and cos it starts from are math's, read from one cmath.rect call
-    per element (_rect).
+    per element (_rect).  emc = 1 (m = 0) takes the same path: the descent
+    stops after one step with c = 1, the recurrence keeps dn = 1, and sn,
+    cn are sin u, cos u to rounding.  Only selftest passes it: class I
+    passes -k2/(1 - k2) < 1 and classes II pass k2 < 1.
     """
-    if emc == 1.0:  # m = 0
-        z = _rect(u)
-        return z.imag, z.real, np.ones_like(u)
     a, e, steps = 1.0, emc, []
     for _ in range(16):
         e = math.sqrt(e)

@@ -15,7 +15,9 @@ arithmetic on floats or numpy arrays; it computes no elliptic integral.
 The residual of the two equations (each defect relative to the size of
 its terms, so that it reads rounding at any x and E), the projection
 onto them and the invariants a point implies are array kernels; the
-single-point functions call them with one-element arrays.
+single-point functions call them with one-element arrays.  Dekker's
+exact product of two doubles (_two_product) lives here too, at the base
+of the package, for the CSV formatter and the orbit's translated angles.
 
 The class table is nine tests tried in a fixed order (_class_tests), each
 band before the classes it separates; the first test that holds gives the
@@ -45,6 +47,7 @@ import numpy as np
 from .errors import DomainError, PoleError
 
 BOUNDARY_TOL = 1e-9  # absolute tolerance on D^2-4, R^2, D+2E, D+4E+2R
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 
 
 class RealLocusClass(enum.Enum):
@@ -133,6 +136,16 @@ def _den(A1):
     D + 4E + 2R that _curve_terms also calls den.
     """
     return 1.0 - A1 * A1
+
+
+def _two_product(a, b):
+    """p = fl(a * b) and e = a * b - p exactly, by Dekker's split (barring over- and underflow)."""
+    p = a * b
+    ah, bh = a * _SPLIT, b * _SPLIT
+    ah -= ah - a
+    bh -= bh - b
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _z(x, A1, A2, D):

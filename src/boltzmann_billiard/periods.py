@@ -71,28 +71,23 @@ def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray, params: Lev
 
     The starts step together by map_t_array, and a start has returned at
     the first p where config_distance_array of t^p(c) and c is below
-    _RETURN_TOL.  Only the starts still searching take a step, so each
-    start takes the steps a search of its own would take, and PoleError
-    comes exactly where one of those would raise.  Returns per start the
-    period (None if not found) and the distance at that period.
+    _RETURN_TOL.  A start that has returned keeps stepping until every
+    start has returned, so PoleError comes at the first step where any
+    start meets a pole.  At a Poncelet root all starts return together,
+    and they take the steps of a search from one start.  Returns per start
+    the period (None if not found) and the distance at that period.
     """
-    n = len(x0)
-    found: list = [None] * n
-    dist = [math.nan] * n
-    idx = np.arange(n)  # the starts still searching; x0, A10 and A20 shrink with it
+    found, dist = np.zeros(len(x0), dtype=int), np.full(len(x0), math.nan)  # 0: no return yet
     x, A1, A2 = x0, A10, A20
     for p in range(1, _P_MAX + 1):
-        if not idx.size:
-            break
         x, A1, A2 = map_t_array(x, A1, A2, params)
         d = config_distance_array(x, A1, A2, x0, A10, A20)
-        hit = d < _RETURN_TOL
+        hit = (found == 0) & (d < _RETURN_TOL)
         if hit.any():  # at a period p, p - 1 of the p steps have no return
-            for i, di in zip(idx[hit].tolist(), d[hit].tolist()):
-                found[i], dist[i] = p, di
-            keep = ~hit
-            idx, x0, A10, A20, x, A1, A2 = (a[keep] for a in (idx, x0, A10, A20, x, A1, A2))
-    return found, dist
+            found[hit], dist[hit] = p, d[hit]
+            if found.all():
+                break
+    return [f or None for f in found.tolist()], dist.tolist()
 
 
 @functools.lru_cache(maxsize=1)
@@ -192,6 +187,12 @@ def period3_residual(D, E):
 
     Works on floats and on exact rational inputs alike.  Vanishes exactly
     on the curve of level sets whose orbits close after three bounces.
+    It is (D s - 1)^2 - 4 R^2, with s = D + 2E and R^2 = 1 + 2DE + 4E^2.
+    Read on the circles C (radius R) and K (radius 1) of the class table,
+    whose centres are d = |s| apart, D s - 1 = d^2 - R^2, so it is
+    (d^2 - R^2)^2 - 4 R^2 = (d^2 - R^2 - 2R)(d^2 - R^2 + 2R): the
+    Chapple-Euler relation d^2 = R^2 - 2R of a triangle inscribed in C
+    around K, and its excircle form d^2 = R^2 + 2R.
     """
     return (4 * (D * D - 4) * E * E
             + 4 * D * (D * D - 3) * E

@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .csvtext import _two_product
 from .errors import DomainError, OrbitAbort, PoleError
 from .levelset import (
     ConfigPoint,
@@ -37,6 +36,7 @@ from .levelset import (
     _den,
     _reflect,
     _require_nondegenerate,
+    _two_product,
     _z,
     implied_invariants_array,
     level_set_residual_array,

@@ -280,8 +280,6 @@ def _sncndn_core(u: float, emc: float):
     AGM descent with backward recurrence, and (u, 1, 1) where |u| < 1e-8, op
     for op as elliptic._sncndn_array does them over arrays.
     """
-    if emc == 1.0:  # m = 0
-        return math.sin(u), math.cos(u), 1.0
     if abs(u) < 1e-8:
         # the backward recurrence divides by sn; the series in u rounds to u, 1, 1
         return u, 1.0, 1.0
@@ -1095,7 +1093,7 @@ def remainder_wrap(x):
 
 def remainder_translated_angles(theta0: float, alpha: float, ks):
     """poincare._translated_angles with each wrap numpy's % 1.0."""
-    from boltzmann_billiard.csvtext import _two_product
+    from boltzmann_billiard.levelset import _two_product
 
     p, e = _two_product(np.asarray(ks).astype(float), alpha)
     return ((p % 1.0 + theta0) % 1.0 + e) % 1.0

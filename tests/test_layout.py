@@ -3,6 +3,7 @@ loads), its one degenerate-set refusal, the callers of its public functions, the
 tracer names and the CI workflow."""
 
 import ast
+import functools
 import importlib
 import inspect
 import os
@@ -89,17 +90,32 @@ print(sorted(set(sys.modules) - base))
 """
 
 
-def test_import_loads_no_logging_or_exact_arithmetic():
-    # the library computes and the CLI logs: after numpy, the package loads no logging, and
-    # neither it nor the CLI loads fractions or decimal (selftest's fixture is two doubles)
+@functools.lru_cache(maxsize=None)
+def import_footprint() -> tuple:
+    """The modules a fresh interpreter loads after numpy for the package, then for its CLI."""
     env = {**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    library, cli = map(ast.literal_eval, done.stdout.splitlines())
+    return tuple(map(ast.literal_eval, done.stdout.splitlines()))
+
+
+def test_import_loads_no_logging_or_exact_arithmetic():
+    # the library computes and the CLI logs: after numpy, the package loads no logging, and
+    # neither it nor the CLI loads fractions or decimal (selftest's fixture is two doubles)
+    library, cli = import_footprint()
     assert sorted({"logging", "fractions", "decimal"}.intersection(library)) == []
     assert sorted({"fractions", "decimal"}.intersection(cli)) == []
+
+
+def test_library_loads_no_csv_formatter():
+    # the CSV formatter is the CLI's: Dekker's product, the one part of it the library
+    # used, is levelset's, so importing the package leaves csvtext unloaded
+    library, cli = import_footprint()
+    assert "boltzmann_billiard.csvtext" not in library
+    assert "boltzmann_billiard.csvtext" in cli
+    assert [name for name in MODULES if "csvtext" in package_imports(name)] == ["cli"]
 
 
 def test_levelset_computes_no_integral():

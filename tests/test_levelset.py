@@ -10,16 +10,23 @@ from hypothesis import assume, given, strategies as st
 from boltzmann_billiard import (
     BOUNDARY_TOL,
     AngleCoord,
+    BilliardError,
     ConfigPoint,
     DomainError,
     RealLocusClass,
     complete_Kp,
     complete_Kpp,
+    component_curve,
     derive_params,
+    empirical_rotation,
     implied_invariants,
+    iterate_orbit,
     level_set_residual,
     other_wall_root,
+    poncelet_check,
     project_onto_level_set,
+    rotation_grid,
+    rotation_number,
     sample_level_set,
     uniformize,
 )
@@ -76,6 +83,43 @@ def test_boundary_band_width():
     # likewise the tangent band D + 2E = 0
     assert derive_params(1.0 - 0.5 * BOUNDARY_TOL, -0.5).cls is RealLocusClass.DEGENERATE_TANGENT
     assert derive_params(1.0 + 10.0 * BOUNDARY_TOL, -0.5).cls is RealLocusClass.I
+
+
+def class_edges(E):
+    """The D of each class-band edge at E, and 3 ulps on either side: D + 2E = +-BOUNDARY_TOL,
+    |D| = 2 +- BOUNDARY_TOL and R^2 = 1 + 2DE + 4E^2 = +-BOUNDARY_TOL."""
+    t = BOUNDARY_TOL
+    for D in [t - 2.0 * E, -t - 2.0 * E, 2.0 + t, 2.0 - t, -2.0 + t, -2.0 - t,
+              (t - 1.0 - 4.0 * E * E) / (2.0 * E), (-t - 1.0 - 4.0 * E * E) / (2.0 * E)]:
+        below = above = D
+        yield D
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            yield from (below, above)
+
+
+@pytest.mark.parametrize("E", [-0.4, -0.3, -0.2, -0.05, 0.01, 0.3, 1.5, 20.0, 1e4, 1e7])
+def test_class_edges_answer_or_refuse(E):
+    # at the edges of the class bands every entry point returns a value or raises a
+    # BilliardError; the orbit starts at the top of C (A1 = 0, A2 = 2E + R), which is on
+    # every nondegenerate set here, and the array class table agrees with derive_params
+    for D in class_edges(E):
+        params = derive_params(D, E)  # D and E are finite, and no curve datum overflows
+        w = D + 2.0 * E + params.R  # A2 + D at the top of C
+        c0 = ConfigPoint(math.sqrt(max(0.0, (w - 1.0) * (w + 1.0))), 0.0, 2.0 * E + params.R)
+        for call in (lambda: rotation_number(params),
+                     lambda: uniformize(AngleCoord(0.25), params),
+                     lambda: sample_level_set(params, 5),
+                     lambda: empirical_rotation(params, n_steps=200),
+                     lambda: poncelet_check(params),
+                     lambda: component_curve(params),
+                     lambda: iterate_orbit(c0, params, 50)):
+            try:
+                call()
+            except BilliardError:  # a typed refusal; any other error fails the test
+                pass
+        classes, _ = rotation_grid(D, E)  # NaN alpha, not an error, where a cell has none
+        assert classes[()] is params.cls, (D, E)
 
 
 def test_exact_rational_curve_data(params_period3):

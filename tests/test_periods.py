@@ -154,6 +154,15 @@ class TestPeriod3Locus:
         assert period3_residual(2, 1) == 13  # 8E + 5 at D = 2
         assert period3_residual(2, Fraction(-5, 8)) == 0
 
+    def test_chapple_euler_form(self):
+        # exactly (D s - 1)^2 - 4 R^2 with s = D + 2E and R^2 = 1 + 2DE + 4E^2, where
+        # D s - 1 = s^2 - R^2: Euler's relation of the circles C and K, centres |s| apart
+        rng = random.Random(43)
+        for _ in range(60):
+            D, E = (Fraction(rng.randint(-500, 500), rng.randint(1, 120)) for _ in range(2))
+            s, R2 = D + 2 * E, 1 + 2 * D * E + 4 * E * E
+            assert period3_residual(D, E) == (D * s - 1) ** 2 - 4 * R2
+
     def test_float_root_near_exact(self):
         assert abs(period3_residual(1.75, -5.0 / 24.0)) < 1e-14
 
@@ -230,6 +239,9 @@ def fresh_scans():
     periods._scan.cache_clear()
 
 
+FUSS_ENERGIES = [-0.33, -0.3, -0.25, -0.2, -0.1, -0.0436, 0.0136, 0.05, 0.09, 0.2427, 0.5, 1.5]
+
+
 class TestLocusScan:
     @pytest.mark.parametrize("E", [-0.3, -0.2, -0.1, 0.05])
     def test_period4_roots_close(self, E):
@@ -243,6 +255,17 @@ class TestLocusScan:
                 for _ in range(4):
                     c = map_t(c, params)
                 assert oracles.config_distance(c, c0) <= 1e-9
+
+    def test_period4_roots_on_fuss_curve(self):
+        # P4 = (s^2 - R^2)((R^2 - s^2)^2 - 2(R^2 + s^2)) at every root: s = R is where
+        # s0_inv = 0, and the other factor is Fuss's relation of a Poncelet quadrilateral
+        # between C (radius R) and K (radius 1), centres |s| apart
+        roots = [(D, E) for E in FUSS_ENERGIES for D_range in [(0.0, 2.0), (-6.0, 6.0)]
+                 for D in find_periodic_locus(E, 4, D_range)]
+        assert len(roots) >= 30
+        for D, E in roots:
+            s2, R2 = (D + 2.0 * E) ** 2, 1.0 + 2.0 * D * E + 4.0 * E * E
+            assert abs((s2 - R2) * ((R2 - s2) ** 2 - 2.0 * (R2 + s2))) <= 1e-11, (D, E)
 
     def test_defect_evaluations_per_root(self, monkeypatch):
         # the refinement starts from the scanned bracket ends, so each root
@@ -619,11 +642,22 @@ class TestBatchedMatchesScalar:
         assert got == outcome(oracles.scalar_poncelet_check, params, seed=seed, shown=repr)
 
     def test_mixed_returns_split(self):
-        # the example above drops the returned starts on a step where others search on
+        # in the example above the returned starts step on, masked, while the others search
         params, seed = MIXED_RETURNS
         found, _ = periods._first_returns(*periods._sample_xyz(params, periods._N_STARTS, seed),
                                           params)
         assert Counter(found) == {3: 43, None: 57}
+
+    def test_mixed_returns_start_by_start(self, params_period3, params_i):
+        # 99 starts of the period-3 set and, among them, one of another level set: each start
+        # has the period and distance of a search from it alone, and the odd one never returns
+        xyz = np.insert(periods._sample_xyz(params_period3, 99, 3), 40,
+                        periods._sample_xyz(params_i, 1, 3)[:, 0], axis=1)
+        found, dist = periods._first_returns(*xyz, params_period3)
+        alone = [periods._first_returns(*xyz[:, [i]], params_period3) for i in range(100)]
+        assert found == [f for (f,), _ in alone]
+        assert [d.hex() for d in dist] == [d.hex() for _, (d,) in alone]
+        assert Counter(found) == {3: 99, None: 1} and found[40] is None
 
     @pytest.mark.parametrize("fixture,detected", [("params_i", None), ("params_period3", 3),
                                                   ("params_ii_plus", None)])
