@@ -61,33 +61,29 @@ def predict_period(params: LevelSetParams) -> int | None:
 
 
 def detect_period_direct(c0: ConfigPoint, params: LevelSetParams) -> int | None:
-    """Smallest p <= _P_MAX with t^p(c0) back at c0 in the bounded metric: _first_returns
+    """Smallest p <= _P_MAX with t^p(c0) back at c0 in the bounded metric: _first_return
     at the single start c0."""
-    return _first_returns(*_columns(c0), params)[0][0]
+    return _first_return(*_columns(c0), params)[0]
 
 
-def _first_returns(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray, params: LevelSetParams):
-    """The first return of each start (x0, A10, A20) within _P_MAX map steps, all at once.
+def _first_return(x0: np.ndarray, A10: np.ndarray, A20: np.ndarray, params: LevelSetParams):
+    """The first map step at which any of the starts (x0, A10, A20) is back, within _P_MAX.
 
-    The starts step together by map_t_array, and a start has returned at
-    the first p where config_distance_array of t^p(c) and c is below
-    _RETURN_TOL.  A start that has returned keeps stepping until every
-    start has returned, so PoleError comes at the first step where any
-    start meets a pole.  At a Poncelet root all starts return together,
-    and they take the steps of a search from one start.  Returns per start
-    the period (None if not found) and the distance at that period.
+    The starts step together by map_t_array, and a start is back at the
+    first p where config_distance_array of t^p(c) and c is below
+    _RETURN_TOL.  Returns (p, d), with d the distance of every start at
+    that step, or (None, None) if no start comes back.  By the Poncelet
+    property either every start returns at one common p or none does, so
+    the step where the first start returns decides it: the steps stop
+    there, and PoleError comes only from a step up to it.
     """
-    found, dist = np.zeros(len(x0), dtype=int), np.full(len(x0), math.nan)  # 0: no return yet
     x, A1, A2 = x0, A10, A20
     for p in range(1, _P_MAX + 1):
         x, A1, A2 = map_t_array(x, A1, A2, params)
         d = config_distance_array(x, A1, A2, x0, A10, A20)
-        hit = (found == 0) & (d < _RETURN_TOL)
-        if hit.any():  # at a period p, p - 1 of the p steps have no return
-            found[hit], dist[hit] = p, d[hit]
-            if found.all():
-                break
-    return [f or None for f in found.tolist()], dist.tolist()
+        if (d < _RETURN_TOL).any():
+            return p, d
+    return None, None
 
 
 @functools.lru_cache(maxsize=1)
@@ -105,11 +101,14 @@ def _starts(key: str, seed: int, params: LevelSetParams) -> np.ndarray:
 def poncelet_check(params: LevelSetParams, seed: int = 0) -> PeriodReport:
     """All-or-nothing periodicity over seeded starting points.
 
-    Detects the direct period from _N_STARTS starts, requires unanimity,
-    and compares with the analytic prediction.  Disagreement is reported
-    in the result, not raised.  The starts are sampled and iterated
-    together as arrays (_first_returns, which detect_period_direct runs on
-    one start); the draw is kept for the winding that follows (_starts).
+    Steps _N_STARTS starts together up to the first map step at which any
+    of them is back (_first_return, which detect_period_direct runs on one
+    start).  The period is detected only if every start is back at that
+    step, and is compared with the analytic prediction.  Disagreement is
+    reported in the result, not raised: once one start is back and another
+    is not, the answer is known, so a pole that a start would meet at a
+    later step raises nothing.  The draw is kept for the winding that
+    follows (_starts).
 
     The report is a function of the level set and the seed alone (the
     Poncelet property), so the last _CHECK_CACHE reports are kept for the
@@ -128,11 +127,9 @@ def _poncelet_check(key: str, seed: int, params: LevelSetParams) -> PeriodReport
     equality merges (D = 0.0 and -0.0)."""
     rot = rotation_number(params)
     predicted = smallest_period(rot.alpha, rot.flips_component)
-    found, dist = _first_returns(*_starts(key, seed, params), params)
-    detected = set(found)
-    unanimous = detected.pop() if len(detected) == 1 else None
-    # with a unanimous period, t^p(c) is the point each start returned at
-    residual = max([0.0, *dist]) if unanimous is not None else math.nan
+    p, d = _first_return(*_starts(key, seed, params), params)
+    unanimous = p if d is not None and (d < _RETURN_TOL).all() else None
+    residual = float(d.max()) if unanimous is not None else math.nan
     return PeriodReport(predicted, unanimous, rot.alpha,
                         predicted == unanimous, residual)
 
@@ -192,7 +189,10 @@ def period3_residual(D, E):
     whose centres are d = |s| apart, D s - 1 = d^2 - R^2, so it is
     (d^2 - R^2)^2 - 4 R^2 = (d^2 - R^2 - 2R)(d^2 - R^2 + 2R): the
     Chapple-Euler relation d^2 = R^2 - 2R of a triangle inscribed in C
-    around K, and its excircle form d^2 = R^2 + 2R.
+    around K, and its excircle form d^2 = R^2 + 2R.  It is also Cayley's
+    criterion (Griffiths & Harris 1978) for the pair: with the cubic
+    g(t) = (t + 1)(R^2 t^2 - (D s - 2) t + 1), det(tC + K) up to sign,
+    the t^2 coefficient of sqrt(g) is exactly -period3_residual / 8.
     """
     return (4 * (D * D - 4) * E * E
             + 4 * D * (D * D - 3) * E
@@ -251,7 +251,8 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
     recentred defect (all scan points in one rotation_grid call, kept by
     _scan for the other p at the same E and D_range), refines
     each bracket from its scanned end values by _illinois down to adjacent
-    doubles, and keeps the roots with a defect below 1e-8.  Period 1 occurs
+    doubles, and keeps the roots with a defect below 1e-8.  The brackets
+    ascend and each root lies in its own, so the roots come in ascending D.  Period 1 occurs
     only on the excluded tangent boundary D + 2E = 0, so p = 1 returns []
     and leaves no log record: the library logs nothing, and period-scan
     writes that note.  A high-to-low D_range is scanned from low to high.
@@ -296,4 +297,4 @@ def find_periodic_locus(E: float, p: int, D_range: tuple = (0.0, 2.0)) -> list:
         root, f = _illinois(defect, grid[i], vals[i], grid[i + 1], vals[i + 1])
         if abs(f) < 1e-8 and not any(abs(root - r) < 1e-7 for r in roots):
             roots.append(root)
-    return sorted(roots)
+    return roots

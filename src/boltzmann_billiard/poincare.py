@@ -233,8 +233,10 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
     stepped, once, so the aborts are the same either way.  At the first
     point that fails a check or is a pole of uniformize_array, the points
     before it in its block are yielded and OrbitAbort is raised with that
-    step and no orbit.  A start whose own image is at infinity aborts at
-    step 1.
+    step and no orbit: a pole names the pole, a finite point past
+    abort_abscissa its |x|, and any other its residual, which is inf for a
+    point that is not finite (level_set_residual_array).  A start whose
+    own image is at infinity aborts at step 1.
     """
     _require_nondegenerate(params)
     n = operator.index(n)
@@ -261,8 +263,7 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
             res = level_set_residual_array(*xyz, params)
             with np.errstate(invalid="ignore"):
                 ok = np.isfinite(xyz).all(axis=0) & (np.abs(xyz[0]) <= abort_abscissa)
-            r = np.where(ok, res, math.inf)  # a non-finite or far point reports residual inf
-            bad = ~ok | (r > residual_ceiling)
+            bad = ~ok | (res > residual_ceiling)
             k = int(np.argmax(bad)) if bad.any() else len(bad)
             if k and (with_law or lo == 1):
                 before = np.concatenate((last, xyz[:, :k - 1]), axis=1) if with_law else start
@@ -279,7 +280,7 @@ def _checked_blocks(c0: ConfigPoint, params: LevelSetParams, n: int,
             if k:
                 yield lo, xyz[:, :k], res[:k], law
             if k < len(bad):
-                why = _AT_INFINITY if pole[k] else f"orbit left the level set (residual {r[k]:.3e})"
+                why = _AT_INFINITY if pole[k] else f"orbit left the level set (residual {res[k]:.3e})"
                 if np.isfinite(xyz[:, k]).all() and not ok[k]:  # a finite point past the abscissa
                     why = f"|x| = {abs(xyz[0, k]):.3e} exceeds abort_abscissa {abort_abscissa!r}"
                 raise OrbitAbort(f"step {lo + k}: {why}", None, lo + k)

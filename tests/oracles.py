@@ -772,7 +772,9 @@ def scalar_detect_period(c0, params):
 
 
 def scalar_poncelet_check(params, seed: int = 0):
-    """poncelet_check one start at a time, with a separate residual pass.
+    """poncelet_check by map_t: every start steps one point at a time, in lockstep, up to
+    the first step at which any start is back; the period is detected if every start is
+    back there.
 
     The starts come from periods._sample_xyz, so a test that replaces it
     there gives both paths the same starts.
@@ -782,17 +784,15 @@ def scalar_poncelet_check(params, seed: int = 0):
     rot = periods.rotation_number(params)
     predicted = periods.smallest_period(rot.alpha, rot.flips_component)
     pts = list(map(ConfigPoint, *periods._sample_xyz(params, periods._N_STARTS, seed).tolist()))
-    detected = {scalar_detect_period(c, params) for c in pts}
-    unanimous = detected.pop() if len(detected) == 1 else None
-    residual = math.nan
-    if unanimous is not None:
-        worst = 0.0
-        for c in pts:
-            cp = c
-            for _ in range(unanimous):
-                cp = map_t(cp, params)
-            worst = max(worst, config_distance(cp, c))
-        residual = worst
+    unanimous, residual, cs = None, math.nan, pts
+    for p in range(1, periods._P_MAX + 1):
+        cs = [map_t(c, params) for c in cs]
+        dist = [config_distance(c, c0) for c, c0 in zip(cs, pts)]
+        back = [d < periods._RETURN_TOL for d in dist]
+        if any(back):
+            if all(back):
+                unanimous, residual = p, max(dist)
+            break
     return periods.PeriodReport(predicted, unanimous, rot.alpha,
                                 predicted == unanimous, residual)
 

@@ -1033,6 +1033,19 @@ class TestPeriodScan:
         _, rows = parse_csv(out)
         assert rows == []
 
+    def test_log_level_on_every_call(self, capsys, caplog, monkeypatch):
+        # basicConfig sets no level once the root logger has a handler, so each call sets it
+        root = logging.getLogger()
+        level = root.level
+        try:
+            monkeypatch.delenv("BOLTZMANN_LOG", raising=False)
+            assert run_cli(capsys, "period-scan", "--E", "-0.2", "--p-list", "1")[0] == 0
+            monkeypatch.setenv("BOLTZMANN_LOG", "info")
+            assert run_cli(capsys, "period-scan", "--E", "-0.2", "--p-list", "1")[0] == 0
+        finally:
+            root.setLevel(level)
+        assert [(r.name, r.levelname) for r in caplog.records] == [(cli.log.name, "INFO")]
+
     def test_format_option_removed(self):
         # period-scan writes CSV only; --format json used to be accepted and ignored
         code, out, err = run_quiet(["period-scan", "--E", "-0.2", "--format", "json"])

@@ -1,6 +1,6 @@
 """Static checks of the source tree: its imports (place, use, graph, what importing it
 loads), its one degenerate-set refusal, the callers of its public functions, the
-tracer names and the CI workflow."""
+tracer and benchmark names and the CI workflow."""
 
 import ast
 import functools
@@ -202,3 +202,38 @@ def test_ci_runs_no_inline_python():
     # written as a python -c block in the workflow would be a second suite, so it goes here
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert re.findall(r"python3?\s+-c\b", workflow) == []
+
+
+def resolve(dotted: str):
+    """The module, or attribute of one, that a dotted name names; raises if there is none."""
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        parent, _, name = dotted.rpartition(".")
+        return getattr(resolve(parent), name)
+
+
+def test_benchmark_names_exist():
+    # the benchmark's child process and its checks import these names of the package and
+    # read attributes of them; a missing one would only show when the benchmark runs
+    read = set()
+    for path in (ROOT / "perfbench" / "child.py", ROOT / "perfbench" / "workloads.py"):
+        nodes, bound = list(ast.walk(parse(path))), {}  # local name -> dotted name
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name, a.name) for a in node.names if a.name == PACKAGE.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(PACKAGE.name):
+                bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+        read.update(bound.values())
+        read.update(f"{bound[node.value.id]}.{node.attr}" for node in nodes
+                    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound)
+    for dotted in read:
+        resolve(dotted)
+    assert {"boltzmann_billiard.cli.main", "boltzmann_billiard.cli.build_parser",
+            "boltzmann_billiard.periods.find_periodic_locus",
+            "boltzmann_billiard.periods.poncelet_check",
+            "boltzmann_billiard.periods.empirical_rotation", "boltzmann_billiard.derive_params",
+            "boltzmann_billiard.map_t", "boltzmann_billiard.sample_level_set",
+            "boltzmann_billiard.elliptic._complete_K.cache_info"} <= read
+    # child.py calls it after every timed run
+    assert callable(resolve("boltzmann_billiard.elliptic._complete_K.cache_info"))

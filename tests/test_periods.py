@@ -3,7 +3,6 @@
 import logging
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -82,7 +81,7 @@ def test_detect_generic_none(params_i):
 
 
 def test_detect_period_direct_matches_scalar(params_period3, params_i):
-    # the one-start call of _first_returns against the map_t loop
+    # the one-start call of _first_return against the map_t loop
     for c0 in sample_level_set(params_period3, 30, seed=9):
         assert detect_period_direct(c0, params_period3) == oracles.scalar_detect_period(
             c0, params_period3) == 3
@@ -162,6 +161,22 @@ class TestPeriod3Locus:
             D, E = (Fraction(rng.randint(-500, 500), rng.randint(1, 120)) for _ in range(2))
             s, R2 = D + 2 * E, 1 + 2 * D * E + 4 * E * E
             assert period3_residual(D, E) == (D * s - 1) ** 2 - 4 * R2
+
+    def test_cayley_criterion(self):
+        # Cayley's criterion (Griffiths & Harris 1978) for C and K: with
+        # g(t) = (t + 1)(R^2 t^2 - (D s - 2) t + 1), the cubic det(tC + K) up to sign, and
+        # sqrt(g) = sum a_k t^k, a triangle closes where a_2 = 0 and a quadrilateral where
+        # a_3 = 0; exactly, a_2 = -P3/8 and a_3 = -P4/16
+        rng = random.Random(44)
+        for _ in range(60):
+            D, E = (Fraction(rng.randint(-500, 500), rng.randint(1, 120)) for _ in range(2))
+            s, R2 = D + 2 * E, 1 + 2 * D * E + 4 * E * E
+            g = [1, 3 - D * s, R2 - D * s + 2, R2]
+            a = [Fraction(1)]
+            for n in range(1, 4):
+                a.append((g[n] - sum(a[k] * a[n - k] for k in range(1, n))) / 2)
+            P4 = (s * s - R2) * ((R2 - s * s) ** 2 - 2 * (R2 + s * s))
+            assert (a[2], a[3]) == (-period3_residual(D, E) / 8, -P4 / 16), (D, E)
 
     def test_float_root_near_exact(self):
         assert abs(period3_residual(1.75, -5.0 / 24.0)) < 1e-14
@@ -543,9 +558,9 @@ class TestCheckCache:
         # 6 alpha is an integer where 3 alpha is, and 8 alpha where 4 alpha is: the scan
         # finds those roots again, as the same doubles, and their checks are kept
         checked = []
-        first_returns = periods._first_returns
-        monkeypatch.setattr(periods, "_first_returns",
-                            lambda *args: checked.append(args[-1]) or first_returns(*args))
+        first_return = periods._first_return
+        monkeypatch.setattr(periods, "_first_return",
+                            lambda *args: checked.append(args[-1]) or first_return(*args))
         roots = {}
         for p in range(3, 9):
             for D in find_periodic_locus(-0.2, p):
@@ -616,7 +631,7 @@ def outcome(fn, *args, shown=float.hex, **kwargs):
 
 
 # just off the period-3 locus through (7/4, -5/24): 43 of the 100 starts of seed 2 come
-# within _RETURN_TOL at step 3, the other 57 never return
+# within _RETURN_TOL at step 3, the other 57 are not back there
 MIXED_RETURNS = (derive_params(1.75 + 3e-9, -5.0 / 24.0), 2)
 
 
@@ -636,28 +651,37 @@ class TestBatchedMatchesScalar:
 
     @given(oracles.level_sets(), st.integers(0, 2**16))
     @example(derive_params(0.0, 1e-8), 1)  # start 20 meets A1^2 = 1 at step 11: a PoleError
-    @example(*MIXED_RETURNS)  # some starts return at step 3, the rest never
+    @example(*MIXED_RETURNS)  # some starts are back at step 3, the rest not
     def test_poncelet_check_repr(self, params, seed):
         got = outcome(poncelet_check, params, seed=seed, shown=repr)
         assert got == outcome(oracles.scalar_poncelet_check, params, seed=seed, shown=repr)
 
-    def test_mixed_returns_split(self):
-        # in the example above the returned starts step on, masked, while the others search
+    def test_mixed_returns_stop_at_the_first(self, monkeypatch):
+        # in the example above 43 starts are back at step 3 and the others are not, so the
+        # check is decided there: it takes 3 map steps, where stepping on to 60 adds nothing
         params, seed = MIXED_RETURNS
-        found, _ = periods._first_returns(*periods._sample_xyz(params, periods._N_STARTS, seed),
-                                          params)
-        assert Counter(found) == {3: 43, None: 57}
+        p, d = periods._first_return(*periods._sample_xyz(params, periods._N_STARTS, seed), params)
+        assert p == 3 and len(d) == periods._N_STARTS
+        assert int((d < periods._RETURN_TOL).sum()) == 43
+        steps, map_t_array = [], periods.map_t_array
+        monkeypatch.setattr(periods, "map_t_array", lambda *args: steps.append(1) or map_t_array(*args))
+        report = poncelet_check(params, seed=seed)
+        assert report.detected is None and math.isnan(report.residual) and len(steps) == 3
 
-    def test_mixed_returns_start_by_start(self, params_period3, params_i):
-        # 99 starts of the period-3 set and, among them, one of another level set: each start
-        # has the period and distance of a search from it alone, and the odd one never returns
-        xyz = np.insert(periods._sample_xyz(params_period3, 99, 3), 40,
-                        periods._sample_xyz(params_i, 1, 3)[:, 0], axis=1)
-        found, dist = periods._first_returns(*xyz, params_period3)
-        alone = [periods._first_returns(*xyz[:, [i]], params_period3) for i in range(100)]
-        assert found == [f for (f,), _ in alone]
-        assert [d.hex() for d in dist] == [d.hex() for _, (d,) in alone]
-        assert Counter(found) == {3: 99, None: 1} and found[40] is None
+    def test_pole_after_a_return_is_not_raised(self, monkeypatch):
+        # a pole at step 4 comes after the disagreement of step 3 is known: it is not met
+        params, seed = MIXED_RETURNS
+        steps, map_t_array = [], periods.map_t_array
+
+        def poled(*args):
+            steps.append(1)
+            if len(steps) == 4:
+                raise PoleError("second wall intersection at infinity (A1^2 = 1)")
+            return map_t_array(*args)
+
+        monkeypatch.setattr(periods, "map_t_array", poled)
+        report = poncelet_check(params, seed=seed)
+        assert report.detected is None and len(steps) == 3
 
     @pytest.mark.parametrize("fixture,detected", [("params_i", None), ("params_period3", 3),
                                                   ("params_ii_plus", None)])
